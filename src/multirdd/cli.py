@@ -155,7 +155,6 @@ def _estimation_config(cfg: dict) -> EstimationConfig:
     return EstimationConfig(
         bandwidth=float(_require(cfg, "bandwidth")),
         kernel=KernelKind.from_name(str(cfg.get("kernel", "uniform"))),
-        cutoff=float(cfg.get("cutoff", 0.0)),
         cluster_by=None if cluster is None else str(cluster),
         rcond_threshold=float(cfg.get("rcond_threshold", 1e-10)),
     )
@@ -200,8 +199,9 @@ def _fit_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _diagnostics_doc(ds, cfg) -> tuple[dict, bool, float | None]:
-    ct = cell_table(ds, cfg)
+def _diagnostics_doc(ds, cfg, ct=None) -> tuple[dict, bool, float | None]:
+    if ct is None:
+        ct = cell_table(ds, cfg)
     tw = relevance(ct, rcond_threshold=cfg.rcond_threshold)
     ratios = {}
     for l, cell in enumerate(ct.cells):
@@ -270,22 +270,23 @@ def estimate_cmd(cfg: dict) -> int:
         "data": str(cfg.get("data")),
         "kernel": est_cfg.kernel.value,
         "bandwidth": est_cfg.bandwidth,
-        "cutoff": est_cfg.cutoff,
+        "cutoff": schema.cutoff,
         "model": spec.kind,
         "cluster": cfg.get("cluster"),
     }
-    min_eig = None
+    ct = min_eig = None
     if spec.kind == "homogeneous":
         try:
-            _, _, min_eig = _diagnostics_doc(ds, est_cfg)
+            ct = cell_table(ds, est_cfg)
+            min_eig = float(relevance(ct, rcond_threshold=est_cfg.rcond_threshold).min_eigenvalue)
         except EstimationError:
-            min_eig = None
+            pass
     try:
         fit = estimate(ds, spec, est_cfg, joint_min_eigenvalue=min_eig)
     except EstimationError as err:
         doc = {"error": str(err), "config": echo}
         try:
-            diag, _, _ = _diagnostics_doc(ds, est_cfg)
+            diag, _, _ = _diagnostics_doc(ds, est_cfg, ct)
             doc["diagnostics"] = diag
         except EstimationError as diag_err:
             doc["diagnostics_error"] = str(diag_err)
@@ -308,7 +309,7 @@ def diagnose_cmd(cfg: dict) -> int:
         "data": str(cfg.get("data")),
         "kernel": est_cfg.kernel.value,
         "bandwidth": est_cfg.bandwidth,
-        "cutoff": est_cfg.cutoff,
+        "cutoff": schema.cutoff,
     }
     if cfg.get("series"):
         write_series(str(cfg["series"]), ds, est_cfg)

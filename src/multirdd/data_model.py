@@ -15,7 +15,8 @@ violation means the input indicators were not cumulative.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -193,20 +194,31 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Kernel, bandwidth, cutoff, clustering, and numerical tolerances.
+    """Kernel, bandwidth, clustering, and numerical tolerances.
 
     ``cluster_by`` is a column name, the string ``"running"`` (cluster
     by the values of the running variable), or None (each observation
     its own cluster).
+
+    The cutoff belongs to :class:`TableSchema`, which recenters the
+    running variable at load; the ``cutoff`` keyword here is accepted for
+    older callers but is not stored, and it warns.
     """
 
     bandwidth: float
     kernel: KernelKind = KernelKind.UNIFORM
-    cutoff: float = 0.0
+    cutoff: InitVar[float | None] = None
     cluster_by: str | None = None
     rcond_threshold: float = 1e-10
 
-    def __post_init__(self):
+    def __post_init__(self, cutoff):
+        if cutoff is not None:
+            warnings.warn(
+                "EstimationConfig(cutoff=...) is ignored and will be removed; "
+                "the cutoff is applied once, by TableSchema.cutoff at load time",
+                FutureWarning,
+                stacklevel=3,
+            )
         if isinstance(self.kernel, str):
             object.__setattr__(self, "kernel", KernelKind.from_name(self.kernel))
         if not self.bandwidth > 0:

@@ -20,10 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.linalg import solve_triangular
 
-from .data_model import Dataset, EstimationConfig, ModelSpec, _format_value
+from .data_model import Dataset, EstimationConfig, ModelSpec, _format_value, validate_dataset
 from .errors import EstimationError, InputError, SingularDesignError, UnderIdentifiedError
 from .kernels import weights_vector
 
@@ -202,10 +200,11 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     exog = np.column_stack([instr, controls])[mask] * sw[:, None]
     rank = np.linalg.matrix_rank(exog)
     if rank < exog.shape[1]:
+        empty = validate_dataset(ds, cfg).empty_side_warnings
         raise SingularDesignError(
             f"exogenous block is rank deficient after weighting "
-            f"(rank {rank} < {exog.shape[1]} columns); a covariate cell may be "
-            "empty inside the bandwidth"
+            f"(rank {rank} < {exog.shape[1]} columns); "
+            + ("; ".join(empty) if empty else "the weighted columns are collinear")
         )
 
     return DesignMatrices(
@@ -278,7 +277,7 @@ class FitResult:
                 est = float(self.beta[k])
                 s = float(se[k])
                 t = est / s if s > 0 else float("inf") if est != 0 else 0.0
-                p = 2 * float(stats.norm.sf(abs(t))) if math.isfinite(t) else 0.0
+                p = math.erfc(abs(t) / math.sqrt(2.0)) if math.isfinite(t) else 0.0
                 table.append(
                     {
                         "name": lab,
@@ -310,7 +309,7 @@ def _qr_solve(a: np.ndarray, b: np.ndarray, rcond_threshold: float, what: str):
         raise SingularDesignError(
             f"{what} is numerically singular (rcond {rcond:.3e} < {rcond_threshold:.1e})"
         )
-    return solve_triangular(rmat, qmat.T @ b), qmat
+    return np.linalg.solve(rmat, qmat.T @ b), qmat
 
 
 def weighted_2sls(dm: DesignMatrices, rcond_threshold: float = 1e-10) -> FitResult:
@@ -410,6 +409,30 @@ def cluster_covariance(fit: FitResult, dm: DesignMatrices, cluster_ids=None) -> 
     return 0.5 * (cov + cov.T)
 
 
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(chi2(dof) > x) for a positive integer ``dof``.
+
+    Closed form of the regularized upper incomplete gamma Q(dof/2, x/2):
+    a Poisson tail for even dof, erfc plus a half-integer series for odd
+    dof.  The series is summed in log space around its largest term, so
+    it does not underflow while the tail itself is representable.
+    """
+    if x <= 0:
+        return 1.0
+    half = 0.5 * x
+    log_half = math.log(half)
+    if dof % 2 == 0:
+        head = 0.0
+        logs = [i * log_half - math.lgamma(i + 1) for i in range(dof // 2)]
+    else:
+        head = math.erfc(math.sqrt(half))
+        logs = [(i - 0.5) * log_half - math.lgamma(i + 0.5) for i in range(1, dof // 2 + 1)]
+    if not logs:
+        return head
+    top = max(logs)
+    return head + math.exp(top - half) * math.fsum(math.exp(v - top) for v in logs)
+
+
 def j_test(
     fit: FitResult,
     dm: DesignMatrices,
@@ -455,8 +478,7 @@ def j_test(
         )
     j_stat = float(gvec @ np.linalg.solve(what, gvec))
     j_stat = max(j_stat, 0.0)
-    pvalue = float(stats.chi2.sf(j_stat, dof))
-    return j_stat, dof, pvalue
+    return j_stat, dof, chi2_sf(j_stat, dof)
 
 
 def first_stage_diagnostics(

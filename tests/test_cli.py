@@ -64,6 +64,29 @@ def test_estimate_report_schema(capsys, tmp_path):
     for key in ("beta", "se", "j_stat", "j_dof", "j_pvalue", "coefficients", "first_stage"):
         assert key in doc
     assert doc["j_dof"] == 4  # six cells, two treatment margins
+    assert doc["config"]["cutoff"] == 65.0
+
+
+def test_estimate_success_builds_relevance_only(capsys, monkeypatch):
+    import multirdd.cli as cli
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the success path builds only the relevance matrix")
+
+    calls = []
+    cell_table = cli.cell_table
+
+    def counted_cell_table(*args, **kwargs):
+        calls.append(args)
+        return cell_table(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cell_table", counted_cell_table)
+    monkeypatch.setattr(cli, "ratio_late", unexpected)
+    monkeypatch.setattr(cli, "validate_dataset", unexpected)
+    code, out, _ = run_cli(capsys, ESTIMATE_ARGS)
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["first_stage"]["joint_min_eigenvalue"] > 0
 
 
 def test_estimate_deterministic(capsys, tmp_path):

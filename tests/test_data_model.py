@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,3 +273,12 @@ def test_estimation_config_validation():
         EstimationConfig(bandwidth=1.0, rcond_threshold=2.0)
     cfg = EstimationConfig(bandwidth=1.0, kernel="triangular")
     assert cfg.kernel.value == "triangular"
+
+
+def test_estimation_config_does_not_own_the_cutoff():
+    # TableSchema.cutoff recenters z at load; the config keyword never moved
+    # the fit, so it is not stored and passing it warns
+    with pytest.warns(FutureWarning, match="TableSchema.cutoff"):
+        cfg = EstimationConfig(bandwidth=1.0, cutoff=65.0)
+    assert "cutoff" not in {f.name for f in fields(cfg)}
+    assert cfg == EstimationConfig(bandwidth=1.0)

@@ -1,0 +1,38 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# numpy and scipy each bundle an OpenBLAS with its own thread pool; with
+# both loaded, interleaved calls spin against each other and small fits
+# slow down by an order of magnitude.  The fit path must load numpy's only.
+FIT_WITHOUT_SCIPY = """
+import sys
+import multirdd as m
+from multirdd.montecarlo import load_dgp_spec
+
+schema = m.TableSchema(outcome="delayed_care", running="age", cutoff=65.0,
+                       treatment="coverage", covariates=("race", "educ"), cluster="age")
+ds = m.load_table("sample_data/insurance_style.csv", schema)
+fit = m.estimate(ds, m.ModelSpec(), m.EstimationConfig(bandwidth=10.0, cluster_by="age"))
+fit.to_dict()
+study = m.run_study(load_dgp_spec("sample_data/dgp_homogeneous.json"), n=2000, reps=2, seed=5)
+assert study.successes == 2, study.to_json()
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+print(" ".join(loaded))
+"""
+
+
+def test_fit_and_study_do_not_import_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", FIT_WITHOUT_SCIPY],
+        cwd=SRC.parent,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -10,6 +10,7 @@ from multirdd.errors import (
 from multirdd.estimator import (
     DesignMatrices,
     build_design,
+    chi2_sf,
     cluster_covariance,
     estimate,
     first_stage_diagnostics,
@@ -130,6 +131,17 @@ def test_design_rank_deficient_cell_within_bandwidth():
     )
     with pytest.raises(SingularDesignError, match="rank deficient"):
         build_design(broken, ModelSpec(), EstimationConfig(bandwidth=1.0))
+
+    # only the left side of cell001 leaves the window: the error names both
+    z = ds.z.copy()
+    z[(ds.cells == 1) & (ds.z < 0)] -= 5.0
+    one_side = Dataset(
+        y=ds.y, z=z, x=ds.x, cells=ds.cells, cell_labels=ds.cell_labels, w_dummies=ds.w_dummies
+    )
+    with pytest.raises(SingularDesignError, match="rank deficient") as err:
+        build_design(one_side, ModelSpec(), EstimationConfig(bandwidth=1.0))
+    assert "cell 'cell001' has no observations on the left side" in str(err.value)
+    assert "cell000" not in str(err.value) and "right side" not in str(err.value)
 
 
 def test_span_equivalence_with_two_sided_basis():
@@ -539,3 +551,24 @@ def test_estimate_pipeline_populates_everything():
     doc = fit.to_dict()
     for key in ("beta", "se", "coefficients", "j_stat", "j_dof", "j_pvalue"):
         assert key in doc
+
+
+@pytest.mark.parametrize("dof", range(1, 61))
+def test_chi2_sf_matches_scipy(dof):
+    from scipy.stats import chi2
+
+    for x in (0.0, 1e-8, 0.5, float(dof), 10.0 * dof, 700.0, 1500.0):
+        want = float(chi2.sf(x, dof))
+        if want > 1e-300:
+            assert chi2_sf(x, dof) == pytest.approx(want, rel=1e-12, abs=0), (x, dof)
+
+
+def test_coefficient_pvalue_matches_normal_tail():
+    from scipy.stats import norm
+
+    rng = np.random.default_rng(23)
+    ds, _ = build_random(rng, n=50, d=2, m=2)
+    doc = estimate(ds, ModelSpec(), CFG).to_dict()
+    for row in doc["coefficients"]:
+        want = 2 * float(norm.sf(abs(row["t"])))
+        assert row["p"] == pytest.approx(want, rel=1e-12, abs=1e-300)
