@@ -249,13 +249,6 @@ def encode_treatment(t: np.ndarray, levels: Sequence[float]) -> np.ndarray:
     return (t[:, None] >= thresholds[None, :]).astype(float)
 
 
-def decode_treatment(x: np.ndarray, levels: Sequence[float]) -> np.ndarray:
-    """Inverse of :func:`encode_treatment`: the highest level still crossed."""
-    levels = np.asarray([float(v) for v in levels])
-    counts = np.asarray(x, dtype=float).sum(axis=1).astype(int)
-    return levels[counts]
-
-
 @dataclass(frozen=True)
 class CellEncoding:
     cells: np.ndarray

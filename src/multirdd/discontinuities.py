@@ -30,7 +30,6 @@ __all__ = [
     "cell_jump",
     "cell_table",
     "relevance",
-    "twlate_weights",
     "plugin_estimator",
     "ratio_late",
     "wlate_feasibility",
@@ -305,17 +304,6 @@ def relevance(ct: CellTable, rcond_threshold: float = 1e-10) -> TwlateWeights:
         p_hat=p,
         cell_labels=tuple(c.label for c in ct.cells),
     )
-
-
-def twlate_weights(tw: TwlateWeights) -> tuple[np.ndarray, ...]:
-    """Per-cell separation weight matrices; requires a passing relevance check."""
-    if not tw.passed or tw.omega is None:
-        raise RelevanceError(
-            "relevance check failed "
-            f"(rcond {tw.rcond:.3e}, min eigenvalue {tw.min_eigenvalue:.3e}, "
-            f"rank {tw.rank}); inspect the diagnostics report"
-        )
-    return tw.omega
 
 
 def plugin_estimator(ct: CellTable, tw: TwlateWeights) -> np.ndarray:

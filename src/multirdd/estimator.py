@@ -12,12 +12,20 @@ interacts the treatments with user-chosen transform columns, and the
 conditional variant stacks per-stratum copies of the whole design so
 the stacked fit coincides with running the estimator separately within
 each stratum.
+
+Each fit factors one tall matrix: :class:`DesignMatrices` weights the
+rows and takes the thin QR of E = [C | Z] once, Q = [Q_C | Q_Z].  The
+rank gate reads R's diagonal; beta solves the small system
+(Q_Z'X) beta = Q_Z'y (Frisch-Waugh-Lovell) and eta the block R_CC; the
+first-stage F uses the residuals against Q and Q_C; the covariance and
+the J test rebuild their inputs from Q, R and the coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Endogenous block, excluded instruments, controls, and weights."""
+    """Unweighted design of every row; the cached properties own the weight-positive rows."""
 
     y: np.ndarray
     endogenous: np.ndarray
@@ -63,6 +71,73 @@ class DesignMatrices:
     @property
     def n_instruments(self) -> int:
         return self.instruments.shape[1]
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.flatnonzero(self.weights > 0)
+
+    @property
+    def n_effective(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def root_weights(self) -> np.ndarray:
+        return np.sqrt(self.weights[self.rows])
+
+    def weighted(self, a: np.ndarray) -> np.ndarray:
+        """The weight-positive rows of ``a``, each scaled by its root weight."""
+        sw = self.root_weights
+        return a[self.rows] * (sw if a.ndim == 1 else sw[:, None])
+
+    @cached_property
+    def exogenous(self) -> np.ndarray:
+        """The weighted exogenous block, controls first: ``[controls | instruments]``."""
+        return np.column_stack([self.weighted(self.controls), self.weighted(self.instruments)])
+
+    @cached_property
+    def qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Thin QR of :attr:`exogenous`, the one factorization of the fit."""
+        return np.linalg.qr(self.exogenous)
+
+    @cached_property
+    def cluster_codes(self) -> np.ndarray | None:
+        """Codes of :attr:`cluster` on the weight-positive rows; None for one row per cluster."""
+        return None if self.cluster is None else _cluster_codes(self, self.cluster)
+
+
+def _cluster_codes(dm: DesignMatrices, cluster_ids) -> np.ndarray:
+    """Validated cluster ids of the weight-positive rows as integer codes 0..G-1."""
+    cluster_ids = np.asarray(cluster_ids)
+    if len(cluster_ids) != dm.n:
+        raise InputError(
+            f"cluster ids have length {len(cluster_ids)}, expected {dm.n}"
+        )
+    ids = cluster_ids[dm.rows]
+    if ids.dtype == object:
+        bad = [i for i, v in enumerate(ids) if v is None or v == ""]
+        if bad:
+            raise InputError(f"cluster id missing for weight-positive row {bad[0]}")
+    elif np.issubdtype(ids.dtype, np.floating) and np.isnan(ids.astype(float)).any():
+        raise InputError("cluster ids contain NaN for weight-positive rows")
+    return np.unique(ids, return_inverse=True)[1]
+
+
+def _rcond_gate(pivots: np.ndarray, n_columns: int, rcond_threshold: float, what: str) -> None:
+    """Raise unless each column has a pivot and min/max of the pivots reaches the threshold."""
+    top = pivots.max(initial=0.0)
+    rcond = pivots.min() / top if top > 0 and len(pivots) == n_columns else 0.0
+    if rcond < rcond_threshold:
+        raise SingularDesignError(f"{what} (rcond {rcond:.3e} < {rcond_threshold:.1e})")
+
+
+def _check_rank(dm: DesignMatrices, rcond_threshold: float) -> None:
+    """The rank gate of the weighted exogenous block, read off the diagonal of R."""
+    if dm.n_effective == 0:
+        raise EstimationError("no weight-positive rows; widen the bandwidth")
+    rmat = dm.qr[1]
+    k = rmat.shape[1]  # R is wide when there are fewer weight-positive rows than columns
+    what = f"exogenous block is rank deficient after weighting ({k} columns)"
+    _rcond_gate(np.abs(np.diagonal(rmat)), k, rcond_threshold, what)
 
 
 def _homogeneous_blocks(w_dummies, z, d_ind, labels, prefix=""):
@@ -99,55 +174,21 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     dummy_labels = ds.cell_labels[1:] if ds.q > 1 else ()
     m = ds.m
 
-    cluster = None
+    cluster = ds.cluster
     if cfg.cluster_by == "running":
         cluster = ds.z
-    elif cfg.cluster_by is not None:
-        if cfg.cluster_by in ds.aux:
-            cluster = ds.aux[cfg.cluster_by]
-        elif ds.cluster is not None:
-            cluster = ds.cluster
-        else:
-            raise InputError(f"cluster column {cfg.cluster_by!r} not found in dataset")
-    elif ds.cluster is not None:
-        cluster = ds.cluster
+    elif cfg.cluster_by in ds.aux:
+        cluster = ds.aux[cfg.cluster_by]
+    elif cfg.cluster_by is not None and ds.cluster is None:
+        raise InputError(f"cluster column {cfg.cluster_by!r} not found in dataset")
 
-    if spec.kind == "homogeneous":
-        endo = ds.x
-        endo_labels = [f"x{j + 1}" for j in range(ds.d)]
-        instr, instr_labels, controls, control_labels = _homogeneous_blocks(
-            ds.w_dummies, ds.z, d_ind, dummy_labels
-        )
-        if endo.shape[1] > instr.shape[1]:
-            raise UnderIdentifiedError(
-                f"under-identified: q=m+1={m + 1} < d={ds.d}"
-            )
-    elif spec.kind == "parametric":
-        cols = []
-        for name in spec.wtilde_columns:
-            if name not in ds.aux:
-                raise InputError(f"wtilde column {name!r} not found in dataset")
-            col = ds.aux[name]
-            if col.dtype == object:
-                raise InputError(f"wtilde column {name!r} is not numeric")
-            cols.append(np.asarray(col, dtype=float))
-        c = len(cols)
-        blocks = [ds.x] + [ds.x * wt[:, None] for wt in cols]
-        endo = np.column_stack(blocks)
-        endo_labels = [f"x{j + 1}" for j in range(ds.d)]
-        for name in spec.wtilde_columns:
-            endo_labels += [f"{name}:x{j + 1}" for j in range(ds.d)]
-        instr, instr_labels, controls, control_labels = _homogeneous_blocks(
-            ds.w_dummies, ds.z, d_ind, dummy_labels
-        )
-        if endo.shape[1] > instr.shape[1]:
-            raise UnderIdentifiedError(
-                f"under-identified: q=m+1={m + 1} < d(1+c)={ds.d * (1 + c)}; "
-                f"the transform allows at most c <= (m+1)/d - 1 = {(m + 1) / ds.d - 1:g} columns"
-            )
-    elif spec.kind == "conditional":
+    if spec.kind == "conditional":
         if spec.r_column not in ds.aux:
             raise InputError(f"conditioning column {spec.r_column!r} not found in dataset")
+        if ds.d > m + 1:
+            raise UnderIdentifiedError(
+                f"under-identified: q=m+1={m + 1} < d={ds.d} within each stratum"
+            )
         r_raw = ds.aux[spec.r_column]
         r_keys = np.asarray([_format_value(v) for v in r_raw.tolist()], dtype=object)
         if any(k in ("", "None", "nan") for k in r_keys):
@@ -162,15 +203,13 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
         for lev in strata:
             sel = (r_keys == lev).astype(float)
             tag = f"{spec.r_column}={lev}|"
-            for j in range(ds.d):
-                endo_cols.append(ds.x[:, j] * sel)
-                endo_labels.append(f"x{j + 1}|{spec.r_column}={lev}")
+            endo_cols.append(ds.x * sel[:, None])
+            endo_labels += [f"x{j + 1}|{spec.r_column}={lev}" for j in range(ds.d)]
             instr_s, il, ctrl_s, cl = _homogeneous_blocks(
                 ds.w_dummies * sel[:, None], ds.z * sel, d_ind * sel, dummy_labels, prefix=tag
             )
             # the "constant" column of the stratum block must be the stratum
             # indicator itself, not a global intercept
-            ctrl_s = ctrl_s.copy()
             ctrl_s[:, 0] = sel
             instr_cols.append(instr_s)
             instr_labels += il
@@ -179,12 +218,30 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
         endo = np.column_stack(endo_cols)
         instr = np.column_stack(instr_cols)
         controls = np.column_stack(ctrl_cols)
-        if ds.d > m + 1:
+    else:
+        wtilde = spec.wtilde_columns if spec.kind == "parametric" else ()
+        cols = []
+        for name in wtilde:
+            if name not in ds.aux:
+                raise InputError(f"wtilde column {name!r} not found in dataset")
+            col = ds.aux[name]
+            if col.dtype == object:
+                raise InputError(f"wtilde column {name!r} is not numeric")
+            cols.append(np.asarray(col, dtype=float))
+        endo = np.column_stack([ds.x] + [ds.x * wt[:, None] for wt in cols])
+        endo_labels = [f"x{j + 1}" for j in range(ds.d)]
+        for name in wtilde:
+            endo_labels += [f"{name}:x{j + 1}" for j in range(ds.d)]
+        instr, instr_labels, controls, control_labels = _homogeneous_blocks(
+            ds.w_dummies, ds.z, d_ind, dummy_labels
+        )
+        if endo.shape[1] > instr.shape[1] and not cols:
+            raise UnderIdentifiedError(f"under-identified: q=m+1={m + 1} < d={ds.d}")
+        if endo.shape[1] > instr.shape[1]:
             raise UnderIdentifiedError(
-                f"under-identified: q=m+1={m + 1} < d={ds.d} within each stratum"
+                f"under-identified: q=m+1={m + 1} < d(1+c)={endo.shape[1]}; "
+                f"the transform allows at most c <= (m+1)/d - 1 = {(m + 1) / ds.d - 1:g} columns"
             )
-    else:  # pragma: no cover - ModelSpec validates
-        raise InputError(f"unknown model kind {spec.kind!r}")
 
     if ds.extra_controls is not None:
         controls = np.column_stack([controls, ds.extra_controls])
@@ -193,21 +250,7 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
         )
         control_labels = list(control_labels) + list(names)
 
-    mask = w > 0
-    if mask.sum() == 0:
-        raise EstimationError("no observations carry positive kernel weight")
-    sw = np.sqrt(w[mask])
-    exog = np.column_stack([instr, controls])[mask] * sw[:, None]
-    rank = np.linalg.matrix_rank(exog)
-    if rank < exog.shape[1]:
-        empty = validate_dataset(ds, cfg).empty_side_warnings
-        raise SingularDesignError(
-            f"exogenous block is rank deficient after weighting "
-            f"(rank {rank} < {exog.shape[1]} columns); "
-            + ("; ".join(empty) if empty else "the weighted columns are collinear")
-        )
-
-    return DesignMatrices(
+    dm = DesignMatrices(
         y=ds.y,
         endogenous=endo,
         instruments=instr,
@@ -218,6 +261,14 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
         control_labels=tuple(control_labels),
         cluster=cluster,
     )
+    try:
+        _check_rank(dm, cfg.rcond_threshold)
+    except SingularDesignError as err:
+        empty = validate_dataset(ds, cfg).empty_side_warnings
+        raise SingularDesignError(
+            f"{err}; " + ("; ".join(empty) if empty else "the weighted columns are collinear")
+        ) from None
+    return dm
 
 
 @dataclass(frozen=True)
@@ -236,9 +287,9 @@ class FirstStageReport:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitResult:
-    """Coefficients plus, once the follow-up passes run, covariance and tests."""
+    """Reported values of one fit; :func:`weighted_2sls` fills only the coefficients."""
 
     beta: np.ndarray
     eta: np.ndarray
@@ -249,14 +300,11 @@ class FitResult:
     j_stat: float | None = None
     j_dof: int | None = None
     j_pvalue: float | None = None
-    just_identified: bool = False
     first_stage: FirstStageReport | None = None
-    # fit internals used by the covariance and test passes
-    xhat_: np.ndarray | None = field(default=None, repr=False)
-    zfull_: np.ndarray | None = field(default=None, repr=False)
-    residuals_: np.ndarray | None = field(default=None, repr=False)
-    rows_: np.ndarray | None = field(default=None, repr=False)
-    outcome_scale_: float = field(default=0.0, repr=False)
+
+    @property
+    def just_identified(self) -> bool:
+        return self.j_dof == 0
 
     @property
     def se(self) -> np.ndarray | None:
@@ -300,87 +348,46 @@ class FitResult:
         return out
 
 
-def _qr_solve(a: np.ndarray, b: np.ndarray, rcond_threshold: float, what: str):
-    """Least squares through a QR decomposition with an explicit rcond gate."""
-    qmat, rmat = np.linalg.qr(a)
-    diag = np.abs(np.diag(rmat))
-    rcond = 0.0 if diag.max(initial=0.0) == 0 else diag.min() / diag.max()
-    if rcond < rcond_threshold:
-        raise SingularDesignError(
-            f"{what} is numerically singular (rcond {rcond:.3e} < {rcond_threshold:.1e})"
-        )
-    return np.linalg.solve(rmat, qmat.T @ b), qmat
-
-
 def weighted_2sls(dm: DesignMatrices, rcond_threshold: float = 1e-10) -> FitResult:
     """Two-stage least squares with every row scaled by the root of its weight.
 
-    The first stage projects the endogenous block on the full exogenous
-    set; the second stage regresses the outcome on the fitted endogenous
-    columns and the controls.  Residuals kept for the covariance and
-    test passes are structural: actual endogenous columns, not fitted.
+    The second stage, y on [X_hat | C] with X_hat = Q Q'X, reduces to (Q_Z'X) beta = Q_Z'y.
     """
-    mask = dm.weights > 0
-    n_eff = int(mask.sum())
-    if n_eff == 0:
-        raise EstimationError("no weight-positive rows; widen the bandwidth")
     k_endo = dm.k_endogenous
     if k_endo > dm.n_instruments:
         raise UnderIdentifiedError(
             f"under-identified: {dm.n_instruments} instruments < {k_endo} endogenous columns"
         )
-    sw = np.sqrt(dm.weights[mask])
-    zfull = np.column_stack([dm.instruments, dm.controls])[mask] * sw[:, None]
-    endo = dm.endogenous[mask] * sw[:, None]
-    ctrl = dm.controls[mask] * sw[:, None]
-    ys = dm.y[mask] * sw
-
-    first_coef, qz = _qr_solve(zfull, endo, rcond_threshold, "first-stage normal equations")
-    xhat_endo = zfull @ first_coef
-    x2 = np.column_stack([xhat_endo, ctrl])
-    coef, _ = _qr_solve(x2, ys, rcond_threshold, "second-stage design")
-    xfull = np.column_stack([endo, ctrl])
-    resid = ys - xfull @ coef
-
+    _check_rank(dm, rcond_threshold)
+    qmat, rmat = dm.qr
+    p = dm.controls.shape[1]
+    qx = qmat.T @ dm.weighted(dm.endogenous)
+    qy = qmat.T @ dm.weighted(dm.y)
+    beta, _, _, sv = np.linalg.lstsq(qx[p:], qy[p:], rcond=None)
+    # the pivots of [C | X_hat]: R_CC's diagonal, then X_hat beyond the span of C
+    pivots = np.concatenate([np.abs(np.diagonal(rmat)[:p]), sv])
+    _rcond_gate(pivots, p + k_endo, rcond_threshold, "second-stage design is numerically singular")
+    eta = np.linalg.solve(rmat[:p, :p], qy[:p] - qx[:p] @ beta)
     return FitResult(
-        beta=coef[:k_endo],
-        eta=coef[k_endo:],
+        beta=beta,
+        eta=eta,
         beta_labels=dm.endogenous_labels,
         eta_labels=dm.control_labels,
-        n_effective=n_eff,
-        xhat_=x2,
-        zfull_=zfull,
-        residuals_=resid,
-        rows_=np.where(mask)[0],
-        outcome_scale_=float(np.linalg.norm(ys)),
+        n_effective=dm.n_effective,
     )
 
 
-def _resolve_cluster_ids(fit: FitResult, dm: DesignMatrices, cluster_ids) -> np.ndarray:
-    if cluster_ids is None:
-        cluster_ids = dm.cluster
-    if cluster_ids is None:
-        return np.arange(len(fit.rows_))
-    cluster_ids = np.asarray(cluster_ids)
-    if len(cluster_ids) != dm.n:
-        raise InputError(
-            f"cluster ids have length {len(cluster_ids)}, expected {dm.n}"
-        )
-    ids = cluster_ids[fit.rows_]
-    if ids.dtype == object:
-        bad = [i for i, v in enumerate(ids) if v is None or v == ""]
-        if bad:
-            raise InputError(f"cluster id missing for weight-positive row {bad[0]}")
-    elif np.issubdtype(ids.dtype, np.floating) and np.isnan(ids.astype(float)).any():
-        raise InputError("cluster ids contain NaN for weight-positive rows")
-    return ids
+def _residuals(fit: FitResult, dm: DesignMatrices) -> np.ndarray:
+    """Structural residuals of the weighted rows: actual endogenous columns, not fitted."""
+    controls = dm.exogenous[:, : dm.controls.shape[1]]
+    return dm.weighted(dm.y) - dm.weighted(dm.endogenous) @ fit.beta - controls @ fit.eta
 
 
-def _group_sums(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    _, inverse = np.unique(ids, return_inverse=True)
-    n_groups = inverse.max() + 1
-    out = np.zeros((n_groups, values.shape[1]))
-    np.add.at(out, inverse, values)
+def _group_sums(values: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
+    if codes is None:
+        return values
+    out = np.zeros((codes.max() + 1, values.shape[1]))
+    np.add.at(out, codes, values)
     return out
 
 
@@ -392,18 +399,22 @@ def cluster_covariance(fit: FitResult, dm: DesignMatrices, cluster_ids=None) -> 
     G/(G-1) * (n-1)/(n-k).  With one observation per cluster this is the
     usual heteroskedasticity-robust sandwich up to that factor.
     """
-    ids = _resolve_cluster_ids(fit, dm, cluster_ids)
-    n_groups = len(np.unique(ids))
+    codes = dm.cluster_codes if cluster_ids is None else _cluster_codes(dm, cluster_ids)
+    n = dm.n_effective
+    n_groups = n if codes is None else int(codes.max(initial=-1)) + 1
     if n_groups < 2:
         raise EstimationError(
             f"need at least 2 clusters among weight-positive rows, found {n_groups}"
         )
-    scores = fit.xhat_ * fit.residuals_[:, None]
-    summed = _group_sums(scores, ids)
+    qmat, rmat = dm.qr
+    p = dm.controls.shape[1]
+    # the instrumented regressors are [X_hat | C] = Q coords, so A = coords'coords
+    coords = np.column_stack([qmat.T @ dm.weighted(dm.endogenous), rmat[:, :p]])
+    scores = (qmat @ coords) * _residuals(fit, dm)[:, None]
+    summed = _group_sums(scores, codes)
     meat = summed.T @ summed
-    bread = np.linalg.inv(fit.xhat_.T @ fit.xhat_)
-    n = fit.n_effective
-    k = fit.xhat_.shape[1]
+    bread = np.linalg.inv(coords.T @ coords)
+    k = coords.shape[1]
     correction = (n_groups / (n_groups - 1)) * ((n - 1) / max(n - k, 1))
     cov = correction * bread @ meat @ bread
     return 0.5 * (cov + cov.T)
@@ -448,25 +459,21 @@ def j_test(
     fit reports J = 0 with p-value 1 by convention.
     """
     dof = dm.n_instruments - len(fit.beta)
-    if dof < 0:  # pragma: no cover - build_design refuses this earlier
-        raise UnderIdentifiedError(f"negative over-identification degrees of freedom {dof}")
     if dof == 0:
         return 0.0, 0, 1.0
 
     # an exact fit satisfies every moment condition; the quadratic form is a
     # 0/0 limit there, and its value is zero, not roundoff noise
-    resid_scale = float(np.linalg.norm(fit.residuals_))
-    if resid_scale <= 1e-10 * max(fit.outcome_scale_, 1.0):
+    resid = _residuals(fit, dm)
+    outcome_scale = float(np.linalg.norm(dm.weighted(dm.y)))
+    if float(np.linalg.norm(resid)) <= 1e-10 * max(outcome_scale, 1.0):
         return 0.0, dof, 1.0
 
-    moments = fit.zfull_ * fit.residuals_[:, None]
+    moments = dm.exogenous * resid[:, None]
     gvec = moments.sum(axis=0)
-    ids = _resolve_cluster_ids(fit, dm, cluster_ids)
-    if len(np.unique(ids)) < len(ids):
-        summed = _group_sums(moments, ids)
-        what = summed.T @ summed
-    else:
-        what = moments.T @ moments
+    codes = dm.cluster_codes if cluster_ids is None else _cluster_codes(dm, cluster_ids)
+    summed = _group_sums(moments, codes)
+    what = summed.T @ summed
 
     eigvals = np.linalg.eigvalsh(0.5 * (what + what.T))  # ascending order
     top = float(eigvals[-1])
@@ -486,36 +493,28 @@ def first_stage_diagnostics(
     joint_min_eigenvalue: float | None = None,
     rcond_threshold: float = 1e-10,
 ) -> FirstStageReport:
-    """Partial F statistic of the excluded instruments for each endogenous column."""
-    mask = dm.weights > 0
-    sw = np.sqrt(dm.weights[mask])
-    zfull = np.column_stack([dm.instruments, dm.controls])[mask] * sw[:, None]
-    ctrl = dm.controls[mask] * sw[:, None]
-    endo = dm.endogenous[mask] * sw[:, None]
-    n_eff = int(mask.sum())
-    q_excl = dm.n_instruments
-    df_denom = max(n_eff - zfull.shape[1], 1)
+    """Partial F of the excluded instruments per endogenous column, from residuals on Q and Q_C."""
+    _check_rank(dm, rcond_threshold)
+    qmat = dm.qr[0]
+    p = dm.controls.shape[1]
+    endo = dm.weighted(dm.endogenous)
+    qx = qmat.T @ endo
+    rss_u = np.sum((endo - qmat @ qx) ** 2, axis=0)
+    rss_r = np.sum((endo - qmat[:, :p] @ qx[:p]) ** 2, axis=0)
+    constant = np.ptp(dm.endogenous[dm.rows], axis=0) == 0
+    df_denom = max(dm.n_effective - qmat.shape[1], 1)
 
     f_stats, flags = [], []
     for j in range(dm.k_endogenous):
-        col = endo[:, j]
-        raw = dm.endogenous[mask][:, j]
-        if np.ptp(raw) == 0:
-            f_stats.append(0.0)
-            flags.append("constant")
-            continue
-        coef_u, *_ = np.linalg.lstsq(zfull, col, rcond=None)
-        rss_u = float(np.sum((col - zfull @ coef_u) ** 2))
-        coef_r, *_ = np.linalg.lstsq(ctrl, col, rcond=None)
-        rss_r = float(np.sum((col - ctrl @ coef_r) ** 2))
-        if rss_u <= 0:
-            f_stats.append(float("inf"))
-            flags.append("exact fit")
-            continue
-        f = ((rss_r - rss_u) / q_excl) / (rss_u / df_denom)
-        f = max(f, 0.0)
+        if constant[j]:
+            f, flag = 0.0, "constant"
+        elif rss_u[j] <= 0:
+            f, flag = float("inf"), "exact fit"
+        else:
+            f = max(float(((rss_r[j] - rss_u[j]) / dm.n_instruments) / (rss_u[j] / df_denom)), 0.0)
+            flag = "exact fit" if f > 1e6 else ""
         f_stats.append(f)
-        flags.append("exact fit" if f > 1e6 else "")
+        flags.append(flag)
     return FirstStageReport(
         labels=dm.endogenous_labels,
         f_stats=tuple(f_stats),
@@ -533,9 +532,9 @@ def estimate(
     """Full pass: design, 2SLS, cluster covariance, J test, first stages."""
     dm = build_design(ds, spec, cfg)
     fit = weighted_2sls(dm, rcond_threshold=cfg.rcond_threshold)
-    fit.cov = cluster_covariance(fit, dm)
+    cov = cluster_covariance(fit, dm)
     j_stat, j_dof, j_pvalue = j_test(fit, dm, rcond_threshold=cfg.rcond_threshold)
-    fit.j_stat, fit.j_dof, fit.j_pvalue = j_stat, j_dof, j_pvalue
-    fit.just_identified = j_dof == 0
-    fit.first_stage = first_stage_diagnostics(dm, joint_min_eigenvalue)
-    return fit
+    first_stage = first_stage_diagnostics(dm, joint_min_eigenvalue, cfg.rcond_threshold)
+    return replace(
+        fit, cov=cov, j_stat=j_stat, j_dof=j_dof, j_pvalue=j_pvalue, first_stage=first_stage
+    )

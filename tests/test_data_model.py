@@ -10,7 +10,6 @@ from multirdd.data_model import (
     EstimationConfig,
     ModelSpec,
     TableSchema,
-    decode_treatment,
     encode_cells,
     encode_treatment,
     load_table,
@@ -161,7 +160,7 @@ def test_encode_decode_round_trip(values):
     levels = (0, 1, 2, 3, 4)
     t = np.asarray(values, dtype=float)
     x = encode_treatment(t, levels)
-    assert np.array_equal(decode_treatment(x, levels), t)
+    assert np.array_equal(np.asarray(levels, dtype=float)[x.sum(axis=1).astype(int)], t)
     assert (np.diff(x, axis=1) <= 0).all()
 
 

@@ -8,7 +8,6 @@ from multirdd.discontinuities import (
     plugin_estimator,
     ratio_late,
     relevance,
-    twlate_weights,
     wlate_feasibility,
 )
 from multirdd.errors import CellUnusableError, EstimationError, RelevanceError
@@ -164,8 +163,7 @@ def test_relevance_single_cell_rank_one_fails():
     tw = relevance(ct)
     assert not tw.passed
     assert tw.rank == 1
-    with pytest.raises(RelevanceError):
-        twlate_weights(tw)
+    assert tw.omega is None
 
 
 def test_relevance_orthogonal_design_passes():
@@ -188,7 +186,7 @@ def test_relevance_matches_matrix_oracle():
 
 def test_twlate_weights_orthogonal_design():
     ct = make_table([0.5, 0.5], [(1, 0), (0, 1)], [0.5, -0.3])
-    omega = twlate_weights(relevance(ct))
+    omega = relevance(ct).omega
     assert np.allclose(omega[0], np.diag([2.0, 0.0]), atol=1e-12)
     assert np.allclose(omega[1], np.diag([0.0, 2.0]), atol=1e-12)
 
@@ -197,7 +195,7 @@ def test_twlate_weights_match_oracle():
     p = [0.5, 0.5]
     deltas = [(0.4, 0.1), (0.1, 0.3)]
     ct = make_table(p, deltas, [0.2, 0.1])
-    omega = twlate_weights(relevance(ct))
+    omega = relevance(ct).omega
     omega_ref, _ = omega_oracle(p, deltas)
     for got, want in zip(omega, omega_ref):
         assert np.allclose(got, want, atol=1e-12)

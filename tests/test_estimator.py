@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from multirdd.data_model import Dataset, EstimationConfig, ModelSpec
+from multirdd.data_model import Dataset, EstimationConfig, ModelSpec, TableSchema, load_table
 from multirdd.errors import (
     EstimationError,
     SingularDesignError,
@@ -17,10 +21,12 @@ from multirdd.estimator import (
     j_test,
     weighted_2sls,
 )
+from multirdd.kernels import weights_vector
 from oracles import cluster_sandwich_oracle, j_oracle, partial_f_oracle, tsls_oracle
 from synthetic import piecewise_linear_dataset, random_dataset
 
 CFG = EstimationConfig(bandwidth=1.0)
+SAMPLE_CSV = Path(__file__).parent.parent / "sample_data" / "insurance_style.csv"
 
 
 def build_random(rng, n=None, d=None, m=None, noise=0.4, max_cond=1e6, kernel="uniform"):
@@ -257,7 +263,8 @@ def test_own_cluster_matches_sandwich_oracle():
         ds, dm = build_random(rng)
         fit = weighted_2sls(dm)
         cov = cluster_covariance(fit, dm)
-        want = cluster_sandwich_oracle(fit.xhat_, fit.residuals_, np.arange(fit.n_effective))
+        _, xhat, resid, _ = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
+        want = cluster_sandwich_oracle(xhat, resid, np.arange(fit.n_effective))
         scale = max(np.abs(want).max(), 1e-12)
         assert np.abs(cov - want).max() / scale < 1e-8
 
@@ -268,7 +275,8 @@ def test_grouped_clusters_match_sandwich_oracle():
     ids = rng.integers(0, 9, size=dm.n)
     fit = weighted_2sls(dm)
     cov = cluster_covariance(fit, dm, cluster_ids=ids)
-    want = cluster_sandwich_oracle(fit.xhat_, fit.residuals_, ids[fit.rows_])
+    _, xhat, resid, _ = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
+    want = cluster_sandwich_oracle(xhat, resid, ids[dm.weights > 0])
     scale = max(np.abs(want).max(), 1e-12)
     assert np.abs(cov - want).max() / scale < 1e-8
 
@@ -344,9 +352,8 @@ def test_j_matches_loop_oracle():
         ds, dm = build_random(rng, n=50, d=1, m=2)
         fit = weighted_2sls(dm)
         j_stat, dof, pvalue = j_test(fit, dm)
-        want_stat, want_p = j_oracle(
-            fit.zfull_, fit.residuals_, np.arange(fit.n_effective), dof
-        )
+        _, _, resid, zmat = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
+        want_stat, want_p = j_oracle(zmat, resid, np.arange(fit.n_effective), dof)
         assert j_stat == pytest.approx(want_stat, rel=1e-8, abs=1e-10)
         assert pvalue == pytest.approx(want_p, abs=1e-10)
 
@@ -368,7 +375,8 @@ def test_j_cluster_aggregated_matches_oracle():
     )
     fit = weighted_2sls(dm_ids)
     j_stat, dof, _ = j_test(fit, dm_ids)
-    want_stat, _ = j_oracle(fit.zfull_, fit.residuals_, ids[fit.rows_], dof)
+    _, _, resid, zmat = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
+    want_stat, _ = j_oracle(zmat, resid, ids[dm.weights > 0], dof)
     assert j_stat == pytest.approx(want_stat, rel=1e-8, abs=1e-10)
 
 
@@ -572,3 +580,90 @@ def test_coefficient_pvalue_matches_normal_tail():
     for row in doc["coefficients"]:
         want = 2 * float(norm.sf(abs(row["t"])))
         assert row["p"] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def relabel_cells(ds, order):
+    """The same dataset with cell l renamed to ``order[l]``; the reference cell changes."""
+    cells = np.asarray(order)[ds.cells]
+    labels = [""] * ds.q
+    for old, new in enumerate(order):
+        labels[new] = ds.cell_labels[old]
+    return Dataset(
+        y=ds.y,
+        z=ds.z,
+        x=ds.x,
+        cells=cells,
+        cell_labels=tuple(labels),
+        w_dummies=(cells[:, None] == np.arange(1, ds.q)[None, :]).astype(float),
+        cluster=ds.cluster,
+    )
+
+
+def assert_rel_close(got, want):
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert np.abs(got - want).max() <= 1e-8 * max(np.abs(want).max(), 1e-300), (got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    clustered=st.booleans(),
+    a=st.floats(min_value=0.25, max_value=4.0),
+    negate=st.booleans(),
+    b=st.floats(min_value=-10.0, max_value=10.0),
+)
+def test_fit_invariant_to_row_order_cell_labels_and_outcome_units(seed, clustered, a, negate, b):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 3))
+    ds = random_dataset(rng, n=int(rng.integers(80, 121)), d=d, m=int(rng.integers(d, 3)), noise=0.4)
+    if clustered:
+        ds = Dataset(
+            y=ds.y, z=ds.z, x=ds.x, cells=ds.cells, cell_labels=ds.cell_labels,
+            w_dummies=ds.w_dummies, cluster=rng.integers(0, ds.n // 2, size=ds.n),
+        )
+    try:
+        base = estimate(ds, ModelSpec(), CFG)
+    except EstimationError:
+        assume(False)
+    a = -a if negate else a
+    shifted = Dataset(
+        y=a * ds.y + b, z=ds.z, x=ds.x, cells=ds.cells, cell_labels=ds.cell_labels,
+        w_dummies=ds.w_dummies, cluster=ds.cluster,
+    )
+    variants = (
+        (subset_dataset(ds, rng.permutation(ds.n)), 1.0),
+        (relabel_cells(ds, rng.permutation(ds.q)), 1.0),
+        (shifted, a),
+    )
+    for other, scale in variants:
+        fit = estimate(other, ModelSpec(), CFG)
+        assert_rel_close(fit.beta, scale * base.beta)
+        assert_rel_close(fit.se, abs(scale) * base.se)
+        assert_rel_close(fit.j_pvalue, base.j_pvalue)
+        assert_rel_close(fit.first_stage.f_stats, base.first_stage.f_stats)
+
+
+LAPACK_ENTRY_POINTS = (
+    "cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+    "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd", "tensorinv", "tensorsolve",
+)
+
+
+def test_estimate_factors_the_weighted_rows_once(monkeypatch):
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race", "educ"), cluster="age", extra_controls=("region",),
+    )
+    ds = load_table(SAMPLE_CSV, schema)
+    cfg = EstimationConfig(bandwidth=10.0, cluster_by="age")
+    n_eff = int((weights_vector(cfg.kernel, cfg.bandwidth, ds.z) > 0).sum())
+    tall = []
+    for name in LAPACK_ENTRY_POINTS:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            tall.extend(_name for a in args if np.ndim(a) == 2 and np.shape(a)[0] == n_eff)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    fit = estimate(ds, ModelSpec(), cfg)
+    assert fit.n_effective == n_eff
+    assert tall == ["qr"], tall
