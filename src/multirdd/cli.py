@@ -21,7 +21,7 @@ from .data_model import EstimationConfig, ModelSpec, TableSchema, load_table, va
 from .discontinuities import cell_table, ratio_late, relevance
 from .errors import EstimationError, InputError
 from .estimator import estimate
-from .kernels import KernelKind
+from .kernels import KernelKind, weights_vector
 from .montecarlo import load_dgp_spec, run_study
 
 EXIT_OK = 0
@@ -223,10 +223,7 @@ def write_series(path: str, ds, cfg, max_points: int = 60) -> None:
     This is the plotting data behind first-stage figures; the toolkit
     does not plot, it emits the series for external tooling.
     """
-    from .kernels import weights_vector
-
-    w = weights_vector(cfg.kernel, cfg.bandwidth, ds.z)
-    keep = w > 0
+    keep = weights_vector(cfg.kernel, cfg.bandwidth, ds.z) > 0
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -240,16 +237,11 @@ def write_series(path: str, ds, cfg, max_points: int = 60) -> None:
                 if not sel.any():
                     continue
                 z_vals = ds.z[sel]
-                uniques = np.unique(z_vals)
+                uniques, bins = np.unique(z_vals, return_inverse=True)
                 if len(uniques) > max_points:
                     edges = np.quantile(z_vals, np.linspace(0, 1, max_points + 1))
                     uniques = 0.5 * (edges[:-1] + edges[1:])
-                    bins = np.clip(
-                        np.searchsorted(edges[1:-1], z_vals, side="right"), 0, max_points - 1
-                    )
-                else:
-                    lookup = {v: k for k, v in enumerate(uniques)}
-                    bins = np.asarray([lookup[v] for v in z_vals])
+                    bins = np.searchsorted(edges[1:-1], z_vals, side="right")
                 for b in range(len(uniques)):
                     rows = sel.nonzero()[0][bins == b]
                     if rows.size == 0:

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_model import Dataset, EstimationConfig, ModelSpec, _format_value, validate_dataset
+from .data_model import Dataset, EstimationConfig, ModelSpec, _levels, validate_dataset
 from .errors import EstimationError, InputError, SingularDesignError, UnderIdentifiedError
 from .kernels import weights_vector
 
@@ -113,8 +113,8 @@ def _cluster_codes(dm: DesignMatrices, cluster_ids) -> np.ndarray:
             f"cluster ids have length {len(cluster_ids)}, expected {dm.n}"
         )
     ids = cluster_ids[dm.rows]
-    if ids.dtype == object:
-        bad = [i for i, v in enumerate(ids) if v is None or v == ""]
+    if ids.dtype.kind in "OU":
+        bad = [i for i, v in enumerate(ids.tolist()) if v is None or v == ""]
         if bad:
             raise InputError(f"cluster id missing for weight-positive row {bad[0]}")
     elif np.issubdtype(ids.dtype, np.floating) and np.isnan(ids.astype(float)).any():
@@ -189,19 +189,17 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
             raise UnderIdentifiedError(
                 f"under-identified: q=m+1={m + 1} < d={ds.d} within each stratum"
             )
-        r_raw = ds.aux[spec.r_column]
-        r_keys = np.asarray([_format_value(v) for v in r_raw.tolist()], dtype=object)
-        if any(k in ("", "None", "nan") for k in r_keys):
+        r_codes, strata = _levels(ds.aux[spec.r_column])
+        if any(lev in ("", "None", "nan") for lev in strata):
             raise InputError(
                 f"conditioning column {spec.r_column!r} has missing values; "
                 "its levels must partition the sample"
             )
-        strata = sorted(set(r_keys.tolist()))
         endo_cols, endo_labels = [], []
         instr_cols, instr_labels = [], []
         ctrl_cols, control_labels = [], []
-        for lev in strata:
-            sel = (r_keys == lev).astype(float)
+        for lev, code in sorted(zip(strata, range(len(strata)))):  # strata in label order
+            sel = (r_codes == code).astype(float)
             tag = f"{spec.r_column}={lev}|"
             endo_cols.append(ds.x * sel[:, None])
             endo_labels += [f"x{j + 1}|{spec.r_column}={lev}" for j in range(ds.d)]
@@ -225,7 +223,7 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
             if name not in ds.aux:
                 raise InputError(f"wtilde column {name!r} not found in dataset")
             col = ds.aux[name]
-            if col.dtype == object:
+            if col.dtype.kind not in "biuf":
                 raise InputError(f"wtilde column {name!r} is not numeric")
             cols.append(np.asarray(col, dtype=float))
         endo = np.column_stack([ds.x] + [ds.x * wt[:, None] for wt in cols])

@@ -1,10 +1,12 @@
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multirdd import data_model, estimator
 from multirdd.data_model import (
     Dataset,
     EstimationConfig,
@@ -16,6 +18,9 @@ from multirdd.data_model import (
     validate_dataset,
 )
 from multirdd.errors import InputError, ParseError, SchemaError
+from multirdd.estimator import build_design
+
+SAMPLE_CSV = Path(__file__).parent.parent / "sample_data" / "insurance_style.csv"
 
 SIX_ROWS = """y,z,t,race
 1.0,-2.0,0,WH
@@ -79,6 +84,40 @@ def test_empty_file_and_header_only(tmp_path):
         load_table(header_only, schema())
 
 
+@pytest.mark.parametrize(
+    "header, row, treatment, column, value",
+    [
+        ("y,z,t,race,ctl", "inf,1.0,1,WH,3", "t", "y", "inf"),
+        ("y,z,t,race,ctl", "2,-inf,1,WH,3", "t", "z", "-inf"),
+        ("y,z,t,race,ctl", "2,1.0,nan,WH,3", "t", "t", "nan"),
+        ("y,z,t,race,ctl", "2,1.0,1,WH,nan", "t", "ctl", "nan"),
+        ("y,z,x1,race,ctl", "2,1.0,inf,WH,3", None, "x1", "inf"),
+    ],
+)
+def test_non_finite_value_names_column_and_row(tmp_path, header, row, treatment, column, value):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"{header}\n1,-0.5,0,MIN,1\n{row}\n3,0.5,0,WH,2\n", encoding="utf-8")
+    treatment_kw = {"treatment": "t"} if treatment else {"treatment_indicators": ("x1",)}
+    table = TableSchema(
+        outcome="y", running="z", covariates=("race",), extra_controls=("ctl",), **treatment_kw
+    )
+    message = f"column '{column}' has non-finite value {value} in row 2"
+    with pytest.raises(ParseError, match=message):
+        load_table(path, table)
+
+
+@pytest.mark.parametrize("field", ["y", "z", "extra_controls"])
+def test_dataset_rejects_non_finite_columns(field):
+    n = 4
+    columns = {"y": np.zeros(n), "z": np.linspace(-1, 1, n), "extra_controls": np.ones((n, 1))}
+    columns[field][1] = np.inf
+    with pytest.raises(InputError, match="non-finite"):
+        Dataset(
+            x=np.ones((n, 1)), cells=np.zeros(n, dtype=int), cell_labels=("all",),
+            w_dummies=np.zeros((n, 0)), **columns,
+        )
+
+
 def test_missing_value_is_hard_error(tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text("y,z,t,race\n1,0.5,0,WH\n,1.0,1,WH\n", encoding="utf-8")
@@ -135,6 +174,50 @@ def test_dataset_arrays_are_immutable(six_row_csv):
     ds = load_table(six_row_csv, schema())
     with pytest.raises(ValueError):
         ds.y[0] = 99.0
+    with pytest.raises(ValueError):
+        ds.aux["z"][0] = 1e9
+    with pytest.raises(TypeError):
+        ds.aux["z"] = np.zeros(ds.n)
+    # a caller's own array passed in aux is copied, so later writes to it do not reach the dataset
+    r = np.zeros(ds.n)
+    held = Dataset(
+        y=ds.y, z=ds.z, x=ds.x, cells=ds.cells, cell_labels=ds.cell_labels,
+        w_dummies=ds.w_dummies, aux={"r": r},
+    )
+    r[0] = 1e9
+    assert held.aux["r"][0] == 0.0
+
+
+def test_load_parses_every_column_once_into_aux(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text("y,z,t,race,note\n1, 4.0 ,0, WH ,a\n2,-04,1,MIN,7\n", encoding="utf-8")
+    ds = load_table(path, schema(covariates=("race", "z")))
+    assert ds.aux["z"].dtype.kind == "f" and list(ds.aux["z"]) == [4.0, -4.0]
+    assert list(ds.aux["race"]) == ["WH", "MIN"]
+    assert list(ds.aux["note"]) == ["a", "7"]
+    # a numeric covariate is labelled by its parsed value, not its text
+    assert ds.cell_labels == ("MIN|-4", "WH|4")
+
+
+def test_each_covariate_value_is_formatted_once(monkeypatch):
+    calls = []
+
+    def counting(v, _real=data_model._format_value):
+        calls.append(v)
+        return _real(v)
+
+    # patch any module that binds the formatter by name, as well as its owner
+    for module in (data_model, estimator):
+        monkeypatch.setattr(module, "_format_value", counting, raising=False)
+    table = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race",),
+    )
+    ds = load_table(SAMPLE_CSV, table)
+    cfg = EstimationConfig(bandwidth=10.0)
+    build_design(ds, ModelSpec(kind="conditional", r_column="educ"), cfg)
+    distinct = len(set(ds.aux["race"].tolist())) + len(set(ds.aux["educ"].tolist()))
+    assert len(calls) <= distinct, len(calls)
 
 
 def test_encode_treatment_definition():

@@ -549,6 +549,21 @@ def test_conditional_rejects_missing_r_values():
         build_design(ds, ModelSpec(kind="conditional", r_column="grp"), CFG)
 
 
+@pytest.mark.parametrize("dtype", [str, object])
+def test_text_cluster_ids_must_not_be_empty(dtype):
+    from multirdd.errors import InputError
+
+    rng = np.random.default_rng(24)
+    ds0, _ = build_random(rng, n=60, d=1, m=1)
+    ids = np.asarray(["", "a", "b"] * 20, dtype=dtype)
+    ds = Dataset(
+        y=ds0.y, z=ds0.z, x=ds0.x, cells=ds0.cells, cell_labels=ds0.cell_labels,
+        w_dummies=ds0.w_dummies, cluster=ids,
+    )
+    with pytest.raises(InputError, match="cluster id missing for weight-positive row 0"):
+        estimate(ds, ModelSpec(), CFG)
+
+
 def test_estimate_pipeline_populates_everything():
     rng = np.random.default_rng(22)
     ds, dm = build_random(rng, n=50, d=2, m=2)
