@@ -21,7 +21,7 @@ from .data_model import EstimationConfig, ModelSpec, TableSchema, load_table, va
 from .discontinuities import cell_table, ratio_late, relevance
 from .errors import EstimationError, InputError
 from .estimator import estimate
-from .kernels import KernelKind, weights_vector
+from .kernels import KernelKind, window
 from .montecarlo import load_dgp_spec, run_study
 
 EXIT_OK = 0
@@ -162,12 +162,9 @@ def _estimation_config(cfg: dict) -> EstimationConfig:
 
 def _model_spec(cfg: dict) -> ModelSpec:
     kind = str(cfg.get("model", "homogeneous")).lower()
-    levels = cfg.get("treatment_levels")
-    if isinstance(levels, str):
-        levels = [float(v) for v in _csv_list(levels)]
+    # the treatment levels belong to the schema, which encodes the treatment at load
     return ModelSpec(
         kind=kind,
-        treatment_levels=tuple(levels) if levels else (),
         r_column=cfg.get("r"),
         wtilde_columns=tuple(_as_list(cfg.get("wtilde"))),
     )
@@ -223,7 +220,7 @@ def write_series(path: str, ds, cfg, max_points: int = 60) -> None:
     This is the plotting data behind first-stage figures; the toolkit
     does not plot, it emits the series for external tooling.
     """
-    keep = weights_vector(cfg.kernel, cfg.bandwidth, ds.z) > 0
+    rows, _ = window(cfg.kernel, cfg.bandwidth, ds.z)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -231,10 +228,10 @@ def write_series(path: str, ds, cfg, max_points: int = 60) -> None:
             + [f"x{j + 1}_mean" for j in range(ds.d)]
         )
         for l, label in enumerate(ds.cell_labels):
-            mask = keep & (ds.cells == l)
-            for side, side_mask in (("left", ds.z < 0), ("right", ds.z >= 0)):
-                sel = mask & side_mask
-                if not sel.any():
+            in_cell = rows[ds.cells[rows] == l]
+            right = ds.z[in_cell] >= 0
+            for side, sel in (("left", in_cell[~right]), ("right", in_cell[right])):
+                if not sel.size:
                     continue
                 z_vals = ds.z[sel]
                 uniques, bins = np.unique(z_vals, return_inverse=True)
@@ -243,13 +240,13 @@ def write_series(path: str, ds, cfg, max_points: int = 60) -> None:
                     uniques = 0.5 * (edges[:-1] + edges[1:])
                     bins = np.searchsorted(edges[1:-1], z_vals, side="right")
                 for b in range(len(uniques)):
-                    rows = sel.nonzero()[0][bins == b]
-                    if rows.size == 0:
+                    in_bin = sel[bins == b]
+                    if in_bin.size == 0:
                         continue
                     writer.writerow(
-                        [label, side, f"{uniques[b]:.6g}", rows.size]
-                        + [f"{ds.y[rows].mean():.6g}"]
-                        + [f"{ds.x[rows, j].mean():.6g}" for j in range(ds.d)]
+                        [label, side, f"{uniques[b]:.6g}", in_bin.size]
+                        + [f"{ds.y[in_bin].mean():.6g}"]
+                        + [f"{ds.x[in_bin, j].mean():.6g}" for j in range(ds.d)]
                     )
 
 

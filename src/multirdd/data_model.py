@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, ParseError, SchemaError
-from .kernels import KernelKind, weights_vector
+from .kernels import KernelKind, window
 
 __all__ = [
     "Dataset",
@@ -461,49 +461,34 @@ def validate_dataset(ds: Dataset, cfg: EstimationConfig | None = None) -> Valida
     """
     viol = np.where((np.diff(ds.x, axis=1) > 1e-12).any(axis=1))[0]
 
+    cells, z = ds.cells, ds.z
     if cfg is not None:
-        w = weights_vector(cfg.kernel, cfg.bandwidth, ds.z)
-        in_window = w > 0
-    else:
-        in_window = np.ones(ds.n, dtype=bool)
-    right = in_window & (ds.z >= 0)
-    left = in_window & (ds.z < 0)
+        rows, _ = window(cfg.kernel, cfg.bandwidth, ds.z)
+        cells, z = cells[rows], z[rows]
+    lefts = np.bincount(cells[z < 0], minlength=ds.q)
+    rights = np.bincount(cells[z >= 0], minlength=ds.q)
 
-    counts: dict[str, tuple[int, int]] = {}
-    warnings: list[str] = []
-    for l, label in enumerate(ds.cell_labels):
-        mask = ds.cells == l
-        n_left = int((mask & left).sum())
-        n_right = int((mask & right).sum())
-        counts[label] = (n_left, n_right)
-        for side, n_side in (("left", n_left), ("right", n_right)):
-            if n_side == 0:
-                warnings.append(
-                    f"cell {label!r} has no observations on the {side} side of the cutoff"
-                    + (" within the bandwidth" if cfg is not None else "")
-                )
+    counts = dict(zip(ds.cell_labels, zip(lefts.tolist(), rights.tolist())))
+    where = " within the bandwidth" if cfg is not None else ""
+    empty = [
+        f"cell {label!r} has no observations on the {side} side of the cutoff{where}"
+        for label, pair in counts.items()
+        for side, n_side in zip(("left", "right"), pair)
+        if n_side == 0
+    ]
 
-    constant: list[str] = []
-    if ds.n and np.ptp(ds.y) == 0:
-        constant.append("y")
-    if ds.n and np.ptp(ds.z) == 0:
-        constant.append("z")
-    for j in range(ds.d):
-        if ds.n and np.ptp(ds.x[:, j]) == 0:
-            constant.append(f"x{j + 1}")
+    named = [("y", ds.y), ("z", ds.z)] + [(f"x{j + 1}", col) for j, col in enumerate(ds.x.T)]
     if ds.extra_controls is not None:
-        for k in range(ds.extra_controls.shape[1]):
-            if np.ptp(ds.extra_controls[:, k]) == 0:
-                name = (
-                    ds.extra_control_names[k]
-                    if k < len(ds.extra_control_names)
-                    else f"extra{k}"
-                )
-                constant.append(name)
+        names = ds.extra_control_names
+        named += [
+            (names[k] if k < len(names) else f"extra{k}", col)
+            for k, col in enumerate(ds.extra_controls.T)
+        ]
+    constant = [name for name, col in named if ds.n and np.ptp(col) == 0]
 
     return ValidationReport(
         monotonicity_violations=tuple(int(i) for i in viol),
         cell_side_counts=counts,
-        empty_side_warnings=tuple(warnings),
+        empty_side_warnings=tuple(empty),
         constant_columns=tuple(constant),
     )

@@ -12,14 +12,14 @@ the weighted combination of conditional effects those weights define.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .data_model import Dataset, EstimationConfig
 from .errors import CellUnusableError, EstimationError, RelevanceError
-from .kernels import weights_vector
+from .kernels import window
 
 __all__ = [
     "CellEstimate",
@@ -46,23 +46,32 @@ class Jump(NamedTuple):
 
 
 def _side_fit(values: np.ndarray, z: np.ndarray, w: np.ndarray, label: str, side: str):
-    """Weighted least squares of values on (1, z); intercept and its HC variance."""
-    keep = w > 0
-    v, zz, ww = values[keep], z[keep], w[keep]
-    if np.unique(zz).size < 2:
+    """Weighted least squares of each column of ``values`` on (1, z); intercepts, HC variances."""
+    if not z.size or z.min() == z.max():
         detail = (
             "needs at least 2 distinct running-variable values with positive weight, "
-            f"found {np.unique(zz).size}"
+            f"found {min(z.size, 1)}"
         )
         raise CellUnusableError(label, side, detail)
-    design = np.column_stack([np.ones(len(zz)), zz])
-    sw = np.sqrt(ww)
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], v * sw, rcond=None)
-    resid = v - design @ coef
-    bread = np.linalg.inv(design.T @ (design * ww[:, None]))
-    meat = (design * (ww * resid)[:, None]).T @ (design * (ww * resid)[:, None])
-    var0 = (bread @ meat @ bread)[0, 0]
-    return float(coef[0]), max(float(var0), 0.0)
+    design = np.column_stack([np.ones(len(z)), z])
+    sw = np.sqrt(w)
+    coef, *_ = np.linalg.lstsq(design * sw[:, None], values * sw[:, None], rcond=None)
+    resid = values - design @ coef
+    bread = np.linalg.inv(design.T @ (design * w[:, None]))
+    # (bread @ meat @ bread)[0, 0] with meat = sum_i (w_i r_i)^2 D_i D_i'
+    lever = w * (design @ bread[0])
+    return coef[0], np.sum((lever[:, None] * resid) ** 2, axis=0)
+
+
+def _jumps(values: np.ndarray, z: np.ndarray, w: np.ndarray, label: str):
+    """Intercept gaps at the cutoff of each column of ``values``, and their naive SEs.
+
+    Every weight must be positive.
+    """
+    right = z >= 0
+    b_right, v_right = _side_fit(values[right], z[right], w[right], label, "right")
+    b_left, v_left = _side_fit(values[~right], z[~right], w[~right], label, "left")
+    return b_right - b_left, np.sqrt(v_right + v_left)
 
 
 def cell_jump(
@@ -83,13 +92,11 @@ def cell_jump(
     values = np.asarray(values, dtype=float)
     z = np.asarray(z, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    keep = weights > 0
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        values, z, weights = values[mask], z[mask], weights[mask]
-    right = z >= 0
-    b_right, v_right = _side_fit(values[right], z[right], weights[right], label, "right")
-    b_left, v_left = _side_fit(values[~right], z[~right], weights[~right], label, "left")
-    return Jump(b_right - b_left, float(np.sqrt(v_right + v_left)))
+        keep &= np.asarray(mask, dtype=bool)
+    delta, se = _jumps(values[keep, None], z[keep], weights[keep], label)
+    return Jump(float(delta[0]), float(se[0]))
 
 
 @dataclass(frozen=True)
@@ -175,36 +182,44 @@ def cell_table(ds: Dataset, cfg: EstimationConfig) -> CellTable:
     usable cells; cells without two-sided support are dropped and
     reported together with the weight share they carried.
     """
-    w = weights_vector(cfg.kernel, cfg.bandwidth, ds.z)
+    rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
     total_mass = float(w.sum())
     if total_mass <= 0:
         raise EstimationError(
             f"no observations carry positive kernel weight at bandwidth {cfg.bandwidth}"
         )
 
+    # the window rows grouped by cell, in row order within each cell
+    cells = ds.cells[rows]
+    order = np.argsort(cells, kind="stable")
+    bounds = np.searchsorted(cells[order], np.arange(ds.q + 1))
+    rows, w = rows[order], w[order]
+    z = ds.z[rows]
+    values = np.column_stack([ds.y[rows], ds.x[rows]])  # y, then every indicator
+
     usable: list[CellEstimate] = []
     dropped: list[DroppedCell] = []
     for l, label in enumerate(ds.cell_labels):
-        mask = ds.cells == l
-        mass = float(w[mask].sum())
+        cell = slice(bounds[l], bounds[l + 1])
+        zc, wc, vc = z[cell], w[cell], values[cell]
+        mass = float(wc.sum())
         try:
-            jump_y = cell_jump(ds.y, ds.z, w, mask, label)
-            jumps_x = [cell_jump(ds.x[:, j], ds.z, w, mask, label) for j in range(ds.d)]
+            delta, se = _jumps(vc, zc, wc, label)
         except CellUnusableError as err:
             dropped.append(DroppedCell(label, str(err), mass / total_mass))
             continue
-        pos = mask & (w > 0)
+        n_right = int((zc >= 0).sum())
         usable.append(
             CellEstimate(
                 index=l,
                 label=label,
-                delta_x=np.asarray([j.delta for j in jumps_x]),
-                delta_y=jump_y.delta,
-                se_x=np.asarray([j.se_naive for j in jumps_x]),
-                se_y=jump_y.se_naive,
+                delta_x=delta[1:],
+                delta_y=float(delta[0]),
+                se_x=se[1:],
+                se_y=float(se[0]),
                 p_hat=mass,  # normalized below
-                n_left=int((pos & (ds.z < 0)).sum()),
-                n_right=int((pos & (ds.z >= 0)).sum()),
+                n_left=len(zc) - n_right,
+                n_right=n_right,
                 weight_mass=mass,
             )
         )
@@ -213,21 +228,7 @@ def cell_table(ds: Dataset, cfg: EstimationConfig) -> CellTable:
             "no usable cells: every cell lacks two-sided support within the bandwidth"
         )
     usable_mass = sum(c.weight_mass for c in usable)
-    cells = tuple(
-        CellEstimate(
-            index=c.index,
-            label=c.label,
-            delta_x=c.delta_x,
-            delta_y=c.delta_y,
-            se_x=c.se_x,
-            se_y=c.se_y,
-            p_hat=c.weight_mass / usable_mass,
-            n_left=c.n_left,
-            n_right=c.n_right,
-            weight_mass=c.weight_mass,
-        )
-        for c in usable
-    )
+    cells = tuple(replace(c, p_hat=c.weight_mass / usable_mass) for c in usable)
     return CellTable(cells=cells, dropped=tuple(dropped), d=ds.d)
 
 
@@ -241,19 +242,23 @@ class TwlateWeights:
 
     m_hat: np.ndarray
     omega: tuple[np.ndarray, ...] | None
-    min_eigenvalue: float
+    eigenvalues: np.ndarray  # ascending order
     rcond: float
     rank: int
     passed: bool
     p_hat: np.ndarray
     cell_labels: tuple[str, ...]
 
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues[0])
+
     def to_dict(self) -> dict:
         return {
             "m_hat": self.m_hat.tolist(),
             "omega": None if self.omega is None else [o.tolist() for o in self.omega],
-            "eigenvalues": np.linalg.eigvalsh(self.m_hat).tolist(),
-            "min_eigenvalue": float(self.min_eigenvalue),
+            "eigenvalues": self.eigenvalues.tolist(),
+            "min_eigenvalue": self.min_eigenvalue,
             "rcond": float(self.rcond),
             "rank": int(self.rank),
             "passed": self.passed,
@@ -263,41 +268,42 @@ class TwlateWeights:
 
 
 def _symmetric_inverse(m: np.ndarray, rcond_threshold: float):
-    """Eigendecomposition-based inverse with explicit conditioning report."""
+    """Eigendecomposition-based inverse with explicit conditioning report.
+
+    Returns the inverse (None below the threshold), the eigenvalues in
+    ascending order and their reciprocal condition number.
+    """
     sym = 0.5 * (m + m.T)
     eigvals, eigvecs = np.linalg.eigh(sym)  # ascending order
     top = float(eigvals[-1])
-    bottom = float(eigvals[0])
-    rcond = 0.0 if top <= 0 else max(bottom, 0.0) / top
-    ok = rcond >= rcond_threshold
-    inv = None
-    if ok:
-        inv = (eigvecs / eigvals) @ eigvecs.T
-    return inv, bottom, rcond
+    rcond = 0.0 if top <= 0 else max(float(eigvals[0]), 0.0) / top
+    inv = (eigvecs / eigvals) @ eigvecs.T if rcond >= rcond_threshold else None
+    return inv, eigvals, rcond
 
 
 def relevance(ct: CellTable, rcond_threshold: float = 1e-10) -> TwlateWeights:
     """Assess first-stage linear independence across cells.
 
-    Failure is a state, not an exception: the matrix, its smallest
-    eigenvalue, reciprocal condition number, and numerical rank are
-    reported whether or not the weights could be formed.
+    Failure is a state, not an exception: the matrix, its eigenvalues,
+    reciprocal condition number, and numerical rank are reported whether
+    or not the weights could be formed.  All of them come from one
+    eigendecomposition; the rank uses ``np.linalg.matrix_rank``'s
+    tolerance, max|lambda| * d * eps.
     """
     deltas = ct.delta_x_matrix
     p = ct.p_hat
-    m_hat = np.zeros((ct.d, ct.d))
-    for l in range(ct.q_usable):
-        m_hat += p[l] * np.outer(deltas[l], deltas[l])
+    m_hat = (deltas.T * p) @ deltas
     m_hat = 0.5 * (m_hat + m_hat.T)
-    inv, min_eig, rcond = _symmetric_inverse(m_hat, rcond_threshold)
-    rank = int(np.linalg.matrix_rank(m_hat, hermitian=True))
+    inv, eigvals, rcond = _symmetric_inverse(m_hat, rcond_threshold)
+    size = np.abs(eigvals)
+    rank = int(np.count_nonzero(size > size.max() * ct.d * np.finfo(float).eps))
     omega = None
     if inv is not None:
         omega = tuple(inv @ np.outer(deltas[l], deltas[l]) for l in range(ct.q_usable))
     return TwlateWeights(
         m_hat=m_hat,
         omega=omega,
-        min_eigenvalue=min_eig,
+        eigenvalues=eigvals,
         rcond=rcond,
         rank=rank,
         passed=inv is not None,
@@ -313,13 +319,7 @@ def plugin_estimator(ct: CellTable, tw: TwlateWeights) -> np.ndarray:
             f"relevance check failed (rcond {tw.rcond:.3e}); plug-in estimator unavailable"
         )
     inv, _, _ = _symmetric_inverse(tw.m_hat, 0.0)
-    deltas = ct.delta_x_matrix
-    dy = ct.delta_y_vector
-    p = ct.p_hat
-    moment = np.zeros(ct.d)
-    for l in range(ct.q_usable):
-        moment += p[l] * deltas[l] * dy[l]
-    return inv @ moment
+    return inv @ (ct.delta_x_matrix.T @ (ct.p_hat * ct.delta_y_vector))
 
 
 @dataclass(frozen=True)

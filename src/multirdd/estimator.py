@@ -13,12 +13,16 @@ conditional variant stacks per-stratum copies of the whole design so
 the stacked fit coincides with running the estimator separately within
 each stratum.
 
-Each fit factors one tall matrix: :class:`DesignMatrices` weights the
-rows and takes the thin QR of E = [C | Z] once, Q = [Q_C | Q_Z].  The
-rank gate reads R's diagonal; beta solves the small system
-(Q_Z'X) beta = Q_Z'y (Frisch-Waugh-Lovell) and eta the block R_CC; the
-first-stage F uses the residuals against Q and Q_C; the covariance and
-the J test rebuild their inputs from Q, R and the coefficients.
+Each fit passes over the rows inside the kernel window once.
+:func:`build_design` builds every block on those rows only, and
+:class:`DesignMatrices` weights them and takes R, without Q, of the
+augmented block [C | Z | X | y] = [E | X | y] once.  Every stage reads
+that R: the rank gate reads R_EE's diagonal; beta solves the small
+system R_ZX beta = R_Zy (Frisch-Waugh-Lovell) and eta the block R_CC;
+the first-stage residual sums of squares are column norms of R below
+the rows of E and of C; the covariance and the J test share one pass
+that forms the moment rows E*u and their cluster sums, and the fitted
+regressors enter only through R_EE^-1 applied to small blocks of R.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .data_model import Dataset, EstimationConfig, ModelSpec, _levels, validate_dataset
 from .errors import EstimationError, InputError, SingularDesignError, UnderIdentifiedError
-from .kernels import weights_vector
+from .kernels import window
 
 __all__ = [
     "DesignMatrices",
@@ -48,7 +52,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Unweighted design of every row; the cached properties own the weight-positive rows."""
+    """Unweighted design blocks; the cached properties own the weight-positive rows.
+
+    :func:`build_design` passes only the rows inside the kernel window.  A
+    hand-built design may carry zero-weight rows too: every stage reads
+    the weight-positive rows only, through :attr:`rows`.
+    """
 
     y: np.ndarray
     endogenous: np.ndarray
@@ -72,6 +81,14 @@ class DesignMatrices:
     def n_instruments(self) -> int:
         return self.instruments.shape[1]
 
+    @property
+    def n_controls(self) -> int:
+        return self.controls.shape[1]
+
+    @property
+    def n_exogenous(self) -> int:
+        return self.n_controls + self.n_instruments
+
     @cached_property
     def rows(self) -> np.ndarray:
         return np.flatnonzero(self.weights > 0)
@@ -80,24 +97,22 @@ class DesignMatrices:
     def n_effective(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def root_weights(self) -> np.ndarray:
-        return np.sqrt(self.weights[self.rows])
-
-    def weighted(self, a: np.ndarray) -> np.ndarray:
-        """The weight-positive rows of ``a``, each scaled by its root weight."""
-        sw = self.root_weights
-        return a[self.rows] * (sw if a.ndim == 1 else sw[:, None])
+    def positive(self, a: np.ndarray) -> np.ndarray:
+        """The weight-positive rows of ``a``; ``a`` itself when every row has weight."""
+        return a if self.n_effective == self.n else a[self.rows]
 
     @cached_property
-    def exogenous(self) -> np.ndarray:
-        """The weighted exogenous block, controls first: ``[controls | instruments]``."""
-        return np.column_stack([self.weighted(self.controls), self.weighted(self.instruments)])
+    def augmented(self) -> np.ndarray:
+        """The weighted ``[controls | instruments | endogenous | y]``, column-major for LAPACK."""
+        blocks = [self.controls.T, self.instruments.T, self.endogenous.T, self.y]
+        block = self.positive(np.vstack(blocks, dtype=float).T)
+        block *= np.sqrt(self.positive(self.weights))[:, None]
+        return block
 
     @cached_property
-    def qr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Thin QR of :attr:`exogenous`, the one factorization of the fit."""
-        return np.linalg.qr(self.exogenous)
+    def r(self) -> np.ndarray:
+        """R of :attr:`augmented`, without Q: the one factorization of the fit."""
+        return np.linalg.qr(self.augmented, mode="r")
 
     @cached_property
     def cluster_codes(self) -> np.ndarray | None:
@@ -109,10 +124,8 @@ def _cluster_codes(dm: DesignMatrices, cluster_ids) -> np.ndarray:
     """Validated cluster ids of the weight-positive rows as integer codes 0..G-1."""
     cluster_ids = np.asarray(cluster_ids)
     if len(cluster_ids) != dm.n:
-        raise InputError(
-            f"cluster ids have length {len(cluster_ids)}, expected {dm.n}"
-        )
-    ids = cluster_ids[dm.rows]
+        raise InputError(f"cluster ids have length {len(cluster_ids)}, expected {dm.n}")
+    ids = dm.positive(cluster_ids)
     if ids.dtype.kind in "OU":
         bad = [i for i, v in enumerate(ids.tolist()) if v is None or v == ""]
         if bad:
@@ -131,46 +144,54 @@ def _rcond_gate(pivots: np.ndarray, n_columns: int, rcond_threshold: float, what
 
 
 def _check_rank(dm: DesignMatrices, rcond_threshold: float) -> None:
-    """The rank gate of the weighted exogenous block, read off the diagonal of R."""
+    """The rank gate of E, read off the diagonal of R_EE."""
     if dm.n_effective == 0:
         raise EstimationError("no weight-positive rows; widen the bandwidth")
-    rmat = dm.qr[1]
-    k = rmat.shape[1]  # R is wide when there are fewer weight-positive rows than columns
+    k = dm.n_exogenous
     what = f"exogenous block is rank deficient after weighting ({k} columns)"
-    _rcond_gate(np.abs(np.diagonal(rmat)), k, rcond_threshold, what)
+    # R has fewer than k rows when there are fewer weight-positive rows than columns
+    _rcond_gate(np.abs(np.diagonal(dm.r[:, :k])), k, rcond_threshold, what)
 
 
-def _homogeneous_blocks(w_dummies, z, d_ind, labels, prefix=""):
-    n = len(z)
-    m = w_dummies.shape[1]
-    instr = np.column_stack([d_ind] + [d_ind * w_dummies[:, k] for k in range(m)])
-    instr_labels = [f"{prefix}d"] + [f"{prefix}d:w:{labels[k]}" for k in range(m)]
-    controls = np.column_stack(
-        [np.ones(n)]
-        + [w_dummies[:, k] for k in range(m)]
-        + [z, d_ind * z]
-        + [z * w_dummies[:, k] for k in range(m)]
-        + [d_ind * z * w_dummies[:, k] for k in range(m)]
-    )
-    control_labels = (
-        [f"{prefix}const"]
-        + [f"{prefix}w:{labels[k]}" for k in range(m)]
-        + [f"{prefix}z", f"{prefix}d:z"]
-        + [f"{prefix}z:w:{labels[k]}" for k in range(m)]
-        + [f"{prefix}d:z:w:{labels[k]}" for k in range(m)]
-    )
-    return instr, instr_labels, controls, control_labels
+def _homogeneous_blocks(const, w_rows, z, d_ind, labels, prefix=""):
+    """Instruments and controls as lists of rows of their transposes.
+
+    ``w_rows`` holds one cell dummy per row; ``const`` is the intercept
+    column, ones or a stratum's indicator.
+    """
+    dz = d_ind * z
+    instr = [d_ind, d_ind * w_rows]
+    controls = [const, w_rows, z, dz, z * w_rows, dz * w_rows]
+
+    def per_cell(head):
+        return [f"{prefix}{head}{lab}" for lab in labels]
+
+    instr_labels = [f"{prefix}d"] + per_cell("d:w:")
+    control_labels = [f"{prefix}const"] + per_cell("w:") + [f"{prefix}z", f"{prefix}d:z"]
+    return instr, instr_labels, controls, control_labels + per_cell("z:w:") + per_cell("d:z:w:")
 
 
 def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignMatrices:
-    """Assemble the design for the configured model variant.
+    """Assemble the design of the rows inside the kernel window.
 
-    Raises when the endogenous block outruns the instruments or when the
-    weighted exogenous block is rank deficient (for instance because a
-    covariate cell is empty inside the bandwidth).
+    Every block is built on the window rows only.  The cell dummies and
+    the strata of R keep the levels of the full sample, so a cell or a
+    stratum without rows in the window leaves a zero column.  Raises when
+    the endogenous block outruns the instruments or when the weighted
+    exogenous block is rank deficient (for instance because a covariate
+    cell is empty inside the bandwidth).
     """
-    w = weights_vector(cfg.kernel, cfg.bandwidth, ds.z)
-    d_ind = (ds.z >= 0).astype(float)
+    if spec.treatment_levels and len(spec.treatment_levels) != ds.d + 1:
+        raise InputError(
+            f"model spec has {len(spec.treatment_levels)} treatment levels, "
+            f"but the dataset's {ds.d} treatment indicators need {ds.d + 1}"
+        )
+    rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
+    z = ds.z[rows]
+    # each block is built transposed, one contiguous row per column, and stacked once
+    x_rows = np.ascontiguousarray(ds.x[rows].T)
+    w_rows = np.ascontiguousarray(ds.w_dummies[rows].T)
+    d_ind = (z >= 0).astype(float)
     dummy_labels = ds.cell_labels[1:] if ds.q > 1 else ()
     m = ds.m
 
@@ -195,69 +216,61 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
                 f"conditioning column {spec.r_column!r} has missing values; "
                 "its levels must partition the sample"
             )
-        endo_cols, endo_labels = [], []
-        instr_cols, instr_labels = [], []
-        ctrl_cols, control_labels = [], []
+        r_codes = r_codes[rows]
+        endo, endo_labels = [], []
+        instr, instr_labels = [], []
+        controls, control_labels = [], []
         for lev, code in sorted(zip(strata, range(len(strata)))):  # strata in label order
             sel = (r_codes == code).astype(float)
-            tag = f"{spec.r_column}={lev}|"
-            endo_cols.append(ds.x * sel[:, None])
+            endo.append(x_rows * sel)
             endo_labels += [f"x{j + 1}|{spec.r_column}={lev}" for j in range(ds.d)]
+            # the stratum indicator, not a global intercept, is the block's constant
             instr_s, il, ctrl_s, cl = _homogeneous_blocks(
-                ds.w_dummies * sel[:, None], ds.z * sel, d_ind * sel, dummy_labels, prefix=tag
+                sel, w_rows * sel, z * sel, d_ind * sel, dummy_labels,
+                prefix=f"{spec.r_column}={lev}|",
             )
-            # the "constant" column of the stratum block must be the stratum
-            # indicator itself, not a global intercept
-            ctrl_s[:, 0] = sel
-            instr_cols.append(instr_s)
+            instr += instr_s
             instr_labels += il
-            ctrl_cols.append(ctrl_s)
+            controls += ctrl_s
             control_labels += cl
-        endo = np.column_stack(endo_cols)
-        instr = np.column_stack(instr_cols)
-        controls = np.column_stack(ctrl_cols)
     else:
         wtilde = spec.wtilde_columns if spec.kind == "parametric" else ()
-        cols = []
+        endo = [x_rows]
+        endo_labels = [f"x{j + 1}" for j in range(ds.d)]
         for name in wtilde:
             if name not in ds.aux:
                 raise InputError(f"wtilde column {name!r} not found in dataset")
             col = ds.aux[name]
             if col.dtype.kind not in "biuf":
                 raise InputError(f"wtilde column {name!r} is not numeric")
-            cols.append(np.asarray(col, dtype=float))
-        endo = np.column_stack([ds.x] + [ds.x * wt[:, None] for wt in cols])
-        endo_labels = [f"x{j + 1}" for j in range(ds.d)]
-        for name in wtilde:
+            endo.append(x_rows * np.asarray(col[rows], dtype=float))
             endo_labels += [f"{name}:x{j + 1}" for j in range(ds.d)]
-        instr, instr_labels, controls, control_labels = _homogeneous_blocks(
-            ds.w_dummies, ds.z, d_ind, dummy_labels
-        )
-        if endo.shape[1] > instr.shape[1] and not cols:
+        if len(endo_labels) > m + 1 and not wtilde:
             raise UnderIdentifiedError(f"under-identified: q=m+1={m + 1} < d={ds.d}")
-        if endo.shape[1] > instr.shape[1]:
+        if len(endo_labels) > m + 1:
             raise UnderIdentifiedError(
-                f"under-identified: q=m+1={m + 1} < d(1+c)={endo.shape[1]}; "
+                f"under-identified: q=m+1={m + 1} < d(1+c)={len(endo_labels)}; "
                 f"the transform allows at most c <= (m+1)/d - 1 = {(m + 1) / ds.d - 1:g} columns"
             )
+        instr, instr_labels, controls, control_labels = _homogeneous_blocks(
+            np.ones(len(z)), w_rows, z, d_ind, dummy_labels
+        )
 
     if ds.extra_controls is not None:
-        controls = np.column_stack([controls, ds.extra_controls])
-        names = ds.extra_control_names or tuple(
-            f"extra{k}" for k in range(ds.extra_controls.shape[1])
-        )
-        control_labels = list(control_labels) + list(names)
+        extra = ds.extra_controls[rows].T
+        names = ds.extra_control_names or [f"extra{k}" for k in range(len(extra))]
+        controls, control_labels = controls + [extra], list(control_labels) + list(names)
 
     dm = DesignMatrices(
-        y=ds.y,
-        endogenous=endo,
-        instruments=instr,
-        controls=controls,
+        y=ds.y[rows],
+        endogenous=np.vstack(endo).T,
+        instruments=np.vstack(instr).T,
+        controls=np.vstack(controls).T,
         weights=w,
         endogenous_labels=tuple(endo_labels),
         instrument_labels=tuple(instr_labels),
         control_labels=tuple(control_labels),
-        cluster=cluster,
+        cluster=None if cluster is None else np.asarray(cluster)[rows],
     )
     try:
         _check_rank(dm, cfg.rcond_threshold)
@@ -319,20 +332,11 @@ class FitResult:
         if self.cov is not None:
             se = self.se
             table = []
-            for k, lab in enumerate(self.beta_labels):
-                est = float(self.beta[k])
-                s = float(se[k])
+            for lab, est, s in zip(self.beta_labels, self.beta.tolist(), se.tolist()):
                 t = est / s if s > 0 else float("inf") if est != 0 else 0.0
                 p = math.erfc(abs(t) / math.sqrt(2.0)) if math.isfinite(t) else 0.0
-                table.append(
-                    {
-                        "name": lab,
-                        "estimate": est,
-                        "se": s,
-                        "t": t if math.isfinite(t) else str(t),
-                        "p": p,
-                    }
-                )
+                t = t if math.isfinite(t) else str(t)
+                table.append({"name": lab, "estimate": est, "se": s, "t": t, "p": p})
             out["coefficients"] = table
             out["se"] = {lab: float(s) for lab, s in zip(self.beta_labels, se)}
             out["cov"] = self.cov.tolist()
@@ -349,7 +353,8 @@ class FitResult:
 def weighted_2sls(dm: DesignMatrices, rcond_threshold: float = 1e-10) -> FitResult:
     """Two-stage least squares with every row scaled by the root of its weight.
 
-    The second stage, y on [X_hat | C] with X_hat = Q Q'X, reduces to (Q_Z'X) beta = Q_Z'y.
+    The second stage, y on [X_hat | C] with X_hat = Q_E R_EX, reduces to
+    R_ZX beta = R_Zy on the instrument rows of R (Frisch-Waugh-Lovell).
     """
     k_endo = dm.k_endogenous
     if k_endo > dm.n_instruments:
@@ -357,15 +362,13 @@ def weighted_2sls(dm: DesignMatrices, rcond_threshold: float = 1e-10) -> FitResu
             f"under-identified: {dm.n_instruments} instruments < {k_endo} endogenous columns"
         )
     _check_rank(dm, rcond_threshold)
-    qmat, rmat = dm.qr
-    p = dm.controls.shape[1]
-    qx = qmat.T @ dm.weighted(dm.endogenous)
-    qy = qmat.T @ dm.weighted(dm.y)
-    beta, _, _, sv = np.linalg.lstsq(qx[p:], qy[p:], rcond=None)
+    r, p, k = dm.r, dm.n_controls, dm.n_exogenous
+    r_ex, r_ey = r[:k, k:-1], r[:k, -1]
+    beta, _, _, sv = np.linalg.lstsq(r_ex[p:], r_ey[p:], rcond=None)
     # the pivots of [C | X_hat]: R_CC's diagonal, then X_hat beyond the span of C
-    pivots = np.concatenate([np.abs(np.diagonal(rmat)[:p]), sv])
+    pivots = np.concatenate([np.abs(np.diagonal(r)[:p]), sv])
     _rcond_gate(pivots, p + k_endo, rcond_threshold, "second-stage design is numerically singular")
-    eta = np.linalg.solve(rmat[:p, :p], qy[:p] - qx[:p] @ beta)
+    eta = np.linalg.solve(r[:p, :p], r_ey[:p] - r_ex[:p] @ beta)
     return FitResult(
         beta=beta,
         eta=eta,
@@ -375,17 +378,30 @@ def weighted_2sls(dm: DesignMatrices, rcond_threshold: float = 1e-10) -> FitResu
     )
 
 
-def _residuals(fit: FitResult, dm: DesignMatrices) -> np.ndarray:
-    """Structural residuals of the weighted rows: actual endogenous columns, not fitted."""
-    controls = dm.exogenous[:, : dm.controls.shape[1]]
-    return dm.weighted(dm.y) - dm.weighted(dm.endogenous) @ fit.beta - controls @ fit.eta
+def _moments(fit, dm, cluster_ids) -> tuple[np.ndarray, np.ndarray, float]:
+    """Cluster sums of the moment rows E*u, their cross-product, and |u|.
 
-
-def _group_sums(values: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
-    if codes is None:
-        return values
-    out = np.zeros((codes.max() + 1, values.shape[1]))
-    np.add.at(out, codes, values)
+    u is the structural residual of the weighted rows (actual endogenous
+    columns, not fitted).  :func:`cluster_covariance` and :func:`j_test`
+    share this pass: for the design's own clusters it is kept on ``dm``
+    for the ``fit`` that made it.
+    """
+    cached = dm.__dict__.get("_moments") if cluster_ids is None else None
+    if cached is not None and cached[0] is fit:
+        return cached[1]
+    codes = dm.cluster_codes if cluster_ids is None else _cluster_codes(dm, cluster_ids)
+    p, k = dm.n_controls, dm.n_exogenous
+    coef = np.concatenate([-fit.eta, np.zeros(k - p), -fit.beta, [1.0]])
+    u = dm.augmented @ coef
+    summed = dm.augmented[:, :k] * u[:, None]  # E * u
+    if codes is not None:
+        n_groups = int(codes.max()) + 1
+        summed = np.stack(
+            [np.bincount(codes, weights=col, minlength=n_groups) for col in summed.T], axis=1
+        )
+    out = summed, summed.T @ summed, float(np.linalg.norm(u))
+    if cluster_ids is None:
+        dm.__dict__["_moments"] = (fit, out)
     return out
 
 
@@ -396,6 +412,11 @@ def cluster_covariance(fit: FitResult, dm: DesignMatrices, cluster_ids=None) -> 
     products of within-cluster score sums, and the result is scaled by
     G/(G-1) * (n-1)/(n-k).  With one observation per cluster this is the
     usual heteroskedasticity-robust sandwich up to that factor.
+
+    The regressors [X_hat | C] are Q_E K with K = [R_EX | R_EC].  With
+    K = Q_K R_K, they are E H R_K for H = R_EE^-1 Q_K, so the score sums
+    are the moment sums times H R_K, and the sandwich is
+    R_K^-1 H' Omega H R_K^-T: no normal matrix is formed or inverted.
     """
     codes = dm.cluster_codes if cluster_ids is None else _cluster_codes(dm, cluster_ids)
     n = dm.n_effective
@@ -404,17 +425,14 @@ def cluster_covariance(fit: FitResult, dm: DesignMatrices, cluster_ids=None) -> 
         raise EstimationError(
             f"need at least 2 clusters among weight-positive rows, found {n_groups}"
         )
-    qmat, rmat = dm.qr
-    p = dm.controls.shape[1]
-    # the instrumented regressors are [X_hat | C] = Q coords, so A = coords'coords
-    coords = np.column_stack([qmat.T @ dm.weighted(dm.endogenous), rmat[:, :p]])
-    scores = (qmat @ coords) * _residuals(fit, dm)[:, None]
-    summed = _group_sums(scores, codes)
-    meat = summed.T @ summed
-    bread = np.linalg.inv(coords.T @ coords)
-    k = coords.shape[1]
-    correction = (n_groups / (n_groups - 1)) * ((n - 1) / max(n - k, 1))
-    cov = correction * bread @ meat @ bread
+    _, omega, _ = _moments(fit, dm, cluster_ids)
+    r, p, k = dm.r, dm.n_controls, dm.n_exogenous
+    q_k, r_k = np.linalg.qr(np.column_stack([r[:k, k:-1], r[:k, :p]]))
+    h = np.linalg.solve(r[:k, :k], q_k)
+    r_k_inv = np.linalg.inv(r_k)
+    n_params = r_k.shape[1]
+    correction = (n_groups / (n_groups - 1)) * ((n - 1) / max(n - n_params, 1))
+    cov = correction * r_k_inv @ (h.T @ omega @ h) @ r_k_inv.T
     return 0.5 * (cov + cov.T)
 
 
@@ -462,17 +480,12 @@ def j_test(
 
     # an exact fit satisfies every moment condition; the quadratic form is a
     # 0/0 limit there, and its value is zero, not roundoff noise
-    resid = _residuals(fit, dm)
-    outcome_scale = float(np.linalg.norm(dm.weighted(dm.y)))
-    if float(np.linalg.norm(resid)) <= 1e-10 * max(outcome_scale, 1.0):
+    summed, what, resid_norm = _moments(fit, dm, cluster_ids)
+    outcome_scale = float(np.linalg.norm(dm.r[:, -1]))  # the norm of the weighted y
+    if resid_norm <= 1e-10 * max(outcome_scale, 1.0):
         return 0.0, dof, 1.0
 
-    moments = dm.exogenous * resid[:, None]
-    gvec = moments.sum(axis=0)
-    codes = dm.cluster_codes if cluster_ids is None else _cluster_codes(dm, cluster_ids)
-    summed = _group_sums(moments, codes)
-    what = summed.T @ summed
-
+    gvec = summed.sum(axis=0)
     eigvals = np.linalg.eigvalsh(0.5 * (what + what.T))  # ascending order
     top = float(eigvals[-1])
     rcond = 0.0 if top <= 0 else max(float(eigvals[0]), 0.0) / top
@@ -491,16 +504,17 @@ def first_stage_diagnostics(
     joint_min_eigenvalue: float | None = None,
     rcond_threshold: float = 1e-10,
 ) -> FirstStageReport:
-    """Partial F of the excluded instruments per endogenous column, from residuals on Q and Q_C."""
+    """Partial F of the excluded instruments per endogenous column.
+
+    Both residual sums of squares are column norms of R: below the rows of
+    E for the unrestricted fit, below the rows of C for the restricted one.
+    """
     _check_rank(dm, rcond_threshold)
-    qmat = dm.qr[0]
-    p = dm.controls.shape[1]
-    endo = dm.weighted(dm.endogenous)
-    qx = qmat.T @ endo
-    rss_u = np.sum((endo - qmat @ qx) ** 2, axis=0)
-    rss_r = np.sum((endo - qmat[:, :p] @ qx[:p]) ** 2, axis=0)
-    constant = np.ptp(dm.endogenous[dm.rows], axis=0) == 0
-    df_denom = max(dm.n_effective - qmat.shape[1], 1)
+    r, p, k = dm.r, dm.n_controls, dm.n_exogenous
+    rss_u = np.sum(r[k:, k:-1] ** 2, axis=0)
+    rss_r = np.sum(r[p:, k:-1] ** 2, axis=0)
+    constant = np.ptp(dm.positive(dm.endogenous), axis=0) == 0
+    df_denom = max(dm.n_effective - k, 1)
 
     f_stats, flags = [], []
     for j in range(dm.k_endogenous):

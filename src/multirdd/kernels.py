@@ -13,7 +13,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["KernelKind", "evaluate", "weights_vector", "one_sided_moment"]
+__all__ = ["KernelKind", "evaluate", "weights_vector", "window", "one_sided_moment"]
 
 MAX_MOMENT_ORDER = 8
 
@@ -58,6 +58,13 @@ def weights_vector(kind: KernelKind, h: float, z: np.ndarray) -> np.ndarray:
     if z.size == 0:
         return np.zeros(0)
     return np.asarray(evaluate(kind, z / h), dtype=float)
+
+
+def window(kind: KernelKind, h: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-positive rows: their indices in ascending order, and their weights."""
+    w = weights_vector(kind, h, z)
+    rows = np.flatnonzero(w > 0)
+    return rows, w[rows]
 
 
 def one_sided_moment(kind: KernelKind, order: int, squared: bool = False) -> float:

@@ -185,9 +185,7 @@ def population_targets(dgp: DgpSpec) -> PopulationTargets:
     delta_x = np.asarray(dgp.jumps, dtype=float)
     betas = np.asarray(dgp.betas, dtype=float)
     delta_y = np.einsum("lj,lj->l", betas, delta_x)
-    m = np.zeros((dgp.d, dgp.d))
-    for l in range(dgp.q):
-        m += probs[l] * np.outer(delta_x[l], delta_x[l])
+    m = (delta_x.T * probs) @ delta_x
     m = 0.5 * (m + m.T)
     eigvals = np.linalg.eigvalsh(m)  # ascending order
     identified = bool(eigvals[0] > 1e-12 * max(eigvals[-1], 1e-300))
@@ -197,11 +195,8 @@ def population_targets(dgp: DgpSpec) -> PopulationTargets:
         if all(np.array_equal(betas[l], betas[0]) for l in range(dgp.q)):
             # cell-constant effects are a fixed point of the weighting
             beta_bar = betas[0].copy()
-        else:
-            rhs = np.zeros(dgp.d)
-            for l in range(dgp.q):
-                rhs += probs[l] * np.outer(delta_x[l], delta_x[l]) @ betas[l]
-            beta_bar = np.linalg.solve(m, rhs)
+        else:  # sum_l p_l delta_x(l) delta_x(l)' beta(l), with delta_x(l)' beta(l) = delta_y(l)
+            beta_bar = np.linalg.solve(m, delta_x.T @ (probs * delta_y))
         minv = np.linalg.inv(m)
         omega = tuple(minv @ np.outer(delta_x[l], delta_x[l]) for l in range(dgp.q))
     return PopulationTargets(
@@ -241,7 +236,9 @@ def generate(dgp: DgpSpec, n: int, seed) -> Dataset:
     z = rng.uniform(lo, hi, size=n)
     latent = rng.uniform(0.0, 1.0, size=n)
     right = z >= 0
-    thresholds = base[cells] + jumps[cells] * right[:, None]
+    # one table row per (side, cell): base + jumps * False left of the cutoff, * True right of it
+    table = np.concatenate([base + jumps * False, base + jumps * True])
+    thresholds = table.take(right * q + cells, axis=0)
     x = (latent[:, None] <= thresholds).astype(float)
 
     slope = np.where(right, dgp.slope_right, dgp.slope_left)
@@ -252,9 +249,7 @@ def generate(dgp: DgpSpec, n: int, seed) -> Dataset:
         y = y + dgp.noise_sd * rng.standard_normal(n)
 
     labels = tuple(f"cell{l:03d}" for l in range(q))
-    dummies = np.zeros((n, q - 1))
-    for l in range(1, q):
-        dummies[:, l - 1] = cells == l
+    dummies = np.eye(q)[:, 1:].take(cells, axis=0)  # cell l's row of the identity, less column 0
     return Dataset(
         y=y,
         z=z,

@@ -220,6 +220,53 @@ def test_rank_subadditivity_randomized():
         assert tw.rank <= min(d, q)
 
 
+def test_relevance_rank_matches_matrix_rank():
+    rng = np.random.default_rng(8)
+    ranks = set()
+    for _ in range(60):
+        d = int(rng.integers(1, 6))
+        q = int(rng.integers(1, 7))
+        r = int(rng.integers(1, d + 1))
+        # cell jumps in an r-dimensional subspace, one direction of it faint:
+        # M has rank min(q, r), with an eigenvalue near scale**2 * max
+        scale = float(rng.choice([1.0, 1e-2, 1e-4]))
+        deltas = rng.normal(size=(q, r)) * np.append(np.ones(r - 1), scale) @ rng.normal(size=(r, d))
+        p = rng.dirichlet(np.ones(q))
+        tw = relevance(make_table(p.tolist(), deltas.tolist(), [0.0] * q))
+        assert tw.rank == np.linalg.matrix_rank(tw.m_hat, hermitian=True)
+        assert tw.rank == min(q, r)
+        want = np.linalg.eigvalsh(tw.m_hat)
+        got = tw.to_dict()["eigenvalues"]
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        ranks.add((tw.rank, d))
+    assert any(rank < d for rank, d in ranks) and any(rank == d for rank, d in ranks)
+
+
+def test_cell_table_fits_each_side_once(monkeypatch):
+    from pathlib import Path
+
+    from multirdd.data_model import TableSchema, load_table
+
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race", "educ"),
+    )
+    ds = load_table(Path(__file__).parent.parent / "sample_data" / "insurance_style.csv", schema)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    ct = cell_table(ds, EstimationConfig(bandwidth=10.0))
+    assert ct.q_usable == ds.q and not ct.dropped
+    # one fit per cell and side, of y and every indicator at once
+    assert len(calls) == 2 * ct.q_usable
+    assert all(shape[1:] == (1 + ds.d,) for shape in calls)
+
+
 def test_plugin_orthogonal_design():
     ct = make_table([0.5, 0.5], [(1, 0), (0, 1)], [0.5, -0.3])
     beta = plugin_estimator(ct, relevance(ct))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,32 @@ def test_row_duplication_with_halved_weights():
         control_labels=dm.control_labels,
     )
     assert np.allclose(weighted_2sls(dm).beta, weighted_2sls(doubled).beta, atol=1e-10)
+
+
+def test_hand_built_zero_weight_rows_are_ignored():
+    rng = np.random.default_rng(27)
+    ds, dm = build_random(rng, n=50, d=2, m=2)
+    junk = 7
+    padded = DesignMatrices(
+        y=np.concatenate([dm.y, rng.normal(size=junk)]),
+        endogenous=np.vstack([dm.endogenous, rng.integers(0, 2, size=(junk, 2))]),
+        instruments=np.vstack([dm.instruments, rng.normal(size=(junk, dm.n_instruments))]),
+        controls=np.vstack([dm.controls, rng.normal(size=(junk, dm.n_controls))]),
+        weights=np.concatenate([dm.weights, np.zeros(junk)]),
+        endogenous_labels=dm.endogenous_labels,
+        instrument_labels=dm.instrument_labels,
+        control_labels=dm.control_labels,
+        cluster=np.concatenate([np.arange(dm.n) % 25, np.zeros(junk)]),
+    )
+    clustered = replace(dm, cluster=np.arange(dm.n) % 25)
+    fit_a, fit_b = weighted_2sls(clustered), weighted_2sls(padded)
+    assert padded.n_effective == dm.n
+    assert np.allclose(fit_a.beta, fit_b.beta, rtol=1e-12, atol=0)
+    cov_a, cov_b = cluster_covariance(fit_a, clustered), cluster_covariance(fit_b, padded)
+    assert np.allclose(cov_a, cov_b, rtol=1e-10)
+    assert j_test(fit_a, clustered)[0] == pytest.approx(j_test(fit_b, padded)[0], rel=1e-10)
+    f_a, f_b = first_stage_diagnostics(clustered).f_stats, first_stage_diagnostics(padded).f_stats
+    assert np.allclose(f_a, f_b, rtol=1e-10)
 
 
 def test_zero_weight_rows_rejected():
@@ -675,10 +702,93 @@ def test_estimate_factors_the_weighted_rows_once(monkeypatch):
     tall = []
     for name in LAPACK_ENTRY_POINTS:
         def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            tall.extend(_name for a in args if np.ndim(a) == 2 and np.shape(a)[0] == n_eff)
+            tall.extend(
+                (_name, np.shape(a)[1], kwargs.get("mode"))
+                for a in args
+                if np.ndim(a) == 2 and np.shape(a)[0] == n_eff
+            )
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     fit = estimate(ds, ModelSpec(), cfg)
     assert fit.n_effective == n_eff
-    assert tall == ["qr"], tall
+    # R alone of [controls | instruments | endogenous | y]: k + d + 1 columns
+    k = len(fit.eta) + ds.q
+    assert tall == [("qr", k + ds.d + 1, "r")], tall
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kernel=st.sampled_from(["uniform", "triangular"]),
+    clustered=st.booleans(),
+)
+def test_rows_outside_the_window_do_not_enter_the_fit(seed, kernel, clustered):
+    from multirdd.discontinuities import cell_table
+
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 3))
+    ds = random_dataset(rng, n=int(rng.integers(150, 241)), d=d, m=d, noise=0.4)
+    cluster = rng.integers(0, ds.n // 3, size=ds.n) if clustered else None
+    extra = rng.normal(size=(ds.n, 1))
+
+    def with_columns(y, x, extra, cluster):
+        return Dataset(
+            y=y, z=ds.z, x=x, cells=ds.cells, cell_labels=ds.cell_labels,
+            w_dummies=ds.w_dummies, cluster=cluster, extra_controls=extra,
+        )
+
+    cfg = EstimationConfig(bandwidth=0.6, kernel=kernel)  # z reaches well past it
+    base_ds = with_columns(ds.y, ds.x, extra, cluster)
+    try:
+        base, base_ct = estimate(base_ds, ModelSpec(), cfg), cell_table(base_ds, cfg)
+    except EstimationError:
+        assume(False)
+    out = weights_vector(cfg.kernel, cfg.bandwidth, ds.z) == 0
+    assume(out.any())
+    n_out = int(out.sum())
+    x, y, extra = ds.x.copy(), ds.y.copy(), extra.copy()
+    # cumulative indicators: row i crosses the first t_i margins
+    x[out] = np.arange(d)[None, :] < rng.integers(0, d + 1, size=(n_out, 1))
+    y[out] = rng.normal(0, 100, size=n_out)
+    extra[out] = rng.normal(0, 100, size=(n_out, 1))
+    if clustered:
+        cluster = cluster.copy()
+        cluster[out] = rng.integers(0, 3, size=n_out)
+    changed = with_columns(y, x, extra, cluster)
+    fit = estimate(changed, ModelSpec(), cfg)
+    assert fit.n_effective == base.n_effective
+    for got, want in (
+        (fit.beta, base.beta),
+        (fit.se, base.se),
+        (fit.j_stat, base.j_stat),
+        (fit.first_stage.f_stats, base.first_stage.f_stats),
+    ):
+        assert np.array_equal(got, want)
+    assert cell_table(changed, cfg).to_dict() == base_ct.to_dict()
+
+
+def test_conditional_stratum_empty_inside_the_window_is_rank_deficient():
+    rng = np.random.default_rng(25)
+    ds0 = random_dataset(rng, n=300, d=1, m=1)
+    # stratum "far" has rows only outside the bandwidth, so its block is all zeros
+    r_col = np.where(np.abs(ds0.z) > 0.8, "far", "near")
+    ds = Dataset(
+        y=ds0.y, z=ds0.z, x=ds0.x, cells=ds0.cells, cell_labels=ds0.cell_labels,
+        w_dummies=ds0.w_dummies, aux={"grp": r_col},
+    )
+    spec = ModelSpec(kind="conditional", r_column="grp")
+    with pytest.raises(SingularDesignError, match="rank deficient"):
+        build_design(ds, spec, EstimationConfig(bandwidth=0.8))
+    dm = build_design(ds, spec, EstimationConfig(bandwidth=1.0))  # both strata inside
+    assert dm.n_effective == ds.n
+
+
+def test_spec_treatment_levels_must_match_the_indicators():
+    from multirdd.errors import InputError
+
+    rng = np.random.default_rng(26)
+    ds = random_dataset(rng, n=60, d=2, m=2)
+    with pytest.raises(InputError, match="4 treatment levels.*2 treatment indicators need 3"):
+        build_design(ds, ModelSpec(treatment_levels=(0, 1, 2, 3)), CFG)
+    build_design(ds, ModelSpec(treatment_levels=(0, 1, 2)), CFG)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -140,6 +141,27 @@ def test_generate_deterministic():
     assert np.array_equal(a.cells, b.cells)
     c = generate(dgp, 500, 12)
     assert not np.array_equal(a.y, c.y)
+
+
+# SHA-256 of generate(layout, 2000, 20260)'s y, z, x, cells and w_dummies, pinned
+# when the draw's lookups were vectorized; the draws must not change.
+GENERATE_SHA256 = {
+    "COVERAGE": "63b7b0baef8d03cf0c9046ff69f5e8d1a9c9fbc0411e3dac8cd3aaeef4fd06e8",
+    "JSIZE": "4171b4b42a0b644ceb91969a5254ddaf9234b597e55928e8722371134e4a255d",
+    "JPOWER": "61fa2b474b34c384726680523f7968eb4ed1bbb28282eedbff949f5b372771a3",
+}
+
+
+@pytest.mark.parametrize("layout", sorted(GENERATE_SHA256))
+def test_generate_draws_are_pinned(layout):
+    import test_acceptance
+
+    ds = generate(getattr(test_acceptance, f"{layout}_DGP"), 2000, 20260)
+    digest = hashlib.sha256()
+    for a in (ds.y, ds.z, ds.x, ds.cells, ds.w_dummies):
+        assert a.dtype.itemsize == 8 and a.flags.c_contiguous
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == GENERATE_SHA256[layout]
 
 
 def test_generate_monotone_cumulative_rows():
