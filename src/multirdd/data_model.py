@@ -15,9 +15,10 @@ violation means the input indicators were not cumulative.
 
 from __future__ import annotations
 
-import csv
+import re
 import warnings
 from dataclasses import InitVar, dataclass, field
+from functools import partial
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -309,32 +310,86 @@ def encode_cells(
     return CellEncoding(cells, len(labels), tuple(labels.tolist()), dummies)
 
 
-def _text_or_float(text: Sequence[str]) -> np.ndarray:
-    """One input column, converted once: float if every value parses, else stripped text."""
+def _is_float(text: str) -> bool:
+    """Whether numpy's text reader reads ``text`` as a float: ``float``'s grammar, less
+    digit separators and non-ASCII digits."""
     try:
-        return np.asarray(text, dtype=float)
+        float(text)
     except ValueError:
-        return np.char.strip(np.asarray(text))
+        return False
+    return "_" not in text and text.strip().isascii()
 
 
 def _numeric(col: np.ndarray, name: str) -> np.ndarray:
     """A column the model needs as finite numbers; the error names the first bad row."""
     if col.dtype.kind != "f":
-        for i, raw in enumerate(col.tolist(), start=1):
-            try:
-                float(raw)
-            except ValueError:
-                what = "a missing value" if raw == "" else f"non-numeric value {raw!r}"
-                raise ParseError(f"column {name!r} has {what} in row {i}") from None
+        i, raw = next((i, raw) for i, raw in enumerate(col.tolist(), 1) if not _is_float(raw))
+        what = "a missing value" if raw == "" else f"non-numeric value {raw!r}"
+        raise ParseError(f"column {name!r} has {what} in row {i}")
     bad = np.flatnonzero(~np.isfinite(col))
     if bad.size:
         raise ParseError(f"column {name!r} has non-finite value {col[bad[0]]} in row {bad[0] + 1}")
     return col
 
 
+def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The header, and each column parsed once by numpy's C text reader.
+
+    Row 1 sniffs which columns are numeric.  One read takes them all, a
+    text column as a placeholder, so it checks every row's field count;
+    one more reads the text.  Columns are re-read only if the first fails.
+    """
+    with path.open(encoding="utf-8") as fh:
+        line = fh.readline()
+    if not line.strip():
+        raise InputError(f"data file {path} is empty or its first line is blank")
+    options = dict(delimiter=delimiter, comments=None, quotechar='"', encoding="utf-8", ndmin=1)
+    header = [h.strip() for h in np.loadtxt([line], dtype=str, **options).tolist()]
+    read = partial(np.loadtxt, path, skiprows=1, **options)
+
+    def typed(numeric: list[bool]) -> np.ndarray:
+        return read(dtype=[(f"c{k}", float if num else "U1") for k, num in enumerate(numeric)])
+
+    def parses(k: int) -> bool:
+        try:
+            read(dtype=float, usecols=[k])
+        except ValueError:
+            return False
+        return True
+
+    with warnings.catch_warnings():
+        # empty lines are skipped by rule, and the rows read are counted here
+        warnings.filterwarnings("ignore", r"(Input line \d+|loadtxt: input) contained no data")
+        first = read(dtype=str, max_rows=1).tolist()
+        if not first:
+            raise InputError(f"data file {path} has a header but no data rows")
+        # one entry per header field, so a row 1 of another length fails the typed read too
+        numeric = [k < len(first) and _is_float(first[k]) for k in range(len(header))]
+        try:
+            table = typed(numeric)
+        except ValueError:
+            numeric = [num and parses(k) for k, num in enumerate(numeric)]
+            try:
+                table = typed(numeric)
+            except ValueError as err:  # then a row's field count differs from the header's
+                found = re.search(r"(\d+) columns but (\d+) were found at row (\d+)", str(err))
+                if found is None:
+                    raise ParseError(str(err)) from None
+                m, k, row = found.groups()
+                raise ParseError(f"row {row} has {k} fields, header has {m}") from None
+        text = [k for k, num in enumerate(numeric) if not num]
+        texts = read(dtype=str, usecols=text, ndmin=2) if text else np.empty((0, 0), str)
+    stripped = dict(zip(text, np.char.strip(texts).T))
+    aux = {name: table[f"c{k}"] if numeric[k] else stripped[k] for k, name in enumerate(header)}
+    return header, aux
+
+
 def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     """Read a delimited text file into a :class:`Dataset`.
 
+    The file is UTF-8 with the header on line 1, ``"`` quotes and no
+    comments; empty lines are skipped, and a row of blank fields or of
+    the wrong field count is a :class:`ParseError` naming the row.
     ``Dataset.aux`` is the one parsed copy of the file: a column is
     numeric iff every value parses, and every model column is read from
     it.  Cell labels come from ``_levels``, so a numeric covariate is
@@ -346,23 +401,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise InputError(f"data file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"data file {path} is empty") from None
-        header = [h.strip() for h in header]
-        # a row is blank when every cell is whitespace, i.e. when their join is
-        rows = [row for row in reader if "".join(row).strip()]
-    if not rows:
-        raise InputError(f"data file {path} has a header but no data rows")
-    if set(map(len, rows)) != {len(header)}:
-        i, row = next((i, row) for i, row in enumerate(rows) if len(row) != len(header))
-        raise ParseError(f"row {i + 1} has {len(row)} fields, header has {len(header)}")
-    # one list per column: ``zip(*rows)`` transposes three to four times slower
-    aux = {name: _text_or_float([row[k] for row in rows]) for k, name in enumerate(header)}
-    del rows
+    header, aux = _read_columns(path, schema.delimiter)
 
     def require(name: str, role: str) -> np.ndarray:
         if name not in aux:
@@ -378,7 +417,9 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
         t = _numeric(require(schema.treatment, "treatment"), schema.treatment)
         levels = schema.treatment_levels
         if levels is None:
-            levels = tuple(sorted(set(t.tolist())))
+            # return_counts keeps np.unique off its masked-array check, which
+            # imports numpy.ma: about 12 ms of every cold CLI run
+            levels = np.unique(t, return_counts=True)[0].tolist()
         if len(levels) < 2:
             raise InputError(
                 f"treatment column {schema.treatment!r} has fewer than two distinct levels"

@@ -236,18 +236,23 @@ def cell_table(ds: Dataset, cfg: EstimationConfig) -> CellTable:
 class TwlateWeights:
     """Relevance matrix, its conditioning, and the separation weights.
 
-    ``omega`` is None when the relevance check failed; diagnostics stay
-    reportable either way.
+    ``m_inverse`` and ``omega`` are None when the relevance check failed;
+    diagnostics stay reportable either way.  The inverse is kept for
+    :func:`plugin_estimator` and is not serialized.
     """
 
     m_hat: np.ndarray
+    m_inverse: np.ndarray | None
     omega: tuple[np.ndarray, ...] | None
     eigenvalues: np.ndarray  # ascending order
     rcond: float
     rank: int
-    passed: bool
     p_hat: np.ndarray
     cell_labels: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return self.m_inverse is not None
 
     @property
     def min_eigenvalue(self) -> float:
@@ -302,11 +307,11 @@ def relevance(ct: CellTable, rcond_threshold: float = 1e-10) -> TwlateWeights:
         omega = tuple(inv @ np.outer(deltas[l], deltas[l]) for l in range(ct.q_usable))
     return TwlateWeights(
         m_hat=m_hat,
+        m_inverse=inv,
         omega=omega,
         eigenvalues=eigvals,
         rcond=rcond,
         rank=rank,
-        passed=inv is not None,
         p_hat=p,
         cell_labels=tuple(c.label for c in ct.cells),
     )
@@ -318,8 +323,7 @@ def plugin_estimator(ct: CellTable, tw: TwlateWeights) -> np.ndarray:
         raise RelevanceError(
             f"relevance check failed (rcond {tw.rcond:.3e}); plug-in estimator unavailable"
         )
-    inv, _, _ = _symmetric_inverse(tw.m_hat, 0.0)
-    return inv @ (ct.delta_x_matrix.T @ (ct.p_hat * ct.delta_y_vector))
+    return tw.m_inverse @ (ct.delta_x_matrix.T @ (ct.p_hat * ct.delta_y_vector))
 
 
 @dataclass(frozen=True)

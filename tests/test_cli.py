@@ -380,3 +380,19 @@ def test_diagnose_series_export(capsys, tmp_path):
     assert len(lines) > 12  # several bins per cell and side
     sides = {line.split(",")[1] for line in lines[1:]}
     assert sides == {"left", "right"}
+
+
+@pytest.mark.parametrize("delimiter", [";", "\t"])
+def test_delimiter_option_gives_the_comma_fit(capsys, tmp_path, delimiter):
+    comma = SAMPLE_DIR / "insurance_style.csv"
+    other = tmp_path / "sample.txt"
+    other.write_text(comma.read_text(encoding="utf-8").replace(",", delimiter), encoding="utf-8")
+    fits = []
+    for data, extra in ((comma, []), (other, ["--delimiter", delimiter])):
+        args = ESTIMATE_ARGS + extra + ["--out", str(tmp_path / "fit.json")]
+        args[args.index("--data") + 1] = str(data)
+        assert run_cli(capsys, args)[0] == 0
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        del doc["config"]
+        fits.append(doc)
+    assert fits[0] == fits[1]

@@ -364,3 +364,78 @@ def test_estimation_config_does_not_own_the_cutoff():
         cfg = EstimationConfig(bandwidth=1.0, cutoff=65.0)
     assert "cutoff" not in {f.name for f in fields(cfg)}
     assert cfg == EstimationConfig(bandwidth=1.0)
+
+
+def write(tmp_path, text, name="table.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def test_field_count_error_names_the_row(tmp_path):
+    for body, message in (
+        ("1,-1,0,WH\n2,1,1,MIN,extra\n", "row 2 has 5 fields, header has 4"),
+        ("1,-1,0,WH\n2,1,1,MIN\n3,2\n", "row 3 has 2 fields, header has 4"),
+        ("1,-1,0\n2,1,1,MIN\n", "row 1 has 3 fields, header has 4"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            load_table(write(tmp_path, "y,z,t,race\n" + body), schema())
+
+
+def test_quoted_field_with_delimiter_is_one_value(tmp_path):
+    text = 'y,z,t,race,note\n1,-1,0,WH,"a, b"\n2,1,1,MIN,c\n3,2,2,WH," d,e "\n'
+    ds = load_table(write(tmp_path, text), schema())
+    assert list(ds.aux["note"]) == ["a, b", "c", "d,e"]
+
+
+def test_quoted_field_with_embedded_newline_is_one_value(tmp_path):
+    text = 'y,z,t,race,note\n1,-1,0,WH,"two\nlines"\n2,1,1,MIN,c\n'
+    ds = load_table(write(tmp_path, text), schema())
+    assert ds.n == 2
+    assert list(ds.aux["note"]) == ["two\nlines", "c"]
+    assert np.array_equal(ds.y, [1.0, 2.0])
+
+
+def test_crlf_line_endings(tmp_path):
+    crlf = load_table(write(tmp_path, SIX_ROWS.replace("\n", "\r\n"), "crlf.csv"), schema())
+    lf = load_table(write(tmp_path, SIX_ROWS, "lf.csv"), schema())
+    assert np.array_equal(crlf.y, lf.y) and np.array_equal(crlf.x, lf.x)
+    assert list(crlf.aux["race"]) == list(lf.aux["race"])
+    assert crlf.cell_labels == lf.cell_labels == ("MIN", "WH")
+
+
+def test_empty_lines_between_rows_are_skipped(tmp_path):
+    lines = SIX_ROWS.splitlines()
+    text = "\n".join(lines[:3] + ["", ""] + lines[3:]) + "\n\n"
+    ds = load_table(write(tmp_path, text), schema())
+    assert ds.n == 6
+    assert np.allclose(ds.z, [-2, -1, -0.5, 0.5, 1, 2])
+    # rows are numbered without the skipped lines
+    bad = "\n".join(lines[:2] + [""] + lines[2:3] + ["abc,0.7,1,WH"]) + "\n"
+    with pytest.raises(ParseError, match="non-numeric value 'abc' in row 3"):
+        load_table(write(tmp_path, bad, "bad.csv"), schema())
+
+
+def test_column_numeric_in_first_row_and_text_later_is_stripped_text(tmp_path):
+    text = "y,z,t,race,code\n1,-1,0,WH,7\n2,1,1,MIN, x9 \n3,2,2,WH,8\n"
+    ds = load_table(write(tmp_path, text), schema())
+    assert ds.aux["code"].dtype.kind == "U"
+    assert list(ds.aux["code"]) == ["7", "x9", "8"]
+    ds = load_table(write(tmp_path, text, "cov.csv"), schema(covariates=("code",)))
+    assert ds.cell_labels == ("7", "8", "x9")
+
+
+@pytest.mark.parametrize("blank", ["   ", ",,,", " , ,\t, "])
+def test_row_of_blank_fields_is_a_parse_error_naming_the_row(tmp_path, blank):
+    # only a truly empty line is skipped; a row of whitespace or empty fields is an error
+    text = "y,z,t,race\n1,-1,0,WH\n2,1,1,MIN\n" + blank + "\n3,2,2,WH\n"
+    with pytest.raises(ParseError, match="row 3"):
+        load_table(write(tmp_path, text), schema())
+
+
+def test_numbers_use_the_plain_decimal_grammar(tmp_path):
+    # digit separators and non-ASCII digits are text, as numpy's parser reads them
+    for value in ("1_000", "١٢"):
+        text = f"y,z,t,race\n1,-1,0,WH\n{value},1,1,MIN\n"
+        with pytest.raises(ParseError, match=f"column 'y' has non-numeric value '{value}' in row 2"):
+            load_table(write(tmp_path, text), schema())
