@@ -344,7 +344,8 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
     if not line.strip():
         raise InputError(f"data file {path} is empty or its first line is blank")
     options = dict(delimiter=delimiter, comments=None, quotechar='"', encoding="utf-8", ndmin=1)
-    header = [h.strip() for h in np.loadtxt([line], dtype=str, **options).tolist()]
+    # max_rows bounds the row block numpy allocates for a str read: 50,000 rows by default
+    header = [h.strip() for h in np.loadtxt([line], dtype=str, max_rows=1, **options).tolist()]
     read = partial(np.loadtxt, path, skiprows=1, **options)
 
     def typed(numeric: list[bool]) -> np.ndarray:
