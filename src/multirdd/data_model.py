@@ -379,8 +379,9 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
                 m, k, row = found.groups()
                 raise ParseError(f"row {row} has {k} fields, header has {m}") from None
         text = [k for k, num in enumerate(numeric) if not num]
-        texts = read(dtype=str, usecols=text, ndmin=2) if text else np.empty((0, 0), str)
-    stripped = dict(zip(text, np.char.strip(texts).T))
+        texts = read(dtype=str, usecols=text, ndmin=2) if text else None
+    # stripped one column at a time, so each is contiguous
+    stripped = {k: np.char.strip(texts[:, j]) for j, k in enumerate(text)}
     aux = {name: table[f"c{k}"] if numeric[k] else stripped[k] for k, name in enumerate(header)}
     return header, aux
 
