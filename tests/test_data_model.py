@@ -82,6 +82,10 @@ def test_empty_file_and_header_only(tmp_path):
     header_only.write_text("y,z,t,race\n", encoding="utf-8")
     with pytest.raises(InputError, match="no data rows"):
         load_table(header_only, schema())
+    blank_first = tmp_path / "blank_first.csv"
+    blank_first.write_text("\ny,z,t,race\n1,0.5,0,WH\n", encoding="utf-8")
+    with pytest.raises(InputError, match="first line is blank"):
+        load_table(blank_first, schema())
 
 
 @pytest.mark.parametrize(
@@ -439,3 +443,21 @@ def test_numbers_use_the_plain_decimal_grammar(tmp_path):
         text = f"y,z,t,race\n1,-1,0,WH\n{value},1,1,MIN\n"
         with pytest.raises(ParseError, match=f"column 'y' has non-numeric value '{value}' in row 2"):
             load_table(write(tmp_path, text), schema())
+
+
+def test_success_path_reads_each_column_once(monkeypatch):
+    reads = []
+
+    def recording(source, **kw):
+        reads.append((kw.get("max_rows"), kw.get("usecols")))
+        return real(source, **kw)
+
+    real = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", recording)
+    table = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race", "educ"),
+    )
+    load_table(SAMPLE_CSV, table)
+    # besides the header and row 1: every column once, typed, then the two text columns
+    assert [usecols for max_rows, usecols in reads if max_rows is None] == [None, [3, 4]]
