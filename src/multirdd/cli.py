@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import EstimationConfig, ModelSpec, TableSchema, load_table, validate_dataset
+from .data_model import DEFAULT_RCOND_THRESHOLD, EstimationConfig, ModelSpec, TableSchema
+from .data_model import load_table, validate_dataset
 from .discontinuities import cell_table, ratio_late, relevance
 from .errors import EstimationError, InputError
 from .estimator import estimate
@@ -156,7 +157,7 @@ def _estimation_config(cfg: dict) -> EstimationConfig:
         bandwidth=float(_require(cfg, "bandwidth")),
         kernel=KernelKind.from_name(str(cfg.get("kernel", "uniform"))),
         cluster_by=None if cluster is None else str(cluster),
-        rcond_threshold=float(cfg.get("rcond_threshold", 1e-10)),
+        rcond_threshold=float(cfg.get("rcond_threshold", DEFAULT_RCOND_THRESHOLD)),
     )
 
 
@@ -196,7 +197,7 @@ def _fit_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _diagnostics_doc(ds, cfg, ct=None) -> tuple[dict, bool, float | None]:
+def _diagnostics_doc(ds, cfg, ct=None) -> tuple[dict, bool]:
     if ct is None:
         ct = cell_table(ds, cfg)
     tw = relevance(ct, rcond_threshold=cfg.rcond_threshold)
@@ -211,7 +212,7 @@ def _diagnostics_doc(ds, cfg, ct=None) -> tuple[dict, bool, float | None]:
         "ratio_late": ratios,
         "validation": validate_dataset(ds, cfg).to_dict(),
     }
-    return doc, tw.passed, float(tw.min_eigenvalue)
+    return doc, tw.passed
 
 
 def write_series(path: str, ds, cfg, max_points: int = 60) -> None:
@@ -275,7 +276,7 @@ def estimate_cmd(cfg: dict) -> int:
     except EstimationError as err:
         doc = {"error": str(err), "config": echo}
         try:
-            diag, _, _ = _diagnostics_doc(ds, est_cfg, ct)
+            diag, _ = _diagnostics_doc(ds, est_cfg, ct)
             doc["diagnostics"] = diag
         except EstimationError as diag_err:
             doc["diagnostics_error"] = str(diag_err)
@@ -293,7 +294,7 @@ def diagnose_cmd(cfg: dict) -> int:
     schema = _schema_from(cfg)
     ds = load_table(str(_require(cfg, "data")), schema)
     est_cfg = _estimation_config(cfg)
-    doc, passed, _ = _diagnostics_doc(ds, est_cfg)
+    doc, passed = _diagnostics_doc(ds, est_cfg)
     doc["config"] = {
         "data": str(cfg.get("data")),
         "kernel": est_cfg.kernel.value,

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError, ParseError, SchemaError
+from .errors import InputError, ParseError, SchemaError, SingularDesignError
 from .kernels import KernelKind, window
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_CELL_LEVELS = 64
+DEFAULT_RCOND_THRESHOLD = 1e-10
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
@@ -188,7 +189,6 @@ class ModelSpec:
     """
 
     kind: str = "homogeneous"
-    treatment_levels: tuple[float, ...] = ()
     r_column: str | None = None
     wtilde_columns: tuple[str, ...] = ()
 
@@ -201,11 +201,20 @@ class ModelSpec:
             raise InputError("conditional model requires r_column")
         if self.kind == "parametric" and not self.wtilde_columns:
             raise InputError("parametric model requires at least one wtilde column")
-        levels = tuple(float(t) for t in self.treatment_levels)
-        if levels and any(b <= a for a, b in zip(levels, levels[1:])):
-            raise InputError(f"treatment levels must be strictly increasing, got {levels}")
-        object.__setattr__(self, "treatment_levels", levels)
         object.__setattr__(self, "wtilde_columns", tuple(self.wtilde_columns))
+
+
+def conditioning(sizes, threshold: float = 0.0, what: str = "", n: int | None = None) -> float:
+    """min/max of nonnegative ``sizes``, the conditioning ratio of every stage.
+
+    It is 0 when fewer than ``n`` sizes are given or none is positive;
+    below ``threshold`` it raises a :class:`SingularDesignError` on ``what``.
+    """
+    top = sizes.max(initial=0.0)
+    rcond = max(sizes.min(), 0.0) / top if top > 0 and n in (None, len(sizes)) else 0.0
+    if rcond < threshold:
+        raise SingularDesignError(f"{what} (rcond {rcond:.3e} < {threshold:.1e})")
+    return rcond
 
 
 @dataclass(frozen=True)
@@ -214,7 +223,10 @@ class EstimationConfig:
 
     ``cluster_by`` is a column name, the string ``"running"`` (cluster
     by the values of the running variable), or None (each observation
-    its own cluster).
+    its own cluster).  ``rcond_threshold`` bounds each :func:`conditioning`
+    ratio: pivots over their columns' norms, the moment covariance's
+    eigenvalues in correlation form, and the relevance matrix's
+    eigenvalues, unscaled.
 
     The cutoff belongs to :class:`TableSchema`, which recenters the
     running variable at load; the ``cutoff`` keyword here is accepted for
@@ -225,7 +237,7 @@ class EstimationConfig:
     kernel: KernelKind = KernelKind.UNIFORM
     cutoff: InitVar[float | None] = None
     cluster_by: str | None = None
-    rcond_threshold: float = 1e-10
+    rcond_threshold: float = DEFAULT_RCOND_THRESHOLD
 
     def __post_init__(self, cutoff):
         if cutoff is not None:

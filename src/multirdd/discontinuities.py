@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data_model import Dataset, EstimationConfig
+from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset, EstimationConfig, conditioning
 from .errors import CellUnusableError, EstimationError, RelevanceError
 from .kernels import window
 
@@ -273,20 +273,18 @@ class TwlateWeights:
 
 
 def _symmetric_inverse(m: np.ndarray, rcond_threshold: float):
-    """Eigendecomposition-based inverse with explicit conditioning report.
+    """Eigendecomposition-based inverse of a symmetric ``m``, with its conditioning.
 
     Returns the inverse (None below the threshold), the eigenvalues in
     ascending order and their reciprocal condition number.
     """
-    sym = 0.5 * (m + m.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)  # ascending order
-    top = float(eigvals[-1])
-    rcond = 0.0 if top <= 0 else max(float(eigvals[0]), 0.0) / top
+    eigvals, eigvecs = np.linalg.eigh(m)  # ascending order
+    rcond = conditioning(eigvals)
     inv = (eigvecs / eigvals) @ eigvecs.T if rcond >= rcond_threshold else None
     return inv, eigvals, rcond
 
 
-def relevance(ct: CellTable, rcond_threshold: float = 1e-10) -> TwlateWeights:
+def relevance(ct: CellTable, rcond_threshold: float = DEFAULT_RCOND_THRESHOLD) -> TwlateWeights:
     """Assess first-stage linear independence across cells.
 
     Failure is a state, not an exception: the matrix, its eigenvalues,

@@ -17,12 +17,13 @@ Each fit passes over the rows inside the kernel window once.
 :func:`build_design` builds every block on those rows only, and
 :class:`DesignMatrices` weights them and takes R, without Q, of the
 augmented block [C | Z | X | y] = [E | X | y] once.  Every stage reads
-that R: the rank gate reads R_EE's diagonal; beta solves the small
-system R_ZX beta = R_Zy (Frisch-Waugh-Lovell) and eta the block R_CC;
+that R: the rank gate reads R_EE's diagonal over R's column norms; beta
+solves R_ZX beta = R_Zy (Frisch-Waugh-Lovell) and eta the block R_CC;
 the first-stage residual sums of squares are column norms of R below
 the rows of E and of C; the covariance and the J test share one pass
 that forms the moment rows E*u and their cluster sums, and the fitted
 regressors enter only through R_EE^-1 applied to small blocks of R.
+Every gate reads sizes that are free of the columns' units.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_model import Dataset, EstimationConfig, ModelSpec, _levels, validate_dataset
+from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset, EstimationConfig, ModelSpec, _levels
+from .data_model import conditioning, validate_dataset
 from .errors import EstimationError, InputError, SingularDesignError, UnderIdentifiedError
 from .kernels import window
 
@@ -115,6 +117,14 @@ class DesignMatrices:
         return np.linalg.qr(self.augmented, mode="r")
 
     @cached_property
+    def pivots(self) -> np.ndarray:
+        """Per column i of E, |r_ii| over the norm of R's column i (E's own, Q being orthonormal):
+        free of units, 0 for a zero column, and fewer than k when R has fewer rows."""
+        pivots = np.abs(np.diagonal(self.r[:, : self.n_exogenous]))
+        norms = np.linalg.norm(self.r[:, : len(pivots)], axis=0)
+        return np.divide(pivots, norms, out=np.zeros_like(pivots), where=norms > 0)
+
+    @cached_property
     def cluster_codes(self) -> np.ndarray | None:
         """Codes of :attr:`cluster` on the weight-positive rows; None for one row per cluster."""
         return None if self.cluster is None else _cluster_codes(self, self.cluster)
@@ -135,22 +145,13 @@ def _cluster_codes(dm: DesignMatrices, cluster_ids) -> np.ndarray:
     return np.unique(ids, return_inverse=True)[1]
 
 
-def _rcond_gate(pivots: np.ndarray, n_columns: int, rcond_threshold: float, what: str) -> None:
-    """Raise unless each column has a pivot and min/max of the pivots reaches the threshold."""
-    top = pivots.max(initial=0.0)
-    rcond = pivots.min() / top if top > 0 and len(pivots) == n_columns else 0.0
-    if rcond < rcond_threshold:
-        raise SingularDesignError(f"{what} (rcond {rcond:.3e} < {rcond_threshold:.1e})")
-
-
 def _check_rank(dm: DesignMatrices, rcond_threshold: float) -> None:
-    """The rank gate of E, read off the diagonal of R_EE."""
+    """The rank gate of E, read off its scaled pivots."""
     if dm.n_effective == 0:
         raise EstimationError("no weight-positive rows; widen the bandwidth")
     k = dm.n_exogenous
     what = f"exogenous block is rank deficient after weighting ({k} columns)"
-    # R has fewer than k rows when there are fewer weight-positive rows than columns
-    _rcond_gate(np.abs(np.diagonal(dm.r[:, :k])), k, rcond_threshold, what)
+    conditioning(dm.pivots, rcond_threshold, what, n=k)
 
 
 def _homogeneous_blocks(const, w_rows, z, d_ind, labels, prefix=""):
@@ -181,11 +182,6 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     exogenous block is rank deficient (for instance because a covariate
     cell is empty inside the bandwidth).
     """
-    if spec.treatment_levels and len(spec.treatment_levels) != ds.d + 1:
-        raise InputError(
-            f"model spec has {len(spec.treatment_levels)} treatment levels, "
-            f"but the dataset's {ds.d} treatment indicators need {ds.d + 1}"
-        )
     rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
     z = ds.z[rows]
     # each block is built transposed, one contiguous row per column, and stacked once
@@ -350,11 +346,14 @@ class FitResult:
         return out
 
 
-def weighted_2sls(dm: DesignMatrices, rcond_threshold: float = 1e-10) -> FitResult:
+def weighted_2sls(
+    dm: DesignMatrices, rcond_threshold: float = DEFAULT_RCOND_THRESHOLD
+) -> FitResult:
     """Two-stage least squares with every row scaled by the root of its weight.
 
     The second stage, y on [X_hat | C] with X_hat = Q_E R_EX, reduces to
-    R_ZX beta = R_Zy on the instrument rows of R (Frisch-Waugh-Lovell).
+    R_ZX beta = R_Zy on the instrument rows of R (Frisch-Waugh-Lovell),
+    solved with its columns over X_hat's norms so that the gate is free of units.
     """
     k_endo = dm.k_endogenous
     if k_endo > dm.n_instruments:
@@ -364,10 +363,13 @@ def weighted_2sls(dm: DesignMatrices, rcond_threshold: float = 1e-10) -> FitResu
     _check_rank(dm, rcond_threshold)
     r, p, k = dm.r, dm.n_controls, dm.n_exogenous
     r_ex, r_ey = r[:k, k:-1], r[:k, -1]
-    beta, _, _, sv = np.linalg.lstsq(r_ex[p:], r_ey[p:], rcond=None)
-    # the pivots of [C | X_hat]: R_CC's diagonal, then X_hat beyond the span of C
-    pivots = np.concatenate([np.abs(np.diagonal(r)[:p]), sv])
-    _rcond_gate(pivots, p + k_endo, rcond_threshold, "second-stage design is numerically singular")
+    norms = np.linalg.norm(r_ex, axis=0)  # X_hat's; a zero column stays zero, and fails the gate
+    norms[norms == 0] = 1.0
+    scaled, _, _, sv = np.linalg.lstsq(r_ex[p:] / norms, r_ey[p:], rcond=None)
+    beta = scaled / norms
+    # the scaled pivots of [C | X_hat]: R_CC's, then X_hat beyond the span of C
+    what = "second-stage design is numerically singular"
+    conditioning(np.concatenate([dm.pivots[:p], sv]), rcond_threshold, what, n=p + k_endo)
     eta = np.linalg.solve(r[:p, :p], r_ey[:p] - r_ex[:p] @ beta)
     return FitResult(
         beta=beta,
@@ -464,15 +466,16 @@ def j_test(
     fit: FitResult,
     dm: DesignMatrices,
     cluster_ids=None,
-    rcond_threshold: float = 1e-10,
+    rcond_threshold: float = DEFAULT_RCOND_THRESHOLD,
 ) -> tuple[float, int, float]:
     """Over-identification test from the weighted 2SLS residuals.
 
     The moment vector stacks weighted residual cross-products with the
     full exogenous row; its robust covariance (cluster-aggregated when
-    clustering is active) weights the quadratic form.  Degrees of
-    freedom are instruments minus endogenous columns; a just-identified
-    fit reports J = 0 with p-value 1 by convention.
+    clustering is active) weights the quadratic form, which is gated and
+    solved in correlation form, free of units.  Degrees of freedom are
+    instruments minus endogenous columns; a just-identified fit reports
+    J = 0 with p-value 1 by convention.
     """
     dof = dm.n_instruments - len(fit.beta)
     if dof == 0:
@@ -480,29 +483,24 @@ def j_test(
 
     # an exact fit satisfies every moment condition; the quadratic form is a
     # 0/0 limit there, and its value is zero, not roundoff noise
-    summed, what, resid_norm = _moments(fit, dm, cluster_ids)
-    outcome_scale = float(np.linalg.norm(dm.r[:, -1]))  # the norm of the weighted y
-    if resid_norm <= 1e-10 * max(outcome_scale, 1.0):
+    summed, omega, resid_norm = _moments(fit, dm, cluster_ids)
+    if resid_norm <= 1e-10 * np.linalg.norm(dm.r[:, -1]):  # the norm of the weighted y
         return 0.0, dof, 1.0
 
-    gvec = summed.sum(axis=0)
-    eigvals = np.linalg.eigvalsh(0.5 * (what + what.T))  # ascending order
-    top = float(eigvals[-1])
-    rcond = 0.0 if top <= 0 else max(float(eigvals[0]), 0.0) / top
-    if rcond < rcond_threshold:
-        raise SingularDesignError(
-            f"moment weighting matrix is singular (rcond {rcond:.3e}); "
-            "possibly fewer clusters than moment conditions"
-        )
-    j_stat = float(gvec @ np.linalg.solve(what, gvec))
-    j_stat = max(j_stat, 0.0)
+    # D^-1/2 Omega D^-1/2; a zero variance leaves no correlation form, and is singular
+    scale = np.sqrt(np.diagonal(omega))
+    corr = omega / scale[:, None] / scale if scale.all() else np.zeros_like(omega)
+    what = "moment weighting matrix is singular, possibly fewer clusters than moment conditions"
+    conditioning(np.linalg.eigvalsh(corr), rcond_threshold, what)
+    gvec = summed.sum(axis=0) / scale
+    j_stat = max(float(gvec @ np.linalg.solve(corr, gvec)), 0.0)
     return j_stat, dof, chi2_sf(j_stat, dof)
 
 
 def first_stage_diagnostics(
     dm: DesignMatrices,
     joint_min_eigenvalue: float | None = None,
-    rcond_threshold: float = 1e-10,
+    rcond_threshold: float = DEFAULT_RCOND_THRESHOLD,
 ) -> FirstStageReport:
     """Partial F of the excluded instruments per endogenous column.
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import Dataset, EstimationConfig, ModelSpec
+from .data_model import Dataset, EstimationConfig, ModelSpec, conditioning
 from .errors import EstimationError, InputError, RelevanceError, UnderIdentifiedError
 from .estimator import estimate
 from .kernels import KernelKind
@@ -187,10 +187,8 @@ def population_targets(dgp: DgpSpec) -> PopulationTargets:
     delta_y = np.einsum("lj,lj->l", betas, delta_x)
     m = (delta_x.T * probs) @ delta_x
     m = 0.5 * (m + m.T)
-    eigvals = np.linalg.eigvalsh(m)  # ascending order
-    identified = bool(eigvals[0] > 1e-12 * max(eigvals[-1], 1e-300))
-    beta_bar = None
-    omega = None
+    identified = conditioning(np.linalg.eigvalsh(m)) > 1e-12
+    beta_bar = omega = None
     if identified:
         if all(np.array_equal(betas[l], betas[0]) for l in range(dgp.q)):
             # cell-constant effects are a fixed point of the weighting
@@ -366,7 +364,7 @@ def run_study(
     if cfg is None:
         cfg = default_config(dgp)
     if spec is None:
-        spec = ModelSpec(kind="homogeneous", treatment_levels=tuple(range(dgp.d + 1)))
+        spec = ModelSpec(kind="homogeneous")
     elif spec.kind != "homogeneous":
         raise InputError(
             "run_study compares against the homogeneous-weighting target; "

@@ -96,6 +96,30 @@ def test_estimate_deterministic(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_estimate_invariant_to_the_units_of_age(capsys, tmp_path):
+    with (SAMPLE_DIR / "insurance_style.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    age = rows[0].index("age")
+    for row in rows[1:]:
+        row[age] = repr(float(row[age]) * 1000)  # thousandths of a year
+    path = tmp_path / "age_milli.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    args = list(ESTIMATE_ARGS)
+    for flag, value in (("--data", str(path)), ("--cutoff", "65000"), ("--bandwidth", "10000")):
+        args[args.index(flag) + 1] = value
+    docs = []
+    for argv in (ESTIMATE_ARGS, args):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        docs.append(json.loads(out))
+    base, milli = docs
+    for key in ("beta", "se"):
+        for name, want in base[key].items():
+            assert milli[key][name] == pytest.approx(want, rel=1e-8, abs=0), (key, name)
+    assert milli["j_pvalue"] == pytest.approx(base["j_pvalue"], rel=1e-8, abs=0)
+
+
 def test_estimate_text_format(capsys):
     code, out, _ = run_cli(capsys, ESTIMATE_ARGS + ["--format", "text"])
     assert code == 0

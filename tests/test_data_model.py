@@ -232,6 +232,8 @@ def test_encode_treatment_definition():
 def test_encode_treatment_out_of_range():
     with pytest.raises(InputError, match="not among declared levels"):
         encode_treatment(np.array([0.0, 3.0]), (0, 1, 2))
+    with pytest.raises(InputError, match="strictly increasing"):
+        encode_treatment(np.array([0.0, 1.0]), (0, 0, 1))
 
 
 def test_encode_treatment_degenerate_all_ones():
@@ -346,8 +348,8 @@ def test_model_spec_validation():
         ModelSpec(kind="conditional")
     with pytest.raises(InputError):
         ModelSpec(kind="parametric")
-    with pytest.raises(InputError, match="strictly increasing"):
-        ModelSpec(treatment_levels=(0, 0, 1))
+    with pytest.raises(TypeError):
+        ModelSpec(treatment_levels=(0, 1, 2))  # the schema owns the treatment levels
     spec = ModelSpec(kind="conditional", r_column="educ")
     assert spec.r_column == "educ"
 

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +38,14 @@ def test_fit_and_study_do_not_import_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_every_exported_name_resolves():
+    # bench/spans.py looks up every name in each module's __all__ to trace it
+    import multirdd
+
+    names = [m.name for m in pkgutil.iter_modules(multirdd.__path__) if m.name != "__main__"]
+    modules = [multirdd] + [importlib.import_module(f"multirdd.{name}") for name in names]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name!r}"

@@ -64,6 +64,7 @@ def subset_dataset(ds, keep):
         cell_labels=ds.cell_labels,
         w_dummies=ds.w_dummies[keep],
         cluster=None if ds.cluster is None else ds.cluster[keep],
+        extra_controls=None if ds.extra_controls is None else ds.extra_controls[keep],
         aux={k: v[keep] for k, v in ds.aux.items()},
     )
 
@@ -638,6 +639,7 @@ def relabel_cells(ds, order):
         cell_labels=tuple(labels),
         w_dummies=(cells[:, None] == np.arange(1, ds.q)[None, :]).astype(float),
         cluster=ds.cluster,
+        extra_controls=ds.extra_controls,
     )
 
 
@@ -650,35 +652,38 @@ def assert_rel_close(got, want):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     clustered=st.booleans(),
-    a=st.floats(min_value=0.25, max_value=4.0),
+    y_exp=st.floats(min_value=-12.0, max_value=12.0),
     negate=st.booleans(),
     b=st.floats(min_value=-10.0, max_value=10.0),
+    z_exp=st.floats(min_value=-6.0, max_value=6.0),
+    extra_exp=st.floats(min_value=-6.0, max_value=6.0),
 )
-def test_fit_invariant_to_row_order_cell_labels_and_outcome_units(seed, clustered, a, negate, b):
+def test_fit_invariant_to_row_order_cell_labels_and_outcome_units(
+    seed, clustered, y_exp, negate, b, z_exp, extra_exp
+):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 3))
     ds = random_dataset(rng, n=int(rng.integers(80, 121)), d=d, m=int(rng.integers(d, 3)), noise=0.4)
-    if clustered:
-        ds = Dataset(
-            y=ds.y, z=ds.z, x=ds.x, cells=ds.cells, cell_labels=ds.cell_labels,
-            w_dummies=ds.w_dummies, cluster=rng.integers(0, ds.n // 2, size=ds.n),
-        )
+    ds = replace(
+        ds,
+        extra_controls=rng.normal(size=(ds.n, 1)),
+        cluster=rng.integers(0, ds.n // 2, size=ds.n) if clustered else None,
+    )
     try:
         base = estimate(ds, ModelSpec(), CFG)
     except EstimationError:
         assume(False)
-    a = -a if negate else a
-    shifted = Dataset(
-        y=a * ds.y + b, z=ds.z, x=ds.x, cells=ds.cells, cell_labels=ds.cell_labels,
-        w_dummies=ds.w_dummies, cluster=ds.cluster,
-    )
+    # y in other units, shifted in those units; z and h in other units; the control too
+    a = (-1.0 if negate else 1.0) * 10.0**y_exp
+    extra = ds.extra_controls * 10.0**extra_exp
+    units = replace(ds, y=a * (ds.y + b), z=ds.z * 10.0**z_exp, extra_controls=extra)
     variants = (
-        (subset_dataset(ds, rng.permutation(ds.n)), 1.0),
-        (relabel_cells(ds, rng.permutation(ds.q)), 1.0),
-        (shifted, a),
+        (subset_dataset(ds, rng.permutation(ds.n)), CFG, 1.0),
+        (relabel_cells(ds, rng.permutation(ds.q)), CFG, 1.0),
+        (units, EstimationConfig(bandwidth=CFG.bandwidth * 10.0**z_exp), a),
     )
-    for other, scale in variants:
-        fit = estimate(other, ModelSpec(), CFG)
+    for other, cfg, scale in variants:
+        fit = estimate(other, ModelSpec(), cfg)
         assert_rel_close(fit.beta, scale * base.beta)
         assert_rel_close(fit.se, abs(scale) * base.se)
         assert_rel_close(fit.j_pvalue, base.j_pvalue)
@@ -783,12 +788,3 @@ def test_conditional_stratum_empty_inside_the_window_is_rank_deficient():
     dm = build_design(ds, spec, EstimationConfig(bandwidth=1.0))  # both strata inside
     assert dm.n_effective == ds.n
 
-
-def test_spec_treatment_levels_must_match_the_indicators():
-    from multirdd.errors import InputError
-
-    rng = np.random.default_rng(26)
-    ds = random_dataset(rng, n=60, d=2, m=2)
-    with pytest.raises(InputError, match="4 treatment levels.*2 treatment indicators need 3"):
-        build_design(ds, ModelSpec(treatment_levels=(0, 1, 2, 3)), CFG)
-    build_design(ds, ModelSpec(treatment_levels=(0, 1, 2)), CFG)
