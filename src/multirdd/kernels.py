@@ -1,9 +1,10 @@
 """Kernel weighting for estimation local to the cutoff.
 
 All kernels are symmetric, nonnegative, compactly supported on [-1, 1]
-and normalized to unit total mass.  Rescaling weights by any positive
-constant does not change downstream estimates (weighted least squares is
-scale invariant), so the normalization is a convention, not a requirement.
+and normalized to unit total mass, so the one-sided moment constants
+match textbook values.  Rescaling weights by any positive constant does
+not change downstream estimates (weighted least squares is scale
+invariant), so the normalization is a convention, not a requirement.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import enum
 
 import numpy as np
 
-__all__ = ["KernelKind", "evaluate", "weights_vector", "window"]
+__all__ = ["KernelKind", "evaluate", "weights_vector", "window", "one_sided_moment"]
+
+MAX_MOMENT_ORDER = 8
 
 
 class KernelKind(enum.Enum):
@@ -60,3 +63,33 @@ def window(kind: KernelKind, h: float, z: np.ndarray) -> tuple[np.ndarray, np.nd
     w = weights_vector(kind, h, z)
     rows = np.flatnonzero(w > 0)
     return rows, w[rows]
+
+
+def one_sided_moment(kind: KernelKind, order: int, squared: bool = False) -> float:
+    """Closed-form one-sided moment of the kernel.
+
+    Returns the integral over [0, 1] of u**order * k(u), or of
+    u**order * k(u)**2 when ``squared`` is true.  These constants appear
+    in the asymptotic bias and variance of one-sided local-linear fits.
+    """
+    if not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError(f"moment order must be a nonnegative integer, got {order!r}")
+    if order > MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order {order} exceeds supported maximum {MAX_MOMENT_ORDER}")
+    l = int(order)
+    if kind is KernelKind.UNIFORM:
+        # k = 1/2 on the support
+        if squared:
+            return 0.25 / (l + 1)
+        return 0.5 / (l + 1)
+    if kind is KernelKind.TRIANGULAR:
+        # k = 1 - u; (1-u)^2 integrates against u^l to 2/((l+1)(l+2)(l+3))
+        if squared:
+            return 2.0 / ((l + 1) * (l + 2) * (l + 3))
+        return 1.0 / ((l + 1) * (l + 2))
+    if kind is KernelKind.EPANECHNIKOV:
+        # k = 3/4 (1 - u^2)
+        if squared:
+            return 0.5625 * (1.0 / (l + 1) - 2.0 / (l + 3) + 1.0 / (l + 5))
+        return 1.5 / ((l + 1) * (l + 3))
+    raise ValueError(f"unhandled kernel kind {kind!r}")  # pragma: no cover

@@ -1,12 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written through a different route than
-the library: explicit normal equations and matrix inverses and
-python-loop cluster aggregation, instead of the package's QR solves,
-eigendecompositions, and closed forms.
+the library: explicit normal equations and matrix inverses, python-loop
+cluster aggregation, and numerical quadrature, instead of the package's
+QR solves, eigendecompositions, and closed forms.
 """
 
 import numpy as np
+from scipy import integrate
 
 
 def side_intercept(values, z, w):
@@ -27,6 +28,26 @@ def jump_oracle(values, z, w):
     return side_intercept(values[right], z[right], w[right]) - side_intercept(
         values[~right], z[~right], w[~right]
     )
+
+
+def kernel_callable(name):
+    if name == "uniform":
+        return lambda u: 0.5 if abs(u) <= 1 else 0.0
+    if name == "triangular":
+        return lambda u: max(1 - abs(u), 0.0)
+    if name == "epanechnikov":
+        return lambda u: 0.75 * (1 - u * u) if abs(u) <= 1 else 0.0
+    raise ValueError(name)
+
+
+def moment_quadrature(name, order, squared):
+    k = kernel_callable(name)
+    if squared:
+        f = lambda u: u**order * k(u) ** 2  # noqa: E731
+    else:
+        f = lambda u: u**order * k(u)  # noqa: E731
+    value, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+    return value
 
 
 def tsls_oracle(y, endo, instr, ctrl, w):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from multirdd.kernels import KernelKind, evaluate, weights_vector
+from multirdd.kernels import KernelKind, evaluate, one_sided_moment, weights_vector
+from oracles import moment_quadrature
 
 ALL_KINDS = list(KernelKind)
 
@@ -48,6 +49,33 @@ def test_weights_vector_empty():
 def test_weights_vector_bad_bandwidth():
     with pytest.raises(ValueError, match="positive"):
         weights_vector(KernelKind.UNIFORM, 0.0, np.array([0.1]))
+
+
+def test_moment_frozen_values():
+    # symmetry plus unit mass puts half the mass on each side
+    assert one_sided_moment(KernelKind.TRIANGULAR, 0) == pytest.approx(0.5, abs=1e-15)
+    # quadrature oracle of u^2 (1 - u) on [0, 1] gives 1/12
+    assert one_sided_moment(KernelKind.TRIANGULAR, 2) == pytest.approx(1.0 / 12.0, abs=1e-12)
+    # quadrature oracle of u * 0.25 on [0, 1] gives 0.125
+    assert one_sided_moment(KernelKind.UNIFORM, 1, squared=True) == pytest.approx(
+        0.125, abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("order", range(9))
+@pytest.mark.parametrize("squared", [False, True])
+def test_moments_match_quadrature(kind, order, squared):
+    got = one_sided_moment(kind, order, squared=squared)
+    want = moment_quadrature(kind.value, order, squared)
+    assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_moment_order_out_of_range():
+    with pytest.raises(ValueError):
+        one_sided_moment(KernelKind.UNIFORM, 9)
+    with pytest.raises(ValueError):
+        one_sided_moment(KernelKind.UNIFORM, -1)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
