@@ -1,10 +1,10 @@
 """Command-line interface: estimate, diagnose, simulate.
 
 Configuration may come from flags or from a JSON config file whose keys
-match the flag names (flags win).  Reports are JSON by default, with an
-optional aligned-text rendering.  Exit codes: 0 success, 1 input or
-configuration error, 2 identification/relevance failure (diagnostics
-are still written where possible).
+are flag names (flags win); any other key is an error.  Reports are
+JSON by default, with an optional aligned-text rendering.  Exit codes:
+0 success, 1 input or configuration error, 2 identification/relevance
+failure (diagnostics are still written where possible).
 """
 
 from __future__ import annotations
@@ -17,17 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import DEFAULT_RCOND_THRESHOLD, EstimationConfig, ModelSpec, TableSchema
+from .data_model import EstimationConfig, ModelSpec, TableSchema
 from .data_model import load_table, validate_dataset
 from .discontinuities import cell_table, ratio_late, relevance
 from .errors import EstimationError, InputError
 from .estimator import estimate
 from .kernels import KernelKind, window
-from .montecarlo import load_dgp_spec, run_study
+from .montecarlo import default_config, load_dgp_spec, run_study
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IDENTIFICATION = 2
+SUBCOMMANDS = ("estimate", "diagnose", "simulate")
 
 
 def _csv_list(text: str) -> list[str]:
@@ -100,16 +101,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     merged: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise InputError(f"config file not found: {path}")
         try:
-            merged.update(json.loads(path.read_text(encoding="utf-8")))
+            doc = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise InputError(f"config file {path} is not valid JSON: {err}") from None
+        if not isinstance(doc, dict):
+            raise InputError(f"config file {path} must hold a JSON object")
+        flags = {key for name in SUBCOMMANDS for key in vars(parser.parse_args([name]))}
+        unknown = sorted(set(doc) - flags - {"subcommand"})
+        if unknown:
+            raise InputError(f"config file {path} has unknown key {unknown[0]!r}")
+        merged.update((key, value) for key, value in doc.items() if value is not None)
     for key, value in vars(args).items():
         if key in ("config", "subcommand"):
             continue
@@ -124,29 +132,38 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
-def _as_list(value) -> list[str]:
+def _convert(key: str, value, kind):
+    """``kind(value)``; an :class:`InputError` naming the option if it does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as err:
+        raise InputError(f"invalid --{key.replace('_', '-')}: {err}") from None
+
+
+def _as_list(cfg: dict, key: str) -> list[str]:
+    value = cfg.get(key)
     if value is None:
         return []
     if isinstance(value, str):
         return _csv_list(value)
-    return [str(v) for v in value]
+    return [str(v) for v in _convert(key, value, list)]
 
 
 def _schema_from(cfg: dict) -> TableSchema:
-    levels = cfg.get("treatment_levels")
-    if isinstance(levels, str):
-        levels = [float(v) for v in _csv_list(levels)]
+    levels = None
+    if cfg.get("treatment_levels") is not None:
+        levels = [_convert("treatment_levels", v, float) for v in _as_list(cfg, "treatment_levels")]
     cluster = cfg.get("cluster")
     return TableSchema(
         outcome=str(_require(cfg, "outcome")),
         running=str(_require(cfg, "running")),
-        cutoff=float(cfg.get("cutoff", 0.0)),
+        cutoff=_convert("cutoff", cfg.get("cutoff", 0.0), float),
         treatment=cfg.get("treatment"),
-        treatment_indicators=tuple(_as_list(cfg.get("treatment_indicators"))),
+        treatment_indicators=tuple(_as_list(cfg, "treatment_indicators")),
         treatment_levels=None if levels is None else tuple(levels),
-        covariates=tuple(_as_list(cfg.get("w"))),
+        covariates=tuple(_as_list(cfg, "w")),
         cluster=None if cluster in (None, "running") else str(cluster),
-        extra_controls=tuple(_as_list(cfg.get("controls"))),
+        extra_controls=tuple(_as_list(cfg, "controls")),
         delimiter=str(cfg.get("delimiter", ",")),
     )
 
@@ -154,10 +171,9 @@ def _schema_from(cfg: dict) -> TableSchema:
 def _estimation_config(cfg: dict) -> EstimationConfig:
     cluster = cfg.get("cluster")
     return EstimationConfig(
-        bandwidth=float(_require(cfg, "bandwidth")),
-        kernel=KernelKind.from_name(str(cfg.get("kernel", "uniform"))),
+        bandwidth=_convert("bandwidth", _require(cfg, "bandwidth"), float),
+        kernel=_convert("kernel", str(cfg.get("kernel", "uniform")), KernelKind.from_name),
         cluster_by=None if cluster is None else str(cluster),
-        rcond_threshold=float(cfg.get("rcond_threshold", DEFAULT_RCOND_THRESHOLD)),
     )
 
 
@@ -167,7 +183,7 @@ def _model_spec(cfg: dict) -> ModelSpec:
     return ModelSpec(
         kind=kind,
         r_column=cfg.get("r"),
-        wtilde_columns=tuple(_as_list(cfg.get("wtilde"))),
+        wtilde_columns=tuple(_as_list(cfg, "wtilde")),
     )
 
 
@@ -200,7 +216,7 @@ def _fit_text(doc: dict) -> str:
 def _diagnostics_doc(ds, cfg, ct=None) -> tuple[dict, bool]:
     if ct is None:
         ct = cell_table(ds, cfg)
-    tw = relevance(ct, rcond_threshold=cfg.rcond_threshold)
+    tw = relevance(ct)
     ratios = {}
     for l, cell in enumerate(ct.cells):
         ratios[cell.label] = {
@@ -268,11 +284,11 @@ def estimate_cmd(cfg: dict) -> int:
     if spec.kind == "homogeneous":
         try:
             ct = cell_table(ds, est_cfg)
-            min_eig = float(relevance(ct, rcond_threshold=est_cfg.rcond_threshold).min_eigenvalue)
+            min_eig = float(relevance(ct).min_eigenvalue)
         except EstimationError:
             pass
     try:
-        fit = estimate(ds, spec, est_cfg, joint_min_eigenvalue=min_eig)
+        fit = estimate(ds, spec, est_cfg)
     except EstimationError as err:
         doc = {"error": str(err), "config": echo}
         try:
@@ -284,6 +300,7 @@ def estimate_cmd(cfg: dict) -> int:
         sys.stderr.write(f"estimation failed: {err}\n")
         return EXIT_IDENTIFICATION
     doc = fit.to_dict()
+    doc["first_stage"]["joint_min_eigenvalue"] = min_eig
     doc["config"] = echo
     payload = _fit_text(doc) if cfg.get("format") == "text" else _render_json(doc)
     _write(payload, cfg.get("out"))
@@ -312,23 +329,20 @@ def diagnose_cmd(cfg: dict) -> int:
 
 def simulate_cmd(cfg: dict) -> int:
     dgp = load_dgp_spec(str(_require(cfg, "data")))
-    reps = int(cfg.get("reps", 0) or 0)
+    reps = _convert("reps", cfg.get("reps", 0) or 0, int)
     if reps < 1:
         raise InputError(f"--reps must be at least 1, got {reps}")
-    n = int(_require(cfg, "n"))
-    est_cfg = None
-    if cfg.get("bandwidth") is not None:
-        est_cfg = EstimationConfig(
-            bandwidth=float(cfg["bandwidth"]),
-            kernel=KernelKind.from_name(str(cfg.get("kernel", "uniform"))),
-        )
+    n = _convert("n", _require(cfg, "n"), int)
+    # the DGP's default bandwidth; simulate has no --cluster, though a shared config may set it
+    defaults = {"bandwidth": default_config(dgp).bandwidth}
+    est_cfg = _estimation_config({**defaults, **cfg, "cluster": None})
     result = run_study(
         dgp,
         n=n,
         reps=reps,
         cfg=est_cfg,
-        seed=None if cfg.get("seed") is None else int(cfg["seed"]),
-        workers=int(cfg.get("workers", 1) or 1),
+        seed=None if cfg.get("seed") is None else _convert("seed", cfg["seed"], int),
+        workers=_convert("workers", cfg.get("workers", 1) or 1, int),
     )
     payload = result.summary_text() if cfg.get("format") == "text" else result.to_json()
     _write(payload, cfg.get("out"))
@@ -339,7 +353,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, parser)
         if args.subcommand == "estimate":
             return estimate_cmd(cfg)
         if args.subcommand == "diagnose":

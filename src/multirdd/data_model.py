@@ -204,29 +204,27 @@ class ModelSpec:
         object.__setattr__(self, "wtilde_columns", tuple(self.wtilde_columns))
 
 
-def conditioning(sizes, threshold: float = 0.0, what: str = "", n: int | None = None) -> float:
+def conditioning(sizes, what: str | None = None, n: int | None = None) -> float:
     """min/max of nonnegative ``sizes``, the conditioning ratio of every stage.
 
-    It is 0 when fewer than ``n`` sizes are given or none is positive;
-    below ``threshold`` it raises a :class:`SingularDesignError` on ``what``.
+    It is 0 when fewer than ``n`` sizes are given or none is positive.
+    Given ``what``, it is a gate: below :data:`DEFAULT_RCOND_THRESHOLD`
+    it raises a :class:`SingularDesignError` on ``what``.
     """
     top = sizes.max(initial=0.0)
     rcond = max(sizes.min(), 0.0) / top if top > 0 and n in (None, len(sizes)) else 0.0
-    if rcond < threshold:
-        raise SingularDesignError(f"{what} (rcond {rcond:.3e} < {threshold:.1e})")
+    if what is not None and rcond < DEFAULT_RCOND_THRESHOLD:
+        raise SingularDesignError(f"{what} (rcond {rcond:.3e} < {DEFAULT_RCOND_THRESHOLD:.1e})")
     return rcond
 
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Kernel, bandwidth, clustering, and numerical tolerances.
+    """Kernel, bandwidth and clustering.
 
-    ``cluster_by`` is a column name, the string ``"running"`` (cluster
-    by the values of the running variable), or None (each observation
-    its own cluster).  ``rcond_threshold`` bounds each :func:`conditioning`
-    ratio: pivots over their columns' norms, the moment covariance's
-    eigenvalues in correlation form, and the relevance matrix's
-    eigenvalues, unscaled.
+    ``cluster_by`` is a column of ``Dataset.aux``, the string
+    ``"running"`` (cluster by the values of the running variable), or
+    None (each observation its own cluster).
 
     The cutoff belongs to :class:`TableSchema`, which recenters the
     running variable at load; the ``cutoff`` keyword here is accepted for
@@ -237,7 +235,6 @@ class EstimationConfig:
     kernel: KernelKind = KernelKind.UNIFORM
     cutoff: InitVar[float | None] = None
     cluster_by: str | None = None
-    rcond_threshold: float = DEFAULT_RCOND_THRESHOLD
 
     def __post_init__(self, cutoff):
         if cutoff is not None:
@@ -251,10 +248,6 @@ class EstimationConfig:
             object.__setattr__(self, "kernel", KernelKind.from_name(self.kernel))
         if not self.bandwidth > 0:
             raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
-        if not 0 < self.rcond_threshold < 1:
-            raise InputError(
-                f"rcond_threshold must lie in (0, 1), got {self.rcond_threshold}"
-            )
 
 
 def encode_treatment(t: np.ndarray, levels: Sequence[float]) -> np.ndarray:

@@ -272,32 +272,22 @@ class TwlateWeights:
         }
 
 
-def _symmetric_inverse(m: np.ndarray, rcond_threshold: float):
-    """Eigendecomposition-based inverse of a symmetric ``m``, with its conditioning.
-
-    Returns the inverse (None below the threshold), the eigenvalues in
-    ascending order and their reciprocal condition number.
-    """
-    eigvals, eigvecs = np.linalg.eigh(m)  # ascending order
-    rcond = conditioning(eigvals)
-    inv = (eigvecs / eigvals) @ eigvecs.T if rcond >= rcond_threshold else None
-    return inv, eigvals, rcond
-
-
-def relevance(ct: CellTable, rcond_threshold: float = DEFAULT_RCOND_THRESHOLD) -> TwlateWeights:
+def relevance(ct: CellTable) -> TwlateWeights:
     """Assess first-stage linear independence across cells.
 
     Failure is a state, not an exception: the matrix, its eigenvalues,
     reciprocal condition number, and numerical rank are reported whether
-    or not the weights could be formed.  All of them come from one
-    eigendecomposition; the rank uses ``np.linalg.matrix_rank``'s
-    tolerance, max|lambda| * d * eps.
+    or not the weights could be formed (at rcond >= DEFAULT_RCOND_THRESHOLD).
+    All of them come from one eigendecomposition; the rank uses
+    ``np.linalg.matrix_rank``'s tolerance, max|lambda| * d * eps.
     """
     deltas = ct.delta_x_matrix
     p = ct.p_hat
     m_hat = (deltas.T * p) @ deltas
     m_hat = 0.5 * (m_hat + m_hat.T)
-    inv, eigvals, rcond = _symmetric_inverse(m_hat, rcond_threshold)
+    eigvals, eigvecs = np.linalg.eigh(m_hat)  # ascending order
+    rcond = conditioning(eigvals)
+    inv = (eigvecs / eigvals) @ eigvecs.T if rcond >= DEFAULT_RCOND_THRESHOLD else None
     size = np.abs(eigvals)
     rank = int(np.count_nonzero(size > size.max() * ct.d * np.finfo(float).eps))
     omega = None

@@ -17,7 +17,7 @@ Each fit passes over the rows inside the kernel window once.
 :func:`build_design` builds every block on those rows only, and
 :class:`DesignMatrices` weights them and takes R, without Q, of the
 augmented block [C | Z | X | y] = [E | X | y] once.  Every stage reads
-that R: the rank gate reads R_EE's diagonal over R's column norms; beta
+that R, gated on its first read by R_EE's diagonal over R's column norms; beta
 solves R_ZX beta = R_Zy (Frisch-Waugh-Lovell) and eta the block R_CC;
 the first-stage residual sums of squares are column norms of R below
 the rows of E and of C; the covariance and the J test share one pass
@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset, EstimationConfig, ModelSpec, _levels
+from .data_model import Dataset, EstimationConfig, ModelSpec, _levels
 from .data_model import conditioning, validate_dataset
 from .errors import EstimationError, InputError, SingularDesignError, UnderIdentifiedError
 from .kernels import window
@@ -54,11 +54,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Unweighted design blocks; the cached properties own the weight-positive rows.
+    """Unweighted design blocks of weight-positive rows, their clusters and their one R.
 
-    :func:`build_design` passes only the rows inside the kernel window.  A
-    hand-built design may carry zero-weight rows too: every stage reads
-    the weight-positive rows only, through :attr:`rows`.
+    :func:`build_design` passes only the rows inside the kernel window; a
+    design with no rows, or with a weight that is not > 0, is rejected.
     """
 
     y: np.ndarray
@@ -70,6 +69,16 @@ class DesignMatrices:
     instrument_labels: tuple[str, ...]
     control_labels: tuple[str, ...]
     cluster: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not self.n:
+            raise EstimationError("no weight-positive rows; widen the bandwidth")
+        positive = np.asarray(self.weights) > 0
+        if not positive.all():
+            i = int(np.argmin(positive))
+            raise EstimationError(f"row {i} has weight {self.weights[i]}, not weight-positive")
+        if self.cluster is not None and len(self.cluster) != self.n:
+            raise InputError(f"cluster ids have length {len(self.cluster)}, expected {self.n}")
 
     @property
     def n(self) -> int:
@@ -92,66 +101,51 @@ class DesignMatrices:
         return self.n_controls + self.n_instruments
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        return np.flatnonzero(self.weights > 0)
-
-    @property
-    def n_effective(self) -> int:
-        return len(self.rows)
-
-    def positive(self, a: np.ndarray) -> np.ndarray:
-        """The weight-positive rows of ``a``; ``a`` itself when every row has weight."""
-        return a if self.n_effective == self.n else a[self.rows]
-
-    @cached_property
     def augmented(self) -> np.ndarray:
         """The weighted ``[controls | instruments | endogenous | y]``, column-major for LAPACK."""
         blocks = [self.controls.T, self.instruments.T, self.endogenous.T, self.y]
-        block = self.positive(np.vstack(blocks, dtype=float).T)
-        block *= np.sqrt(self.positive(self.weights))[:, None]
+        block = np.vstack(blocks, dtype=float).T
+        block *= np.sqrt(self.weights)[:, None]
         return block
 
     @cached_property
-    def r(self) -> np.ndarray:
-        """R of :attr:`augmented`, without Q: the one factorization of the fit."""
-        return np.linalg.qr(self.augmented, mode="r")
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """R of :attr:`augmented`, without Q, and E's scaled pivots, which gate its rank.
 
-    @cached_property
+        Pivot i is |r_ii| over the norm of R's column i (E's own, Q being orthonormal):
+        free of units, 0 for a zero column, and fewer than k when R has fewer rows.
+        """
+        r = np.linalg.qr(self.augmented, mode="r")
+        k = self.n_exogenous
+        pivots = np.abs(np.diagonal(r[:, :k]))
+        norms = np.linalg.norm(r[:, : len(pivots)], axis=0)
+        pivots = np.divide(pivots, norms, out=np.zeros_like(pivots), where=norms > 0)
+        what = f"exogenous block is rank deficient after weighting ({k} columns)"
+        conditioning(pivots, what, n=k)
+        return r, pivots
+
+    @property
+    def r(self) -> np.ndarray:
+        """The one factorization of the fit; reading it runs the rank gate of E."""
+        return self._factor[0]
+
+    @property
     def pivots(self) -> np.ndarray:
-        """Per column i of E, |r_ii| over the norm of R's column i (E's own, Q being orthonormal):
-        free of units, 0 for a zero column, and fewer than k when R has fewer rows."""
-        pivots = np.abs(np.diagonal(self.r[:, : self.n_exogenous]))
-        norms = np.linalg.norm(self.r[:, : len(pivots)], axis=0)
-        return np.divide(pivots, norms, out=np.zeros_like(pivots), where=norms > 0)
+        return self._factor[1]
 
     @cached_property
     def cluster_codes(self) -> np.ndarray | None:
-        """Codes of :attr:`cluster` on the weight-positive rows; None for one row per cluster."""
-        return None if self.cluster is None else _cluster_codes(self, self.cluster)
-
-
-def _cluster_codes(dm: DesignMatrices, cluster_ids) -> np.ndarray:
-    """Validated cluster ids of the weight-positive rows as integer codes 0..G-1."""
-    cluster_ids = np.asarray(cluster_ids)
-    if len(cluster_ids) != dm.n:
-        raise InputError(f"cluster ids have length {len(cluster_ids)}, expected {dm.n}")
-    ids = dm.positive(cluster_ids)
-    if ids.dtype.kind in "OU":
-        bad = [i for i, v in enumerate(ids.tolist()) if v is None or v == ""]
-        if bad:
-            raise InputError(f"cluster id missing for weight-positive row {bad[0]}")
-    elif np.issubdtype(ids.dtype, np.floating) and np.isnan(ids.astype(float)).any():
-        raise InputError("cluster ids contain NaN for weight-positive rows")
-    return np.unique(ids, return_inverse=True)[1]
-
-
-def _check_rank(dm: DesignMatrices, rcond_threshold: float) -> None:
-    """The rank gate of E, read off its scaled pivots."""
-    if dm.n_effective == 0:
-        raise EstimationError("no weight-positive rows; widen the bandwidth")
-    k = dm.n_exogenous
-    what = f"exogenous block is rank deficient after weighting ({k} columns)"
-    conditioning(dm.pivots, rcond_threshold, what, n=k)
+        """Validated :attr:`cluster` as integer codes 0..G-1; None for one row per cluster."""
+        if self.cluster is None:
+            return None
+        ids = np.asarray(self.cluster)
+        if ids.dtype.kind in "OU":
+            bad = [i for i, v in enumerate(ids.tolist()) if v is None or v == ""]
+            if bad:
+                raise InputError(f"cluster id missing for weight-positive row {bad[0]}")
+        elif np.issubdtype(ids.dtype, np.floating) and np.isnan(ids.astype(float)).any():
+            raise InputError("cluster ids contain NaN for weight-positive rows")
+        return np.unique(ids, return_inverse=True)[1]
 
 
 def _homogeneous_blocks(const, w_rows, z, d_ind, labels, prefix=""):
@@ -194,10 +188,10 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     cluster = ds.cluster
     if cfg.cluster_by == "running":
         cluster = ds.z
-    elif cfg.cluster_by in ds.aux:
+    elif cfg.cluster_by is not None:
+        if cfg.cluster_by not in ds.aux:
+            raise InputError(f"cluster column {cfg.cluster_by!r} not found in dataset")
         cluster = ds.aux[cfg.cluster_by]
-    elif cfg.cluster_by is not None and ds.cluster is None:
-        raise InputError(f"cluster column {cfg.cluster_by!r} not found in dataset")
 
     if spec.kind == "conditional":
         if spec.r_column not in ds.aux:
@@ -269,7 +263,7 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
         cluster=None if cluster is None else np.asarray(cluster)[rows],
     )
     try:
-        _check_rank(dm, cfg.rcond_threshold)
+        dm.r  # the first read of R runs the rank gate
     except SingularDesignError as err:
         empty = validate_dataset(ds, cfg).empty_side_warnings
         raise SingularDesignError(
@@ -283,14 +277,12 @@ class FirstStageReport:
     labels: tuple[str, ...]
     f_stats: tuple[float, ...]
     flags: tuple[str, ...]
-    joint_min_eigenvalue: float | None = None
 
     def to_dict(self) -> dict:
         return {
             "labels": list(self.labels),
             "f_stats": [v if math.isfinite(v) else str(v) for v in self.f_stats],
             "flags": list(self.flags),
-            "joint_min_eigenvalue": self.joint_min_eigenvalue,
         }
 
 
@@ -346,9 +338,7 @@ class FitResult:
         return out
 
 
-def weighted_2sls(
-    dm: DesignMatrices, rcond_threshold: float = DEFAULT_RCOND_THRESHOLD
-) -> FitResult:
+def weighted_2sls(dm: DesignMatrices) -> FitResult:
     """Two-stage least squares with every row scaled by the root of its weight.
 
     The second stage, y on [X_hat | C] with X_hat = Q_E R_EX, reduces to
@@ -360,7 +350,6 @@ def weighted_2sls(
         raise UnderIdentifiedError(
             f"under-identified: {dm.n_instruments} instruments < {k_endo} endogenous columns"
         )
-    _check_rank(dm, rcond_threshold)
     r, p, k = dm.r, dm.n_controls, dm.n_exogenous
     r_ex, r_ey = r[:k, k:-1], r[:k, -1]
     norms = np.linalg.norm(r_ex, axis=0)  # X_hat's; a zero column stays zero, and fails the gate
@@ -369,29 +358,28 @@ def weighted_2sls(
     beta = scaled / norms
     # the scaled pivots of [C | X_hat]: R_CC's, then X_hat beyond the span of C
     what = "second-stage design is numerically singular"
-    conditioning(np.concatenate([dm.pivots[:p], sv]), rcond_threshold, what, n=p + k_endo)
+    conditioning(np.concatenate([dm.pivots[:p], sv]), what, n=p + k_endo)
     eta = np.linalg.solve(r[:p, :p], r_ey[:p] - r_ex[:p] @ beta)
     return FitResult(
         beta=beta,
         eta=eta,
         beta_labels=dm.endogenous_labels,
         eta_labels=dm.control_labels,
-        n_effective=dm.n_effective,
+        n_effective=dm.n,
     )
 
 
-def _moments(fit, dm, cluster_ids) -> tuple[np.ndarray, np.ndarray, float]:
+def _moments(fit, dm) -> tuple[np.ndarray, np.ndarray, float]:
     """Cluster sums of the moment rows E*u, their cross-product, and |u|.
 
     u is the structural residual of the weighted rows (actual endogenous
     columns, not fitted).  :func:`cluster_covariance` and :func:`j_test`
-    share this pass: for the design's own clusters it is kept on ``dm``
-    for the ``fit`` that made it.
+    share this pass: it is kept on ``dm`` for the ``fit`` that made it.
     """
-    cached = dm.__dict__.get("_moments") if cluster_ids is None else None
+    cached = dm.__dict__.get("_moments")
     if cached is not None and cached[0] is fit:
         return cached[1]
-    codes = dm.cluster_codes if cluster_ids is None else _cluster_codes(dm, cluster_ids)
+    codes = dm.cluster_codes
     p, k = dm.n_controls, dm.n_exogenous
     coef = np.concatenate([-fit.eta, np.zeros(k - p), -fit.beta, [1.0]])
     u = dm.augmented @ coef
@@ -402,12 +390,11 @@ def _moments(fit, dm, cluster_ids) -> tuple[np.ndarray, np.ndarray, float]:
             [np.bincount(codes, weights=col, minlength=n_groups) for col in summed.T], axis=1
         )
     out = summed, summed.T @ summed, float(np.linalg.norm(u))
-    if cluster_ids is None:
-        dm.__dict__["_moments"] = (fit, out)
+    dm.__dict__["_moments"] = (fit, out)
     return out
 
 
-def cluster_covariance(fit: FitResult, dm: DesignMatrices, cluster_ids=None) -> np.ndarray:
+def cluster_covariance(fit: FitResult, dm: DesignMatrices) -> np.ndarray:
     """Cluster-robust sandwich covariance with the CR1 small-sample factor.
 
     A is the cross-product of the instrumented regressors, B sums outer
@@ -420,14 +407,14 @@ def cluster_covariance(fit: FitResult, dm: DesignMatrices, cluster_ids=None) -> 
     are the moment sums times H R_K, and the sandwich is
     R_K^-1 H' Omega H R_K^-T: no normal matrix is formed or inverted.
     """
-    codes = dm.cluster_codes if cluster_ids is None else _cluster_codes(dm, cluster_ids)
-    n = dm.n_effective
+    codes = dm.cluster_codes
+    n = dm.n
     n_groups = n if codes is None else int(codes.max(initial=-1)) + 1
     if n_groups < 2:
         raise EstimationError(
             f"need at least 2 clusters among weight-positive rows, found {n_groups}"
         )
-    _, omega, _ = _moments(fit, dm, cluster_ids)
+    _, omega, _ = _moments(fit, dm)
     r, p, k = dm.r, dm.n_controls, dm.n_exogenous
     q_k, r_k = np.linalg.qr(np.column_stack([r[:k, k:-1], r[:k, :p]]))
     h = np.linalg.solve(r[:k, :k], q_k)
@@ -462,12 +449,7 @@ def chi2_sf(x: float, dof: int) -> float:
     return head + math.exp(top - half) * math.fsum(math.exp(v - top) for v in logs)
 
 
-def j_test(
-    fit: FitResult,
-    dm: DesignMatrices,
-    cluster_ids=None,
-    rcond_threshold: float = DEFAULT_RCOND_THRESHOLD,
-) -> tuple[float, int, float]:
+def j_test(fit: FitResult, dm: DesignMatrices) -> tuple[float, int, float]:
     """Over-identification test from the weighted 2SLS residuals.
 
     The moment vector stacks weighted residual cross-products with the
@@ -483,7 +465,7 @@ def j_test(
 
     # an exact fit satisfies every moment condition; the quadratic form is a
     # 0/0 limit there, and its value is zero, not roundoff noise
-    summed, omega, resid_norm = _moments(fit, dm, cluster_ids)
+    summed, omega, resid_norm = _moments(fit, dm)
     if resid_norm <= 1e-10 * np.linalg.norm(dm.r[:, -1]):  # the norm of the weighted y
         return 0.0, dof, 1.0
 
@@ -491,28 +473,23 @@ def j_test(
     scale = np.sqrt(np.diagonal(omega))
     corr = omega / scale[:, None] / scale if scale.all() else np.zeros_like(omega)
     what = "moment weighting matrix is singular, possibly fewer clusters than moment conditions"
-    conditioning(np.linalg.eigvalsh(corr), rcond_threshold, what)
+    conditioning(np.linalg.eigvalsh(corr), what)
     gvec = summed.sum(axis=0) / scale
     j_stat = max(float(gvec @ np.linalg.solve(corr, gvec)), 0.0)
     return j_stat, dof, chi2_sf(j_stat, dof)
 
 
-def first_stage_diagnostics(
-    dm: DesignMatrices,
-    joint_min_eigenvalue: float | None = None,
-    rcond_threshold: float = DEFAULT_RCOND_THRESHOLD,
-) -> FirstStageReport:
+def first_stage_diagnostics(dm: DesignMatrices) -> FirstStageReport:
     """Partial F of the excluded instruments per endogenous column.
 
     Both residual sums of squares are column norms of R: below the rows of
     E for the unrestricted fit, below the rows of C for the restricted one.
     """
-    _check_rank(dm, rcond_threshold)
     r, p, k = dm.r, dm.n_controls, dm.n_exogenous
     rss_u = np.sum(r[k:, k:-1] ** 2, axis=0)
     rss_r = np.sum(r[p:, k:-1] ** 2, axis=0)
-    constant = np.ptp(dm.positive(dm.endogenous), axis=0) == 0
-    df_denom = max(dm.n_effective - k, 1)
+    constant = np.ptp(dm.endogenous, axis=0) == 0
+    df_denom = max(dm.n - k, 1)
 
     f_stats, flags = [], []
     for j in range(dm.k_endogenous):
@@ -526,25 +503,17 @@ def first_stage_diagnostics(
         f_stats.append(f)
         flags.append(flag)
     return FirstStageReport(
-        labels=dm.endogenous_labels,
-        f_stats=tuple(f_stats),
-        flags=tuple(flags),
-        joint_min_eigenvalue=joint_min_eigenvalue,
+        labels=dm.endogenous_labels, f_stats=tuple(f_stats), flags=tuple(flags)
     )
 
 
-def estimate(
-    ds: Dataset,
-    spec: ModelSpec,
-    cfg: EstimationConfig,
-    joint_min_eigenvalue: float | None = None,
-) -> FitResult:
+def estimate(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> FitResult:
     """Full pass: design, 2SLS, cluster covariance, J test, first stages."""
     dm = build_design(ds, spec, cfg)
-    fit = weighted_2sls(dm, rcond_threshold=cfg.rcond_threshold)
+    fit = weighted_2sls(dm)
     cov = cluster_covariance(fit, dm)
-    j_stat, j_dof, j_pvalue = j_test(fit, dm, rcond_threshold=cfg.rcond_threshold)
-    first_stage = first_stage_diagnostics(dm, joint_min_eigenvalue, cfg.rcond_threshold)
+    j_stat, j_dof, j_pvalue = j_test(fit, dm)
+    first_stage = first_stage_diagnostics(dm)
     return replace(
         fit, cov=cov, j_stat=j_stat, j_dof=j_dof, j_pvalue=j_pvalue, first_stage=first_stage
     )

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import Dataset, EstimationConfig, ModelSpec, conditioning
+from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset, EstimationConfig, ModelSpec, conditioning
 from .errors import EstimationError, InputError, RelevanceError, UnderIdentifiedError
 from .estimator import estimate
 from .kernels import KernelKind
@@ -187,7 +187,7 @@ def population_targets(dgp: DgpSpec) -> PopulationTargets:
     delta_y = np.einsum("lj,lj->l", betas, delta_x)
     m = (delta_x.T * probs) @ delta_x
     m = 0.5 * (m + m.T)
-    identified = conditioning(np.linalg.eigvalsh(m)) > 1e-12
+    identified = conditioning(np.linalg.eigvalsh(m)) >= DEFAULT_RCOND_THRESHOLD  # as relevance
     beta_bar = omega = None
     if identified:
         if all(np.array_equal(betas[l], betas[0]) for l in range(dgp.q)):

@@ -204,6 +204,61 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert json.loads(out2.read_text())["config"]["bandwidth"] == 10.0
 
 
+def estimate_config() -> dict:
+    """ESTIMATE_ARGS as the keys of a config file."""
+    flags = ESTIMATE_ARGS[1:]
+    return {flag[2:].replace("-", "_"): value for flag, value in zip(flags[::2], flags[1::2])}
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, value, as_flag",
+    [
+        ("estimate", "kernel", "foo", True),
+        ("estimate", "treatment_levels", "0,x", True),
+        ("estimate", "kernel", "foo", False),
+        ("estimate", "treatment_levels", "0,x", False),
+        ("estimate", "bandwidth", "ten", False),
+        ("estimate", "cutoff", "sixty-five", False),
+        ("estimate", "treatment_levels", 2, False),
+        ("estimate", "w", 5, False),
+        ("diagnose", "bandwidth", [10], False),
+        ("simulate", "n", "many", False),
+        ("simulate", "reps", "x", False),
+        ("simulate", "kernel", "foo", True),
+    ],
+)
+def test_bad_option_value_is_an_input_error(capsys, tmp_path, subcommand, key, value, as_flag):
+    if subcommand == "simulate":
+        cfg = {"data": str(SAMPLE_DIR / "dgp_homogeneous.json"), "n": 500, "reps": 1}
+    else:
+        cfg = estimate_config()
+    flags = []
+    if as_flag:
+        flags = [f"--{key.replace('_', '-')}", value]
+    else:
+        cfg[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, _, err = run_cli(capsys, [subcommand, "--config", str(cfg_path)] + flags)
+    assert code == 1
+    assert err.startswith("error:")
+    assert f"--{key.replace('_', '-')}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["bandwidht", "rcond_threshold"])
+def test_config_unknown_key_is_an_input_error(capsys, tmp_path, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**estimate_config(), key: 0.5}), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["estimate", "--config", str(cfg_path)])
+    assert code == 1
+    assert err.startswith("error:") and repr(key) in err
+    assert out == ""
+    # a key of another subcommand is a flag name, so one file may serve every subcommand
+    cfg_path.write_text(json.dumps({**estimate_config(), "reps": 3}), encoding="utf-8")
+    assert run_cli(capsys, ["estimate", "--config", str(cfg_path)])[0] == 0
+
+
 def test_diagnose_passing_dataset(capsys, tmp_path):
     ds = piecewise_linear_dataset(jumps_x=[(1, 0), (0, 1)], jumps_y=[0.5, -0.3])
     path = tmp_path / "two_cell.csv"
@@ -291,6 +346,23 @@ def test_simulate_schema_and_worker_determinism(capsys, tmp_path):
     doc = json.loads(out1.read_text())
     for key in ("coverage", "bias", "mean_se", "j_rejection_rate", "reps"):
         assert key in doc
+
+
+def test_simulate_kernel_applies_without_bandwidth(capsys, tmp_path):
+    from multirdd.montecarlo import default_config, load_dgp_spec
+
+    spec = SAMPLE_DIR / "dgp_homogeneous.json"
+    out = tmp_path / "sim.json"
+    args = ["simulate", "--data", str(spec), "--reps", "2", "--n", "1500", "--seed", "4"]
+    assert run_cli(capsys, args + ["--kernel", "triangular", "--out", str(out)])[0] == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["kernel"] == "triangular"
+    assert config["bandwidth"] == default_config(load_dgp_spec(str(spec))).bandwidth
+    # a null in a config file leaves the option unset, as an omitted flag does
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"bandwidth": None, "kernel": "triangular"}), encoding="utf-8")
+    assert run_cli(capsys, args + ["--config", str(cfg_path), "--out", str(out)])[0] == 0
+    assert json.loads(out.read_text())["config"] == config
 
 
 def test_simulate_zero_reps_exits_1(capsys):

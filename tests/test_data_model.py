@@ -357,8 +357,6 @@ def test_model_spec_validation():
 def test_estimation_config_validation():
     with pytest.raises(InputError, match="bandwidth"):
         EstimationConfig(bandwidth=-1.0)
-    with pytest.raises(InputError, match="rcond"):
-        EstimationConfig(bandwidth=1.0, rcond_threshold=2.0)
     cfg = EstimationConfig(bandwidth=1.0, kernel="triangular")
     assert cfg.kernel.value == "triangular"
 

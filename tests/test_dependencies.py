@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -40,12 +41,41 @@ def test_fit_and_study_do_not_import_scipy():
     assert proc.stdout.strip() == ""
 
 
-def test_every_exported_name_resolves():
-    # bench/spans.py looks up every name in each module's __all__ to trace it
+def package_modules() -> list:
     import multirdd
 
     names = [m.name for m in pkgutil.iter_modules(multirdd.__path__) if m.name != "__main__"]
-    modules = [multirdd] + [importlib.import_module(f"multirdd.{name}") for name in names]
-    for mod in modules:
+    return [multirdd] + [importlib.import_module(f"multirdd.{name}") for name in names]
+
+
+def test_every_exported_name_resolves():
+    # bench/spans.py looks up every name in each module's __all__ to trace it
+    for mod in package_modules():
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name!r}"
+
+
+def test_stages_take_the_fit_and_its_design_only():
+    from multirdd import discontinuities, estimator
+
+    stages = {
+        estimator.weighted_2sls: ["dm"],
+        estimator.cluster_covariance: ["fit", "dm"],
+        estimator.j_test: ["fit", "dm"],
+        estimator.first_stage_diagnostics: ["dm"],
+        estimator.estimate: ["ds", "spec", "cfg"],
+        discontinuities.relevance: ["ct"],
+    }
+    for stage, names in stages.items():
+        assert list(inspect.signature(stage).parameters) == names, stage.__name__
+    # the threshold is one constant, the design owns its clusters, and the CLI
+    # reports the relevance eigenvalue itself: no public callable takes them
+    removed = {"rcond_threshold", "cluster_ids", "joint_min_eigenvalue"}
+    for mod in package_modules():
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # not callable, or no signature
+                continue
+            assert not removed & set(params), f"{mod.__name__}.{name}"

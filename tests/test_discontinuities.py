@@ -184,6 +184,25 @@ def test_relevance_matches_matrix_oracle():
     assert tw.rcond == pytest.approx(ref_eigs[0] / ref_eigs[-1], abs=1e-12)
 
 
+def test_relevance_and_population_targets_share_one_threshold():
+    from multirdd.data_model import DEFAULT_RCOND_THRESHOLD
+    from multirdd.montecarlo import DgpSpec, population_targets
+
+    # M = diag(0.5 * 0.09, 0.5 * 1e-12): rcond 1.1e-11, between 1e-12 and the threshold
+    dgp = DgpSpec(
+        cell_probs=(0.5, 0.5),
+        base_levels=((0.5, 0.2), (0.5, 0.2)),
+        jumps=((0.3, 0.0), (0.0, 1e-6)),
+        betas=((0.5, -0.3), (0.5, -0.3)),
+        intercepts=(0.0, 0.0),
+    )
+    targets = population_targets(dgp)
+    tw = relevance(make_table(list(dgp.cell_probs), dgp.jumps, targets.delta_y))
+    assert 1e-12 < tw.rcond < DEFAULT_RCOND_THRESHOLD
+    assert not tw.passed
+    assert not targets.identified
+
+
 def test_twlate_weights_orthogonal_design():
     ct = make_table([0.5, 0.5], [(1, 0), (0, 1)], [0.5, -0.3])
     omega = relevance(ct).omega

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from multirdd.data_model import Dataset, EstimationConfig, ModelSpec, TableSchema, load_table
 from multirdd.errors import (
     EstimationError,
+    InputError,
     SingularDesignError,
     UnderIdentifiedError,
 )
@@ -221,47 +222,18 @@ def test_row_duplication_with_halved_weights():
     assert np.allclose(weighted_2sls(dm).beta, weighted_2sls(doubled).beta, atol=1e-10)
 
 
-def test_hand_built_zero_weight_rows_are_ignored():
-    rng = np.random.default_rng(27)
-    ds, dm = build_random(rng, n=50, d=2, m=2)
-    junk = 7
-    padded = DesignMatrices(
-        y=np.concatenate([dm.y, rng.normal(size=junk)]),
-        endogenous=np.vstack([dm.endogenous, rng.integers(0, 2, size=(junk, 2))]),
-        instruments=np.vstack([dm.instruments, rng.normal(size=(junk, dm.n_instruments))]),
-        controls=np.vstack([dm.controls, rng.normal(size=(junk, dm.n_controls))]),
-        weights=np.concatenate([dm.weights, np.zeros(junk)]),
-        endogenous_labels=dm.endogenous_labels,
-        instrument_labels=dm.instrument_labels,
-        control_labels=dm.control_labels,
-        cluster=np.concatenate([np.arange(dm.n) % 25, np.zeros(junk)]),
-    )
-    clustered = replace(dm, cluster=np.arange(dm.n) % 25)
-    fit_a, fit_b = weighted_2sls(clustered), weighted_2sls(padded)
-    assert padded.n_effective == dm.n
-    assert np.allclose(fit_a.beta, fit_b.beta, rtol=1e-12, atol=0)
-    cov_a, cov_b = cluster_covariance(fit_a, clustered), cluster_covariance(fit_b, padded)
-    assert np.allclose(cov_a, cov_b, rtol=1e-10)
-    assert j_test(fit_a, clustered)[0] == pytest.approx(j_test(fit_b, padded)[0], rel=1e-10)
-    f_a, f_b = first_stage_diagnostics(clustered).f_stats, first_stage_diagnostics(padded).f_stats
-    assert np.allclose(f_a, f_b, rtol=1e-10)
-
-
 def test_zero_weight_rows_rejected():
+    # a design holds weight-positive rows only: one zero weight, all zero or negative, no rows
     rng = np.random.default_rng(7)
     ds, dm = build_random(rng)
-    dead = DesignMatrices(
-        y=dm.y,
-        endogenous=dm.endogenous,
-        instruments=dm.instruments,
-        controls=dm.controls,
-        weights=np.zeros_like(dm.weights),
-        endogenous_labels=dm.endogenous_labels,
-        instrument_labels=dm.instrument_labels,
-        control_labels=dm.control_labels,
-    )
+    one_zero = dm.weights.copy()
+    one_zero[3] = 0.0
+    for weights in (one_zero, np.zeros_like(dm.weights), -dm.weights):
+        with pytest.raises(EstimationError, match="weight-positive"):
+            replace(dm, weights=weights)
+    blocks = ("y", "endogenous", "instruments", "controls", "weights")
     with pytest.raises(EstimationError, match="weight-positive"):
-        weighted_2sls(dead)
+        replace(dm, **{name: getattr(dm, name)[:0] for name in blocks})
 
 
 def test_singular_first_stage_reports_rcond():
@@ -301,10 +273,11 @@ def test_grouped_clusters_match_sandwich_oracle():
     rng = np.random.default_rng(9)
     ds, dm = build_random(rng, n=50, d=1, m=1)
     ids = rng.integers(0, 9, size=dm.n)
+    dm = replace(dm, cluster=ids)
     fit = weighted_2sls(dm)
-    cov = cluster_covariance(fit, dm, cluster_ids=ids)
+    cov = cluster_covariance(fit, dm)
     _, xhat, resid, _ = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
-    want = cluster_sandwich_oracle(xhat, resid, ids[dm.weights > 0])
+    want = cluster_sandwich_oracle(xhat, resid, ids)
     scale = max(np.abs(want).max(), 1e-12)
     assert np.abs(cov - want).max() / scale < 1e-8
 
@@ -331,18 +304,23 @@ def test_covariance_permutation_invariant():
         endogenous_labels=dm.endogenous_labels,
         instrument_labels=dm.instrument_labels,
         control_labels=dm.control_labels,
+        cluster=ids[perm],
     )
-    cov_a = cluster_covariance(weighted_2sls(dm), dm, cluster_ids=ids)
-    cov_b = cluster_covariance(weighted_2sls(dm_perm), dm_perm, cluster_ids=ids[perm])
+    dm = replace(dm, cluster=ids)
+    cov_a = cluster_covariance(weighted_2sls(dm), dm)
+    cov_b = cluster_covariance(weighted_2sls(dm_perm), dm_perm)
     assert np.allclose(cov_a, cov_b, atol=1e-10)
 
 
 def test_single_cluster_rejected():
     rng = np.random.default_rng(11)
     ds, dm = build_random(rng)
+    with pytest.raises(InputError, match="cluster ids have length"):
+        replace(dm, cluster=np.zeros(dm.n - 1))  # checked when the design is built
+    dm = replace(dm, cluster=np.zeros(dm.n))
     fit = weighted_2sls(dm)
     with pytest.raises(EstimationError, match="2 clusters"):
-        cluster_covariance(fit, dm, cluster_ids=np.zeros(dm.n))
+        cluster_covariance(fit, dm)
 
 
 def test_covariance_psd():
@@ -411,10 +389,10 @@ def test_j_cluster_aggregated_matches_oracle():
 def test_j_singular_weighting_matrix_rejected():
     rng = np.random.default_rng(16)
     ds, dm = build_random(rng, n=50, d=1, m=2)
-    ids = (np.arange(dm.n) % 2).astype(float)  # 2 clusters, 10 moment conditions
+    dm = replace(dm, cluster=(np.arange(dm.n) % 2).astype(float))  # 2 clusters, 10 moments
     fit = weighted_2sls(dm)
     with pytest.raises(SingularDesignError, match="singular"):
-        j_test(fit, dm, cluster_ids=ids)
+        j_test(fit, dm)
 
 
 def test_j_exact_fit_degenerates_to_zero():
@@ -590,6 +568,20 @@ def test_text_cluster_ids_must_not_be_empty(dtype):
     )
     with pytest.raises(InputError, match="cluster id missing for weight-positive row 0"):
         estimate(ds, ModelSpec(), CFG)
+
+
+def test_cluster_by_a_missing_column_is_an_input_error():
+    # the schema's clusters do not stand in for a misspelled cluster_by
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race", "educ"), cluster="age",
+    )
+    ds = load_table(SAMPLE_CSV, schema)
+    with pytest.raises(InputError, match="cluster column 'agee' not found"):
+        estimate(ds, ModelSpec(), EstimationConfig(bandwidth=10.0, cluster_by="agee"))
+    by_age = estimate(ds, ModelSpec(), EstimationConfig(bandwidth=10.0, cluster_by="age"))
+    by_schema = estimate(ds, ModelSpec(), EstimationConfig(bandwidth=10.0))
+    assert np.array_equal(by_age.cov, by_schema.cov)
 
 
 def test_estimate_pipeline_populates_everything():
@@ -786,5 +778,5 @@ def test_conditional_stratum_empty_inside_the_window_is_rank_deficient():
     with pytest.raises(SingularDesignError, match="rank deficient"):
         build_design(ds, spec, EstimationConfig(bandwidth=0.8))
     dm = build_design(ds, spec, EstimationConfig(bandwidth=1.0))  # both strata inside
-    assert dm.n_effective == ds.n
+    assert dm.n == ds.n
 
