@@ -123,6 +123,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             continue
         if value is not None:
             merged[key] = value
+    if merged.get("format", "json") not in ("json", "text"):
+        raise InputError(f"invalid --format: {merged['format']!r}, expected 'json' or 'text'")
     return merged
 
 

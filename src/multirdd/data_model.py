@@ -1,11 +1,13 @@
 """Dataset representation, ingestion, and encoding.
 
 A :class:`Dataset` stores the outcome, the recentered running variable,
-the cumulative treatment-indicator matrix, covariate-cell assignments
-with their dummy encoding, and optional cluster keys and extra exogenous
-controls.  Datasets are immutable after construction (all arrays are
-write-locked and ``aux`` is a read-only mapping), so they are safe to
-share across worker threads.
+the cumulative treatment-indicator matrix, one covariate-cell code per
+row, optional cluster keys, and every input column once in ``aux``.
+Each datum has one copy: the estimator builds cell dummies from the
+codes for the rows it fits, and extra exogenous controls are named
+columns of ``aux``.  Datasets are immutable after construction (all
+arrays are write-locked and ``aux`` is a read-only mapping), so they
+are safe to share across worker threads.
 
 Treatment is encoded as ordered crossing indicators: with levels
 t_0 < t_1 < ... < t_d, column j holds 1 when the observed treatment is
@@ -71,9 +73,12 @@ class Dataset:
     ``aux`` maps every input column's name to its one parsed copy: float
     when every value of the column parses as a number, its stripped text
     otherwise.  Model variants look up the conditioning column R, the
-    parametric transform columns and cluster columns there; discrete
-    labels of covariates and of R come from the same :func:`_levels`.
-    ``aux`` is read-only and its arrays are write-locked.
+    parametric transform columns, cluster columns and the extra controls
+    named by ``extra_control_names`` there; discrete labels of
+    covariates and of R come from the same :func:`_levels`.  ``aux`` is
+    read-only and its arrays are write-locked.  ``cells`` codes each
+    row's cell as an index into ``cell_labels``; the first label is the
+    reference cell.
     """
 
     y: np.ndarray
@@ -81,9 +86,7 @@ class Dataset:
     x: np.ndarray
     cells: np.ndarray
     cell_labels: tuple[str, ...]
-    w_dummies: np.ndarray
     cluster: np.ndarray | None = None
-    extra_controls: np.ndarray | None = None
     extra_control_names: tuple[str, ...] = ()
     aux: Mapping[str, np.ndarray] = field(default_factory=dict)
 
@@ -92,21 +95,15 @@ class Dataset:
         z = _locked(np.asarray(self.z, dtype=float))
         x = _locked(np.atleast_2d(np.asarray(self.x, dtype=float)))
         cells = _locked(np.asarray(self.cells, dtype=int))
-        w = _locked(np.asarray(self.w_dummies, dtype=float).reshape(len(y), -1))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "w_dummies", w)
         if self.cluster is not None:
             object.__setattr__(self, "cluster", _locked(np.asarray(self.cluster)))
-        if self.extra_controls is not None:
-            ec = _locked(np.asarray(self.extra_controls, dtype=float).reshape(len(y), -1))
-            object.__setattr__(self, "extra_controls", ec)
-            if not np.isfinite(ec).all():
-                raise InputError("extra controls contain missing or non-finite values")
         aux = MappingProxyType({name: _locked(col) for name, col in self.aux.items()})
         object.__setattr__(self, "aux", aux)
+        object.__setattr__(self, "extra_control_names", tuple(self.extra_control_names))
 
         n = len(y)
         for name, col in (("z", z), ("cells", cells)):
@@ -114,8 +111,6 @@ class Dataset:
                 raise InputError(f"column {name!r} has length {len(col)}, expected {n}")
         if x.shape[0] != n:
             raise InputError(f"treatment matrix has {x.shape[0]} rows, expected {n}")
-        if w.shape[0] != n:
-            raise InputError(f"dummy matrix has {w.shape[0]} rows, expected {n}")
         if self.cluster is not None and len(self.cluster) != n:
             raise InputError("cluster column length mismatch")
         if not np.isfinite(z).all():
@@ -125,10 +120,16 @@ class Dataset:
         q = len(self.cell_labels)
         if q and (cells.min(initial=0) < 0 or cells.max(initial=-1) >= q):
             raise InputError("cell index out of range of cell_labels")
-        if w.shape[1] != max(q - 1, 0):
-            raise InputError(
-                f"dummy matrix has {w.shape[1]} columns, expected q-1 = {max(q - 1, 0)}"
-            )
+        for name in self.extra_control_names:
+            col = aux.get(name)
+            if col is None:
+                raise InputError(f"extra control column {name!r} not found in aux")
+            if col.dtype.kind not in "biuf" or len(col) != n:
+                raise InputError(
+                    f"extra control column {name!r} is not a numeric column of {n} rows"
+                )
+            if not np.isfinite(col).all():
+                raise InputError(f"extra control column {name!r} has missing or non-finite values")
 
     @property
     def n(self) -> int:
@@ -144,7 +145,8 @@ class Dataset:
 
     @property
     def m(self) -> int:
-        return self.w_dummies.shape[1]
+        """Number of cell dummies: every cell but the reference one."""
+        return max(self.q - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -273,25 +275,23 @@ def encode_treatment(t: np.ndarray, levels: Sequence[float]) -> np.ndarray:
 @dataclass(frozen=True)
 class CellEncoding:
     cells: np.ndarray
-    q: int
     labels: tuple[str, ...]
-    dummies: np.ndarray
 
 
 def encode_cells(
     columns: Sequence[np.ndarray],
     max_levels: int = DEFAULT_MAX_CELL_LEVELS,
 ) -> CellEncoding:
-    """Map discrete covariate combinations to cell indices and dummies.
+    """Map discrete covariate combinations to cell indices.
 
     Cells are indexed by the lexicographic order of their label; the
-    smallest label is the reference cell and gets no dummy column.  The
+    smallest label, code 0, is the reference cell.  The
     encoding depends only on the multiset of values, so shuffling rows
     permutes the cell index column identically.
     """
     columns = [np.asarray(c) for c in columns]
     if not columns:
-        return CellEncoding(np.zeros(0, dtype=int), 0, (), np.zeros((0, 0)))
+        return CellEncoding(np.zeros(0, dtype=int), ())
     n = len(columns[0])
     codes, column_labels = [], []
     for k, col in enumerate(columns):
@@ -310,9 +310,7 @@ def encode_cells(
     _, first, combo_of_row = np.unique(key, return_index=True, return_inverse=True)
     keys = ["|".join(labs[c[i]] for labs, c in zip(column_labels, codes)) for i in first.tolist()]
     labels, rank = np.unique(np.asarray(keys, dtype=str), return_inverse=True)
-    cells = rank[combo_of_row]
-    dummies = (cells[:, None] == np.arange(1, len(labels))).astype(float)
-    return CellEncoding(cells, len(labels), tuple(labels.tolist()), dummies)
+    return CellEncoding(rank[combo_of_row], tuple(labels.tolist()))
 
 
 def _is_float(text: str) -> bool:
@@ -453,16 +451,12 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     enc = (
         encode_cells(cov_cols, max_levels=schema.max_cell_levels)
         if cov_cols
-        else CellEncoding(np.zeros(len(y), dtype=int), 1, ("all",), np.zeros((len(y), 0)))
+        else CellEncoding(np.zeros(len(y), dtype=int), ("all",))
     )
 
     cluster = None if schema.cluster is None else require(schema.cluster, "cluster")
-
-    extras = None
-    if schema.extra_controls:
-        extras = np.column_stack(
-            [_numeric(require(name, "extra control"), name) for name in schema.extra_controls]
-        )
+    for name in schema.extra_controls:  # checked here, so the error names the row
+        _numeric(require(name, "extra control"), name)
 
     return Dataset(
         y=y,
@@ -470,9 +464,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
         x=x,
         cells=enc.cells,
         cell_labels=enc.labels,
-        w_dummies=enc.dummies,
         cluster=cluster,
-        extra_controls=extras,
         extra_control_names=tuple(schema.extra_controls),
         aux=aux,
     )
@@ -526,12 +518,7 @@ def validate_dataset(ds: Dataset, cfg: EstimationConfig | None = None) -> Valida
     ]
 
     named = [("y", ds.y), ("z", ds.z)] + [(f"x{j + 1}", col) for j, col in enumerate(ds.x.T)]
-    if ds.extra_controls is not None:
-        names = ds.extra_control_names
-        named += [
-            (names[k] if k < len(names) else f"extra{k}", col)
-            for k, col in enumerate(ds.extra_controls.T)
-        ]
+    named += [(name, ds.aux[name]) for name in ds.extra_control_names]
     constant = [name for name, col in named if ds.n and np.ptp(col) == 0]
 
     return ValidationReport(

@@ -13,7 +13,7 @@ the weighted combination of conditional effects those weights define.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,8 +26,6 @@ __all__ = [
     "DroppedCell",
     "CellTable",
     "TwlateWeights",
-    "Jump",
-    "cell_jump",
     "cell_table",
     "relevance",
     "plugin_estimator",
@@ -38,11 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_JUMP_TOL = 1e-6
-
-
-class Jump(NamedTuple):
-    delta: float
-    se_naive: float
 
 
 def _side_fit(values: np.ndarray, z: np.ndarray, w: np.ndarray, label: str, side: str):
@@ -66,37 +59,15 @@ def _side_fit(values: np.ndarray, z: np.ndarray, w: np.ndarray, label: str, side
 def _jumps(values: np.ndarray, z: np.ndarray, w: np.ndarray, label: str):
     """Intercept gaps at the cutoff of each column of ``values``, and their naive SEs.
 
-    Every weight must be positive.
+    Each side is a weighted least squares fit on (1, z), and every weight
+    must be positive.  A naive SE sums the two sides' heteroskedasticity-
+    robust intercept variances: a screening diagnostic, as inference
+    belongs to the estimator module.
     """
     right = z >= 0
     b_right, v_right = _side_fit(values[right], z[right], w[right], label, "right")
     b_left, v_left = _side_fit(values[~right], z[~right], w[~right], label, "left")
     return b_right - b_left, np.sqrt(v_right + v_left)
-
-
-def cell_jump(
-    values: np.ndarray,
-    z: np.ndarray,
-    weights: np.ndarray,
-    mask: np.ndarray | None = None,
-    label: str = "",
-) -> Jump:
-    """Discontinuity of ``values`` at the cutoff inside one cell.
-
-    Fits kernel-weighted least squares of ``values`` on (1, z)
-    separately for z >= 0 and z < 0 and returns the intercept gap.  The
-    naive standard error sums the two side-wise heteroskedasticity-
-    robust intercept variances; it is a screening diagnostic, inference
-    belongs to the estimator module.
-    """
-    values = np.asarray(values, dtype=float)
-    z = np.asarray(z, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    keep = weights > 0
-    if mask is not None:
-        keep &= np.asarray(mask, dtype=bool)
-    delta, se = _jumps(values[keep, None], z[keep], weights[keep], label)
-    return Jump(float(delta[0]), float(se[0]))
 
 
 @dataclass(frozen=True)

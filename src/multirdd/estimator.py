@@ -14,11 +14,13 @@ the stacked fit coincides with running the estimator separately within
 each stratum.
 
 Each fit passes over the rows inside the kernel window once.
-:func:`build_design` builds every block on those rows only, and
-:class:`DesignMatrices` weights them and takes R, without Q, of the
-augmented block [C | Z | X | y] = [E | X | y] once.  Every stage reads
-that R, gated on its first read by R_EE's diagonal over R's column norms; beta
-solves R_ZX beta = R_Zy (Frisch-Waugh-Lovell) and eta the block R_CC;
+:func:`build_design` builds every block on those rows only, the cell
+dummies W from the dataset's cell codes and the extra controls from the
+``aux`` columns it names, and :class:`DesignMatrices` weights them and
+takes R, without Q, of the augmented block [C | Z | X | y] = [E | X | y]
+once.  Every stage reads that R, gated on its first read by R_EE's
+diagonal over R's column norms; beta solves R_ZX beta = R_Zy
+(Frisch-Waugh-Lovell) and eta the block R_CC;
 the first-stage residual sums of squares are column norms of R below
 the rows of E and of C; the covariance and the J test share one pass
 that forms the moment rows E*u and their cluster sums, and the fitted
@@ -34,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_model import Dataset, EstimationConfig, ModelSpec, _levels
+from .data_model import Dataset, EstimationConfig, ModelSpec, _levels, _locked
 from .data_model import conditioning, validate_dataset
 from .errors import EstimationError, InputError, SingularDesignError, UnderIdentifiedError
 from .kernels import window
@@ -169,18 +171,19 @@ def _homogeneous_blocks(const, w_rows, z, d_ind, labels, prefix=""):
 def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignMatrices:
     """Assemble the design of the rows inside the kernel window.
 
-    Every block is built on the window rows only.  The cell dummies and
-    the strata of R keep the levels of the full sample, so a cell or a
-    stratum without rows in the window leaves a zero column.  Raises when
-    the endogenous block outruns the instruments or when the weighted
-    exogenous block is rank deficient (for instance because a covariate
-    cell is empty inside the bandwidth).
+    Every block is built on the window rows only, the cell dummies from
+    the cell codes and the extra controls from their ``aux`` columns.  The
+    dummies and the strata of R keep the levels of the full sample, so a
+    cell or a stratum without rows in the window leaves a zero column.
+    Raises when the endogenous block outruns the instruments or when the
+    weighted exogenous block is rank deficient (for instance because a
+    covariate cell is empty inside the bandwidth).
     """
     rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
     z = ds.z[rows]
     # each block is built transposed, one contiguous row per column, and stacked once
     x_rows = np.ascontiguousarray(ds.x[rows].T)
-    w_rows = np.ascontiguousarray(ds.w_dummies[rows].T)
+    w_rows = (ds.cells[rows] == np.arange(1, ds.q)[:, None]).astype(float)  # one row per dummy
     d_ind = (z >= 0).astype(float)
     dummy_labels = ds.cell_labels[1:] if ds.q > 1 else ()
     m = ds.m
@@ -246,10 +249,8 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
             np.ones(len(z)), w_rows, z, d_ind, dummy_labels
         )
 
-    if ds.extra_controls is not None:
-        extra = ds.extra_controls[rows].T
-        names = ds.extra_control_names or [f"extra{k}" for k in range(len(extra))]
-        controls, control_labels = controls + [extra], list(control_labels) + list(names)
+    controls = controls + [ds.aux[name][rows] for name in ds.extra_control_names]
+    control_labels = list(control_labels) + list(ds.extra_control_names)
 
     dm = DesignMatrices(
         y=ds.y[rows],
@@ -288,7 +289,10 @@ class FirstStageReport:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Reported values of one fit; :func:`weighted_2sls` fills only the coefficients."""
+    """Reported values of one fit; :func:`weighted_2sls` fills only the coefficients.
+
+    Its arrays are write-locked copies, also in a copy made by ``replace``.
+    """
 
     beta: np.ndarray
     eta: np.ndarray
@@ -300,6 +304,11 @@ class FitResult:
     j_dof: int | None = None
     j_pvalue: float | None = None
     first_stage: FirstStageReport | None = None
+
+    def __post_init__(self):
+        for name in ("beta", "eta", "cov"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _locked(getattr(self, name)))
 
     @property
     def just_identified(self) -> bool:

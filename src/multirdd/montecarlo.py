@@ -207,13 +207,11 @@ def population_targets(dgp: DgpSpec) -> PopulationTargets:
     )
 
 
-def _rng_for(seed, rep: int | None = None) -> np.random.Generator:
+def _rng_for(seed) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
         ss = np.random.SeedSequence(entropy=int(seed))
-    if rep is not None:
-        ss = np.random.SeedSequence(entropy=ss.entropy, spawn_key=(int(rep),))
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
@@ -247,16 +245,7 @@ def generate(dgp: DgpSpec, n: int, seed) -> Dataset:
         y = y + dgp.noise_sd * rng.standard_normal(n)
 
     labels = tuple(f"cell{l:03d}" for l in range(q))
-    dummies = np.eye(q)[:, 1:].take(cells, axis=0)  # cell l's row of the identity, less column 0
-    return Dataset(
-        y=y,
-        z=z,
-        x=x,
-        cells=cells,
-        cell_labels=labels,
-        w_dummies=dummies,
-        cluster=None,
-    )
+    return Dataset(y=y, z=z, x=x, cells=cells, cell_labels=labels)
 
 
 def default_config(dgp: DgpSpec) -> EstimationConfig:

@@ -53,16 +53,12 @@ def piecewise_linear_dataset(
                 rows_cell.append(l)
     cells = np.asarray(rows_cell)
     labels = tuple(f"cell{l:03d}" for l in range(q))
-    dummies = np.zeros((len(cells), q - 1))
-    for l in range(1, q):
-        dummies[:, l - 1] = cells == l
     return Dataset(
         y=np.asarray(rows_y),
         z=np.asarray(rows_z),
         x=np.asarray(rows_x),
         cells=cells,
         cell_labels=labels,
-        w_dummies=dummies,
         cluster=cluster,
     )
 
@@ -91,17 +87,7 @@ def random_dataset(rng, n=40, d=2, m=2, noise=0.3, binary_outcome=False):
     if binary_outcome:
         y = (y > np.median(y)).astype(float)
     labels = tuple(f"cell{l:03d}" for l in range(q))
-    dummies = np.zeros((n, q - 1))
-    for l in range(1, q):
-        dummies[:, l - 1] = cells == l
-    return Dataset(
-        y=y,
-        z=z,
-        x=x,
-        cells=cells,
-        cell_labels=labels,
-        w_dummies=dummies,
-    )
+    return Dataset(y=y, z=z, x=x, cells=cells, cell_labels=labels)
 
 
 def random_cell_table(rng, q=3, d=2, require_passing=False, max_tries=200):

@@ -279,7 +279,6 @@ def test_criterion_8_conditional_equivalence():
             x=ds0.x,
             cells=ds0.cells,
             cell_labels=ds0.cell_labels,
-            w_dummies=ds0.w_dummies,
             aux={"grp": r_col},
         )
         try:

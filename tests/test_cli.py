@@ -225,6 +225,9 @@ def estimate_config() -> dict:
         ("simulate", "n", "many", False),
         ("simulate", "reps", "x", False),
         ("simulate", "kernel", "foo", True),
+        ("estimate", "format", "xml", False),
+        ("diagnose", "format", "xml", False),
+        ("simulate", "format", "xml", False),
     ],
 )
 def test_bad_option_value_is_an_input_error(capsys, tmp_path, subcommand, key, value, as_flag):

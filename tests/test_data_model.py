@@ -113,12 +113,31 @@ def test_non_finite_value_names_column_and_row(tmp_path, header, row, treatment,
 @pytest.mark.parametrize("field", ["y", "z", "extra_controls"])
 def test_dataset_rejects_non_finite_columns(field):
     n = 4
-    columns = {"y": np.zeros(n), "z": np.linspace(-1, 1, n), "extra_controls": np.ones((n, 1))}
+    columns = {"y": np.zeros(n), "z": np.linspace(-1, 1, n), "extra_controls": np.ones(n)}
     columns[field][1] = np.inf
     with pytest.raises(InputError, match="non-finite"):
         Dataset(
-            x=np.ones((n, 1)), cells=np.zeros(n, dtype=int), cell_labels=("all",),
-            w_dummies=np.zeros((n, 0)), **columns,
+            y=columns["y"], z=columns["z"], x=np.ones((n, 1)), cells=np.zeros(n, dtype=int),
+            cell_labels=("all",), extra_control_names=("ctl",),
+            aux={"ctl": columns["extra_controls"]},
+        )
+
+
+@pytest.mark.parametrize(
+    "aux, message",
+    [
+        ({}, "extra control column 'ctl' not found in aux"),
+        ({"ctl": np.array(["a", "b", "c", "d"])}, "extra control column 'ctl' is not a numeric"),
+        ({"ctl": np.ones(3)}, "extra control column 'ctl' is not a numeric column of 4 rows"),
+    ],
+)
+def test_extra_control_names_an_aux_column_of_finite_numbers(aux, message):
+    n = 4
+    with pytest.raises(InputError, match=message):
+        Dataset(
+            y=np.zeros(n), z=np.linspace(-1, 1, n), x=np.ones((n, 1)),
+            cells=np.zeros(n, dtype=int), cell_labels=("all",),
+            extra_control_names=("ctl",), aux=aux,
         )
 
 
@@ -186,7 +205,7 @@ def test_dataset_arrays_are_immutable(six_row_csv):
     r = np.zeros(ds.n)
     held = Dataset(
         y=ds.y, z=ds.z, x=ds.x, cells=ds.cells, cell_labels=ds.cell_labels,
-        w_dummies=ds.w_dummies, aux={"r": r},
+        aux={"r": r},
     )
     r[0] = 1e9
     assert held.aux["r"][0] == 0.0
@@ -257,22 +276,22 @@ def test_encode_cells_race_education():
     race = np.repeat(["WH", "MIN"], 3)
     educ = np.tile(["DRP", "HS", "COL"], 2)
     enc = encode_cells([race, educ])
-    assert enc.q == 6
-    assert enc.dummies.shape == (6, 5)
+    assert len(enc.labels) == 6
+    assert sorted(enc.cells) == list(range(6))
 
 
 def test_encode_cells_single_value():
     enc = encode_cells([np.array(["a", "a", "a"])])
-    assert enc.q == 1
-    assert enc.dummies.shape == (3, 0)
+    assert enc.labels == ("a",)
+    assert enc.cells.tolist() == [0, 0, 0]
 
 
 def test_encode_cells_missing_combo():
     a = np.array(["0", "0", "1", "1"])
     b = np.array(["0", "1", "0", "0"])  # combo (1,1) never observed
     enc = encode_cells([a, b])
-    assert enc.q == 3
-    assert enc.dummies.shape == (4, 2)
+    assert enc.labels == ("0|0", "0|1", "1|0")
+    assert enc.cells.tolist() == [0, 1, 2, 2]
 
 
 def test_encode_cells_too_many_levels():
@@ -283,8 +302,8 @@ def test_encode_cells_too_many_levels():
 
 def test_encode_cells_reference_is_smallest_label():
     enc = encode_cells([np.array(["b", "a", "c"])])
-    assert enc.labels[0] == "a"
-    assert enc.dummies[enc.cells == 0].sum() == 0
+    assert enc.labels == ("a", "b", "c")
+    assert enc.cells.tolist() == [1, 0, 2]  # code 0, the reference cell, is the smallest label
 
 
 @settings(max_examples=50, deadline=None)
@@ -293,7 +312,6 @@ def test_encode_cells_permutation_invariant(perm):
     col = np.array(["u", "v", "w"] * 4, dtype=object)
     enc = encode_cells([col])
     enc_perm = encode_cells([col[perm]])
-    assert enc.q == enc_perm.q
     assert enc.labels == enc_perm.labels
     assert np.array_equal(enc.cells[perm], enc_perm.cells)
 
@@ -308,7 +326,6 @@ def make_dataset(x_rows, z=None):
         x=x,
         cells=np.zeros(n, dtype=int),
         cell_labels=("all",),
-        w_dummies=np.zeros((n, 0)),
     )
 
 

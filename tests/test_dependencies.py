@@ -79,3 +79,17 @@ def test_stages_take_the_fit_and_its_design_only():
             except (TypeError, ValueError):  # not callable, or no signature
                 continue
             assert not removed & set(params), f"{mod.__name__}.{name}"
+
+
+def test_dataset_holds_each_datum_once():
+    import dataclasses
+
+    import multirdd
+    from multirdd import data_model, discontinuities
+
+    # cell dummies are built from the codes per fit, and extra controls are aux columns
+    dataset_fields = {f.name for f in dataclasses.fields(data_model.Dataset)}
+    assert not {"w_dummies", "extra_controls"} & dataset_fields
+    assert {f.name for f in dataclasses.fields(data_model.CellEncoding)} == {"cells", "labels"}
+    for mod in (multirdd, discontinuities):
+        assert not {"cell_jump", "Jump"} & (set(vars(mod)) | set(mod.__all__)), mod.__name__

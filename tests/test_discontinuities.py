@@ -1,21 +1,46 @@
 import numpy as np
 import pytest
 
-from multirdd.data_model import EstimationConfig
+from multirdd.data_model import Dataset, EstimationConfig
 from multirdd.discontinuities import (
-    cell_jump,
+    _jumps,
     cell_table,
     plugin_estimator,
     ratio_late,
     relevance,
     wlate_feasibility,
 )
-from multirdd.errors import CellUnusableError, EstimationError, RelevanceError
+from multirdd.errors import EstimationError, RelevanceError
 from multirdd.kernels import KernelKind, weights_vector
 from oracles import jump_oracle, omega_oracle, plugin_oracle
 from synthetic import piecewise_linear_dataset, random_cell_table
 
-UNIT_WEIGHTS = lambda z: np.ones_like(z)  # noqa: E731
+
+def cell_dataset(values, z, cells=None, labels=("cell000",)):
+    """Outcome ``values`` in the given cells (one cell by default), with one constant margin."""
+    n = len(z)
+    cells = np.zeros(n, dtype=int) if cells is None else np.asarray(cells)
+    return Dataset(y=values, z=z, x=np.zeros((n, 1)), cells=cells, cell_labels=labels)
+
+
+def one_jump(values, z, cfg):
+    """The outcome jump and its naive SE that ``cell_table`` reports for a one-cell dataset."""
+    (cell,) = cell_table(cell_dataset(values, z), cfg).cells
+    return cell.delta_y, cell.se_y
+
+
+def unusable_reason(values, z):
+    """Why ``cell_table`` drops cell000 of ``values``, beside a usable cell001."""
+    good = np.linspace(-0.5, 0.5, 6)
+    ds = cell_dataset(
+        np.concatenate([values, np.ones(6)]),
+        np.concatenate([z, good]),
+        cells=np.repeat([0, 1], [len(z), 6]),
+        labels=("cell000", "cell001"),
+    )
+    (dropped,) = cell_table(ds, EstimationConfig(bandwidth=2.0)).dropped
+    assert dropped.label == "cell000"
+    return dropped.reason
 
 
 @pytest.mark.parametrize("kind", list(KernelKind))
@@ -23,56 +48,57 @@ UNIT_WEIGHTS = lambda z: np.ones_like(z)  # noqa: E731
 def test_cell_jump_exact_on_linear_data(kind, h):
     z = np.concatenate([np.linspace(-0.5, -0.05, 10), np.linspace(0.05, 0.5, 10)])
     values = 2.0 + 0.5 * z + 3.0 * (z >= 0)
-    w = weights_vector(kind, h, z)
-    jump = cell_jump(values, z, w)
-    assert jump.delta == pytest.approx(3.0, abs=1e-12)
-    assert jump.se_naive == pytest.approx(0.0, abs=1e-10)
+    delta, se = one_jump(values, z, EstimationConfig(bandwidth=h, kernel=kind))
+    assert delta == pytest.approx(3.0, abs=1e-12)
+    assert se == pytest.approx(0.0, abs=1e-10)
 
 
 def test_cell_jump_constant_values():
     z = np.linspace(-1, 1, 12)
-    jump = cell_jump(np.full(12, 4.2), z, UNIT_WEIGHTS(z))
-    assert jump.delta == pytest.approx(0.0, abs=1e-12)
+    delta, _ = one_jump(np.full(12, 4.2), z, EstimationConfig(bandwidth=2.0))
+    assert delta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cell_jump_weight_scale_invariant():
     rng = np.random.default_rng(2)
     z = np.sort(rng.uniform(-1, 1, 30))
-    values = rng.normal(size=30)
+    values = rng.normal(size=(30, 1))
     w = weights_vector(KernelKind.TRIANGULAR, 1.0, z)
-    a = cell_jump(values, z, w)
-    b = cell_jump(values, z, 125.0 * w)
-    assert a.delta == pytest.approx(b.delta, abs=1e-12)
-    assert a.se_naive == pytest.approx(b.se_naive, rel=1e-10)
+    keep = w > 0
+    delta_a, se_a = _jumps(values[keep], z[keep], w[keep], "")
+    delta_b, se_b = _jumps(values[keep], z[keep], 125.0 * w[keep], "")
+    assert delta_a[0] == pytest.approx(delta_b[0], abs=1e-12)
+    assert se_a[0] == pytest.approx(se_b[0], rel=1e-10)
 
 
 def test_cell_jump_quadratic_matches_normal_equations_oracle():
     z = np.linspace(-1, 1, 41)
     values = 1.0 + z * z
     w = weights_vector(KernelKind.UNIFORM, 1.0, z)
-    jump = cell_jump(values, z, w)
-    assert jump.delta == pytest.approx(jump_oracle(values, z, w), abs=1e-12)
+    delta, _ = one_jump(values, z, EstimationConfig(bandwidth=1.0))
+    assert delta == pytest.approx(jump_oracle(values, z, w), abs=1e-12)
 
 
 def test_cell_jump_respects_mask():
+    # each cell's jump reads its own rows only: cell001's outlying values leave cell000's alone
     z = np.concatenate([np.linspace(-1, 1, 20), np.linspace(-1, 1, 20)])
-    mask = np.zeros(40, dtype=bool)
-    mask[:20] = True
     values = np.where(np.arange(40) < 20, 1.0 + 2.0 * (z >= 0), -50.0)
-    jump = cell_jump(values, z, UNIT_WEIGHTS(z), mask=mask)
-    assert jump.delta == pytest.approx(2.0, abs=1e-12)
+    ds = cell_dataset(values, z, cells=np.repeat([0, 1], 20), labels=("cell000", "cell001"))
+    ct = cell_table(ds, EstimationConfig(bandwidth=2.0))
+    assert ct.cells[0].delta_y == pytest.approx(2.0, abs=1e-12)
+    assert ct.cells[1].delta_y == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cell_jump_insufficient_side_support():
     z = np.array([-0.5, -0.4, -0.3, 0.2])
-    with pytest.raises(CellUnusableError, match="right"):
-        cell_jump(np.ones(4), z, UNIT_WEIGHTS(z), label="cell000")
+    assert "unusable on the right side" in unusable_reason(np.ones(4), z)
+    with pytest.raises(EstimationError, match="no usable cells"):
+        one_jump(np.ones(4), z, EstimationConfig(bandwidth=2.0))
 
 
 def test_cell_jump_collinear_side():
     z = np.array([-0.5, -0.5, -0.5, 0.1, 0.2])
-    with pytest.raises(CellUnusableError, match="left"):
-        cell_jump(np.ones(5), z, UNIT_WEIGHTS(z))
+    assert "unusable on the left side" in unusable_reason(np.ones(5), z)
 
 
 def test_cell_table_reproduces_noiseless_jumps():
@@ -110,7 +136,6 @@ def test_cell_table_drops_unusable_cell_and_renormalizes():
         x=ds.x,
         cells=ds.cells,
         cell_labels=ds.cell_labels,
-        w_dummies=ds.w_dummies,
     )
     ct = cell_table(broken, EstimationConfig(bandwidth=2.0))
     assert ct.q_usable == 1
@@ -130,7 +155,6 @@ def test_cell_table_no_usable_cells_is_fatal():
         x=ds.x,
         cells=ds.cells,
         cell_labels=ds.cell_labels,
-        w_dummies=ds.w_dummies,
     )
     with pytest.raises(EstimationError, match="no usable cells"):
         cell_table(broken, EstimationConfig(bandwidth=2.0))
@@ -344,7 +368,6 @@ def test_duplicating_cell_rows_scales_share_not_jumps():
         x=np.vstack([ds.x, ds.x[keep]]),
         cells=np.concatenate([ds.cells, ds.cells[keep]]),
         cell_labels=ds.cell_labels,
-        w_dummies=np.vstack([ds.w_dummies, ds.w_dummies[keep]]),
     )
     cfg = EstimationConfig(bandwidth=2.0)
     base = cell_table(ds, cfg)

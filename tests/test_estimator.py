@@ -63,9 +63,8 @@ def subset_dataset(ds, keep):
         x=ds.x[keep],
         cells=ds.cells[keep],
         cell_labels=ds.cell_labels,
-        w_dummies=ds.w_dummies[keep],
         cluster=None if ds.cluster is None else ds.cluster[keep],
-        extra_controls=None if ds.extra_controls is None else ds.extra_controls[keep],
+        extra_control_names=ds.extra_control_names,
         aux={k: v[keep] for k, v in ds.aux.items()},
     )
 
@@ -92,7 +91,6 @@ def test_design_parametric_counts_and_constraint():
         x=ds.x,
         cells=ds.cells,
         cell_labels=ds.cell_labels,
-        w_dummies=ds.w_dummies,
         aux={"wt1": wt1, "wt2": wt2},
     )
     spec = ModelSpec(kind="parametric", wtilde_columns=("wt1", "wt2"))
@@ -110,7 +108,6 @@ def test_design_parametric_under_identified():
         x=ds.x,
         cells=ds.cells,
         cell_labels=ds.cell_labels,
-        w_dummies=ds.w_dummies,
         aux={"wt1": rng.normal(size=ds.n)},
     )
     spec = ModelSpec(kind="parametric", wtilde_columns=("wt1",))
@@ -136,7 +133,6 @@ def test_design_rank_deficient_cell_within_bandwidth():
         x=ds.x,
         cells=ds.cells,
         cell_labels=ds.cell_labels,
-        w_dummies=ds.w_dummies,
     )
     with pytest.raises(SingularDesignError, match="rank deficient"):
         build_design(broken, ModelSpec(), EstimationConfig(bandwidth=1.0))
@@ -144,9 +140,7 @@ def test_design_rank_deficient_cell_within_bandwidth():
     # only the left side of cell001 leaves the window: the error names both
     z = ds.z.copy()
     z[(ds.cells == 1) & (ds.z < 0)] -= 5.0
-    one_side = Dataset(
-        y=ds.y, z=z, x=ds.x, cells=ds.cells, cell_labels=ds.cell_labels, w_dummies=ds.w_dummies
-    )
+    one_side = Dataset(y=ds.y, z=z, x=ds.x, cells=ds.cells, cell_labels=ds.cell_labels)
     with pytest.raises(SingularDesignError, match="rank deficient") as err:
         build_design(one_side, ModelSpec(), EstimationConfig(bandwidth=1.0))
     assert "cell 'cell001' has no observations on the left side" in str(err.value)
@@ -162,7 +156,8 @@ def test_span_equivalence_with_two_sided_basis():
         sw = np.sqrt(dm.weights[mask])
         exog = np.column_stack([dm.instruments, dm.controls])[mask] * sw[:, None]
         d_ind = (ds.z >= 0).astype(float)
-        one_w = np.column_stack([np.ones(ds.n), ds.w_dummies])
+        dummies = (ds.cells[:, None] == np.arange(1, ds.q)).astype(float)
+        one_w = np.column_stack([np.ones(ds.n), dummies])
         s_plus = d_ind[:, None] * np.column_stack([one_w, ds.z[:, None] * one_w])
         s_minus = (1 - d_ind)[:, None] * np.column_stack([one_w, ds.z[:, None] * one_w])
         s_basis = np.column_stack([s_plus, s_minus])[mask] * sw[:, None]
@@ -171,6 +166,18 @@ def test_span_equivalence_with_two_sided_basis():
         fit_a = exog @ np.linalg.lstsq(exog, target, rcond=None)[0]
         fit_b = s_basis @ np.linalg.lstsq(s_basis, target, rcond=None)[0]
         assert np.abs(fit_a - fit_b).max() < 1e-9
+
+
+def test_fit_result_arrays_are_write_locked():
+    ds, _ = build_random(np.random.default_rng(31))
+    fit = estimate(ds, ModelSpec(), CFG)
+    cov = np.eye(len(fit.cov))
+    for result in (fit, replace(fit, cov=cov)):
+        for a in (result.beta, result.eta, result.cov):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+    cov[0, 0] = 2.0  # the caller's array is copied, not locked
+    assert replace(fit, cov=cov).cov[0, 0] == 2.0
 
 
 # --------------------------------------------------------------- weighted_2sls
@@ -510,7 +517,6 @@ def test_conditional_fit_equals_per_stratum_fits():
             x=ds.x,
             cells=ds.cells,
             cell_labels=ds.cell_labels,
-            w_dummies=ds.w_dummies,
             aux={"grp": r_col},
         )
         spec = ModelSpec(kind="conditional", r_column="grp")
@@ -546,7 +552,6 @@ def test_conditional_rejects_missing_r_values():
         x=ds0.x,
         cells=ds0.cells,
         cell_labels=ds0.cell_labels,
-        w_dummies=ds0.w_dummies,
         aux={"grp": r_col},
     )
     from multirdd.errors import InputError
@@ -564,7 +569,7 @@ def test_text_cluster_ids_must_not_be_empty(dtype):
     ids = np.asarray(["", "a", "b"] * 20, dtype=dtype)
     ds = Dataset(
         y=ds0.y, z=ds0.z, x=ds0.x, cells=ds0.cells, cell_labels=ds0.cell_labels,
-        w_dummies=ds0.w_dummies, cluster=ids,
+        cluster=ids,
     )
     with pytest.raises(InputError, match="cluster id missing for weight-positive row 0"):
         estimate(ds, ModelSpec(), CFG)
@@ -629,9 +634,9 @@ def relabel_cells(ds, order):
         x=ds.x,
         cells=cells,
         cell_labels=tuple(labels),
-        w_dummies=(cells[:, None] == np.arange(1, ds.q)[None, :]).astype(float),
         cluster=ds.cluster,
-        extra_controls=ds.extra_controls,
+        extra_control_names=ds.extra_control_names,
+        aux=ds.aux,
     )
 
 
@@ -658,7 +663,8 @@ def test_fit_invariant_to_row_order_cell_labels_and_outcome_units(
     ds = random_dataset(rng, n=int(rng.integers(80, 121)), d=d, m=int(rng.integers(d, 3)), noise=0.4)
     ds = replace(
         ds,
-        extra_controls=rng.normal(size=(ds.n, 1)),
+        extra_control_names=("ctl",),
+        aux={"ctl": rng.normal(size=ds.n)},
         cluster=rng.integers(0, ds.n // 2, size=ds.n) if clustered else None,
     )
     try:
@@ -667,8 +673,8 @@ def test_fit_invariant_to_row_order_cell_labels_and_outcome_units(
         assume(False)
     # y in other units, shifted in those units; z and h in other units; the control too
     a = (-1.0 if negate else 1.0) * 10.0**y_exp
-    extra = ds.extra_controls * 10.0**extra_exp
-    units = replace(ds, y=a * (ds.y + b), z=ds.z * 10.0**z_exp, extra_controls=extra)
+    extra = {"ctl": ds.aux["ctl"] * 10.0**extra_exp}
+    units = replace(ds, y=a * (ds.y + b), z=ds.z * 10.0**z_exp, aux=extra)
     variants = (
         (subset_dataset(ds, rng.permutation(ds.n)), CFG, 1.0),
         (relabel_cells(ds, rng.permutation(ds.q)), CFG, 1.0),
@@ -727,12 +733,12 @@ def test_rows_outside_the_window_do_not_enter_the_fit(seed, kernel, clustered):
     d = int(rng.integers(1, 3))
     ds = random_dataset(rng, n=int(rng.integers(150, 241)), d=d, m=d, noise=0.4)
     cluster = rng.integers(0, ds.n // 3, size=ds.n) if clustered else None
-    extra = rng.normal(size=(ds.n, 1))
+    extra = rng.normal(size=ds.n)
 
     def with_columns(y, x, extra, cluster):
         return Dataset(
             y=y, z=ds.z, x=x, cells=ds.cells, cell_labels=ds.cell_labels,
-            w_dummies=ds.w_dummies, cluster=cluster, extra_controls=extra,
+            cluster=cluster, extra_control_names=("ctl",), aux={"ctl": extra},
         )
 
     cfg = EstimationConfig(bandwidth=0.6, kernel=kernel)  # z reaches well past it
@@ -748,7 +754,7 @@ def test_rows_outside_the_window_do_not_enter_the_fit(seed, kernel, clustered):
     # cumulative indicators: row i crosses the first t_i margins
     x[out] = np.arange(d)[None, :] < rng.integers(0, d + 1, size=(n_out, 1))
     y[out] = rng.normal(0, 100, size=n_out)
-    extra[out] = rng.normal(0, 100, size=(n_out, 1))
+    extra[out] = rng.normal(0, 100, size=n_out)
     if clustered:
         cluster = cluster.copy()
         cluster[out] = rng.integers(0, 3, size=n_out)
@@ -772,7 +778,7 @@ def test_conditional_stratum_empty_inside_the_window_is_rank_deficient():
     r_col = np.where(np.abs(ds0.z) > 0.8, "far", "near")
     ds = Dataset(
         y=ds0.y, z=ds0.z, x=ds0.x, cells=ds0.cells, cell_labels=ds0.cell_labels,
-        w_dummies=ds0.w_dummies, aux={"grp": r_col},
+        aux={"grp": r_col},
     )
     spec = ModelSpec(kind="conditional", r_column="grp")
     with pytest.raises(SingularDesignError, match="rank deficient"):

@@ -10,6 +10,7 @@ from multirdd.estimator import estimate
 from multirdd.kernels import KernelKind
 from multirdd.montecarlo import (
     DgpSpec,
+    default_config,
     generate,
     load_dgp_spec,
     population_targets,
@@ -143,12 +144,13 @@ def test_generate_deterministic():
     assert not np.array_equal(a.y, c.y)
 
 
-# SHA-256 of generate(layout, 2000, 20260)'s y, z, x, cells and w_dummies, pinned
-# when the draw's lookups were vectorized; the draws must not change.
+# SHA-256 of generate(layout, 2000, 20260)'s y, z, x and cells, pinned when the
+# draw's lookups were vectorized and re-taken over these four arrays from the same
+# draws when the dataset stopped storing cell dummies; the draws must not change.
 GENERATE_SHA256 = {
-    "COVERAGE": "63b7b0baef8d03cf0c9046ff69f5e8d1a9c9fbc0411e3dac8cd3aaeef4fd06e8",
-    "JSIZE": "4171b4b42a0b644ceb91969a5254ddaf9234b597e55928e8722371134e4a255d",
-    "JPOWER": "61fa2b474b34c384726680523f7968eb4ed1bbb28282eedbff949f5b372771a3",
+    "COVERAGE": "7b61985ab4cedd71582ec89ceaa5e1125577d1f56fe18cb5cc8179ba44994598",
+    "JSIZE": "190923a2b88fce50553f70998a3d1fdf701f9ce40399adc86827bf4effef96a4",
+    "JPOWER": "3190a97db5cf70df61eea15ce1857bfdfa973c7a90eebd7b43cff62a83023e3b",
 }
 
 
@@ -158,7 +160,7 @@ def test_generate_draws_are_pinned(layout):
 
     ds = generate(getattr(test_acceptance, f"{layout}_DGP"), 2000, 20260)
     digest = hashlib.sha256()
-    for a in (ds.y, ds.z, ds.x, ds.cells, ds.w_dummies):
+    for a in (ds.y, ds.z, ds.x, ds.cells):
         assert a.dtype.itemsize == 8 and a.flags.c_contiguous
         digest.update(a.tobytes())
     assert digest.hexdigest() == GENERATE_SHA256[layout]
@@ -273,6 +275,21 @@ def test_run_study_worker_count_invariance():
     a = run_study(dgp, n=1500, reps=8, seed=3, workers=1)
     b = run_study(dgp, n=1500, reps=8, seed=3, workers=4)
     assert a.to_json() == b.to_json()
+
+
+def test_each_replication_replays_from_seed_and_rep_alone():
+    # replication r draws from SeedSequence(entropy=seed, spawn_key=(r,)) and nothing else
+    dgp = homogeneous_dgp()
+    n, reps, seed = 1500, 6, 3
+    study = run_study(dgp, n=n, reps=reps, seed=seed)
+    assert study.successes == reps
+    cfg = default_config(dgp)
+    betas = {}
+    for r in reversed(range(reps)):  # each alone, in another order than the study's
+        ds = generate(dgp, n, np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        betas[r] = estimate(ds, ModelSpec(), cfg).beta
+    replayed = np.asarray([betas[r] for r in range(reps)]).mean(axis=0)
+    assert tuple(replayed.tolist()) == study.mean_estimate
 
 
 def test_run_study_accounting_is_exact():
