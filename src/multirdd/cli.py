@@ -310,6 +310,10 @@ def estimate_cmd(cfg: dict) -> int:
 
 
 def diagnose_cmd(cfg: dict) -> int:
+    if cfg.get("format", "json") != "json":
+        raise InputError(
+            f"invalid --format for diagnose: {cfg['format']!r}; its report is nested JSON only"
+        )
     schema = _schema_from(cfg)
     ds = load_table(str(_require(cfg, "data")), schema)
     est_cfg = _estimation_config(cfg)

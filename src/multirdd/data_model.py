@@ -130,6 +130,9 @@ class Dataset:
                 )
             if not np.isfinite(col).all():
                 raise InputError(f"extra control column {name!r} has missing or non-finite values")
+        for name, col in aux.items():
+            if col.shape[:1] != (n,):
+                raise InputError(f"aux column {name!r} has shape {col.shape}, expected {n} rows")
 
     @property
     def n(self) -> int:
@@ -335,12 +338,44 @@ def _numeric(col: np.ndarray, name: str) -> np.ndarray:
     return col
 
 
+def _field_widths(path: Path, delimiter: str, m: int) -> np.ndarray | None:
+    """Each of the ``m`` columns' widest data field in bytes, from one scan of the file.
+
+    A UTF-8 byte count bounds a field's length in characters from above.
+    None when the bytes may not split as numpy's reader splits them: the
+    delimiter is not one ASCII byte, the file holds a quote or a carriage
+    return not followed by a newline (numpy ends a line there), or a line
+    is empty or has another field count than the header.
+    """
+    sep = delimiter.encode()
+    if len(sep) != 1 or sep in b'\r\n"':
+        return None
+    buf = np.fromfile(path, dtype=np.uint8)
+    if buf[-1] != ord("\n"):  # numpy reads the last line alike with or without a newline
+        buf = np.append(buf, np.uint8(ord("\n")))
+    if (buf == ord('"')).any() or (buf[np.flatnonzero(buf == ord("\r")) + 1] != ord("\n")).any():
+        return None
+    newline = buf == ord("\n")
+    ends = np.flatnonzero(newline | (buf == sep[0]))
+    rows = np.count_nonzero(newline)
+    if ends.size != rows * m or not newline[ends[m - 1 :: m]].all():
+        return None
+    ends = ends.reshape(rows, m)
+    # the header row is not data; a row's first field starts after the last row's end
+    starts = [ends[:-1, -1]] + [ends[1:, k] for k in range(m - 1)]
+    return np.array([(ends[1:, k] - starts[k] - 1).max(initial=0) for k in range(m)])
+
+
 def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.ndarray]]:
     """The header, and each column parsed once by numpy's C text reader.
 
-    Row 1 sniffs which columns are numeric.  One read takes them all, a
-    text column as a placeholder, so it checks every row's field count;
-    one more reads the text.  Columns are re-read only if the first fails.
+    Row 1 sniffs which columns are numeric.  One read takes them all, each
+    text column sized to its widest field by :func:`_field_widths`, so it
+    also checks every row's field count.  Columns are re-read only if it
+    fails.  The text is read again, unsized, from a file the scan cannot
+    split (a quote, a lone carriage return, an empty line, a row of
+    another field count) and from one where a text value fills its sized
+    field, which would mean the scan was wrong.
     """
     with path.open(encoding="utf-8") as fh:
         line = fh.readline()
@@ -352,7 +387,7 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
     read = partial(np.loadtxt, path, skiprows=1, **options)
 
     def typed(numeric: list[bool]) -> np.ndarray:
-        return read(dtype=[(f"c{k}", float if num else "U1") for k, num in enumerate(numeric)])
+        return read(dtype=[(f"c{k}", float if num else sizes[k]) for k, num in enumerate(numeric)])
 
     def parses(k: int) -> bool:
         try:
@@ -367,6 +402,9 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
         first = read(dtype=str, max_rows=1).tolist()
         if not first:
             raise InputError(f"data file {path} has a header but no data rows")
+        widths = _field_widths(path, delimiter, len(header))
+        # one character over the widest field, so a value that fills its field shows a wrong scan
+        sizes = ["U1"] * len(header) if widths is None else [f"U{w + 1}" for w in widths]
         # one entry per header field, so a row 1 of another length fails the typed read too
         numeric = [k < len(first) and _is_float(first[k]) for k in range(len(header))]
         try:
@@ -382,9 +420,13 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
                 m, k, row = found.groups()
                 raise ParseError(f"row {row} has {k} fields, header has {m}") from None
         text = [k for k, num in enumerate(numeric) if not num]
-        texts = read(dtype=str, usecols=text, ndmin=2) if text else None
+        columns = {k: table[f"c{k}"] for k in text}
+        cut = widths is None or any(np.strings.str_len(columns[k]).max() > widths[k] for k in text)
+        if text and cut:  # the numbers do not depend on the text sizes: only the text is read again
+            texts = read(dtype=str, usecols=text, ndmin=2)
+            columns = {k: texts[:, j] for j, k in enumerate(text)}
     # stripped one column at a time, so each is contiguous
-    stripped = {k: np.char.strip(texts[:, j]) for j, k in enumerate(text)}
+    stripped = {k: np.char.strip(col) for k, col in columns.items()}
     aux = {name: table[f"c{k}"] if numeric[k] else stripped[k] for k, name in enumerate(header)}
     return header, aux
 
@@ -394,7 +436,10 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
 
     The file is UTF-8 with the header on line 1, ``"`` quotes and no
     comments; empty lines are skipped, and a row of blank fields or of
-    the wrong field count is a :class:`ParseError` naming the row.
+    the wrong field count is a :class:`ParseError` naming the row.  The
+    file is parsed in one sized read; one holding a quote, a lone
+    carriage return, an empty line or a row of the wrong field count has
+    its text columns read a second time (:func:`_read_columns`).
     ``Dataset.aux`` is the one parsed copy of the file: a column is
     numeric iff every value parses, and every model column is read from
     it.  Cell labels come from ``_levels``, so a numeric covariate is

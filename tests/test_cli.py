@@ -228,6 +228,8 @@ def estimate_config() -> dict:
         ("estimate", "format", "xml", False),
         ("diagnose", "format", "xml", False),
         ("simulate", "format", "xml", False),
+        ("diagnose", "format", "text", True),
+        ("diagnose", "format", "text", False),
     ],
 )
 def test_bad_option_value_is_an_input_error(capsys, tmp_path, subcommand, key, value, as_flag):

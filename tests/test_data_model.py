@@ -1,3 +1,5 @@
+import csv
+import io
 from dataclasses import fields
 from pathlib import Path
 
@@ -139,6 +141,25 @@ def test_extra_control_names_an_aux_column_of_finite_numbers(aux, message):
             cells=np.zeros(n, dtype=int), cell_labels=("all",),
             extra_control_names=("ctl",), aux=aux,
         )
+
+
+@pytest.mark.parametrize(
+    "spec, cluster_by",
+    [
+        (ModelSpec(), "g"),
+        (ModelSpec(kind="conditional", r_column="g"), None),
+        (ModelSpec(kind="parametric", wtilde_columns=("g",)), None),
+    ],
+)
+def test_every_aux_column_has_one_row_per_observation(spec, cluster_by):
+    n = 200
+    z = np.linspace(-1, 1, n)
+    with pytest.raises(InputError, match=r"aux column 'g' has shape \(100,\), expected 200 rows"):
+        ds = Dataset(
+            y=np.sin(7 * z), z=z, x=(z >= 0)[:, None], cells=np.zeros(n, dtype=int),
+            cell_labels=("all",), aux={"g": np.arange(100) % 5},
+        )
+        estimator.estimate(ds, spec, EstimationConfig(bandwidth=1.0, cluster_by=cluster_by))
 
 
 def test_missing_value_is_hard_error(tmp_path):
@@ -462,7 +483,8 @@ def test_numbers_use_the_plain_decimal_grammar(tmp_path):
             load_table(write(tmp_path, text), schema())
 
 
-def test_success_path_reads_each_column_once(monkeypatch):
+def full_reads(monkeypatch, path, table):
+    """The ``usecols`` of each ``np.loadtxt`` call that ``load_table`` makes over every row."""
     reads = []
 
     def recording(source, **kw):
@@ -471,10 +493,124 @@ def test_success_path_reads_each_column_once(monkeypatch):
 
     real = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", recording)
+    load_table(path, table)
+    monkeypatch.setattr(np, "loadtxt", real)
+    return [usecols for max_rows, usecols in reads if max_rows is None]
+
+
+def test_success_path_reads_each_column_once(monkeypatch):
     table = TableSchema(
         outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
         covariates=("race", "educ"),
     )
-    load_table(SAMPLE_CSV, table)
-    # besides the header and row 1: every column once, typed, then the two text columns
-    assert [usecols for max_rows, usecols in reads if max_rows is None] == [None, [3, 4]]
+    # besides the header and row 1: every column once, the text sized by the byte scan
+    assert full_reads(monkeypatch, SAMPLE_CSV, table) == [None]
+
+
+def test_quoted_file_reads_its_text_columns_again(monkeypatch, tmp_path):
+    text = 'y,z,t,race,note\n1,-1,0,WH,"a, b"\n2,1,1,MIN,c\n'
+    assert full_reads(monkeypatch, write(tmp_path, text), schema()) == [None, [3, 4]]
+
+
+@pytest.mark.parametrize(
+    "text, widths",
+    [
+        ("y,note,t\n1.5,ab,0\n-2,\u00e9\u65e5 ,1\n", [3, 6, 1]),  # UTF-8 bytes, not characters
+        ("y,note,t\n1.5,ab,0\n-2,abc,10", [3, 3, 2]),  # no newline after the last row
+        ("y,note,t\r\n1.5,ab,0\r\n-2,abc,1\r\n", [3, 3, 2]),  # the CR counts, an upper bound
+        ("long_header_name,b\n1,2\n", [1, 1]),  # the header is not data
+        ("y,note,t\n1,,0\n", [1, 0, 1]),
+    ],
+)
+def test_field_widths_bound_each_data_column(tmp_path, text, widths):
+    assert data_model._field_widths(write(tmp_path, text), ",", len(widths)).tolist() == widths
+
+
+@pytest.mark.parametrize(
+    "text, delimiter",
+    [
+        ('y,note,t\n1,"a",0\n', ","),  # a quote
+        ("y,note,t\r1,a,0\r", ","),  # carriage returns alone end lines for numpy
+        ("y,note,t\n1,a\r,0\n", ","),
+        ("y,note,t\n1,a,0\n\n2,b,1\n", ","),  # an empty line
+        ("y,note,t\n1,a,0,9\n2,b\n", ","),  # rows of other field counts, 6 fields in all
+        ("y\u00a7note\u00a7t\n1\u00a7a\u00a70\n", "\u00a7"),  # a two-byte delimiter
+    ],
+)
+def test_field_widths_decline_what_the_byte_scan_cannot_split(tmp_path, text, delimiter):
+    assert data_model._field_widths(write(tmp_path, text), delimiter, 3) is None
+
+
+def test_text_that_fills_its_sized_field_is_read_again(monkeypatch, tmp_path):
+    path = write(tmp_path, "y,z,t,race,note\n1,-1,0,WH,ab\n2,1,1,MIN,abcd\n3,2,2,WH, abcdefg \n")
+    exact = load_table(path, schema())
+    real = data_model._field_widths
+    monkeypatch.setattr(data_model, "_field_widths", lambda *args: real(*args) - 1)
+    # a scan one byte short: each text column's widest value fills its field
+    assert full_reads(monkeypatch, path, schema()) == [None, [3, 4]]
+    narrow = load_table(path, schema())
+    assert list(narrow.aux["note"]) == list(exact.aux["note"]) == ["ab", "abcd", "abcdefg"]
+    assert list(narrow.aux["race"]) == list(exact.aux["race"]) == ["WH", "MIN", "WH"]
+    assert np.array_equal(narrow.y, exact.y) and np.array_equal(narrow.x, exact.x)
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        # numpy ends a line at a carriage return alone, so classic Mac endings load as LF
+        (SIX_ROWS.replace("\n", "\r"), None),
+        (SIX_ROWS.replace("\n", "\r", 3), None),
+        (SIX_ROWS.replace("0.9,0.5,1,MIN", "0.9,0.5,1,M\rIN"), "row 5 has 1 fields, header has 4"),
+    ],
+)
+def test_bare_carriage_return_ends_a_line(tmp_path, lines, expected):
+    path = write(tmp_path, lines)
+    if expected is not None:
+        with pytest.raises(ParseError, match=expected):
+            load_table(path, schema())
+        return
+    ds, lf = load_table(path, schema()), load_table(write(tmp_path, SIX_ROWS, "lf.csv"), schema())
+    assert np.array_equal(ds.y, lf.y) and np.array_equal(ds.x, lf.x)
+    assert list(ds.aux["race"]) == list(lf.aux["race"])
+
+
+@st.composite
+def csv_tables(draw):
+    """A table of numbers and text as ``csv.writer`` writes it, with one text value made widest."""
+    n, k = draw(st.integers(2, 10)), draw(st.integers(1, 3))
+    # with a delimiter, a newline or a quote in a value, csv.writer quotes it
+    alphabet = "ab \u00e9\u65e5\U0001d11e" + draw(st.sampled_from(["", ',\n"']))
+    pad = st.sampled_from(["", " ", "  "])
+
+    def text(widest=False):
+        fill = draw(st.sampled_from("x\u65e5")) * draw(st.integers(9, 12)) if widest else ""
+        body = draw(st.sampled_from("x\u00e9\u65e5")) + fill + draw(st.text(alphabet, max_size=8))
+        return draw(pad) + body + draw(pad)
+
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = [
+        [draw(pad) + draw(number) + draw(pad), draw(number), str(i % 2)]
+        + [text() for _ in range(k)]
+        for i in range(n)
+    ]
+    rows[draw(st.integers(0, n - 1))][3 + draw(st.integers(0, k - 1))] = text(widest=True)
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [["y", "z", "t"] + [f"s{j}" for j in range(k)]] + rows
+    )
+    body = out.getvalue()
+    return body if draw(st.booleans()) else body.rstrip("\r\n")
+
+
+@settings(max_examples=80, deadline=None)
+@given(csv_tables())
+def test_load_table_reads_what_csv_reader_reads(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    path.write_bytes(body.encode("utf-8"))
+    rows = list(csv.reader(io.StringIO(body, newline="")))
+    header, columns = rows[0], list(zip(*rows[1:]))
+    ds = load_table(path, TableSchema(outcome="y", running="z", treatment="t"))
+    assert np.array_equal(ds.y, [float(v) for v in columns[0]])
+    assert np.array_equal(ds.z, [float(v) for v in columns[1]])
+    for name, column in zip(header[3:], columns[3:]):
+        assert ds.aux[name].tolist() == [v.strip() for v in column]
