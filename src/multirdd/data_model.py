@@ -372,10 +372,12 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
     Row 1 sniffs which columns are numeric.  One read takes them all, each
     text column sized to its widest field by :func:`_field_widths`, so it
     also checks every row's field count.  Columns are re-read only if it
-    fails.  The text is read again, unsized, from a file the scan cannot
-    split (a quote, a lone carriage return, an empty line, a row of
-    another field count) and from one where a text value fills its sized
-    field, which would mean the scan was wrong.
+    fails.  The scan runs only if row 1 holds text.  The text is read
+    again, unsized, from a file the scan cannot split (a quote, a lone
+    carriage return, an empty line, a row of another field count), from
+    one whose row 1 is all numbers but a later row is not, and from one
+    where a text value fills its sized field, which would mean the scan
+    was wrong.
     """
     with path.open(encoding="utf-8") as fh:
         line = fh.readline()
@@ -402,11 +404,12 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
         first = read(dtype=str, max_rows=1).tolist()
         if not first:
             raise InputError(f"data file {path} has a header but no data rows")
-        widths = _field_widths(path, delimiter, len(header))
-        # one character over the widest field, so a value that fills its field shows a wrong scan
-        sizes = ["U1"] * len(header) if widths is None else [f"U{w + 1}" for w in widths]
         # one entry per header field, so a row 1 of another length fails the typed read too
         numeric = [k < len(first) and _is_float(first[k]) for k in range(len(header))]
+        # an all-numeric file has no text to size; a column the retry turns to text reads again
+        widths = None if all(numeric) else _field_widths(path, delimiter, len(header))
+        # one character over the widest field, so a value that fills its field shows a wrong scan
+        sizes = ["U1"] * len(header) if widths is None else [f"U{w + 1}" for w in widths]
         try:
             table = typed(numeric)
         except ValueError:
@@ -421,7 +424,7 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
                 raise ParseError(f"row {row} has {k} fields, header has {m}") from None
         text = [k for k, num in enumerate(numeric) if not num]
         columns = {k: table[f"c{k}"] for k in text}
-        cut = widths is None or any(np.strings.str_len(columns[k]).max() > widths[k] for k in text)
+        cut = widths is None or any(np.char.str_len(columns[k]).max() > widths[k] for k in text)
         if text and cut:  # the numbers do not depend on the text sizes: only the text is read again
             texts = read(dtype=str, usecols=text, ndmin=2)
             columns = {k: texts[:, j] for j, k in enumerate(text)}
@@ -438,8 +441,9 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     comments; empty lines are skipped, and a row of blank fields or of
     the wrong field count is a :class:`ParseError` naming the row.  The
     file is parsed in one sized read; one holding a quote, a lone
-    carriage return, an empty line or a row of the wrong field count has
-    its text columns read a second time (:func:`_read_columns`).
+    carriage return, an empty line or a row of the wrong field count, or
+    whose row 1 is all numbers but a later row is not, has its text
+    columns read a second time (:func:`_read_columns`).
     ``Dataset.aux`` is the one parsed copy of the file: a column is
     numeric iff every value parses, and every model column is read from
     it.  Cell labels come from ``_levels``, so a numeric covariate is

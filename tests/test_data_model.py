@@ -143,23 +143,15 @@ def test_extra_control_names_an_aux_column_of_finite_numbers(aux, message):
         )
 
 
-@pytest.mark.parametrize(
-    "spec, cluster_by",
-    [
-        (ModelSpec(), "g"),
-        (ModelSpec(kind="conditional", r_column="g"), None),
-        (ModelSpec(kind="parametric", wtilde_columns=("g",)), None),
-    ],
-)
-def test_every_aux_column_has_one_row_per_observation(spec, cluster_by):
+def test_every_aux_column_has_one_row_per_observation():
+    # the cluster, R and W-tilde roles all read aux, so the constructor covers each of them
     n = 200
     z = np.linspace(-1, 1, n)
     with pytest.raises(InputError, match=r"aux column 'g' has shape \(100,\), expected 200 rows"):
-        ds = Dataset(
+        Dataset(
             y=np.sin(7 * z), z=z, x=(z >= 0)[:, None], cells=np.zeros(n, dtype=int),
             cell_labels=("all",), aux={"g": np.arange(100) % 5},
         )
-        estimator.estimate(ds, spec, EstimationConfig(bandwidth=1.0, cluster_by=cluster_by))
 
 
 def test_missing_value_is_hard_error(tmp_path):
@@ -510,6 +502,22 @@ def test_success_path_reads_each_column_once(monkeypatch):
 def test_quoted_file_reads_its_text_columns_again(monkeypatch, tmp_path):
     text = 'y,z,t,race,note\n1,-1,0,WH,"a, b"\n2,1,1,MIN,c\n'
     assert full_reads(monkeypatch, write(tmp_path, text), schema()) == [None, [3, 4]]
+
+
+def test_numeric_file_is_not_scanned(monkeypatch, tmp_path):
+    def no_scan(*args):
+        raise AssertionError("an all-numeric file has no text to size")
+
+    monkeypatch.setattr(data_model, "_field_widths", no_scan)
+    path = write(tmp_path, "y,z,t,g\n1,-1,0,4\n2,1,1,5\n3,2,2,4\n")
+    assert full_reads(monkeypatch, path, schema(covariates=("g",))) == [None]
+
+
+def test_text_after_a_numeric_row_1_is_read_again(tmp_path):
+    path = write(tmp_path, "y,z,t,g\n1,-1,0,4\n2,1,1,5b\n3,2,2, long text \n")
+    ds = load_table(path, schema(covariates=("g",)))
+    assert list(ds.aux["g"]) == ["4", "5b", "long text"]
+    assert np.array_equal(ds.y, [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize(
