@@ -17,6 +17,7 @@ violation means the input indicators were not cumulative.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import InitVar, dataclass, field
@@ -45,12 +46,19 @@ __all__ = [
 
 DEFAULT_MAX_CELL_LEVELS = 64
 DEFAULT_RCOND_THRESHOLD = 1e-10
+_KEY_PRIME = np.uint64(0x100000001B3)  # the 64-bit FNV prime
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
+    """``a`` itself if it is a write-locked array that owns its data, else a write-locked copy.
+
+    A writeable array, or a view whose base may be writeable, is copied, so
+    its caller cannot change what it was given.
+    """
+    if not isinstance(a, np.ndarray) or a.flags.writeable or not a.flags.owndata:
+        a = np.array(a)
+        a.setflags(write=False)
+    return a
 
 
 def _format_value(v) -> str:
@@ -60,9 +68,44 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _row_keys(col: np.ndarray) -> np.ndarray:
+    """One unsigned 64-bit key per row from its value's fixed-width bytes.
+
+    Equal bytes give equal keys.  A value of up to 8 bytes is its own key;
+    a wider one, such as text of more than two characters, is folded word
+    by word, so two distinct values may share a key.
+    """
+    unit = math.gcd(col.dtype.itemsize, 8)
+    words = np.ascontiguousarray(col).view(f"u{unit}").reshape(len(col), -1)
+    key = words[:, 0].astype(np.uint64)
+    for j in range(1, words.shape[1]):
+        key *= _KEY_PRIME  # wraps modulo 2**64
+        key += words[:, j]
+    return key
+
+
 def _levels(col: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Codes of a discrete column's sorted distinct values, and each value formatted once."""
-    values, codes = np.unique(col, return_inverse=True)
+    """Codes of a discrete column's sorted distinct values, and each value formatted once.
+
+    The codes and values are ``np.unique``'s.  Rows are grouped by
+    :func:`_row_keys`, an integer sort in place of a sort of n strings,
+    and only one value per group is sorted by value; that also merges
+    values of other bytes but equal value, such as -0.0 and 0.0.  If a
+    row differs from its level's value (two values shared a key, or a
+    NaN), or the column holds objects, ``np.unique`` sorts the column.
+    """
+    col = np.asarray(col)
+    codes = None
+    if col.dtype.kind in "biufSU" and col.size and col.dtype.itemsize:
+        keys, group = np.unique(_row_keys(col), return_inverse=True)
+        first = np.empty(len(keys), dtype=np.intp)
+        first[group] = np.arange(len(col))  # one row of each group
+        values, rank = np.unique(col[first], return_inverse=True)
+        codes = rank[group]
+        if not np.array_equal(values[codes], col):
+            codes = None
+    if codes is None:
+        values, codes = np.unique(col, return_inverse=True)
     return codes, tuple(_format_value(v) for v in values.tolist())
 
 
@@ -308,12 +351,18 @@ def encode_cells(
             )
         codes.append(col_codes)
         column_labels.append(col_labels)
-    # one integer per row for its combination of codes; a row-wise unique is ~30x slower
-    key = np.ravel_multi_index(codes, [len(labs) for labs in column_labels])
-    _, first, combo_of_row = np.unique(key, return_index=True, return_inverse=True)
+    # one integer per row for its combination of codes, renumbered after each
+    # column to the combinations present, so no count outgrows cells x levels
+    combo, size = np.zeros(n, dtype=np.intp), 1
+    for col_codes, labs in zip(codes, column_labels):
+        combo = combo * len(labs) + col_codes
+        seen = np.cumsum(np.bincount(combo, minlength=size * len(labs)) > 0)
+        combo, size = seen[combo] - 1, int(seen.max(initial=0))
+    first = np.empty(size, dtype=np.intp)
+    first[combo] = np.arange(n)  # one row of each combination
     keys = ["|".join(labs[c[i]] for labs, c in zip(column_labels, codes)) for i in first.tolist()]
     labels, rank = np.unique(np.asarray(keys, dtype=str), return_inverse=True)
-    return CellEncoding(rank[combo_of_row], tuple(labels.tolist()))
+    return CellEncoding(rank[combo], tuple(labels.tolist()))
 
 
 def _is_float(text: str) -> bool:
@@ -355,10 +404,13 @@ def _field_widths(path: Path, delimiter: str, m: int) -> np.ndarray | None:
         buf = np.append(buf, np.uint8(ord("\n")))
     if (buf == ord('"')).any() or (buf[np.flatnonzero(buf == ord("\r")) + 1] != ord("\n")).any():
         return None
-    newline = buf == ord("\n")
-    ends = np.flatnonzero(newline | (buf == sep[0]))
-    rows = np.count_nonzero(newline)
-    if ends.size != rows * m or not newline[ends[m - 1 :: m]].all():
+    field_end = buf == sep[0]
+    field_end |= buf == ord("\n")
+    ends = np.flatnonzero(field_end)
+    del field_end  # from here on only the bytes and the positions are held
+    line_end = buf[ends] == ord("\n")
+    rows = np.count_nonzero(line_end)
+    if ends.size != rows * m or not line_end[m - 1 :: m].all():
         return None
     ends = ends.reshape(rows, m)
     # the header row is not data; a row's first field starts after the last row's end
@@ -428,9 +480,12 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
         if text and cut:  # the numbers do not depend on the text sizes: only the text is read again
             texts = read(dtype=str, usecols=text, ndmin=2)
             columns = {k: texts[:, j] for j, k in enumerate(text)}
-    # stripped one column at a time, so each is contiguous
-    stripped = {k: np.char.strip(col) for k, col in columns.items()}
-    aux = {name: table[f"c{k}"] if numeric[k] else stripped[k] for k, name in enumerate(header)}
+    aux = {}
+    for k, name in enumerate(header):
+        # each column made contiguous once, text stripped, and locked: Dataset keeps it as is
+        col = table[f"c{k}"].copy() if numeric[k] else np.char.strip(columns[k])
+        col.setflags(write=False)
+        aux[name] = col
     return header, aux
 
 
@@ -507,6 +562,8 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     for name in schema.extra_controls:  # checked here, so the error names the row
         _numeric(require(name, "extra control"), name)
 
+    for made in (z, x, enc.cells):  # made here and locked, so Dataset keeps them as they are
+        made.setflags(write=False)
     return Dataset(
         y=y,
         z=z,

@@ -11,20 +11,25 @@ Model variants change only the endogenous block: the parametric variant
 interacts the treatments with user-chosen transform columns, and the
 conditional variant stacks per-stratum copies of the whole design so
 the stacked fit coincides with running the estimator separately within
-each stratum.
+each stratum.  That design is block-diagonal by stratum, apart from the
+shared extra controls and y.
 
 Each fit passes over the rows inside the kernel window once.
 :func:`build_design` builds every block on those rows only, the cell
 dummies W from the dataset's cell codes and the extra controls from the
 ``aux`` columns it names, and :class:`DesignMatrices` weights them and
 takes R, without Q, of the augmented block [C | Z | X | y] = [E | X | y]
-once.  Every stage reads that R, gated on its first read by R_EE's
-diagonal over R's column norms; beta solves R_ZX beta = R_Zy
-(Frisch-Waugh-Lovell) and eta the block R_CC;
-the first-stage residual sums of squares are column norms of R below
-the rows of E and of C; the covariance and the J test share one pass
-that forms the moment rows E*u and their cluster sums, and the fitted
-regressors enter only through R_EE^-1 applied to small blocks of R.
+once.  The conditional design is built and factored stratum by stratum:
+the window rows are sorted by stratum, each stratum's blocks are built
+on its own rows, its columns are factored on those rows, and R is the R
+of the strata's stacked factors.  Every stage reads that one R, gated
+on its first read by R_EE's diagonal over R's column norms; beta solves
+R_ZX beta = R_Zy (Frisch-Waugh-Lovell) and eta the block R_CC; the
+first-stage residual sums of squares are column norms of R below the
+rows of E and of C; the covariance and the J test share one pass that
+forms the moment rows E*u and their cluster sums, each column summed
+over its block's rows, and the fitted regressors enter only through
+R_EE^-1 applied to small blocks of R.
 Every gate reads sizes that are free of the columns' units.
 """
 
@@ -33,15 +38,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .data_model import Dataset, EstimationConfig, ModelSpec, _levels, _locked
-from .data_model import conditioning, validate_dataset
+from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset, EstimationConfig, ModelSpec
+from .data_model import _levels, _locked, conditioning, validate_dataset
 from .errors import EstimationError, InputError, SingularDesignError, UnderIdentifiedError
 from .kernels import window
 
 __all__ = [
+    "Block",
     "DesignMatrices",
     "FitResult",
     "FirstStageReport",
@@ -54,12 +61,43 @@ __all__ = [
 ]
 
 
+class Block(NamedTuple):
+    """Where one block of a design's nonzeros sit: a range of rows and the
+    columns of :attr:`DesignMatrices.augmented` it spans, in ascending order;
+    ``label`` names it in a rank error."""
+
+    rows: slice
+    columns: slice | np.ndarray
+    label: str = ""
+
+
+def _scaled_pivots(r: np.ndarray, k: int) -> np.ndarray:
+    """|r_ii| over the norm of R's column i for the first ``k`` columns.
+
+    Free of units (Q being orthonormal, the norm is the column's own), 0
+    for a zero column, and fewer than k when R has fewer rows.
+    """
+    pivots = np.abs(np.diagonal(r[:, :k]))
+    norms = np.linalg.norm(r[:, : len(pivots)], axis=0)
+    return np.divide(pivots, norms, out=np.zeros_like(pivots), where=norms > 0)
+
+
+def _deficient(part: np.ndarray, k: int) -> bool:
+    """Whether the first ``k`` columns of a block's R_s fail the rank gate on their own."""
+    return conditioning(_scaled_pivots(part, k), n=k) < DEFAULT_RCOND_THRESHOLD
+
+
 @dataclass(frozen=True)
 class DesignMatrices:
     """Unweighted design blocks of weight-positive rows, their clusters and their one R.
 
     :func:`build_design` passes only the rows inside the kernel window; a
     design with no rows, or with a weight that is not > 0, is rejected.
+    ``blocks`` says where the nonzeros of :attr:`augmented` sit: outside
+    its blocks' rows and columns every entry is zero.  The default is one
+    block of every row and column; the conditional design has one block
+    per stratum, its rows and its own columns plus the shared extra
+    controls and y.
     """
 
     y: np.ndarray
@@ -71,6 +109,7 @@ class DesignMatrices:
     instrument_labels: tuple[str, ...]
     control_labels: tuple[str, ...]
     cluster: np.ndarray | None = None
+    blocks: tuple[Block, ...] = (Block(slice(None), slice(None)),)
 
     def __post_init__(self):
         if not self.n:
@@ -114,16 +153,38 @@ class DesignMatrices:
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
         """R of :attr:`augmented`, without Q, and E's scaled pivots, which gate its rank.
 
-        Pivot i is |r_ii| over the norm of R's column i (E's own, Q being orthonormal):
-        free of units, 0 for a zero column, and fewer than k when R has fewer rows.
+        Each block's columns are factored on its rows.  With more than one
+        block, R is the R of the blocks' R_s stacked, each in its block's
+        columns (the reduction step of TSQR), since A'A is the sum of the
+        R_s'R_s.  One block is one ``qr`` call on :attr:`augmented` itself.
         """
-        r = np.linalg.qr(self.augmented, mode="r")
-        k = self.n_exogenous
-        pivots = np.abs(np.diagonal(r[:, :k]))
-        norms = np.linalg.norm(r[:, : len(pivots)], axis=0)
-        pivots = np.divide(pivots, norms, out=np.zeros_like(pivots), where=norms > 0)
+        a, k = self.augmented, self.n_exogenous
+        parts = [np.linalg.qr(a[b.rows, b.columns], mode="r") for b in self.blocks]
+        r = parts[0]
+        if len(parts) > 1:
+            stacked = np.zeros((sum(len(part) for part in parts), a.shape[1]))
+            at = 0
+            for b, part in zip(self.blocks, parts):
+                stacked[at : at + len(part), b.columns] = part
+                at += len(part)
+            r = np.linalg.qr(stacked, mode="r")
+        pivots = _scaled_pivots(r, k)
         what = f"exogenous block is rank deficient after weighting ({k} columns)"
-        conditioning(pivots, what, n=k)
+        try:
+            conditioning(pivots, what, n=k)
+        except SingularDesignError as err:
+            if len(parts) == 1:
+                raise
+            columns = np.arange(a.shape[1])
+            # a block's exogenous columns are the first of its R_s
+            own = [
+                b.label for b, part in zip(self.blocks, parts)
+                if _deficient(part, np.count_nonzero(columns[b.columns] < k))
+            ]
+            if not own:
+                raise
+            message = f"{err}; rank deficient on its own: {', '.join(own)}"
+            raise SingularDesignError(message) from None
         return r, pivots
 
     @property
@@ -168,6 +229,45 @@ def _homogeneous_blocks(const, w_rows, z, d_ind, labels, prefix=""):
     return instr, instr_labels, controls, control_labels + per_cell("z:w:") + per_cell("d:z:w:")
 
 
+def _stratum_design(tags, parts, x_rows, w_rows, z, d_ind, dummy_labels, extra):
+    """The conditional design of window rows sorted by stratum, zero off each stratum's rows.
+
+    ``tags`` (``r=level``) and ``parts`` (row ranges) list the strata in
+    label order.  Each stratum's C_s, Z_s and X_s are built on its own
+    rows, where its indicator, the block's constant, is one; its
+    :class:`Block` spans those columns, the extra controls and y.  Returns
+    the transposed endogenous, instrument and control blocks (the extra
+    controls last), their labels, and the blocks.
+    """
+    labels = ([], [], [])  # endogenous, instruments, controls
+    pieces = []
+    for tag, part in zip(tags, parts):
+        instr, instr_labels, ctrl, control_labels = _homogeneous_blocks(
+            np.ones(part.stop - part.start), w_rows[:, part], z[part], d_ind[part],
+            dummy_labels, prefix=f"{tag}|",
+        )
+        pieces.append(([x_rows[:, part]], instr, ctrl))
+        labels[0].extend(f"x{j + 1}|{tag}" for j in range(len(x_rows)))
+        labels[1].extend(instr_labels)
+        labels[2].extend(control_labels)
+    n_strata, sizes = len(parts), (len(x_rows), len(instr_labels), len(control_labels))
+    shared = (0, 0, len(extra))  # the extra controls follow the strata's controls
+    arrays = [np.zeros((n_strata * k + e, len(z))) for k, e in zip(sizes, shared)]
+    for s, part in enumerate(parts):
+        for out, k, rows in zip(arrays, sizes, pieces[s]):
+            out[s * k : (s + 1) * k, part] = np.vstack(rows)
+    if extra:
+        arrays[2][n_strata * sizes[2] :] = extra
+    # the stratum of each column of [C | Z | X | y]; -1 for the extra controls and y
+    of = [np.repeat(np.arange(n_strata), k) for k in sizes]
+    owner = np.concatenate([of[2], np.full(len(extra), -1), of[1], of[0], [-1]])
+    blocks = tuple(
+        Block(part, np.flatnonzero((owner == s) | (owner < 0)), f"stratum {tag}")
+        for s, (tag, part) in enumerate(zip(tags, parts))
+    )
+    return arrays, labels, blocks
+
+
 def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignMatrices:
     """Assemble the design of the rows inside the kernel window.
 
@@ -175,28 +275,19 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     the cell codes and the extra controls from their ``aux`` columns.  The
     dummies and the strata of R keep the levels of the full sample, so a
     cell or a stratum without rows in the window leaves a zero column.
+    The conditional design sorts the window rows by stratum once and
+    builds each stratum's [C_s | Z_s | X_s] on its own rows, zero
+    elsewhere; its :class:`Block` per stratum lets R be factored stratum
+    by stratum.
     Raises when the endogenous block outruns the instruments or when the
     weighted exogenous block is rank deficient (for instance because a
-    covariate cell is empty inside the bandwidth).
+    covariate cell is empty inside the bandwidth); for a stratum whose
+    own block is, the error names it.
     """
     rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
-    z = ds.z[rows]
-    # each block is built transposed, one contiguous row per column, and stacked once
-    x_rows = np.ascontiguousarray(ds.x[rows].T)
-    w_rows = (ds.cells[rows] == np.arange(1, ds.q)[:, None]).astype(float)  # one row per dummy
-    d_ind = (z >= 0).astype(float)
-    dummy_labels = ds.cell_labels[1:] if ds.q > 1 else ()
     m = ds.m
-
-    cluster = ds.cluster
-    if cfg.cluster_by == "running":
-        cluster = ds.z
-    elif cfg.cluster_by is not None:
-        if cfg.cluster_by not in ds.aux:
-            raise InputError(f"cluster column {cfg.cluster_by!r} not found in dataset")
-        cluster = ds.aux[cfg.cluster_by]
-
-    if spec.kind == "conditional":
+    conditional = spec.kind == "conditional"
+    if conditional:
         if spec.r_column not in ds.aux:
             raise InputError(f"conditioning column {spec.r_column!r} not found in dataset")
         if ds.d > m + 1:
@@ -209,23 +300,39 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
                 f"conditioning column {spec.r_column!r} has missing values; "
                 "its levels must partition the sample"
             )
-        r_codes = r_codes[rows]
-        endo, endo_labels = [], []
-        instr, instr_labels = [], []
-        controls, control_labels = [], []
-        for lev, code in sorted(zip(strata, range(len(strata)))):  # strata in label order
-            sel = (r_codes == code).astype(float)
-            endo.append(x_rows * sel)
-            endo_labels += [f"x{j + 1}|{spec.r_column}={lev}" for j in range(ds.d)]
-            # the stratum indicator, not a global intercept, is the block's constant
-            instr_s, il, ctrl_s, cl = _homogeneous_blocks(
-                sel, w_rows * sel, z * sel, d_ind * sel, dummy_labels,
-                prefix=f"{spec.r_column}={lev}|",
-            )
-            instr += instr_s
-            instr_labels += il
-            controls += ctrl_s
-            control_labels += cl
+        order = sorted(range(len(strata)), key=strata.__getitem__)  # strata in label order
+        tags = [f"{spec.r_column}={strata[j]}" for j in order]
+        rank = np.empty(len(strata), dtype=np.min_scalar_type(len(strata)))
+        rank[order] = np.arange(len(strata))
+        stratum = rank[r_codes[rows]]
+        # the window rows sorted by stratum, once; a radix sort on codes this small
+        sort = np.argsort(stratum, kind="stable")
+        rows, w = rows[sort], w[sort]
+        ends = np.cumsum(np.bincount(stratum, minlength=len(strata))).tolist()
+        parts = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
+
+    z = ds.z[rows]
+    # each block is built transposed, one contiguous row per column, and stacked once
+    x_rows = np.ascontiguousarray(ds.x[rows].T)
+    w_rows = (ds.cells[rows] == np.arange(1, ds.q)[:, None]).astype(float)  # one row per dummy
+    d_ind = (z >= 0).astype(float)
+    dummy_labels = ds.cell_labels[1:] if ds.q > 1 else ()
+    extra = [ds.aux[name][rows] for name in ds.extra_control_names]
+
+    cluster = ds.cluster
+    if cfg.cluster_by == "running":
+        cluster = ds.z
+    elif cfg.cluster_by is not None:
+        if cfg.cluster_by not in ds.aux:
+            raise InputError(f"cluster column {cfg.cluster_by!r} not found in dataset")
+        cluster = ds.aux[cfg.cluster_by]
+
+    if conditional:
+        arrays, labels, blocks = _stratum_design(
+            tags, parts, x_rows, w_rows, z, d_ind, dummy_labels, extra
+        )
+        endogenous, instruments, controls = arrays
+        endo_labels, instr_labels, control_labels = labels
     else:
         wtilde = spec.wtilde_columns if spec.kind == "parametric" else ()
         endo = [x_rows]
@@ -245,23 +352,24 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
                 f"under-identified: q=m+1={m + 1} < d(1+c)={len(endo_labels)}; "
                 f"the transform allows at most c <= (m+1)/d - 1 = {(m + 1) / ds.d - 1:g} columns"
             )
-        instr, instr_labels, controls, control_labels = _homogeneous_blocks(
+        instr, instr_labels, ctrl, control_labels = _homogeneous_blocks(
             np.ones(len(z)), w_rows, z, d_ind, dummy_labels
         )
-
-    controls = controls + [ds.aux[name][rows] for name in ds.extra_control_names]
-    control_labels = list(control_labels) + list(ds.extra_control_names)
+        endogenous, instruments = np.vstack(endo), np.vstack(instr)
+        controls = np.vstack(ctrl + extra)
+        blocks = DesignMatrices.blocks
 
     dm = DesignMatrices(
         y=ds.y[rows],
-        endogenous=np.vstack(endo).T,
-        instruments=np.vstack(instr).T,
-        controls=np.vstack(controls).T,
+        endogenous=endogenous.T,
+        instruments=instruments.T,
+        controls=controls.T,
         weights=w,
         endogenous_labels=tuple(endo_labels),
         instrument_labels=tuple(instr_labels),
-        control_labels=tuple(control_labels),
+        control_labels=tuple(control_labels) + tuple(ds.extra_control_names),
         cluster=None if cluster is None else np.asarray(cluster)[rows],
+        blocks=blocks,
     )
     try:
         dm.r  # the first read of R runs the rank gate
@@ -391,13 +499,22 @@ def _moments(fit, dm) -> tuple[np.ndarray, np.ndarray, float]:
     codes = dm.cluster_codes
     p, k = dm.n_controls, dm.n_exogenous
     coef = np.concatenate([-fit.eta, np.zeros(k - p), -fit.beta, [1.0]])
-    u = dm.augmented @ coef
-    summed = dm.augmented[:, :k] * u[:, None]  # E * u
-    if codes is not None:
+    a = dm.augmented
+    u = a @ coef
+    if codes is None:
+        summed = a[:, :k] * u[:, None]  # E * u
+    else:
+        # a column of one block is zero off that block's rows, so only they are summed
+        home = {}
+        for b in dm.blocks:
+            for j in np.arange(a.shape[1])[b.columns].tolist():
+                home[j] = slice(None) if j in home else b.rows
         n_groups = int(codes.max()) + 1
-        summed = np.stack(
-            [np.bincount(codes, weights=col, minlength=n_groups) for col in summed.T], axis=1
-        )
+        sums = []
+        for j in range(k):
+            rows = home.get(j, slice(None))
+            sums.append(np.bincount(codes[rows], weights=a[rows, j] * u[rows], minlength=n_groups))
+        summed = np.stack(sums, axis=1)
     out = summed, summed.T @ summed, float(np.linalg.norm(u))
     dm.__dict__["_moments"] = (fit, out)
     return out

@@ -224,6 +224,87 @@ def test_dataset_arrays_are_immutable(six_row_csv):
     assert held.aux["r"][0] == 0.0
 
 
+def test_loader_columns_are_shared_not_copied():
+    table = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race",), cluster="age",
+    )
+    ds = load_table(SAMPLE_CSV, table)
+    assert np.shares_memory(ds.y, ds.aux["delayed_care"])
+    assert np.shares_memory(ds.cluster, ds.aux["age"])
+    assert all(not col.flags.writeable for col in ds.aux.values())
+
+
+def test_hand_built_dataset_does_not_follow_the_callers_arrays():
+    y, z, extra = np.arange(6.0), np.linspace(-1, 1, 6), np.ones(6)
+    x, cells, cluster = np.ones((6, 1)), np.zeros(6, dtype=int), np.arange(6)
+    base = np.full(6, 2.0)
+    view = base[:]  # read-only, but a view of an array the caller can still write
+    view.setflags(write=False)
+    ds = Dataset(
+        y=y, z=z, x=x, cells=cells, cell_labels=("all",), cluster=cluster,
+        extra_control_names=("ctl",), aux={"ctl": extra, "r": view},
+    )
+    for a in (y, z, x, cells, cluster, extra, base):
+        a[...] = 7
+    assert ds.y.tolist() == list(range(6)) and ds.z[0] == -1.0 and ds.x.sum() == 6
+    assert ds.cells.sum() == 0 and ds.cluster.tolist() == list(range(6))
+    assert ds.aux["ctl"].tolist() == [1.0] * 6 and ds.aux["r"].tolist() == [2.0] * 6
+
+
+def levels_oracle(col):
+    values, codes = np.unique(col, return_inverse=True)
+    return codes, tuple(data_model._format_value(v) for v in values.tolist())
+
+
+def pooled(values, dtype):
+    """Columns of up to 40 rows drawn from a pool of up to 5 values, so values repeat."""
+    pools = st.lists(values, min_size=1, max_size=5)
+    rows = pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return rows.map(lambda r: np.array(r, dtype=dtype))
+
+
+# multi-byte characters, so text fields run well past the 8 bytes of one key word
+TEXT = st.text(alphabet="ab é日😀\x00|", max_size=12)
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0, 4.0]), st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pooled(TEXT, str)
+    | pooled(FLOATS, float)
+    | pooled(st.integers(-(2**63), 2**63 - 1), np.int64)
+    | pooled(st.integers(0, 300), np.uint16)
+    | pooled(st.booleans(), bool)
+    | pooled(TEXT, object)
+)
+def test_levels_equal_np_unique(col):
+    codes, labels = data_model._levels(col)
+    want_codes, want_labels = levels_oracle(col)
+    assert labels == want_labels
+    assert np.array_equal(codes, want_codes)
+
+
+@pytest.mark.parametrize(
+    "col",
+    [
+        np.array(["WH", "MIN", "ölçü-über-lang", "WH", "日本語のテキスト", "MIN"]),
+        np.array([2.5, -0.0, 1.0, 0.0, 2.5, -7.0]),
+        np.array([3, 1, 3, 2, 1], dtype=np.int64),
+    ],
+)
+def test_levels_are_exact_when_every_row_key_collides(monkeypatch, col):
+    monkeypatch.setattr(data_model, "_row_keys", lambda c: np.zeros(len(c), dtype=np.uint64))
+    codes, labels = data_model._levels(col)
+    want_codes, want_labels = levels_oracle(col)
+    assert labels == want_labels
+    assert np.array_equal(codes, want_codes)
+    enc = encode_cells([col, col[::-1]])
+    monkeypatch.undo()
+    want = encode_cells([col, col[::-1]])
+    assert enc.labels == want.labels and np.array_equal(enc.cells, want.cells)
+
+
 def test_load_parses_every_column_once_into_aux(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text("y,z,t,race,note\n1, 4.0 ,0, WH ,a\n2,-04,1,MIN,7\n", encoding="utf-8")
@@ -305,6 +386,12 @@ def test_encode_cells_missing_combo():
     enc = encode_cells([a, b])
     assert enc.labels == ("0|0", "0|1", "1|0")
     assert enc.cells.tolist() == [0, 1, 2, 2]
+
+
+def test_encode_cells_of_no_rows():
+    for columns in ([np.array([], dtype=str)], [np.array([]), np.array([], dtype=str)]):
+        enc = encode_cells(columns)
+        assert enc.labels == () and enc.cells.shape == (0,)
 
 
 def test_encode_cells_too_many_levels():

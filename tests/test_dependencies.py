@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -93,3 +94,32 @@ def test_dataset_holds_each_datum_once():
     assert {f.name for f in dataclasses.fields(data_model.CellEncoding)} == {"cells", "labels"}
     for mod in (multirdd, discontinuities):
         assert not {"cell_jump", "Jump"} & (set(vars(mod)) | set(mod.__all__)), mod.__name__
+
+
+# pyproject.toml declares numpy>=1.24; these exist only from numpy 2.0
+NUMPY_2_ONLY = {"strings", "unique_values", "unique_inverse", "unique_counts", "unique_all"}
+
+
+def numpy_2_only(source: str) -> list:
+    """The lines of ``source`` that use an API that numpy 1.x does not have."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY_2_ONLY:
+            found.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            if {p for a in node.names for p in f"{module}.{a.name}".split(".")} & NUMPY_2_ONLY:
+                found.add(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "unique":
+            if any(kw.arg == "sorted" for kw in node.keywords):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_src_uses_no_numpy_2_only_api():
+    caught = "import numpy as np\nfrom numpy import strings\nimport numpy.strings\n"
+    caught += "np.strings.str_len(a)\nnp.unique_inverse(a)\nnp.unique(a, sorted=False)\n"
+    assert numpy_2_only(caught) == [2, 3, 4, 5, 6]
+    assert numpy_2_only("np.unique(a, return_inverse=True)\nsorted(a)\nnp.char.str_len(a)\n") == []
+    for path in sorted((SRC / "multirdd").glob("*.py")):
+        assert numpy_2_only(path.read_text(encoding="utf-8")) == [], path.name

@@ -781,8 +781,80 @@ def test_conditional_stratum_empty_inside_the_window_is_rank_deficient():
         aux={"grp": r_col},
     )
     spec = ModelSpec(kind="conditional", r_column="grp")
-    with pytest.raises(SingularDesignError, match="rank deficient"):
+    with pytest.raises(SingularDesignError, match="rank deficient") as err:
         build_design(ds, spec, EstimationConfig(bandwidth=0.8))
+    # the stratum whose own block fails is named, and only that one
+    assert "stratum grp=far" in str(err.value) and "grp=near" not in str(err.value)
     dm = build_design(ds, spec, EstimationConfig(bandwidth=1.0))  # both strata inside
     assert dm.n == ds.n
 
+
+
+def test_blocked_r_matches_a_dense_qr():
+    rng = np.random.default_rng(31)
+    big = random_dataset(rng, n=400, d=1, m=1, noise=0.4)
+    # stratum c has 10 rows, fewer than its block's 11 columns (6 controls,
+    # 2 instruments, 1 endogenous, the shared control and y), but two or three
+    # z per cell and side, and x off their lines: the design has full rank
+    cells = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
+    z = np.array([-0.6, -0.3, -0.1, 0.2, 0.5, -0.7, -0.4, -0.2, 0.3, 0.6])
+    x = np.array([0, 1, 0, 1, 1, 1, 0, 0, 1, 0], dtype=float)[:, None]
+    n = big.n + len(z)
+    ds = Dataset(
+        y=np.concatenate([big.y, rng.normal(size=len(z))]),
+        z=np.concatenate([big.z, z]),
+        x=np.concatenate([big.x, x]),
+        cells=np.concatenate([big.cells, cells]),
+        cell_labels=big.cell_labels,
+        extra_control_names=("ctl",),
+        aux={"ctl": rng.normal(size=n), "grp": np.array(["b", "a"] * (big.n // 2) + ["c"] * 10)},
+    )
+    dm = build_design(ds, ModelSpec(kind="conditional", r_column="grp"), CFG)
+    assert [b.label for b in dm.blocks] == ["stratum grp=a", "stratum grp=b", "stratum grp=c"]
+    small = dm.blocks[-1]
+    assert small.rows.stop - small.rows.start == 10 < len(small.columns) == 11
+    dense = np.linalg.qr(dm.augmented, mode="r")
+    assert dm.r.shape == dense.shape
+    # R is unique up to the signs of its rows
+    assert np.abs(np.abs(dm.r) - np.abs(dense)).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_order_leaves_conditional_and_homogeneous_fits_unchanged(seed):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, n=600, d=1, m=2, noise=0.4)
+    ds = replace(
+        ds,
+        cluster=rng.integers(0, 300, size=ds.n),
+        extra_control_names=("ctl",),
+        aux={"ctl": rng.normal(size=ds.n), "grp": rng.choice(["u", "v", "w"], size=ds.n)},
+    )
+    shuffled = subset_dataset(ds, rng.permutation(ds.n))
+    for spec in (ModelSpec(), ModelSpec(kind="conditional", r_column="grp")):
+        base, fit = estimate(ds, spec, CFG), estimate(shuffled, spec, CFG)
+        assert fit.j_dof > 0
+        for got, want in ((fit.beta, base.beta), (fit.se, base.se), (fit.j_stat, base.j_stat)):
+            got, want = np.atleast_1d(got), np.atleast_1d(want)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), (spec.kind, got, want)
+
+
+def test_conditional_cluster_sums_match_loop_oracles():
+    # clusters cross the strata, and the shared control is summed over every stratum's rows
+    rng = np.random.default_rng(33)
+    ds = random_dataset(rng, n=400, d=1, m=1, noise=0.4)
+    ds = replace(
+        ds,
+        cluster=rng.integers(0, 60, size=ds.n),
+        extra_control_names=("ctl",),
+        aux={"ctl": rng.normal(size=ds.n), "grp": rng.choice(["u", "v"], size=ds.n)},
+    )
+    dm = build_design(ds, ModelSpec(kind="conditional", r_column="grp"), CFG)
+    assert len(dm.blocks) == 2
+    fit = weighted_2sls(dm)
+    _, xhat, resid, zmat = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
+    want = cluster_sandwich_oracle(xhat, resid, dm.cluster)
+    cov = cluster_covariance(fit, dm)
+    assert np.abs(cov - want).max() / np.abs(want).max() < 1e-8
+    j_stat, dof, _ = j_test(fit, dm)
+    want_stat, _ = j_oracle(zmat, resid, dm.cluster, dof)
+    assert dof == 2 and j_stat == pytest.approx(want_stat, rel=1e-8, abs=1e-10)
