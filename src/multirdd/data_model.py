@@ -476,7 +476,11 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
                 raise ParseError(f"row {row} has {k} fields, header has {m}") from None
         text = [k for k, num in enumerate(numeric) if not num]
         columns = {k: table[f"c{k}"] for k in text}
-        cut = widths is None or any(np.char.str_len(columns[k]).max() > widths[k] for k in text)
+        # a value fills its field when its last character is not NUL: one strided read a column
+        fields = table.dtype.fields
+        cut = widths is None or any(
+            table.getfield(np.uint32, fields[f"c{k}"][1] + 4 * widths[k]).any() for k in text
+        )
         if text and cut:  # the numbers do not depend on the text sizes: only the text is read again
             texts = read(dtype=str, usecols=text, ndmin=2)
             columns = {k: texts[:, j] for j, k in enumerate(text)}

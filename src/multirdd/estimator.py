@@ -15,14 +15,14 @@ each stratum.  That design is block-diagonal by stratum, apart from the
 shared extra controls and y.
 
 Each fit passes over the rows inside the kernel window once.
-:func:`build_design` builds every block on those rows only, the cell
-dummies W from the dataset's cell codes and the extra controls from the
-``aux`` columns it names, and :class:`DesignMatrices` weights them and
-takes R, without Q, of the augmented block [C | Z | X | y] = [E | X | y]
-once.  The conditional design is built and factored stratum by stratum:
-the window rows are sorted by stratum, each stratum's blocks are built
-on its own rows, its columns are factored on those rows, and R is the R
-of the strata's stacked factors.  Every stage reads that one R, gated
+:func:`build_design` writes the weighted augmented block [C | Z | X | y]
+= [E | X | y] once, on those rows only, into the one array that
+:class:`DesignMatrices` holds: the cell dummies W from the dataset's cell
+codes, the extra controls from the ``aux`` columns it names.  R, without
+Q, is taken of it once; the conditional design is written and factored
+stratum by stratum: the window rows are sorted by stratum, each
+stratum's columns are written and factored on its own rows, and R is the
+R of the strata's stacked factors.  Every stage reads that one R, gated
 on its first read by R_EE's diagonal over R's column norms; beta solves
 R_ZX beta = R_Zy (Frisch-Waugh-Lovell) and eta the block R_CC; the
 first-stage residual sums of squares are column norms of R below the
@@ -89,21 +89,20 @@ def _deficient(part: np.ndarray, k: int) -> bool:
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Unweighted design blocks of weight-positive rows, their clusters and their one R.
+    """The weighted design of weight-positive rows, their clusters and its one R.
 
-    :func:`build_design` passes only the rows inside the kernel window; a
-    design with no rows, or with a weight that is not > 0, is rejected.
-    ``blocks`` says where the nonzeros of :attr:`augmented` sit: outside
-    its blocks' rows and columns every entry is zero.  The default is one
-    block of every row and column; the conditional design has one block
-    per stratum, its rows and its own columns plus the shared extra
+    ``augmented`` is [C | Z | X | y] with every row scaled by the root of
+    its weight, column-major for LAPACK; the label tuples split its
+    columns.  :func:`build_design` passes only the rows inside the kernel
+    window; a design with no rows, or with a weight that is not > 0, is
+    rejected.  ``blocks`` says where the nonzeros of ``augmented`` sit:
+    outside its blocks' rows and columns every entry is zero.  The default
+    is one block of every row and column; the conditional design has one
+    block per stratum, its rows and its own columns plus the shared extra
     controls and y.
     """
 
-    y: np.ndarray
-    endogenous: np.ndarray
-    instruments: np.ndarray
-    controls: np.ndarray
+    augmented: np.ndarray
     weights: np.ndarray
     endogenous_labels: tuple[str, ...]
     instrument_labels: tuple[str, ...]
@@ -112,6 +111,12 @@ class DesignMatrices:
     blocks: tuple[Block, ...] = (Block(slice(None), slice(None)),)
 
     def __post_init__(self):
+        shape = (len(self.weights), self.n_exogenous + self.k_endogenous + 1)
+        if np.ndim(self.augmented) != 2 or self.augmented.shape != shape:
+            raise InputError(
+                f"augmented has shape {np.shape(self.augmented)}, expected {shape}: "
+                "one row per weight, one column per label and y"
+            )
         if not self.n:
             raise EstimationError("no weight-positive rows; widen the bandwidth")
         positive = np.asarray(self.weights) > 0
@@ -123,31 +128,23 @@ class DesignMatrices:
 
     @property
     def n(self) -> int:
-        return len(self.y)
+        return len(self.weights)
 
     @property
     def k_endogenous(self) -> int:
-        return self.endogenous.shape[1]
+        return len(self.endogenous_labels)
 
     @property
     def n_instruments(self) -> int:
-        return self.instruments.shape[1]
+        return len(self.instrument_labels)
 
     @property
     def n_controls(self) -> int:
-        return self.controls.shape[1]
+        return len(self.control_labels)
 
     @property
     def n_exogenous(self) -> int:
         return self.n_controls + self.n_instruments
-
-    @cached_property
-    def augmented(self) -> np.ndarray:
-        """The weighted ``[controls | instruments | endogenous | y]``, column-major for LAPACK."""
-        blocks = [self.controls.T, self.instruments.T, self.endogenous.T, self.y]
-        block = np.vstack(blocks, dtype=float).T
-        block *= np.sqrt(self.weights)[:, None]
-        return block
 
     @cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
@@ -211,74 +208,50 @@ class DesignMatrices:
         return np.unique(ids, return_inverse=True)[1]
 
 
-def _homogeneous_blocks(const, w_rows, z, d_ind, labels, prefix=""):
-    """Instruments and controls as lists of rows of their transposes.
+def _write_cells(controls, instruments, z, cells):
+    """Write a stratum's C_s and Z_s on its rows, one row of the design per column.
 
-    ``w_rows`` holds one cell dummy per row; ``const`` is the intercept
-    column, ones or a stratum's indicator.
+    C_s = (1, W', z, D*z, z*W', D*z*W') and Z_s = (D, D*W') for the cell
+    dummies W of cells 1..q-1; every column is written in place.
     """
-    dz = d_ind * z
-    instr = [d_ind, d_ind * w_rows]
-    controls = [const, w_rows, z, dz, z * w_rows, dz * w_rows]
+    q = len(instruments)
+    w = controls[1:q]
+    controls[0] = 1.0
+    np.equal(cells, np.arange(1, q)[:, None], out=w)
+    controls[q] = z
+    np.greater_equal(z, 0, out=instruments[0])
+    np.multiply(instruments[0], z, out=controls[q + 1])
+    np.multiply(controls[q], w, out=controls[q + 2 : 2 * q + 1])
+    np.multiply(controls[q + 1], w, out=controls[2 * q + 1 :])
+    np.multiply(instruments[0], w, out=instruments[1:])
+
+
+def _labels(tag, dummies, x_names):
+    """A stratum's control, instrument and endogenous labels; no tag for the whole sample."""
+    pre, post = (f"{tag}|", f"|{tag}") if tag else ("", "")
 
     def per_cell(head):
-        return [f"{prefix}{head}{lab}" for lab in labels]
+        return [f"{pre}{head}{lab}" for lab in dummies]
 
-    instr_labels = [f"{prefix}d"] + per_cell("d:w:")
-    control_labels = [f"{prefix}const"] + per_cell("w:") + [f"{prefix}z", f"{prefix}d:z"]
-    return instr, instr_labels, controls, control_labels + per_cell("z:w:") + per_cell("d:z:w:")
-
-
-def _stratum_design(tags, parts, x_rows, w_rows, z, d_ind, dummy_labels, extra):
-    """The conditional design of window rows sorted by stratum, zero off each stratum's rows.
-
-    ``tags`` (``r=level``) and ``parts`` (row ranges) list the strata in
-    label order.  Each stratum's C_s, Z_s and X_s are built on its own
-    rows, where its indicator, the block's constant, is one; its
-    :class:`Block` spans those columns, the extra controls and y.  Returns
-    the transposed endogenous, instrument and control blocks (the extra
-    controls last), their labels, and the blocks.
-    """
-    labels = ([], [], [])  # endogenous, instruments, controls
-    pieces = []
-    for tag, part in zip(tags, parts):
-        instr, instr_labels, ctrl, control_labels = _homogeneous_blocks(
-            np.ones(part.stop - part.start), w_rows[:, part], z[part], d_ind[part],
-            dummy_labels, prefix=f"{tag}|",
-        )
-        pieces.append(([x_rows[:, part]], instr, ctrl))
-        labels[0].extend(f"x{j + 1}|{tag}" for j in range(len(x_rows)))
-        labels[1].extend(instr_labels)
-        labels[2].extend(control_labels)
-    n_strata, sizes = len(parts), (len(x_rows), len(instr_labels), len(control_labels))
-    shared = (0, 0, len(extra))  # the extra controls follow the strata's controls
-    arrays = [np.zeros((n_strata * k + e, len(z))) for k, e in zip(sizes, shared)]
-    for s, part in enumerate(parts):
-        for out, k, rows in zip(arrays, sizes, pieces[s]):
-            out[s * k : (s + 1) * k, part] = np.vstack(rows)
-    if extra:
-        arrays[2][n_strata * sizes[2] :] = extra
-    # the stratum of each column of [C | Z | X | y]; -1 for the extra controls and y
-    of = [np.repeat(np.arange(n_strata), k) for k in sizes]
-    owner = np.concatenate([of[2], np.full(len(extra), -1), of[1], of[0], [-1]])
-    blocks = tuple(
-        Block(part, np.flatnonzero((owner == s) | (owner < 0)), f"stratum {tag}")
-        for s, (tag, part) in enumerate(zip(tags, parts))
-    )
-    return arrays, labels, blocks
+    controls = [f"{pre}const", *per_cell("w:"), f"{pre}z", f"{pre}d:z"]
+    controls += per_cell("z:w:") + per_cell("d:z:w:")
+    return controls, [f"{pre}d", *per_cell("d:w:")], [f"{x}{post}" for x in x_names]
 
 
 def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignMatrices:
-    """Assemble the design of the rows inside the kernel window.
+    """Write the weighted design of the rows inside the kernel window, once.
 
-    Every block is built on the window rows only, the cell dummies from
-    the cell codes and the extra controls from their ``aux`` columns.  The
-    dummies and the strata of R keep the levels of the full sample, so a
-    cell or a stratum without rows in the window leaves a zero column.
-    The conditional design sorts the window rows by stratum once and
-    builds each stratum's [C_s | Z_s | X_s] on its own rows, zero
-    elsewhere; its :class:`Block` per stratum lets R be factored stratum
-    by stratum.
+    One array holds [C | Z | X | y], one row per column: every column is
+    written into its row on the window rows only, the cell dummies from
+    the cell codes and the extra controls from their ``aux`` columns, and
+    the array is then weighted in place; its transpose is
+    :attr:`DesignMatrices.augmented`.  The dummies and the strata of R keep
+    the levels of the full sample, so a cell or a stratum without rows in
+    the window leaves a zero column.  The design is written stratum by
+    stratum: the conditional design sorts the window rows by stratum once
+    and writes each stratum's [C_s | Z_s | X_s] on its own rows, zero
+    elsewhere, with a :class:`Block` per stratum so that R is factored
+    stratum by stratum; any other design is the one stratum of every row.
     Raises when the endogenous block outruns the instruments or when the
     weighted exogenous block is rank deficient (for instance because a
     covariate cell is empty inside the bandwidth); for a stratum whose
@@ -286,6 +259,7 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     """
     rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
     m = ds.m
+    tags, parts = [""], [slice(0, len(rows))]
     conditional = spec.kind == "conditional"
     if conditional:
         if spec.r_column not in ds.aux:
@@ -311,14 +285,6 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
         ends = np.cumsum(np.bincount(stratum, minlength=len(strata))).tolist()
         parts = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
 
-    z = ds.z[rows]
-    # each block is built transposed, one contiguous row per column, and stacked once
-    x_rows = np.ascontiguousarray(ds.x[rows].T)
-    w_rows = (ds.cells[rows] == np.arange(1, ds.q)[:, None]).astype(float)  # one row per dummy
-    d_ind = (z >= 0).astype(float)
-    dummy_labels = ds.cell_labels[1:] if ds.q > 1 else ()
-    extra = [ds.aux[name][rows] for name in ds.extra_control_names]
-
     cluster = ds.cluster
     if cfg.cluster_by == "running":
         cluster = ds.z
@@ -327,49 +293,53 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
             raise InputError(f"cluster column {cfg.cluster_by!r} not found in dataset")
         cluster = ds.aux[cfg.cluster_by]
 
-    if conditional:
-        arrays, labels, blocks = _stratum_design(
-            tags, parts, x_rows, w_rows, z, d_ind, dummy_labels, extra
+    x_names = [f"x{j + 1}" for j in range(ds.d)]
+    wtilde = spec.wtilde_columns if spec.kind == "parametric" else ()
+    for name in wtilde:
+        if name not in ds.aux:
+            raise InputError(f"wtilde column {name!r} not found in dataset")
+        if ds.aux[name].dtype.kind not in "biuf":
+            raise InputError(f"wtilde column {name!r} is not numeric")
+        x_names += [f"{name}:x{j + 1}" for j in range(ds.d)]
+    if len(x_names) > m + 1:
+        raise UnderIdentifiedError(
+            f"under-identified: q=m+1={m + 1} < d(1+c)={len(x_names)}; "
+            f"the transform allows at most c <= (m+1)/d - 1 = {(m + 1) / ds.d - 1:g} columns"
+            if wtilde else f"under-identified: q=m+1={m + 1} < d={ds.d}"
         )
-        endogenous, instruments, controls = arrays
-        endo_labels, instr_labels, control_labels = labels
-    else:
-        wtilde = spec.wtilde_columns if spec.kind == "parametric" else ()
-        endo = [x_rows]
-        endo_labels = [f"x{j + 1}" for j in range(ds.d)]
-        for name in wtilde:
-            if name not in ds.aux:
-                raise InputError(f"wtilde column {name!r} not found in dataset")
-            col = ds.aux[name]
-            if col.dtype.kind not in "biuf":
-                raise InputError(f"wtilde column {name!r} is not numeric")
-            endo.append(x_rows * np.asarray(col[rows], dtype=float))
-            endo_labels += [f"{name}:x{j + 1}" for j in range(ds.d)]
-        if len(endo_labels) > m + 1 and not wtilde:
-            raise UnderIdentifiedError(f"under-identified: q=m+1={m + 1} < d={ds.d}")
-        if len(endo_labels) > m + 1:
-            raise UnderIdentifiedError(
-                f"under-identified: q=m+1={m + 1} < d(1+c)={len(endo_labels)}; "
-                f"the transform allows at most c <= (m+1)/d - 1 = {(m + 1) / ds.d - 1:g} columns"
-            )
-        instr, instr_labels, ctrl, control_labels = _homogeneous_blocks(
-            np.ones(len(z)), w_rows, z, d_ind, dummy_labels
-        )
-        endogenous, instruments = np.vstack(endo), np.vstack(instr)
-        controls = np.vstack(ctrl + extra)
-        blocks = DesignMatrices.blocks
 
+    dummies = ds.cell_labels[1:] if ds.q > 1 else ()
+    labels = [_labels(tag, dummies, x_names) for tag in tags]
+    controls, instruments, endogenous = ([lab for s in labels for lab in s[i]] for i in range(3))
+    controls += ds.extra_control_names
+    nc, nz, nx = (len(lab) for lab in labels[0])
+    p, k = len(controls), len(controls) + len(instruments)
+    extra = len(tags) * nc  # the row of the first extra control
+    design = np.zeros((k + len(endogenous) + 1, len(rows)))
+    z, cells = ds.z[rows], ds.cells[rows]
+    blocks = []
+    for s, part in enumerate(parts):
+        c0, z0, x0 = s * nc, p + s * nz, k + s * nx
+        _write_cells(design[c0 : c0 + nc, part], design[z0 : z0 + nz, part], z[part], cells[part])
+        x = design[x0 : x0 + nx, part]
+        x[: ds.d] = ds.x[rows[part]].T
+        for i, name in enumerate(wtilde, 1):
+            np.multiply(x[: ds.d], ds.aux[name][rows[part]], out=x[i * ds.d : (i + 1) * ds.d])
+        # the stratum's own columns, the extra controls and y
+        columns = np.r_[c0 : c0 + nc, extra:p, z0 : z0 + nz, x0 : x0 + nx, len(design) - 1]
+        blocks.append(Block(part, columns, f"stratum {tags[s]}"))
+    for i, name in enumerate(ds.extra_control_names, extra):
+        design[i] = ds.aux[name][rows]
+    design[-1] = ds.y[rows]
+    design *= np.sqrt(w)
     dm = DesignMatrices(
-        y=ds.y[rows],
-        endogenous=endogenous.T,
-        instruments=instruments.T,
-        controls=controls.T,
+        augmented=design.T,
         weights=w,
-        endogenous_labels=tuple(endo_labels),
-        instrument_labels=tuple(instr_labels),
-        control_labels=tuple(control_labels) + tuple(ds.extra_control_names),
+        endogenous_labels=tuple(endogenous),
+        instrument_labels=tuple(instruments),
+        control_labels=tuple(controls),
         cluster=None if cluster is None else np.asarray(cluster)[rows],
-        blocks=blocks,
+        blocks=tuple(blocks) if conditional else DesignMatrices.blocks,
     )
     try:
         dm.r  # the first read of R runs the rank gate
@@ -614,7 +584,9 @@ def first_stage_diagnostics(dm: DesignMatrices) -> FirstStageReport:
     r, p, k = dm.r, dm.n_controls, dm.n_exogenous
     rss_u = np.sum(r[k:, k:-1] ** 2, axis=0)
     rss_r = np.sum(r[p:, k:-1] ** 2, axis=0)
-    constant = np.ptp(dm.endogenous, axis=0) == 0
+    # unweighted, a constant c reads (c * s) / s, within 2 eps of c: constant to 4 eps
+    x = dm.augmented[:, k:-1] / np.sqrt(dm.weights)[:, None]
+    constant = np.ptp(x, axis=0) <= 4 * np.finfo(float).eps * np.abs(x).max(axis=0)
     df_denom = max(dm.n - k, 1)
 
     f_stats, flags = [], []

@@ -9,6 +9,22 @@ QR solves, eigendecompositions, and closed forms.
 import numpy as np
 from scipy import integrate
 
+from multirdd.estimator import DesignMatrices
+
+
+def design_from_blocks(y, endogenous, instruments, controls, weights, **fields):
+    """A :class:`DesignMatrices` of unweighted blocks, weighted as ``build_design`` weights them."""
+    columns = [controls, instruments, endogenous, np.asarray(y)[:, None]]
+    augmented = np.column_stack(columns).astype(float) * np.sqrt(weights)[:, None]
+    return DesignMatrices(augmented=np.asfortranarray(augmented), weights=weights, **fields)
+
+
+def design_blocks(dm):
+    """The unweighted y, endogenous, instruments and controls of ``dm``, to rounding."""
+    a = dm.augmented / np.sqrt(dm.weights)[:, None]
+    p, k = dm.n_controls, dm.n_exogenous
+    return a[:, -1], a[:, k:-1], a[:, p:k], a[:, :p]
+
 
 def side_intercept(values, z, w):
     """Weighted least squares intercept of values on (1, z) via 2x2 normal equations."""

@@ -22,9 +22,15 @@ from multirdd.estimator import (
 )
 from multirdd.kernels import KernelKind
 from multirdd.montecarlo import DgpSpec, generate, population_targets, run_study
-from oracles import cluster_sandwich_oracle, j_oracle, partial_f_oracle, tsls_oracle
+from oracles import (
+    cluster_sandwich_oracle,
+    design_blocks,
+    j_oracle,
+    partial_f_oracle,
+    tsls_oracle,
+)
 from synthetic import random_cell_table, random_dataset
-from test_estimator import build_random, subset_dataset
+from test_estimator import ATTEMPTS, build_random, subset_dataset
 
 
 def report(num, name, ok, detail):
@@ -106,9 +112,8 @@ def test_criterion_1_oracle_equivalence():
         m = int(rng.integers(d, 4))  # keep at least one over-identifying restriction
         ds, dm = build_random(rng, n=int(rng.integers(35, 51)), d=d, m=m, noise=0.4)
         fit = weighted_2sls(dm)
-        coef, xhat, resid, zmat = tsls_oracle(
-            dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights
-        )
+        y, endogenous, instruments, controls = design_blocks(dm)
+        coef, xhat, resid, zmat = tsls_oracle(y, endogenous, instruments, controls, dm.weights)
         err_beta = np.linalg.norm(fit.beta - coef[: dm.k_endogenous]) / max(
             1.0, np.linalg.norm(coef[: dm.k_endogenous])
         )
@@ -125,12 +130,12 @@ def test_criterion_1_oracle_equivalence():
         fs = first_stage_diagnostics(dm)
         mask = dm.weights > 0
         sw = np.sqrt(dm.weights[mask])
-        zfull = np.column_stack([dm.instruments, dm.controls])[mask] * sw[:, None]
-        ctrl = dm.controls[mask] * sw[:, None]
+        zfull = np.column_stack([instruments, controls])[mask] * sw[:, None]
+        ctrl = controls[mask] * sw[:, None]
         df_denom = mask.sum() - zfull.shape[1]
         err_f = 0.0
         for j in range(dm.k_endogenous):
-            col = dm.endogenous[mask][:, j] * sw
+            col = endogenous[mask][:, j] * sw
             want = partial_f_oracle(col, zfull, ctrl, dm.n_instruments, df_denom)
             err_f = max(err_f, abs(fs.f_stats[j] - want) / max(1.0, abs(want)))
 
@@ -269,8 +274,11 @@ def test_criterion_8_conditional_equivalence():
     rng = np.random.default_rng(20240608)
     cfg = EstimationConfig(bandwidth=1.0)
     worst = 0.0
-    done = 0
+    done = tries = 0
+    last = None
     while done < 50:
+        tries += 1
+        assert tries <= ATTEMPTS, f"{done} of 50 usable draws in {ATTEMPTS}; last error: {last!r}"
         ds0 = random_dataset(rng, n=420, d=2, m=2, noise=0.4)
         r_col = rng.integers(0, 2, size=ds0.n).astype(float)
         ds = Dataset(
@@ -286,7 +294,8 @@ def test_criterion_8_conditional_equivalence():
                 build_design(ds, ModelSpec(kind="conditional", r_column="grp"), cfg)
             )
             dm = build_design(ds, ModelSpec(kind="conditional", r_column="grp"), cfg)
-        except (SingularDesignError, UnderIdentifiedError, EstimationError):
+        except (SingularDesignError, UnderIdentifiedError, EstimationError) as err:
+            last = err
             continue
         gap = 0.0
         usable = True
@@ -294,7 +303,8 @@ def test_criterion_8_conditional_equivalence():
             sub = subset_dataset(ds, r_col == lev)
             try:
                 sub_fit = weighted_2sls(build_design(sub, ModelSpec(), cfg))
-            except (SingularDesignError, UnderIdentifiedError, EstimationError):
+            except (SingularDesignError, UnderIdentifiedError, EstimationError) as err:
+                last = err
                 usable = False
                 break
             tag = f"grp={lev:g}"

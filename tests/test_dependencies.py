@@ -123,3 +123,51 @@ def test_src_uses_no_numpy_2_only_api():
     assert numpy_2_only("np.unique(a, return_inverse=True)\nsorted(a)\nnp.char.str_len(a)\n") == []
     for path in sorted((SRC / "multirdd").glob("*.py")):
         assert numpy_2_only(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def is_linalg(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "linalg"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    )
+
+
+def linalg_misuses(source: str) -> list:
+    """The lines of ``source`` that use numpy.linalg other than as ``np.linalg.<fn>(matrix, ...)``.
+
+    The traced benchmark counts each call twice: bench/spans.py wraps the
+    numpy.linalg attributes and reads the call's first positional
+    argument, and its profiler reads the function's first parameter.  A
+    matrix passed by keyword or through ``*args``, or a function reached
+    through an imported or assigned alias, makes the two counts differ.
+    """
+    nodes = list(ast.walk(ast.parse(source)))
+    found, called = set(), set()
+    for node in nodes:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if is_linalg(node.func.value):
+                called.add(node.func.value)
+                if not node.args or isinstance(node.args[0], ast.Starred):
+                    found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("numpy.linalg") or (
+                module == "numpy" and any(a.name == "linalg" for a in node.names)
+            ):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.startswith("numpy.linalg") for a in node.names):
+                found.add(node.lineno)
+    found.update(node.lineno for node in nodes if is_linalg(node) and node not in called)
+    return sorted(found)
+
+
+def test_src_calls_numpy_linalg_with_the_matrix_first():
+    caught = "import numpy as np\nfrom numpy.linalg import qr\nfrom numpy import linalg\n"
+    caught += "import numpy.linalg as la\nalias = np.linalg\nnp.linalg.qr(a=m)\n"
+    caught += "np.linalg.solve(*args)\nf = np.linalg.qr\nnp.linalg.norm()\n"
+    assert linalg_misuses(caught) == [2, 3, 4, 5, 6, 7, 8, 9]
+    fine = "import numpy as np\nnp.linalg.qr(a[:, :k], mode='r')\nnp.linalg.norm(r, axis=0)\n"
+    assert linalg_misuses(fine) == []
+    for path in sorted((SRC / "multirdd").glob("*.py")):
+        assert linalg_misuses(path.read_text(encoding="utf-8")) == [], path.name

@@ -14,7 +14,6 @@ from multirdd.errors import (
     UnderIdentifiedError,
 )
 from multirdd.estimator import (
-    DesignMatrices,
     build_design,
     chi2_sf,
     cluster_covariance,
@@ -24,16 +23,28 @@ from multirdd.estimator import (
     weighted_2sls,
 )
 from multirdd.kernels import weights_vector
-from oracles import cluster_sandwich_oracle, j_oracle, partial_f_oracle, tsls_oracle
+from oracles import (
+    cluster_sandwich_oracle,
+    design_blocks,
+    design_from_blocks,
+    j_oracle,
+    partial_f_oracle,
+    tsls_oracle,
+)
 from synthetic import piecewise_linear_dataset, random_dataset
 
 CFG = EstimationConfig(bandwidth=1.0)
 SAMPLE_CSV = Path(__file__).parent.parent / "sample_data" / "insurance_style.csv"
 
 
+# draws a retry loop makes before it fails, so a fit that always raises fails the test
+ATTEMPTS = 200
+
+
 def build_random(rng, n=None, d=None, m=None, noise=0.4, max_cond=1e6, kernel="uniform"):
     """Random dataset plus design, retried until comfortably conditioned."""
-    while True:
+    last = None
+    for _ in range(ATTEMPTS):
         d_ = d if d is not None else int(rng.integers(1, 3))
         m_ = m if m is not None else int(rng.integers(max(d_ - 1, 0), 4))
         if m_ + 1 < d_:
@@ -43,17 +54,20 @@ def build_random(rng, n=None, d=None, m=None, noise=0.4, max_cond=1e6, kernel="u
         cfg = EstimationConfig(bandwidth=1.0, kernel=kernel)
         try:
             dm = build_design(ds, ModelSpec(), cfg)
-        except (SingularDesignError, UnderIdentifiedError, EstimationError):
+        except (SingularDesignError, UnderIdentifiedError, EstimationError) as err:
+            last = err
             continue
+        _, endogenous, instruments, controls = design_blocks(dm)
         mask = dm.weights > 0
         sw = np.sqrt(dm.weights[mask])
-        exog = np.column_stack([dm.instruments, dm.controls])[mask] * sw[:, None]
+        exog = np.column_stack([instruments, controls])[mask] * sw[:, None]
         if np.linalg.cond(exog) > max_cond:
             continue
-        xfull = np.column_stack([dm.endogenous, dm.controls])[mask] * sw[:, None]
+        xfull = np.column_stack([endogenous, controls])[mask] * sw[:, None]
         if np.linalg.cond(xfull) > max_cond:
             continue
         return ds, dm
+    raise AssertionError(f"no usable design in {ATTEMPTS} draws; last error: {last!r}")
 
 
 def subset_dataset(ds, keep):
@@ -75,9 +89,17 @@ def subset_dataset(ds, keep):
 def test_design_column_counts_homogeneous():
     ds = piecewise_linear_dataset(jumps_x=[(1, 0), (0, 1)], jumps_y=[0.5, -0.3])
     dm = build_design(ds, ModelSpec(), CFG)  # d=2, m=1
-    assert dm.controls.shape[1] == 6
-    assert dm.instruments.shape[1] == 2
-    assert dm.instruments.shape[1] + dm.controls.shape[1] == 8
+    assert dm.n_controls == 6
+    assert dm.n_instruments == 2
+    assert dm.augmented.shape == (dm.n, 6 + 2 + 2 + 1)  # [C | Z | X | y]
+
+
+def test_design_columns_must_match_labels():
+    ds = piecewise_linear_dataset(jumps_x=[(1, 0), (0, 1)], jumps_y=[0.5, -0.3])
+    dm = build_design(ds, ModelSpec(), CFG)
+    for augmented in (dm.augmented[:, 1:], dm.augmented[:-1], dm.augmented[:, 0]):
+        with pytest.raises(InputError, match="one column per label and y"):
+            replace(dm, augmented=augmented)
 
 
 def test_design_parametric_counts_and_constraint():
@@ -152,9 +174,10 @@ def test_span_equivalence_with_two_sided_basis():
     rng = np.random.default_rng(3)
     for _ in range(10):
         ds, dm = build_random(rng)
+        _, _, instruments, controls = design_blocks(dm)
         mask = dm.weights > 0
         sw = np.sqrt(dm.weights[mask])
-        exog = np.column_stack([dm.instruments, dm.controls])[mask] * sw[:, None]
+        exog = np.column_stack([instruments, controls])[mask] * sw[:, None]
         d_ind = (ds.z >= 0).astype(float)
         dummies = (ds.cells[:, None] == np.arange(1, ds.q)).astype(float)
         one_w = np.column_stack([np.ones(ds.n), dummies])
@@ -186,12 +209,13 @@ def test_fit_result_arrays_are_write_locked():
 def test_exogenous_case_reduces_to_wls():
     rng = np.random.default_rng(4)
     ds, dm = build_random(rng, d=2, m=2)
-    dm_exo = DesignMatrices(
-        y=dm.y,
-        endogenous=dm.endogenous,
-        instruments=dm.endogenous,
-        controls=dm.controls,
-        weights=dm.weights,
+    y, endogenous, _, controls = design_blocks(dm)
+    dm_exo = design_from_blocks(
+        y,
+        endogenous,
+        endogenous,
+        controls,
+        dm.weights,
         endogenous_labels=dm.endogenous_labels,
         instrument_labels=dm.endogenous_labels,
         control_labels=dm.control_labels,
@@ -199,8 +223,8 @@ def test_exogenous_case_reduces_to_wls():
     fit = weighted_2sls(dm_exo)
     mask = dm.weights > 0
     sw = np.sqrt(dm.weights[mask])
-    design = np.column_stack([dm.endogenous, dm.controls])[mask] * sw[:, None]
-    coef, *_ = np.linalg.lstsq(design, dm.y[mask] * sw, rcond=None)
+    design = np.column_stack([endogenous, controls])[mask] * sw[:, None]
+    coef, *_ = np.linalg.lstsq(design, y[mask] * sw, rcond=None)
     assert np.allclose(fit.beta, coef[: dm.k_endogenous], atol=1e-10)
 
 
@@ -209,18 +233,15 @@ def test_tiny_just_identified_matches_direct_oracle():
     for _ in range(5):
         ds, dm = build_random(rng, n=8, d=1, m=0, noise=0.3)
         fit = weighted_2sls(dm)
-        coef, *_ = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
+        coef, *_ = tsls_oracle(*design_blocks(dm), dm.weights)
         assert np.abs(fit.beta - coef[:1]).max() < 1e-10
 
 
 def test_row_duplication_with_halved_weights():
     rng = np.random.default_rng(6)
     ds, dm = build_random(rng)
-    doubled = DesignMatrices(
-        y=np.concatenate([dm.y, dm.y]),
-        endogenous=np.vstack([dm.endogenous, dm.endogenous]),
-        instruments=np.vstack([dm.instruments, dm.instruments]),
-        controls=np.vstack([dm.controls, dm.controls]),
+    doubled = design_from_blocks(
+        *(np.concatenate([block, block]) for block in design_blocks(dm)),
         weights=np.concatenate([dm.weights, dm.weights]) / 2.0,
         endogenous_labels=dm.endogenous_labels,
         instrument_labels=dm.instrument_labels,
@@ -238,21 +259,20 @@ def test_zero_weight_rows_rejected():
     for weights in (one_zero, np.zeros_like(dm.weights), -dm.weights):
         with pytest.raises(EstimationError, match="weight-positive"):
             replace(dm, weights=weights)
-    blocks = ("y", "endogenous", "instruments", "controls", "weights")
     with pytest.raises(EstimationError, match="weight-positive"):
-        replace(dm, **{name: getattr(dm, name)[:0] for name in blocks})
+        replace(dm, augmented=dm.augmented[:0], weights=dm.weights[:0])
 
 
 def test_singular_first_stage_reports_rcond():
     n = 30
     z = np.linspace(-1, 1, n)
     instr = np.column_stack([(z >= 0).astype(float), (z >= 0).astype(float)])
-    dm = DesignMatrices(
-        y=np.random.default_rng(0).normal(size=n),
-        endogenous=np.column_stack([z < 0, z < 0.5]).astype(float),
-        instruments=instr,
-        controls=np.column_stack([np.ones(n), z]),
-        weights=np.ones(n),
+    dm = design_from_blocks(
+        np.random.default_rng(0).normal(size=n),
+        np.column_stack([z < 0, z < 0.5]).astype(float),
+        instr,
+        np.column_stack([np.ones(n), z]),
+        np.ones(n),
         endogenous_labels=("x1", "x2"),
         instrument_labels=("d", "d2"),
         control_labels=("const", "z"),
@@ -270,7 +290,7 @@ def test_own_cluster_matches_sandwich_oracle():
         ds, dm = build_random(rng)
         fit = weighted_2sls(dm)
         cov = cluster_covariance(fit, dm)
-        _, xhat, resid, _ = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
+        _, xhat, resid, _ = tsls_oracle(*design_blocks(dm), dm.weights)
         want = cluster_sandwich_oracle(xhat, resid, np.arange(fit.n_effective))
         scale = max(np.abs(want).max(), 1e-12)
         assert np.abs(cov - want).max() / scale < 1e-8
@@ -283,7 +303,7 @@ def test_grouped_clusters_match_sandwich_oracle():
     dm = replace(dm, cluster=ids)
     fit = weighted_2sls(dm)
     cov = cluster_covariance(fit, dm)
-    _, xhat, resid, _ = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
+    _, xhat, resid, _ = tsls_oracle(*design_blocks(dm), dm.weights)
     want = cluster_sandwich_oracle(xhat, resid, ids)
     scale = max(np.abs(want).max(), 1e-12)
     assert np.abs(cov - want).max() / scale < 1e-8
@@ -302,11 +322,8 @@ def test_covariance_permutation_invariant():
     ds, dm = build_random(rng)
     ids = rng.integers(0, 7, size=dm.n)
     perm = rng.permutation(dm.n)
-    dm_perm = DesignMatrices(
-        y=dm.y[perm],
-        endogenous=dm.endogenous[perm],
-        instruments=dm.instruments[perm],
-        controls=dm.controls[perm],
+    dm_perm = design_from_blocks(
+        *(block[perm] for block in design_blocks(dm)),
         weights=dm.weights[perm],
         endogenous_labels=dm.endogenous_labels,
         instrument_labels=dm.instrument_labels,
@@ -365,7 +382,7 @@ def test_j_matches_loop_oracle():
         ds, dm = build_random(rng, n=50, d=1, m=2)
         fit = weighted_2sls(dm)
         j_stat, dof, pvalue = j_test(fit, dm)
-        _, _, resid, zmat = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
+        _, _, resid, zmat = tsls_oracle(*design_blocks(dm), dm.weights)
         want_stat, want_p = j_oracle(zmat, resid, np.arange(fit.n_effective), dof)
         assert j_stat == pytest.approx(want_stat, rel=1e-8, abs=1e-10)
         assert pvalue == pytest.approx(want_p, abs=1e-10)
@@ -375,11 +392,8 @@ def test_j_cluster_aggregated_matches_oracle():
     rng = np.random.default_rng(15)
     ds, dm = build_random(rng, n=50, d=1, m=1)
     ids = rng.integers(0, 25, size=dm.n)  # more clusters than moment conditions
-    dm_ids = DesignMatrices(
-        y=dm.y,
-        endogenous=dm.endogenous,
-        instruments=dm.instruments,
-        controls=dm.controls,
+    dm_ids = design_from_blocks(
+        *design_blocks(dm),
         weights=dm.weights,
         endogenous_labels=dm.endogenous_labels,
         instrument_labels=dm.instrument_labels,
@@ -388,7 +402,7 @@ def test_j_cluster_aggregated_matches_oracle():
     )
     fit = weighted_2sls(dm_ids)
     j_stat, dof, _ = j_test(fit, dm_ids)
-    _, _, resid, zmat = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
+    _, _, resid, zmat = tsls_oracle(*design_blocks(dm), dm.weights)
     want_stat, _ = j_oracle(zmat, resid, ids[dm.weights > 0], dof)
     assert j_stat == pytest.approx(want_stat, rel=1e-8, abs=1e-10)
 
@@ -418,19 +432,26 @@ def test_j_exact_fit_degenerates_to_zero():
 def test_first_stage_constant_column_flagged():
     rng = np.random.default_rng(17)
     ds, dm = build_random(rng, d=1, m=1)
-    dm_const = DesignMatrices(
-        y=dm.y,
-        endogenous=np.ones((dm.n, 1)),
-        instruments=dm.instruments,
-        controls=dm.controls,
-        weights=dm.weights,
-        endogenous_labels=("x1",),
-        instrument_labels=dm.instrument_labels,
-        control_labels=dm.control_labels,
-    )
-    report = first_stage_diagnostics(dm_const)
-    assert report.f_stats[0] == 0.0
-    assert report.flags[0] == "constant"
+    for kernel, value in (("uniform", 1.0), ("triangular", 3.7)):
+        ds, dm = build_random(rng, d=1, m=1, kernel=kernel)
+        y, _, instruments, controls = design_blocks(dm)
+        dm_const = design_from_blocks(
+            y,
+            np.full((dm.n, 1), value),
+            instruments,
+            controls,
+            dm.weights,
+            endogenous_labels=("x1",),
+            instrument_labels=dm.instrument_labels,
+            control_labels=dm.control_labels,
+        )
+        if kernel == "triangular":
+            # weighting and unweighting the value moves it by an ulp in some rows
+            sw = np.sqrt(dm.weights)
+            assert (dm_const.augmented[:, dm.n_exogenous] / sw != value).any()
+        report = first_stage_diagnostics(dm_const)
+        assert report.f_stats[0] == 0.0
+        assert report.flags[0] == "constant"
 
 
 def test_first_stage_exact_fit_flagged():
@@ -446,13 +467,14 @@ def test_first_stage_matches_f_oracle():
     for _ in range(5):
         ds, dm = build_random(rng, n=45, d=2, m=2)
         report = first_stage_diagnostics(dm)
+        _, endogenous, instruments, controls = design_blocks(dm)
         mask = dm.weights > 0
         sw = np.sqrt(dm.weights[mask])
-        zfull = np.column_stack([dm.instruments, dm.controls])[mask] * sw[:, None]
-        ctrl = dm.controls[mask] * sw[:, None]
+        zfull = np.column_stack([instruments, controls])[mask] * sw[:, None]
+        ctrl = controls[mask] * sw[:, None]
         df_denom = mask.sum() - zfull.shape[1]
         for j in range(dm.k_endogenous):
-            col = dm.endogenous[mask][:, j] * sw
+            col = endogenous[mask][:, j] * sw
             want = partial_f_oracle(col, zfull, ctrl, dm.n_instruments, df_denom)
             assert report.f_stats[j] == pytest.approx(want, rel=1e-8)
 
@@ -463,11 +485,8 @@ def test_first_stage_matches_f_oracle():
 def test_kernel_scale_invariance():
     rng = np.random.default_rng(19)
     ds, dm = build_random(rng, d=2, m=2)
-    scaled = DesignMatrices(
-        y=dm.y,
-        endogenous=dm.endogenous,
-        instruments=dm.instruments,
-        controls=dm.controls,
+    scaled = design_from_blocks(
+        *design_blocks(dm),
         weights=dm.weights * 37.5,
         endogenous_labels=dm.endogenous_labels,
         instrument_labels=dm.instrument_labels,
@@ -487,12 +506,13 @@ def test_affine_outcome_equivariance():
     rng = np.random.default_rng(20)
     ds, dm = build_random(rng, d=2, m=3)
     a, b = -2.5, 4.0
-    shifted = DesignMatrices(
-        y=a * dm.y + b,
-        endogenous=dm.endogenous,
-        instruments=dm.instruments,
-        controls=dm.controls,
-        weights=dm.weights,
+    y, endogenous, instruments, controls = design_blocks(dm)
+    shifted = design_from_blocks(
+        a * y + b,
+        endogenous,
+        instruments,
+        controls,
+        dm.weights,
         endogenous_labels=dm.endogenous_labels,
         instrument_labels=dm.instrument_labels,
         control_labels=dm.control_labels,
@@ -507,8 +527,11 @@ def test_affine_outcome_equivariance():
 
 def test_conditional_fit_equals_per_stratum_fits():
     rng = np.random.default_rng(21)
-    done = 0
+    done = tries = 0
+    last = None
     while done < 5:
+        tries += 1
+        assert tries <= ATTEMPTS, f"{done} of 5 usable draws in {ATTEMPTS}; last error: {last!r}"
         ds = random_dataset(rng, n=400, d=2, m=2, noise=0.4)
         r_col = rng.integers(0, 2, size=ds.n).astype(float)
         ds = Dataset(
@@ -523,7 +546,8 @@ def test_conditional_fit_equals_per_stratum_fits():
         try:
             dm = build_design(ds, spec, CFG)
             stacked = weighted_2sls(dm)
-        except (SingularDesignError, UnderIdentifiedError, EstimationError):
+        except (SingularDesignError, UnderIdentifiedError, EstimationError) as err:
+            last = err
             continue
         ok = True
         for lev in (0.0, 1.0):
@@ -531,7 +555,8 @@ def test_conditional_fit_equals_per_stratum_fits():
             sub = subset_dataset(ds, keep)
             try:
                 sub_fit = weighted_2sls(build_design(sub, ModelSpec(), CFG))
-            except (SingularDesignError, UnderIdentifiedError, EstimationError):
+            except (SingularDesignError, UnderIdentifiedError, EstimationError) as err:
+                last = err
                 ok = False
                 break
             tag = f"grp={lev:g}"
@@ -720,6 +745,33 @@ def test_estimate_factors_the_weighted_rows_once(monkeypatch):
     assert tall == [("qr", k + ds.d + 1, "r")], tall
 
 
+@pytest.mark.parametrize(
+    "covariates, spec, bound",
+    [
+        (("race", "educ"), ModelSpec(), 3.0),
+        (("race",), ModelSpec(kind="conditional", r_column="educ"), 2.2),
+    ],
+)
+def test_design_is_written_once(covariates, spec, bound):
+    import tracemalloc
+
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=covariates, cluster="age", extra_controls=("region",),
+    )
+    ds = load_table(SAMPLE_CSV, schema)
+    cfg = EstimationConfig(bandwidth=10.0, cluster_by="age")
+    build_design(ds, spec, cfg)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        dm = build_design(ds, spec, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the design itself, the copy its factorization takes, and row-sized temporaries
+    assert peak < bound * dm.augmented.nbytes, peak / dm.augmented.nbytes
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -851,7 +903,7 @@ def test_conditional_cluster_sums_match_loop_oracles():
     dm = build_design(ds, ModelSpec(kind="conditional", r_column="grp"), CFG)
     assert len(dm.blocks) == 2
     fit = weighted_2sls(dm)
-    _, xhat, resid, zmat = tsls_oracle(dm.y, dm.endogenous, dm.instruments, dm.controls, dm.weights)
+    _, xhat, resid, zmat = tsls_oracle(*design_blocks(dm), dm.weights)
     want = cluster_sandwich_oracle(xhat, resid, dm.cluster)
     cov = cluster_covariance(fit, dm)
     assert np.abs(cov - want).max() / np.abs(want).max() < 1e-8
