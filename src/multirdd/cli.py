@@ -155,7 +155,6 @@ def _schema_from(cfg: dict) -> TableSchema:
     levels = None
     if cfg.get("treatment_levels") is not None:
         levels = [_convert("treatment_levels", v, float) for v in _as_list(cfg, "treatment_levels")]
-    cluster = cfg.get("cluster")
     return TableSchema(
         outcome=str(_require(cfg, "outcome")),
         running=str(_require(cfg, "running")),
@@ -164,7 +163,6 @@ def _schema_from(cfg: dict) -> TableSchema:
         treatment_indicators=tuple(_as_list(cfg, "treatment_indicators")),
         treatment_levels=None if levels is None else tuple(levels),
         covariates=tuple(_as_list(cfg, "w")),
-        cluster=None if cluster in (None, "running") else str(cluster),
         extra_controls=tuple(_as_list(cfg, "controls")),
         delimiter=str(cfg.get("delimiter", ",")),
     )
@@ -175,6 +173,7 @@ def _estimation_config(cfg: dict) -> EstimationConfig:
     return EstimationConfig(
         bandwidth=_convert("bandwidth", _require(cfg, "bandwidth"), float),
         kernel=_convert("kernel", str(cfg.get("kernel", "uniform")), KernelKind.from_name),
+        # --cluster sets only this; build_design reads the column from Dataset.aux
         cluster_by=None if cluster is None else str(cluster),
     )
 

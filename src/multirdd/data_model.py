@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from types import MappingProxyType
@@ -552,7 +552,9 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     cov_cols = []
     for name in schema.covariates:
         col = require(name, "covariate")
-        if col.dtype.kind == "U" and (col == "").any():
+        if col.dtype.kind == "f":
+            _numeric(col, name)  # a NaN or an inf would label a cell of its own
+        elif (col == "").any():
             i = int(np.flatnonzero(col == "")[0])
             raise ParseError(f"covariate {name!r} has a missing value in row {i + 1}")
         cov_cols.append(col)
@@ -594,13 +596,7 @@ class ValidationReport:
         return not self.monotonicity_violations and not self.empty_side_warnings
 
     def to_dict(self) -> dict:
-        return {
-            "monotonicity_violations": list(self.monotonicity_violations),
-            "cell_side_counts": {k: list(v) for k, v in self.cell_side_counts.items()},
-            "empty_side_warnings": list(self.empty_side_warnings),
-            "constant_columns": list(self.constant_columns),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def validate_dataset(ds: Dataset, cfg: EstimationConfig | None = None) -> ValidationReport:

@@ -12,7 +12,7 @@ the weighted combination of conditional effects those weights define.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -138,10 +138,7 @@ class CellTable:
         return {
             "d": self.d,
             "cells": [c.to_dict() for c in self.cells],
-            "dropped": [
-                {"label": c.label, "reason": c.reason, "weight_share": c.weight_share}
-                for c in self.dropped
-            ],
+            "dropped": [asdict(c) for c in self.dropped],
             "dropped_weight_share": self.dropped_weight_share,
         }
 
@@ -243,37 +240,38 @@ class TwlateWeights:
         }
 
 
-def relevance(ct: CellTable) -> TwlateWeights:
-    """Assess first-stage linear independence across cells.
+def _separation(deltas: np.ndarray, p: np.ndarray) -> tuple:
+    """The relevance matrix of cell jumps ``deltas`` at cell shares ``p``, and its weights.
 
-    Failure is a state, not an exception: the matrix, its eigenvalues,
-    reciprocal condition number, and numerical rank are reported whether
-    or not the weights could be formed (at rcond >= DEFAULT_RCOND_THRESHOLD).
-    All of them come from one eigendecomposition; the rank uses
-    ``np.linalg.matrix_rank``'s tolerance, max|lambda| * d * eps.
+    Returns, in :class:`TwlateWeights`' field order, M = sum_l p_l delta_l
+    delta_l', M^{-1}, the weights omega(l) = M^{-1} delta_l delta_l', M's
+    eigenvalues (ascending), its rcond and its numerical rank, all from one
+    eigendecomposition.  M^{-1} and omega are None when rcond falls below
+    DEFAULT_RCOND_THRESHOLD; the rank uses ``np.linalg.matrix_rank``'s
+    tolerance, max|lambda| * d * eps.  :func:`relevance` applies it to the
+    estimated jumps and ``montecarlo.population_targets`` to a design's own.
     """
-    deltas = ct.delta_x_matrix
-    p = ct.p_hat
     m_hat = (deltas.T * p) @ deltas
     m_hat = 0.5 * (m_hat + m_hat.T)
     eigvals, eigvecs = np.linalg.eigh(m_hat)  # ascending order
     rcond = conditioning(eigvals)
     inv = (eigvecs / eigvals) @ eigvecs.T if rcond >= DEFAULT_RCOND_THRESHOLD else None
     size = np.abs(eigvals)
-    rank = int(np.count_nonzero(size > size.max() * ct.d * np.finfo(float).eps))
-    omega = None
-    if inv is not None:
-        omega = tuple(inv @ np.outer(deltas[l], deltas[l]) for l in range(ct.q_usable))
-    return TwlateWeights(
-        m_hat=m_hat,
-        m_inverse=inv,
-        omega=omega,
-        eigenvalues=eigvals,
-        rcond=rcond,
-        rank=rank,
-        p_hat=p,
-        cell_labels=tuple(c.label for c in ct.cells),
-    )
+    rank = int(np.count_nonzero(size > size.max() * deltas.shape[1] * np.finfo(float).eps))
+    omega = None if inv is None else tuple(inv @ np.outer(delta, delta) for delta in deltas)
+    return m_hat, inv, omega, eigvals, rcond, rank
+
+
+def relevance(ct: CellTable) -> TwlateWeights:
+    """Assess first-stage linear independence across cells.
+
+    Failure is a state, not an exception: the matrix, its eigenvalues,
+    reciprocal condition number, and numerical rank are reported whether
+    or not the weights could be formed (at rcond >= DEFAULT_RCOND_THRESHOLD).
+    """
+    p = ct.p_hat
+    labels = tuple(c.label for c in ct.cells)
+    return TwlateWeights(*_separation(ct.delta_x_matrix, p), p_hat=p, cell_labels=labels)
 
 
 def plugin_estimator(ct: CellTable, tw: TwlateWeights) -> np.ndarray:
@@ -292,11 +290,7 @@ class RatioLate:
     blocking: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "identified": self.identified,
-            "value": self.value,
-            "blocking": dict(self.blocking),
-        }
+        return asdict(self)
 
 
 def ratio_late(ct: CellTable, cell: int, j: int, tol: float = DEFAULT_JUMP_TOL) -> RatioLate:
@@ -331,11 +325,7 @@ class FeasibilityReport:
     violations: tuple[tuple[str, float, float], ...]  # (cell label, |weight|, max off-margin jump)
 
     def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "trivial": self.trivial,
-            "violations": [list(v) for v in self.violations],
-        }
+        return asdict(self)
 
 
 def wlate_feasibility(

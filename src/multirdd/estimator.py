@@ -290,7 +290,9 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
         cluster = ds.z
     elif cfg.cluster_by is not None:
         if cfg.cluster_by not in ds.aux:
-            raise InputError(f"cluster column {cfg.cluster_by!r} not found in dataset")
+            raise InputError(
+                f"cluster column {cfg.cluster_by!r} not found (table has {list(ds.aux)})"
+            )
         cluster = ds.aux[cfg.cluster_by]
 
     x_names = [f"x{j + 1}" for j in range(ds.d)]

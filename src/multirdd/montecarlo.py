@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset, EstimationConfig, ModelSpec, conditioning
+from .data_model import Dataset, EstimationConfig, ModelSpec
+from .discontinuities import _separation
 from .errors import EstimationError, InputError, RelevanceError, UnderIdentifiedError
 from .estimator import estimate
 from .kernels import KernelKind
@@ -92,6 +93,7 @@ class DgpSpec:
         lo, hi = self.z_range
         if not lo < 0 < hi:
             raise InputError(f"z_range must straddle the cutoff 0, got {self.z_range}")
+        object.__setattr__(self, "z_range", (lo, hi))
         object.__setattr__(self, "cell_probs", tuple(float(v) for v in probs))
         object.__setattr__(self, "base_levels", tuple(tuple(float(v) for v in r) for r in base))
         object.__setattr__(self, "jumps", tuple(tuple(float(v) for v in r) for r in jumps))
@@ -107,20 +109,7 @@ class DgpSpec:
         return len(self.base_levels[0])
 
     def to_dict(self) -> dict:
-        return {
-            "cell_probs": list(self.cell_probs),
-            "base_levels": [list(r) for r in self.base_levels],
-            "jumps": [list(r) for r in self.jumps],
-            "betas": [list(r) for r in self.betas],
-            "intercepts": list(self.intercepts),
-            "slope_left": self.slope_left,
-            "slope_right": self.slope_right,
-            "curvature_left": self.curvature_left,
-            "curvature_right": self.curvature_right,
-            "noise_sd": self.noise_sd,
-            "z_range": list(self.z_range),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def load_dgp_spec(path: str | Path) -> DgpSpec:
@@ -137,15 +126,6 @@ def load_dgp_spec(path: str | Path) -> DgpSpec:
     extra = set(doc) - known
     if extra:
         raise InputError(f"DGP spec has unknown fields {sorted(extra)}")
-    doc = {
-        k: tuple(tuple(r) for r in v) if k in ("base_levels", "jumps", "betas") else v
-        for k, v in doc.items()
-    }
-    if "z_range" in doc:
-        doc["z_range"] = tuple(doc["z_range"])
-    for key in ("cell_probs", "intercepts"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
     try:
         return DgpSpec(**doc)
     except TypeError as err:
@@ -176,34 +156,31 @@ class PopulationTargets:
 def population_targets(dgp: DgpSpec) -> PopulationTargets:
     """Closed-form first stages, outcome jumps, and the weighted effect vector.
 
-    The per-cell treatment jump equals the threshold jump, the outcome
-    jump is its effect-weighted sum, and the target vector solves the
-    relevance-weighted system.  With cell-constant effects the target
-    reduces to that common effect vector.
+    The per-cell treatment jump equals the threshold jump and the outcome
+    jump is its effect-weighted sum.  M, the weights and the identification
+    flag are the relevance check's own, at the population cell shares and
+    jumps, and the target is the plug-in estimator's expression there.
+    With cell-constant effects the target is that common effect vector.
     """
     probs = np.asarray(dgp.cell_probs)
     delta_x = np.asarray(dgp.jumps, dtype=float)
     betas = np.asarray(dgp.betas, dtype=float)
     delta_y = np.einsum("lj,lj->l", betas, delta_x)
-    m = (delta_x.T * probs) @ delta_x
-    m = 0.5 * (m + m.T)
-    identified = conditioning(np.linalg.eigvalsh(m)) >= DEFAULT_RCOND_THRESHOLD  # as relevance
-    beta_bar = omega = None
-    if identified:
+    m, minv, omega, *_ = _separation(delta_x, probs)
+    beta_bar = None
+    if minv is not None:
         if all(np.array_equal(betas[l], betas[0]) for l in range(dgp.q)):
             # cell-constant effects are a fixed point of the weighting
             beta_bar = betas[0].copy()
-        else:  # sum_l p_l delta_x(l) delta_x(l)' beta(l), with delta_x(l)' beta(l) = delta_y(l)
-            beta_bar = np.linalg.solve(m, delta_x.T @ (probs * delta_y))
-        minv = np.linalg.inv(m)
-        omega = tuple(minv @ np.outer(delta_x[l], delta_x[l]) for l in range(dgp.q))
+        else:
+            beta_bar = minv @ (delta_x.T @ (probs * delta_y))
     return PopulationTargets(
         beta_bar=beta_bar,
         delta_x=delta_x,
         delta_y=delta_y,
         m_matrix=m,
         omega=omega,
-        identified=identified,
+        identified=minv is not None,
     )
 
 
@@ -276,24 +253,7 @@ class SimResult:
     sd_defined: bool
 
     def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "target": list(self.target),
-            "mean_estimate": list(self.mean_estimate),
-            "bias": list(self.bias),
-            "sd": None if self.sd is None else list(self.sd),
-            "sd_defined": self.sd_defined,
-            "mean_se": list(self.mean_se),
-            "coverage": list(self.coverage),
-            "j_rejection_rate": self.j_rejection_rate,
-            "j_dof": self.j_dof,
-            "reps": self.reps,
-            "successes": self.successes,
-            "failures": self.failures,
-            "relevance_failures": self.relevance_failures,
-            "n": self.n,
-            "config": dict(self.config),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -321,10 +281,10 @@ class SimResult:
         return "\n".join(lines)
 
 
-def _run_one(dgp: DgpSpec, n: int, seed, rep: int, cfg: EstimationConfig, spec: ModelSpec):
+def _run_one(dgp: DgpSpec, n: int, seed, rep: int, cfg: EstimationConfig):
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(rep),))
     ds = generate(dgp, n, ss)
-    return estimate(ds, spec, cfg)
+    return estimate(ds, ModelSpec(), cfg)  # the targets are the homogeneous weighting's
 
 
 def run_study(
@@ -332,11 +292,10 @@ def run_study(
     n: int,
     reps: int,
     cfg: EstimationConfig | None = None,
-    spec: ModelSpec | None = None,
     seed: int | None = None,
     workers: int = 1,
 ) -> SimResult:
-    """Replicate generate -> estimate and summarize against the targets.
+    """Replicate generate -> homogeneous estimate and summarize against the targets.
 
     Replication r draws from a stream derived from (seed, r) alone, and
     aggregation runs in replication order, so the result is identical
@@ -352,13 +311,6 @@ def run_study(
         )
     if cfg is None:
         cfg = default_config(dgp)
-    if spec is None:
-        spec = ModelSpec(kind="homogeneous")
-    elif spec.kind != "homogeneous":
-        raise InputError(
-            "run_study compares against the homogeneous-weighting target; "
-            f"model kind {spec.kind!r} would misalign the coefficient blocks"
-        )
     if seed is None:
         seed = dgp.seed
 
@@ -367,7 +319,7 @@ def run_study(
 
     def work(rep: int):
         try:
-            results[rep] = _run_one(dgp, n, seed, rep, cfg, spec)
+            results[rep] = _run_one(dgp, n, seed, rep, cfg)
         except Exception as err:  # noqa: BLE001 - classified below
             errors[rep] = err
 
@@ -424,7 +376,7 @@ def run_study(
             "kernel": cfg.kernel.value,
             "bandwidth": cfg.bandwidth,
             "seed": int(seed),
-            "model": spec.kind,
+            "model": "homogeneous",
         },
         sd_defined=sd_defined,
     )

@@ -178,6 +178,26 @@ def test_estimate_missing_column_exits_1(capsys):
     assert "nope" in err
 
 
+def test_estimate_non_finite_covariate_exits_1(capsys, tmp_path):
+    data = tmp_path / "data.csv"
+    rows = [f"{i % 3},{i - 10},{int(i >= 10)},{i % 2}" for i in range(20)]
+    rows[4] = "1,-6,0,inf"
+    data.write_text("y,z,t,g\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    args = ["estimate", "--data", str(data), "--outcome", "y", "--running", "z"]
+    code, _, err = run_cli(capsys, args + ["--treatment", "t", "--w", "g", "--bandwidth", "20"])
+    assert code == 1
+    assert "column 'g' has non-finite value inf in row 5" in err
+
+
+def test_estimate_unknown_cluster_column_exits_1(capsys):
+    args = list(ESTIMATE_ARGS)
+    args[args.index("--cluster") + 1] = "nosuch"
+    code, _, err = run_cli(capsys, args)
+    assert code == 1
+    assert "cluster column 'nosuch' not found" in err
+    assert "delayed_care" in err  # and the table's columns
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     cfg = {
         "data": str(SAMPLE_DIR / "insurance_style.csv"),

@@ -161,6 +161,22 @@ def test_missing_value_is_hard_error(tmp_path):
         load_table(path, schema())
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("nan", "column 'g' has non-finite value nan in row 2"),
+        ("-inf", "column 'g' has non-finite value -inf in row 2"),
+        ("", "covariate 'g' has a missing value in row 2"),
+    ],
+)
+def test_covariate_value_that_is_no_cell_names_column_and_row(tmp_path, value, message):
+    # a NaN or an inf in a numeric covariate would otherwise label a cell "nan" or "-inf"
+    path = tmp_path / "cov.csv"
+    path.write_text(f"y,z,t,g\n1,-0.5,0,1\n2,0.5,1,{value}\n3,1.0,1,2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=message):
+        load_table(path, schema(covariates=("g",)))
+
+
 def test_duplicate_header_referenced_by_schema(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("y,z,t,y\n1,0.5,0,2\n2,-0.5,1,3\n", encoding="utf-8")

@@ -171,3 +171,33 @@ def test_src_calls_numpy_linalg_with_the_matrix_first():
     assert linalg_misuses(fine) == []
     for path in sorted((SRC / "multirdd").glob("*.py")):
         assert linalg_misuses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def own_separation_weights(source: str) -> list:
+    """The lines of ``source`` that compute the separation weights outside ``relevance``'s code.
+
+    The Monte Carlo targets take M, its rcond gate and the weights from
+    ``discontinuities``; a numpy.linalg call, or the gate's threshold or
+    ``conditioning`` brought in, would give the weights a second owner.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if is_linalg(node.func.value):
+                found.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names = {p for a in node.names for p in f"{module}.{a.name}".split(".")}
+            if names & {"linalg", "conditioning", "DEFAULT_RCOND_THRESHOLD"}:
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_montecarlo_takes_the_separation_weights_from_discontinuities():
+    caught = "import numpy as np\nnp.linalg.solve(m, b)\nfrom .data_model import conditioning\n"
+    caught += "from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset\nfrom numpy import linalg\n"
+    assert own_separation_weights(caught) == [2, 3, 4, 5]
+    fine = "import numpy as np\nfrom .discontinuities import _separation\nnp.einsum('i,i', a, b)\n"
+    assert own_separation_weights(fine) == []
+    source = (SRC / "multirdd" / "montecarlo.py").read_text(encoding="utf-8")
+    assert own_separation_weights(source) == []

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from multirdd.data_model import EstimationConfig, ModelSpec
+from multirdd.data_model import Dataset, EstimationConfig, ModelSpec, validate_dataset
+from multirdd.discontinuities import cell_table, ratio_late, relevance, wlate_feasibility
 from multirdd.errors import EstimationError, InputError
 from multirdd.estimator import estimate
 from multirdd.kernels import KernelKind
@@ -95,6 +96,37 @@ def test_population_targets_rank_deficient_flagged():
     assert not t.identified
     assert t.beta_bar is None
     assert t.delta_x.shape == (1, 2)  # cell-wise targets still reported
+
+
+def test_every_report_value_serializes_to_json():
+    dgp = homogeneous_dgp()
+    ds = generate(dgp, 3000, 11)
+    cfg = default_config(dgp)
+    # a fourth cell left of the cutoff only, so the cell table reports a dropped cell
+    cells = np.where((ds.z > -0.2) & (ds.z < -0.1) & (ds.cells == 0), 3, ds.cells)
+    labels = ds.cell_labels + ("left",)
+    ct = cell_table(Dataset(y=ds.y, z=ds.z, x=ds.x, cells=cells, cell_labels=labels), cfg)
+    assert ct.dropped
+    unidentified = DgpSpec(
+        cell_probs=(1.0,), base_levels=((0.5, 0.2),), jumps=((0.3, 0.1),),
+        betas=((0.5, -0.3),), intercepts=(0.0,),
+    )
+    values = [
+        estimate(ds, ModelSpec(), cfg),
+        ct,
+        relevance(ct),
+        ratio_late(ct, 0, 1),
+        wlate_feasibility(ct, [1.0, 0.0, 0.0], 1),
+        validate_dataset(ds, cfg),
+        dgp,
+        population_targets(dgp),
+        population_targets(unidentified),
+        run_study(dgp, n=1500, reps=2, seed=4),
+    ]
+    for value in values:
+        doc = json.loads(json.dumps(value.to_dict()))
+        assert doc, type(value).__name__
+    assert json.loads(json.dumps(population_targets(dgp).to_dict()))["identified"] is True
 
 
 def test_dgp_validation_errors():
@@ -215,6 +247,10 @@ def test_load_dgp_spec_roundtrip(tmp_path):
     path.write_text(json.dumps(dgp.to_dict()), encoding="utf-8")
     loaded = load_dgp_spec(path)
     assert loaded == dgp
+    listed = homogeneous_dgp(z_range=[-2.0, 1.5])  # as JSON gives it
+    path.write_text(json.dumps(listed.to_dict()), encoding="utf-8")
+    assert load_dgp_spec(path) == listed
+    assert hash(listed) == hash(load_dgp_spec(path))
     with pytest.raises(InputError, match="not found"):
         load_dgp_spec(tmp_path / "nope.json")
     bad = tmp_path / "bad.json"
@@ -246,16 +282,6 @@ def test_run_study_single_rep_flags_sd():
 def test_run_study_requires_reps():
     with pytest.raises(InputError, match="reps"):
         run_study(homogeneous_dgp(), n=1000, reps=0)
-
-
-def test_run_study_rejects_non_homogeneous_spec():
-    with pytest.raises(InputError, match="homogeneous"):
-        run_study(
-            homogeneous_dgp(),
-            n=500,
-            reps=2,
-            spec=ModelSpec(kind="conditional", r_column="grp"),
-        )
 
 
 def test_run_study_unidentified_dgp_rejected():
