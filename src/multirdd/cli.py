@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, help="sample size per replication")
     p_sim.add_argument("--reps", type=int, help="number of replications")
     p_sim.add_argument("--seed", type=int, help="master seed (default: spec's seed)")
-    p_sim.add_argument("--workers", type=int, help="worker threads (default 1)")
     p_sim.add_argument("--kernel", help="uniform | triangular | epanechnikov")
     p_sim.add_argument("--bandwidth", type=float, help="bandwidth override")
     add_io(p_sim)
@@ -347,7 +346,6 @@ def simulate_cmd(cfg: dict) -> int:
         reps=reps,
         cfg=est_cfg,
         seed=None if cfg.get("seed") is None else _convert("seed", cfg["seed"], int),
-        workers=_convert("workers", cfg.get("workers", 1) or 1, int),
     )
     payload = result.summary_text() if cfg.get("format") == "text" else result.to_json()
     _write(payload, cfg.get("out"))

@@ -7,7 +7,7 @@ Each datum has one copy: the estimator builds cell dummies from the
 codes for the rows it fits, and extra exogenous controls are named
 columns of ``aux``.  Datasets are immutable after construction (all
 arrays are write-locked and ``aux`` is a read-only mapping), so they
-are safe to share across worker threads.
+are safe to share across threads.
 
 Treatment is encoded as ordered crossing indicators: with levels
 t_0 < t_1 < ... < t_d, column j holds 1 when the observed treatment is
@@ -59,6 +59,17 @@ def _locked(a: np.ndarray) -> np.ndarray:
         a = np.array(a)
         a.setflags(write=False)
     return a
+
+
+def _lock_fields(result, *names: str) -> None:
+    """Lock the named array fields of a frozen ``result``: a tuple's each entry; None stays."""
+    for name in names:
+        value = getattr(result, name)
+        if isinstance(value, tuple):
+            value = tuple(_locked(a) for a in value)
+        elif value is not None:
+            value = _locked(value)
+        object.__setattr__(result, name, value)
 
 
 def _format_value(v) -> str:

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset, EstimationConfig, conditioning
+from .data_model import _lock_fields
 from .errors import CellUnusableError, EstimationError, RelevanceError
 from .kernels import window
 
@@ -72,7 +73,7 @@ def _jumps(values: np.ndarray, z: np.ndarray, w: np.ndarray, label: str):
 
 @dataclass(frozen=True)
 class CellEstimate:
-    """Per-cell first stages, reduced form, and kernel-weighted share."""
+    """Per-cell first stages, reduced form, and kernel-weighted share; arrays write-locked."""
 
     index: int
     label: str
@@ -84,6 +85,9 @@ class CellEstimate:
     n_left: int
     n_right: int
     weight_mass: float
+
+    def __post_init__(self):
+        _lock_fields(self, "delta_x", "se_x")
 
     def to_dict(self) -> dict:
         return {
@@ -206,7 +210,8 @@ class TwlateWeights:
 
     ``m_inverse`` and ``omega`` are None when the relevance check failed;
     diagnostics stay reportable either way.  The inverse is kept for
-    :func:`plugin_estimator` and is not serialized.
+    :func:`plugin_estimator` and is not serialized.  Every array, each
+    ``omega`` entry too, is write-locked.
     """
 
     m_hat: np.ndarray
@@ -217,6 +222,9 @@ class TwlateWeights:
     rank: int
     p_hat: np.ndarray
     cell_labels: tuple[str, ...]
+
+    def __post_init__(self):
+        _lock_fields(self, "m_hat", "m_inverse", "omega", "eigenvalues", "p_hat")
 
     @property
     def passed(self) -> bool:

@@ -23,13 +23,15 @@ Q, is taken of it once; the conditional design is written and factored
 stratum by stratum: the window rows are sorted by stratum, each
 stratum's columns are written and factored on its own rows, and R is the
 R of the strata's stacked factors.  Every stage reads that one R, gated
-on its first read by R_EE's diagonal over R's column norms; beta solves
-R_ZX beta = R_Zy (Frisch-Waugh-Lovell) and eta the block R_CC; the
-first-stage residual sums of squares are column norms of R below the
-rows of E and of C; the covariance and the J test share one pass that
-forms the moment rows E*u and their cluster sums, each column summed
-over its block's rows, and the fitted regressors enter only through
-R_EE^-1 applied to small blocks of R.
+on its first read by R_EE's diagonal over R's column norms.  The second
+stage, y on [X_hat | C], is least squares on K = [R_EX | R_EC], the
+regressors in the rows of E; K = Q_K R_K is factored once and gated the
+same way, by R_K's diagonal over K's column norms, and (beta, eta) =
+R_K^-1 Q_K' R_Ey.  The first-stage residual sums of squares are column
+norms of R below the rows of E and of C; the covariance and the J test
+share one pass that forms the moment rows E*u and their cluster sums,
+each column summed over its block's rows, and the sandwich reads the
+same Q_K and R_K^-1, with R_EE^-1 applied to Q_K.
 Every gate reads sizes that are free of the columns' units.
 """
 
@@ -43,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset, EstimationConfig, ModelSpec
-from .data_model import _levels, _locked, conditioning, validate_dataset
+from .data_model import _levels, _lock_fields, _numeric, conditioning, validate_dataset
 from .errors import EstimationError, InputError, SingularDesignError, UnderIdentifiedError
 from .kernels import window
 
@@ -80,6 +82,17 @@ def _scaled_pivots(r: np.ndarray, k: int) -> np.ndarray:
     pivots = np.abs(np.diagonal(r[:, :k]))
     norms = np.linalg.norm(r[:, : len(pivots)], axis=0)
     return np.divide(pivots, norms, out=np.zeros_like(pivots), where=norms > 0)
+
+
+def _missing_ids(ids: np.ndarray) -> np.ndarray:
+    """Positions of missing cluster ids: None or "" as text, NaN as a number."""
+    if ids.dtype.kind == "U":
+        return np.flatnonzero(ids == "")
+    if ids.dtype.kind == "O":
+        return np.flatnonzero([v is None or v == "" for v in ids.tolist()])
+    if ids.dtype.kind == "f":
+        return np.flatnonzero(np.isnan(ids))
+    return np.empty(0, dtype=np.intp)
 
 
 def _deficient(part: np.ndarray, k: int) -> bool:
@@ -147,13 +160,14 @@ class DesignMatrices:
         return self.n_controls + self.n_instruments
 
     @cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """R of :attr:`augmented`, without Q, and E's scaled pivots, which gate its rank.
+    def r(self) -> np.ndarray:
+        """R of :attr:`augmented`, without Q: the one factorization of the fit.
 
         Each block's columns are factored on its rows.  With more than one
         block, R is the R of the blocks' R_s stacked, each in its block's
         columns (the reduction step of TSQR), since A'A is the sum of the
         R_s'R_s.  One block is one ``qr`` call on :attr:`augmented` itself.
+        The first read runs the rank gate of E on its scaled pivots.
         """
         a, k = self.augmented, self.n_exogenous
         parts = [np.linalg.qr(a[b.rows, b.columns], mode="r") for b in self.blocks]
@@ -165,10 +179,9 @@ class DesignMatrices:
                 stacked[at : at + len(part), b.columns] = part
                 at += len(part)
             r = np.linalg.qr(stacked, mode="r")
-        pivots = _scaled_pivots(r, k)
         what = f"exogenous block is rank deficient after weighting ({k} columns)"
         try:
-            conditioning(pivots, what, n=k)
+            conditioning(_scaled_pivots(r, k), what, n=k)
         except SingularDesignError as err:
             if len(parts) == 1:
                 raise
@@ -182,16 +195,26 @@ class DesignMatrices:
                 raise
             message = f"{err}; rank deficient on its own: {', '.join(own)}"
             raise SingularDesignError(message) from None
-        return r, pivots
+        return r
 
-    @property
-    def r(self) -> np.ndarray:
-        """The one factorization of the fit; reading it runs the rank gate of E."""
-        return self._factor[0]
+    @cached_property
+    def second_stage(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q_K and R_K^-1 of K = [R_EX | R_EC], the second stage's regressors in R's rows.
 
-    @property
-    def pivots(self) -> np.ndarray:
-        return self._factor[1]
+        The regressors [X_hat | C] are Q_E K, so least squares on them is
+        least squares on K, and both the 2SLS solve and the sandwich read
+        this one factor.  The first read runs the second-stage rank gate:
+        R_K's scaled pivots, the measure and threshold that gate E.
+        """
+        d, p, k = self.k_endogenous, self.n_controls, self.n_exogenous
+        if d > self.n_instruments:
+            raise UnderIdentifiedError(
+                f"under-identified: {self.n_instruments} instruments < {d} endogenous columns"
+            )
+        r = self.r
+        q_k, r_k = np.linalg.qr(np.column_stack([r[:k, k:-1], r[:k, :p]]))
+        conditioning(_scaled_pivots(r_k, d + p), "second-stage design is numerically singular")
+        return q_k, np.linalg.inv(r_k)
 
     @cached_property
     def cluster_codes(self) -> np.ndarray | None:
@@ -199,12 +222,9 @@ class DesignMatrices:
         if self.cluster is None:
             return None
         ids = np.asarray(self.cluster)
-        if ids.dtype.kind in "OU":
-            bad = [i for i, v in enumerate(ids.tolist()) if v is None or v == ""]
-            if bad:
-                raise InputError(f"cluster id missing for weight-positive row {bad[0]}")
-        elif np.issubdtype(ids.dtype, np.floating) and np.isnan(ids.astype(float)).any():
-            raise InputError("cluster ids contain NaN for weight-positive rows")
+        bad = _missing_ids(ids)
+        if bad.size:
+            raise InputError(f"cluster id missing for weight-positive row {bad[0]}")
         return np.unique(ids, return_inverse=True)[1]
 
 
@@ -268,7 +288,10 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
             raise UnderIdentifiedError(
                 f"under-identified: q=m+1={m + 1} < d={ds.d} within each stratum"
             )
-        r_codes, strata = _levels(ds.aux[spec.r_column])
+        r_col = ds.aux[spec.r_column]
+        if r_col.dtype.kind == "f":
+            _numeric(r_col, spec.r_column)  # a NaN or an inf would be a stratum of its own
+        r_codes, strata = _levels(r_col)
         if any(lev in ("", "None", "nan") for lev in strata):
             raise InputError(
                 f"conditioning column {spec.r_column!r} has missing values; "
@@ -285,7 +308,7 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
         ends = np.cumsum(np.bincount(stratum, minlength=len(strata))).tolist()
         parts = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
 
-    cluster = ds.cluster
+    cluster, where = ds.cluster, "cluster id missing"
     if cfg.cluster_by == "running":
         cluster = ds.z
     elif cfg.cluster_by is not None:
@@ -294,6 +317,12 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
                 f"cluster column {cfg.cluster_by!r} not found (table has {list(ds.aux)})"
             )
         cluster = ds.aux[cfg.cluster_by]
+        where = f"cluster column {cfg.cluster_by!r} has a missing id"
+    if cluster is not None:
+        cluster = np.asarray(cluster)[rows]
+        bad = _missing_ids(cluster)
+        if bad.size:
+            raise InputError(f"{where} in data row {rows[bad].min() + 1}")
 
     x_names = [f"x{j + 1}" for j in range(ds.d)]
     wtilde = spec.wtilde_columns if spec.kind == "parametric" else ()
@@ -334,13 +363,14 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
         design[i] = ds.aux[name][rows]
     design[-1] = ds.y[rows]
     design *= np.sqrt(w)
+    design.setflags(write=False)  # locked in place: R and the second stage are cached from it
     dm = DesignMatrices(
         augmented=design.T,
         weights=w,
         endogenous_labels=tuple(endogenous),
         instrument_labels=tuple(instruments),
         control_labels=tuple(controls),
-        cluster=None if cluster is None else np.asarray(cluster)[rows],
+        cluster=cluster,
         blocks=tuple(blocks) if conditional else DesignMatrices.blocks,
     )
     try:
@@ -386,9 +416,7 @@ class FitResult:
     first_stage: FirstStageReport | None = None
 
     def __post_init__(self):
-        for name in ("beta", "eta", "cov"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _locked(getattr(self, name)))
+        _lock_fields(self, "beta", "eta", "cov")
 
     @property
     def just_identified(self) -> bool:
@@ -430,28 +458,15 @@ class FitResult:
 def weighted_2sls(dm: DesignMatrices) -> FitResult:
     """Two-stage least squares with every row scaled by the root of its weight.
 
-    The second stage, y on [X_hat | C] with X_hat = Q_E R_EX, reduces to
-    R_ZX beta = R_Zy on the instrument rows of R (Frisch-Waugh-Lovell),
-    solved with its columns over X_hat's norms so that the gate is free of units.
+    The second stage, y on [X_hat | C] with X_hat = Q_E R_EX, is least
+    squares of R_Ey on K = [R_EX | R_EC] in the rows of E:
+    (beta, eta) = R_K^-1 Q_K' R_Ey from :attr:`DesignMatrices.second_stage`.
     """
-    k_endo = dm.k_endogenous
-    if k_endo > dm.n_instruments:
-        raise UnderIdentifiedError(
-            f"under-identified: {dm.n_instruments} instruments < {k_endo} endogenous columns"
-        )
-    r, p, k = dm.r, dm.n_controls, dm.n_exogenous
-    r_ex, r_ey = r[:k, k:-1], r[:k, -1]
-    norms = np.linalg.norm(r_ex, axis=0)  # X_hat's; a zero column stays zero, and fails the gate
-    norms[norms == 0] = 1.0
-    scaled, _, _, sv = np.linalg.lstsq(r_ex[p:] / norms, r_ey[p:], rcond=None)
-    beta = scaled / norms
-    # the scaled pivots of [C | X_hat]: R_CC's, then X_hat beyond the span of C
-    what = "second-stage design is numerically singular"
-    conditioning(np.concatenate([dm.pivots[:p], sv]), what, n=p + k_endo)
-    eta = np.linalg.solve(r[:p, :p], r_ey[:p] - r_ex[:p] @ beta)
+    q_k, r_k_inv = dm.second_stage
+    coef = r_k_inv @ (q_k.T @ dm.r[: dm.n_exogenous, -1])
     return FitResult(
-        beta=beta,
-        eta=eta,
+        beta=coef[: dm.k_endogenous],
+        eta=coef[dm.k_endogenous :],
         beta_labels=dm.endogenous_labels,
         eta_labels=dm.control_labels,
         n_effective=dm.n,
@@ -501,9 +516,10 @@ def cluster_covariance(fit: FitResult, dm: DesignMatrices) -> np.ndarray:
     usual heteroskedasticity-robust sandwich up to that factor.
 
     The regressors [X_hat | C] are Q_E K with K = [R_EX | R_EC].  With
-    K = Q_K R_K, they are E H R_K for H = R_EE^-1 Q_K, so the score sums
-    are the moment sums times H R_K, and the sandwich is
-    R_K^-1 H' Omega H R_K^-T: no normal matrix is formed or inverted.
+    K = Q_K R_K, the factor :func:`weighted_2sls` solved with, they are
+    E H R_K for H = R_EE^-1 Q_K, so the score sums are the moment sums
+    times H R_K, and the sandwich is R_K^-1 H' Omega H R_K^-T: no normal
+    matrix is formed or inverted.
     """
     codes = dm.cluster_codes
     n = dm.n
@@ -513,11 +529,10 @@ def cluster_covariance(fit: FitResult, dm: DesignMatrices) -> np.ndarray:
             f"need at least 2 clusters among weight-positive rows, found {n_groups}"
         )
     _, omega, _ = _moments(fit, dm)
-    r, p, k = dm.r, dm.n_controls, dm.n_exogenous
-    q_k, r_k = np.linalg.qr(np.column_stack([r[:k, k:-1], r[:k, :p]]))
-    h = np.linalg.solve(r[:k, :k], q_k)
-    r_k_inv = np.linalg.inv(r_k)
-    n_params = r_k.shape[1]
+    k = dm.n_exogenous
+    q_k, r_k_inv = dm.second_stage
+    h = np.linalg.solve(dm.r[:k, :k], q_k)
+    n_params = len(r_k_inv)
     correction = (n_groups / (n_groups - 1)) * ((n - 1) / max(n - n_params, 1))
     cov = correction * r_k_inv @ (h.T @ omega @ h) @ r_k_inv.T
     return 0.5 * (cov + cov.T)

@@ -9,19 +9,20 @@ the threshold jumps exactly and the outcome discontinuity is their
 effect-weighted sum.
 
 Replications use counter-based Philox streams keyed by (seed, rep), so
-any worker count or evaluation order produces identical results.
+any evaluation order produces identical results, and any replication can
+be replayed from (seed, rep) alone.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data_model import Dataset, EstimationConfig, ModelSpec
+from .data_model import Dataset, EstimationConfig, ModelSpec, _lock_fields
 from .discontinuities import _separation
 from .errors import EstimationError, InputError, RelevanceError, UnderIdentifiedError
 from .estimator import estimate
@@ -134,7 +135,7 @@ def load_dgp_spec(path: str | Path) -> DgpSpec:
 
 @dataclass(frozen=True)
 class PopulationTargets:
-    """Exact population quantities implied by a DgpSpec."""
+    """Exact population quantities implied by a DgpSpec; every array is write-locked."""
 
     beta_bar: np.ndarray | None
     delta_x: np.ndarray
@@ -142,6 +143,9 @@ class PopulationTargets:
     m_matrix: np.ndarray
     omega: tuple[np.ndarray, ...] | None
     identified: bool
+
+    def __post_init__(self):
+        _lock_fields(self, "beta_bar", "delta_x", "delta_y", "m_matrix", "omega")
 
     def to_dict(self) -> dict:
         return {
@@ -293,14 +297,20 @@ def run_study(
     reps: int,
     cfg: EstimationConfig | None = None,
     seed: int | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> SimResult:
     """Replicate generate -> homogeneous estimate and summarize against the targets.
 
     Replication r draws from a stream derived from (seed, r) alone, and
-    aggregation runs in replication order, so the result is identical
-    for any worker count.
+    replications run in one loop, in order.  The ``workers`` keyword is
+    accepted for older callers but ignored, and it warns.
     """
+    if workers is not None:
+        warnings.warn(
+            "run_study(workers=...) is ignored and will be removed; replications run in one loop",
+            FutureWarning,
+            stacklevel=2,
+        )
     if reps < 1:
         raise InputError(f"reps must be at least 1, got {reps}")
     targets = population_targets(dgp)
@@ -314,24 +324,13 @@ def run_study(
     if seed is None:
         seed = dgp.seed
 
-    results: list = [None] * reps
-    errors: list = [None] * reps
-
-    def work(rep: int):
+    fits, failures = [], []
+    for rep in range(reps):
         try:
-            results[rep] = _run_one(dgp, n, seed, rep, cfg)
+            fits.append(_run_one(dgp, n, seed, rep, cfg))
         except Exception as err:  # noqa: BLE001 - classified below
-            errors[rep] = err
+            failures.append(err)
 
-    if workers <= 1:
-        for rep in range(reps):
-            work(rep)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(reps)))
-
-    fits = [r for r in results if r is not None]
-    failures = [e for e in errors if e is not None]
     if not fits:
         raise EstimationError(f"all {reps} replications failed: {failures[0]}") from failures[0]
     relevance_failures = sum(

@@ -177,7 +177,7 @@ def test_criterion_2_noiseless_exactness():
 
 def test_criterion_3_coverage():
     started = time.perf_counter()
-    res = run_study(COVERAGE_DGP, n=5000, reps=500, seed=2024, workers=1)
+    res = run_study(COVERAGE_DGP, n=5000, reps=500, seed=2024)
     elapsed = time.perf_counter() - started
     cover_ok = all(0.91 <= c <= 0.98 for c in res.coverage)
     bias_bounds = [float(max(0.02, 3 * s / np.sqrt(res.reps))) for s in res.sd]
@@ -194,7 +194,7 @@ def test_criterion_3_coverage():
 
 
 def test_criterion_4_j_size():
-    res = run_study(JSIZE_DGP, n=5000, reps=500, seed=2024, workers=1)
+    res = run_study(JSIZE_DGP, n=5000, reps=500, seed=2024)
     assert res.j_dof == 4
     rate = res.j_rejection_rate
     ok = 0.02 <= rate <= 0.10 and res.failures == 0
@@ -207,7 +207,7 @@ def test_criterion_4_j_size():
 
 
 def test_criterion_5_j_power():
-    res = run_study(JPOWER_DGP, n=20_000, reps=200, seed=2024, workers=1)
+    res = run_study(JPOWER_DGP, n=20_000, reps=200, seed=2024)
     rate = res.j_rejection_rate
     ok = rate > 0.5 and res.failures == 0
     report(
@@ -358,44 +358,4 @@ def test_criterion_9_plugin_vs_2sls_agreement():
         "plug-in and 2SLS agree on saturated just-identified designs",
         ok,
         f"mean |gap| = {mean_gap:.2e}, bound = {bound:.2e} over {len(gaps)} replications",
-    )
-
-
-def test_criterion_10_worker_determinism():
-    rng = np.random.default_rng(20240610)
-    all_equal = True
-    for trial in range(10):
-        q = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 3))
-        base = np.sort(rng.uniform(0.2, 0.6, size=(q, d)), axis=1)[:, ::-1]
-        headroom = 1.0 - base
-        jump = rng.uniform(0.2, 0.9, size=(q, d)) * headroom
-        jump = np.minimum.accumulate(base + jump, axis=1) - base
-        probs = rng.dirichlet(np.ones(q) * 5)
-        dgp = DgpSpec(
-            cell_probs=tuple(probs),
-            base_levels=tuple(map(tuple, base)),
-            jumps=tuple(map(tuple, jump)),
-            betas=tuple(tuple(rng.normal(0, 0.5, size=d)) for _ in range(q)),
-            intercepts=tuple(rng.normal(0, 0.3, size=q)),
-            slope_left=0.2,
-            slope_right=0.4,
-            noise_sd=0.3,
-            seed=int(rng.integers(0, 2**31)),
-        )
-        if not population_targets(dgp).identified:
-            continue
-        try:
-            a = run_study(dgp, n=900, reps=4, workers=1)
-            b = run_study(dgp, n=900, reps=4, workers=8)
-        except EstimationError:
-            continue
-        if a.to_json() != b.to_json():
-            all_equal = False
-            break
-    report(
-        10,
-        "simulation output is byte-identical for 1 and 8 workers",
-        all_equal,
-        "10 random specs compared" if all_equal else f"mismatch on trial {trial}",
     )

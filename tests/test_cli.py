@@ -189,6 +189,30 @@ def test_estimate_non_finite_covariate_exits_1(capsys, tmp_path):
     assert "column 'g' has non-finite value inf in row 5" in err
 
 
+def test_estimate_non_finite_conditioning_value_exits_1(capsys, tmp_path):
+    data = tmp_path / "data.csv"
+    rows = [f"{i % 3},{i - 10},{int(i >= 10)},{i % 2},{i % 2}" for i in range(20)]
+    rows[4] = "1,-6,0,0,inf"
+    data.write_text("y,z,t,g,rnum\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    args = ["estimate", "--data", str(data), "--outcome", "y", "--running", "z", "--treatment"]
+    args += ["t", "--w", "g", "--model", "conditional", "--r", "rnum", "--bandwidth", "20"]
+    code, _, err = run_cli(capsys, args)
+    assert code == 1
+    assert "column 'rnum' has non-finite value inf in row 5" in err
+
+
+def test_estimate_missing_cluster_id_names_column_and_data_row(capsys, tmp_path):
+    data = tmp_path / "data.csv"
+    rows = [f"{i % 3},{i - 10},{int(i >= 10)},{i % 2},{i // 4}" for i in range(20)]
+    rows[6] = "1,-4,0,0,"
+    data.write_text("y,z,t,g,cl\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    args = ["estimate", "--data", str(data), "--outcome", "y", "--running", "z", "--treatment"]
+    args += ["t", "--w", "g", "--cluster", "cl", "--bandwidth", "5"]
+    code, _, err = run_cli(capsys, args)
+    assert code == 1
+    assert "cluster column 'cl' has a missing id in data row 7" in err
+
+
 def test_estimate_unknown_cluster_column_exits_1(capsys):
     args = list(ESTIMATE_ARGS)
     args[args.index("--cluster") + 1] = "nosuch"
@@ -352,7 +376,7 @@ def test_diagnose_rank_deficient_exits_2_but_writes(capsys, tmp_path):
     assert doc["relevance"]["rank"] <= 1
 
 
-def test_simulate_schema_and_worker_determinism(capsys, tmp_path):
+def test_simulate_schema_and_seed_determinism(capsys, tmp_path):
     args = [
         "simulate",
         "--data",
@@ -364,10 +388,10 @@ def test_simulate_schema_and_worker_determinism(capsys, tmp_path):
         "--seed",
         "4",
     ]
-    out1, out8 = tmp_path / "w1.json", tmp_path / "w8.json"
-    assert run_cli(capsys, args + ["--workers", "1", "--out", str(out1)])[0] == 0
-    assert run_cli(capsys, args + ["--workers", "8", "--out", str(out8)])[0] == 0
-    assert out1.read_bytes() == out8.read_bytes()
+    out1, out2 = tmp_path / "run1.json", tmp_path / "run2.json"
+    assert run_cli(capsys, args + ["--out", str(out1)])[0] == 0
+    assert run_cli(capsys, args + ["--out", str(out2)])[0] == 0
+    assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     for key in ("coverage", "bias", "mean_se", "j_rejection_rate", "reps"):
         assert key in doc

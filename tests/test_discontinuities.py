@@ -115,6 +115,14 @@ def test_cell_table_reproduces_noiseless_jumps():
     assert ct.p_hat.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cell_estimate_arrays_are_write_locked():
+    ds = piecewise_linear_dataset(jumps_x=[(1, 0), (0, 1)], jumps_y=[0.5, -0.3])
+    cell = cell_table(ds, EstimationConfig(bandwidth=2.0)).cells[0]
+    for a in (cell.delta_x, cell.se_x):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
 def test_cell_table_single_cell():
     ds = piecewise_linear_dataset(jumps_x=[(1,)], jumps_y=[0.7])
     ct = cell_table(ds, EstimationConfig(bandwidth=2.0))
@@ -225,6 +233,13 @@ def test_relevance_and_population_targets_share_one_threshold():
     assert 1e-12 < tw.rcond < DEFAULT_RCOND_THRESHOLD
     assert not tw.passed
     assert not targets.identified
+
+
+def test_twlate_weights_arrays_are_write_locked():
+    tw = relevance(make_table([0.5, 0.5], [(1, 0), (0, 1)], [0.5, -0.3]))
+    for a in (tw.m_hat, tw.m_inverse, tw.eigenvalues, tw.p_hat, *tw.omega):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
 
 
 def test_twlate_weights_orthogonal_design():

@@ -203,6 +203,12 @@ def test_fit_result_arrays_are_write_locked():
     assert replace(fit, cov=cov).cov[0, 0] == 2.0
 
 
+def test_built_design_is_write_locked():
+    _, dm = build_random(np.random.default_rng(32))
+    with pytest.raises(ValueError, match="read-only"):
+        dm.augmented[0, 0] = 1.0
+
+
 # --------------------------------------------------------------- weighted_2sls
 
 
@@ -278,6 +284,38 @@ def test_singular_first_stage_reports_rcond():
         control_labels=("const", "z"),
     )
     with pytest.raises(SingularDesignError, match="rcond"):
+        weighted_2sls(dm)
+
+
+def _second_stage_design(case):
+    """A design whose E has full rank and whose [X_hat | C] does not."""
+    n = 60
+    rng = np.random.default_rng(41)
+    z = np.linspace(-1, 1, n)
+    w = (np.arange(n) % 2).astype(float)
+    d = (z >= 0).astype(float)
+    x1 = 0.5 * d + 0.3 * d * w + rng.normal(scale=0.2, size=n)
+    if case == "x1 = w + z":
+        x1, x2 = w + z, x1
+    else:
+        x2 = x1 if case == "x2 = x1" else 3.0 * x1 + z
+    return design_from_blocks(
+        rng.normal(size=n),
+        np.column_stack([x1, x2]),
+        np.column_stack([d, d * w]),
+        np.column_stack([np.ones(n), w, z, d * z]),
+        np.ones(n),
+        endogenous_labels=("x1", "x2"),
+        instrument_labels=("d", "d:w"),
+        control_labels=("const", "w", "z", "d:z"),
+    )
+
+
+@pytest.mark.parametrize("case", ["x2 = x1", "x2 = 3 x1 + z", "x1 = w + z"])
+def test_singular_second_stage_is_rejected(case):
+    dm = _second_stage_design(case)
+    dm.r  # E itself passes its gate
+    with pytest.raises(SingularDesignError, match="second-stage"):
         weighted_2sls(dm)
 
 
@@ -596,8 +634,13 @@ def test_text_cluster_ids_must_not_be_empty(dtype):
         y=ds0.y, z=ds0.z, x=ds0.x, cells=ds0.cells, cell_labels=ds0.cell_labels,
         cluster=ids,
     )
-    with pytest.raises(InputError, match="cluster id missing for weight-positive row 0"):
+    with pytest.raises(InputError, match="cluster id missing in data row 1$"):
         estimate(ds, ModelSpec(), CFG)
+    # a hand-built design keeps its own check, by its row
+    dm = build_design(replace(ds, cluster=None), ModelSpec(), CFG)
+    hand_built = replace(dm, cluster=ids[: dm.n])
+    with pytest.raises(InputError, match="cluster id missing for weight-positive row 0"):
+        cluster_covariance(weighted_2sls(hand_built), hand_built)
 
 
 def test_cluster_by_a_missing_column_is_an_input_error():
@@ -743,6 +786,29 @@ def test_estimate_factors_the_weighted_rows_once(monkeypatch):
     # R alone of [controls | instruments | endogenous | y]: k + d + 1 columns
     k = len(fit.eta) + ds.q
     assert tall == [("qr", k + ds.d + 1, "r")], tall
+
+
+def test_estimate_solves_from_two_qr_calls_and_no_lstsq(monkeypatch):
+    # the rows once, then K = [R_EX | R_EC], which both the solve and the sandwich read
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race", "educ"), extra_controls=("region",),
+    )
+    ds = load_table(SAMPLE_CSV, schema)
+    cfg = EstimationConfig(bandwidth=10.0, cluster_by="age")
+    calls = []
+    for name in LAPACK_ENTRY_POINTS:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(args[0])))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    fit = estimate(ds, ModelSpec(), cfg)
+    d, p = len(fit.beta), len(fit.eta)
+    k = p + ds.q
+    qr = [shape for name, shape in calls if name == "qr"]
+    assert qr == [(fit.n_effective, k + d + 1), (k, d + p)], calls
+    assert "lstsq" not in [name for name, _ in calls]
 
 
 @pytest.mark.parametrize(

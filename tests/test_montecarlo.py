@@ -69,6 +69,13 @@ def test_population_targets_homogeneous_fixed_point():
     assert np.array_equal(t.beta_bar, np.array([0.5, -0.3]))
 
 
+def test_population_target_arrays_are_write_locked():
+    t = population_targets(homogeneous_dgp())
+    for a in (t.beta_bar, t.delta_x, t.delta_y, t.m_matrix, *t.omega):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+
+
 def test_population_targets_derived_case():
     dgp = DgpSpec(
         cell_probs=(0.5, 0.5),
@@ -296,11 +303,11 @@ def test_run_study_unidentified_dgp_rejected():
         run_study(dgp, n=1000, reps=2)
 
 
-def test_run_study_worker_count_invariance():
+def test_run_study_ignores_workers_with_a_warning():
     dgp = homogeneous_dgp()
-    a = run_study(dgp, n=1500, reps=8, seed=3, workers=1)
-    b = run_study(dgp, n=1500, reps=8, seed=3, workers=4)
-    assert a.to_json() == b.to_json()
+    with pytest.warns(FutureWarning, match="workers"):
+        ignored = run_study(dgp, n=1500, reps=2, seed=3, workers=4)
+    assert ignored.to_json() == run_study(dgp, n=1500, reps=2, seed=3).to_json()
 
 
 def test_each_replication_replays_from_seed_and_rep_alone():
