@@ -19,11 +19,12 @@ Each fit passes over the rows inside the kernel window once.
 = [E | X | y] once, on those rows only, into the one array that
 :class:`DesignMatrices` holds: the cell dummies W from the dataset's cell
 codes, the extra controls from the ``aux`` columns it names.  R, without
-Q, is taken of it once; the conditional design is written and factored
-stratum by stratum: the window rows are sorted by stratum, each
-stratum's columns are written and factored on its own rows, and R is the
-R of the strata's stacked factors.  Every stage reads that one R, gated
-on its first read by R_EE's diagonal over R's column norms.  The second
+Q, is taken of it once, by a Cholesky of its Gram matrix A'A, or by a
+Householder QR of the rows where a scaled pivot is too small for the
+normal equations; the conditional design is written stratum by stratum,
+each stratum's columns on its own rows and zero elsewhere.  Every stage
+reads that one R, gated on its first read by R_EE's diagonal over R's
+column norms.  The second
 stage, y on [X_hat | C], is least squares on K = [R_EX | R_EC], the
 regressors in the rows of E; K = Q_K R_K is factored once and gated the
 same way, by R_K's diagonal over K's column norms, and (beta, eta) =
@@ -66,7 +67,7 @@ __all__ = [
 class Block(NamedTuple):
     """Where one block of a design's nonzeros sit: a range of rows and the
     columns of :attr:`DesignMatrices.augmented` it spans, in ascending order;
-    ``label`` names it in a rank error."""
+    the moment sums read only its rows, and ``label`` names it in a rank error."""
 
     rows: slice
     columns: slice | np.ndarray
@@ -95,9 +96,34 @@ def _missing_ids(ids: np.ndarray) -> np.ndarray:
     return np.empty(0, dtype=np.intp)
 
 
-def _deficient(part: np.ndarray, k: int) -> bool:
-    """Whether the first ``k`` columns of a block's R_s fail the rank gate on their own."""
-    return conditioning(_scaled_pivots(part, k), n=k) < DEFAULT_RCOND_THRESHOLD
+def _deficient(block: np.ndarray, k: int) -> bool:
+    """Whether the first ``k`` columns of ``block`` fail the rank gate on their own."""
+    pivots = _scaled_pivots(np.linalg.qr(block, mode="r"), k)
+    return conditioning(pivots, n=k) < DEFAULT_RCOND_THRESHOLD
+
+
+# The smallest scaled pivot R is taken from A'A with: the normal equations lose
+# about eps / pivot^2, so every column R feeds (beta, F, J) keeps about 1e-10.
+GRAM_PIVOT_FLOOR = 1e-3
+
+
+def _gram_r(a: np.ndarray) -> np.ndarray | None:
+    """R = L'D of ``a`` from D^-1 A'A D^-1 = LL', D = sqrt(diag A'A): no copy of the rows.
+
+    diag(L) are R's scaled pivots, free of the columns' units.  None when
+    a column is zero, the Cholesky fails, or a pivot is below the floor.
+    """
+    g = a.T @ a
+    norms = np.sqrt(np.diagonal(g))
+    if not norms.all():
+        return None
+    try:
+        low = np.linalg.cholesky(g / norms[:, None] / norms)
+    except ValueError:  # numpy's LinAlgError: not positive definite in floating point
+        return None
+    if not (np.diagonal(low) >= GRAM_PIVOT_FLOOR).all():  # NaN included
+        return None
+    return low.T * norms
 
 
 @dataclass(frozen=True)
@@ -163,33 +189,27 @@ class DesignMatrices:
     def r(self) -> np.ndarray:
         """R of :attr:`augmented`, without Q: the one factorization of the fit.
 
-        Each block's columns are factored on its rows.  With more than one
-        block, R is the R of the blocks' R_s stacked, each in its block's
-        columns (the reduction step of TSQR), since A'A is the sum of the
-        R_s'R_s.  One block is one ``qr`` call on :attr:`augmented` itself.
-        The first read runs the rank gate of E on its scaled pivots.
+        R is read from A'A (:func:`_gram_r`), or is one ``qr`` of
+        :attr:`augmented` where that returns None; either way, the first
+        read runs the rank gate of E on R's scaled pivots.  A design of
+        several blocks that fails it factors each block's own columns on
+        its rows, to name the blocks that fail on their own.
         """
         a, k = self.augmented, self.n_exogenous
-        parts = [np.linalg.qr(a[b.rows, b.columns], mode="r") for b in self.blocks]
-        r = parts[0]
-        if len(parts) > 1:
-            stacked = np.zeros((sum(len(part) for part in parts), a.shape[1]))
-            at = 0
-            for b, part in zip(self.blocks, parts):
-                stacked[at : at + len(part), b.columns] = part
-                at += len(part)
-            r = np.linalg.qr(stacked, mode="r")
+        r = _gram_r(a)
+        if r is None:
+            r = np.linalg.qr(a, mode="r")
         what = f"exogenous block is rank deficient after weighting ({k} columns)"
         try:
             conditioning(_scaled_pivots(r, k), what, n=k)
         except SingularDesignError as err:
-            if len(parts) == 1:
+            if len(self.blocks) == 1:
                 raise
             columns = np.arange(a.shape[1])
-            # a block's exogenous columns are the first of its R_s
+            # a block's exogenous columns are its first
             own = [
-                b.label for b, part in zip(self.blocks, parts)
-                if _deficient(part, np.count_nonzero(columns[b.columns] < k))
+                b.label for b in self.blocks
+                if _deficient(a[b.rows, b.columns], np.count_nonzero(columns[b.columns] < k))
             ]
             if not own:
                 raise
@@ -270,8 +290,8 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     the window leaves a zero column.  The design is written stratum by
     stratum: the conditional design sorts the window rows by stratum once
     and writes each stratum's [C_s | Z_s | X_s] on its own rows, zero
-    elsewhere, with a :class:`Block` per stratum so that R is factored
-    stratum by stratum; any other design is the one stratum of every row.
+    elsewhere, with a :class:`Block` per stratum that says where its
+    nonzeros sit; any other design is the one stratum of every row.
     Raises when the endogenous block outruns the instruments or when the
     weighted exogenous block is rank deficient (for instance because a
     covariate cell is empty inside the bandwidth); for a stratum whose

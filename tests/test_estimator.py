@@ -1,9 +1,12 @@
+import re
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multirdd.data_model import Dataset, EstimationConfig, ModelSpec, TableSchema, load_table
@@ -167,6 +170,79 @@ def test_design_rank_deficient_cell_within_bandwidth():
         build_design(one_side, ModelSpec(), EstimationConfig(bandwidth=1.0))
     assert "cell 'cell001' has no observations on the left side" in str(err.value)
     assert "cell000" not in str(err.value) and "right side" not in str(err.value)
+
+
+@contextmanager
+def recorded(*names):
+    """Each call to the named numpy.linalg functions: its name and its 2-D arguments' shapes."""
+    calls = []
+    with ExitStack() as stack:
+        for name in names:
+            def record(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                shapes = [np.shape(a) for a in (*args, *kwargs.values()) if np.ndim(a) == 2]
+                calls.append((_name, shapes))
+                return _fn(*args, **kwargs)
+
+            stack.enter_context(mock.patch.object(np.linalg, name, record))
+        yield calls
+
+
+def near_copy_of_a_control(noise):
+    """A clustered dataset whose extra control ctl2 is ctl plus ``noise`` times a normal draw."""
+    rng = np.random.default_rng(51)
+    ds = random_dataset(rng, n=400, d=2, m=2, noise=0.4)
+    ctl = rng.normal(size=ds.n)
+    return replace(
+        ds,
+        extra_control_names=("ctl", "ctl2"),
+        aux={"ctl": ctl, "ctl2": ctl + noise * rng.normal(size=ds.n)},
+        cluster=rng.integers(0, 100, size=ds.n),
+    )
+
+
+def test_a_near_copy_of_a_control_is_factored_from_its_rows():
+    # ctl2's scaled pivot is about 1e-6: from A'A, R would lose about 1e-3 of
+    # eta, so R is the Householder qr of the rows, as if A'A were never formed
+    with recorded("cholesky", "qr") as calls:
+        dm = build_design(near_copy_of_a_control(1e-6), ModelSpec(), CFG)
+    fit = weighted_2sls(dm)
+    fit = replace(fit, cov=cluster_covariance(fit, dm))
+    ref = replace(dm)  # the same design, with nothing cached
+    ref.__dict__["r"] = np.linalg.qr(dm.augmented, mode="r")  # R of the rows' qr alone
+    want = weighted_2sls(ref)
+    want = replace(want, cov=cluster_covariance(want, ref))
+    for got, expected in ((fit.beta, want.beta), (fit.eta, want.eta), (fit.se, want.se)):
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max(), (got, expected)
+    c = dm.augmented.shape[1]
+    assert calls == [("cholesky", [(c, c)]), ("qr", [dm.augmented.shape])], calls
+
+
+GATE_ERROR = r"exogenous block is rank deficient after weighting \(14 columns\) \(rcond {}"
+COLLINEAR = r"\d\.\d{3}e-1[2-7] < 1\.0e-10\); the weighted columns are collinear"
+RANK_ERRORS = {
+    "ctl2 = ctl + 1e-12 noise": COLLINEAR,
+    "ctl2 = ctl": COLLINEAR,
+    "cell001 empty inside the window": (
+        r"0\.000e\+00 < 1\.0e-10\); cell 'cell001' has no observations on the left side of the "
+        r"cutoff within the bandwidth; cell 'cell001' has no observations on the right side "
+        r"of the cutoff within the bandwidth"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RANK_ERRORS)
+def test_rank_failures_keep_their_message(case):
+    # the Cholesky of A'A fails, finds a tiny pivot or meets a zero column; the qr
+    # of the rows then gives the rank gate the R it always read
+    if case == "cell001 empty inside the window":
+        ds = near_copy_of_a_control(1.0)
+        outside = np.sign(ds.z) * (2.0 + 10.0 * np.abs(ds.z))  # |z| > 2, the bandwidth is 1
+        ds = replace(ds, z=np.where(ds.cells == 1, outside, ds.z))
+    else:
+        ds = near_copy_of_a_control(1e-12 if "noise" in case else 0.0)
+    with pytest.raises(SingularDesignError) as err:
+        build_design(ds, ModelSpec(), CFG)
+    assert re.fullmatch(GATE_ERROR.format(RANK_ERRORS[case]), str(err.value)), str(err.value)
 
 
 def test_span_equivalence_with_two_sided_basis():
@@ -721,10 +797,17 @@ def assert_rel_close(got, want):
     negate=st.booleans(),
     b=st.floats(min_value=-10.0, max_value=10.0),
     z_exp=st.floats(min_value=-6.0, max_value=6.0),
-    extra_exp=st.floats(min_value=-6.0, max_value=6.0),
+    extra_exp=st.floats(min_value=-8.0, max_value=8.0),
+    x_exp=st.floats(min_value=-8.0, max_value=8.0),
+)
+@example(
+    seed=5, clustered=True, y_exp=8.0, negate=False, b=0.0, z_exp=0.0, extra_exp=8.0, x_exp=8.0
+)
+@example(
+    seed=5, clustered=True, y_exp=-8.0, negate=False, b=0.0, z_exp=0.0, extra_exp=-8.0, x_exp=-8.0
 )
 def test_fit_invariant_to_row_order_cell_labels_and_outcome_units(
-    seed, clustered, y_exp, negate, b, z_exp, extra_exp
+    seed, clustered, y_exp, negate, b, z_exp, extra_exp, x_exp
 ):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 3))
@@ -739,19 +822,30 @@ def test_fit_invariant_to_row_order_cell_labels_and_outcome_units(
         base = estimate(ds, ModelSpec(), CFG)
     except EstimationError:
         assume(False)
-    # y in other units, shifted in those units; z and h in other units; the control too
+    # y in other units, shifted in those units; z and h in other units; the
+    # control and the first treatment column too
     a = (-1.0 if negate else 1.0) * 10.0**y_exp
     extra = {"ctl": ds.aux["ctl"] * 10.0**extra_exp}
-    units = replace(ds, y=a * (ds.y + b), z=ds.z * 10.0**z_exp, aux=extra)
+    x_units = np.ones(d)
+    x_units[0] = 10.0**x_exp
+    units = replace(ds, y=a * (ds.y + b), z=ds.z * 10.0**z_exp, x=ds.x * x_units, aux=extra)
     variants = (
-        (subset_dataset(ds, rng.permutation(ds.n)), CFG, 1.0),
-        (relabel_cells(ds, rng.permutation(ds.q)), CFG, 1.0),
-        (units, EstimationConfig(bandwidth=CFG.bandwidth * 10.0**z_exp), a),
+        (subset_dataset(ds, rng.permutation(ds.n)), CFG, 1.0, 1.0),
+        (relabel_cells(ds, rng.permutation(ds.q)), CFG, 1.0, 1.0),
+        (units, EstimationConfig(bandwidth=CFG.bandwidth * 10.0**z_exp), a, x_units),
     )
-    for other, cfg, scale in variants:
-        fit = estimate(other, ModelSpec(), cfg)
-        assert_rel_close(fit.beta, scale * base.beta)
-        assert_rel_close(fit.se, abs(scale) * base.se)
+    for other, cfg, scale, per_x in variants:
+        with recorded("cholesky", "qr") as calls:
+            fit = estimate(other, ModelSpec(), cfg)
+        # one Cholesky of A'A in every unit, and no qr of the rows
+        c = len(fit.eta) + ds.q + d + 1
+        path = [
+            (name, shapes) for name, shapes in calls
+            if name == "cholesky" or any(shape[0] == fit.n_effective for shape in shapes)
+        ]
+        assert path == [("cholesky", [(c, c)])], calls
+        assert_rel_close(fit.beta * per_x, scale * base.beta)
+        assert_rel_close(fit.se * per_x, abs(scale) * base.se)
         assert_rel_close(fit.j_pvalue, base.j_pvalue)
         assert_rel_close(fit.first_stage.f_stats, base.first_stage.f_stats)
 
@@ -762,60 +856,57 @@ LAPACK_ENTRY_POINTS = (
 )
 
 
-def test_estimate_factors_the_weighted_rows_once(monkeypatch):
-    schema = TableSchema(
-        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
-        covariates=("race", "educ"), cluster="age", extra_controls=("region",),
-    )
-    ds = load_table(SAMPLE_CSV, schema)
+# the benchmark's three sample designs: W and the model, with extra control region
+SAMPLE_DESIGNS = (
+    (("race", "educ"), ModelSpec()),
+    (("race",), ModelSpec(kind="conditional", r_column="educ")),
+    (("race", "educ"), ModelSpec(kind="parametric", wtilde_columns=("region",))),
+)
+
+
+def linalg_calls_of_sample_fits():
+    """Per sample design: its kind, design and fit and the numpy.linalg calls of its estimate."""
     cfg = EstimationConfig(bandwidth=10.0, cluster_by="age")
-    n_eff = int((weights_vector(cfg.kernel, cfg.bandwidth, ds.z) > 0).sum())
-    tall = []
-    for name in LAPACK_ENTRY_POINTS:
-        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            tall.extend(
-                (_name, np.shape(a)[1], kwargs.get("mode"))
-                for a in args
-                if np.ndim(a) == 2 and np.shape(a)[0] == n_eff
-            )
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    fit = estimate(ds, ModelSpec(), cfg)
-    assert fit.n_effective == n_eff
-    # R alone of [controls | instruments | endogenous | y]: k + d + 1 columns
-    k = len(fit.eta) + ds.q
-    assert tall == [("qr", k + ds.d + 1, "r")], tall
+    for covariates, spec in SAMPLE_DESIGNS:
+        schema = TableSchema(
+            outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+            covariates=covariates, extra_controls=("region",),
+        )
+        ds = load_table(SAMPLE_CSV, schema)
+        dm = build_design(ds, spec, cfg)
+        with recorded(*LAPACK_ENTRY_POINTS) as calls:
+            fit = estimate(ds, spec, cfg)
+        n_eff = int((weights_vector(cfg.kernel, cfg.bandwidth, ds.z) > 0).sum())
+        assert fit.n_effective == dm.n == n_eff
+        yield spec.kind, dm, fit, calls
 
 
-def test_estimate_solves_from_two_qr_calls_and_no_lstsq(monkeypatch):
-    # the rows once, then K = [R_EX | R_EC], which both the solve and the sandwich read
-    schema = TableSchema(
-        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
-        covariates=("race", "educ"), extra_controls=("region",),
-    )
-    ds = load_table(SAMPLE_CSV, schema)
-    cfg = EstimationConfig(bandwidth=10.0, cluster_by="age")
-    calls = []
-    for name in LAPACK_ENTRY_POINTS:
-        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            calls.append((_name, np.shape(args[0])))
-            return _fn(*args, **kwargs)
+def test_estimate_factors_the_weighted_rows_once():
+    for kind, dm, fit, calls in linalg_calls_of_sample_fits():
+        # the rows are read once, into A'A; no numpy.linalg call sees them
+        tall = [(name, shape) for name, shapes in calls for shape in shapes if shape[0] == dm.n]
+        assert tall == [], (kind, tall)
+        # R alone of [controls | instruments | endogenous | y]: k + d + 1 columns
+        c = len(fit.eta) + dm.n_instruments + len(fit.beta) + 1
+        cholesky = [shapes for name, shapes in calls if name == "cholesky"]
+        assert cholesky == [[(c, c)]], (kind, calls)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    fit = estimate(ds, ModelSpec(), cfg)
-    d, p = len(fit.beta), len(fit.eta)
-    k = p + ds.q
-    qr = [shape for name, shape in calls if name == "qr"]
-    assert qr == [(fit.n_effective, k + d + 1), (k, d + p)], calls
-    assert "lstsq" not in [name for name, _ in calls]
+
+def test_estimate_solves_from_two_qr_calls_and_no_lstsq():
+    # one Cholesky of the scaled A'A, then one QR of K = [R_EX | R_EC], which
+    # both the solve and the sandwich read
+    for kind, dm, fit, calls in linalg_calls_of_sample_fits():
+        d, p, k = len(fit.beta), len(fit.eta), dm.n_exogenous
+        factors = [(name, shapes) for name, shapes in calls if name in ("cholesky", "qr")]
+        assert factors == [("cholesky", [(k + d + 1,) * 2]), ("qr", [(k, d + p)])], (kind, calls)
+        assert "lstsq" not in [name for name, _ in calls]
 
 
 @pytest.mark.parametrize(
     "covariates, spec, bound",
     [
-        (("race", "educ"), ModelSpec(), 3.0),
-        (("race",), ModelSpec(kind="conditional", r_column="educ"), 2.2),
+        (("race", "educ"), ModelSpec(), 1.6),
+        (("race",), ModelSpec(kind="conditional", r_column="educ"), 1.6),
     ],
 )
 def test_design_is_written_once(covariates, spec, bound):
@@ -834,7 +925,7 @@ def test_design_is_written_once(covariates, spec, bound):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the design itself, the copy its factorization takes, and row-sized temporaries
+    # the design itself and row-sized temporaries: R is read from A'A, which copies no rows
     assert peak < bound * dm.augmented.nbytes, peak / dm.augmented.nbytes
 
 
