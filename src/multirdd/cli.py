@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IDENTIFICATION = 2
 SUBCOMMANDS = ("estimate", "diagnose", "simulate")
+SERIES_MAX_POINTS = 60  # a side with more distinct z in the series is binned by quantiles
 
 
 def _csv_list(text: str) -> list[str]:
@@ -231,7 +232,7 @@ def _diagnostics_doc(ds, cfg, ct=None) -> tuple[dict, bool]:
     return doc, tw.passed
 
 
-def write_series(path: str, ds, cfg, max_points: int = 60) -> None:
+def write_series(path: str, ds, cfg) -> None:
     """Per-cell, per-side binned means of the outcome and each indicator.
 
     This is the plotting data behind first-stage figures; the toolkit
@@ -252,8 +253,8 @@ def write_series(path: str, ds, cfg, max_points: int = 60) -> None:
                     continue
                 z_vals = ds.z[sel]
                 uniques, bins = np.unique(z_vals, return_inverse=True)
-                if len(uniques) > max_points:
-                    edges = np.quantile(z_vals, np.linspace(0, 1, max_points + 1))
+                if len(uniques) > SERIES_MAX_POINTS:
+                    edges = np.quantile(z_vals, np.linspace(0, 1, SERIES_MAX_POINTS + 1))
                     uniques = 0.5 * (edges[:-1] + edges[1:])
                     bins = np.searchsorted(edges[1:-1], z_vals, side="right")
                 for b in range(len(uniques)):

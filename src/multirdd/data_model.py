@@ -44,7 +44,7 @@ __all__ = [
     "validate_dataset",
 ]
 
-DEFAULT_MAX_CELL_LEVELS = 64
+MAX_CELL_LEVELS = 64  # per covariate column; more levels must be coarsened first
 DEFAULT_RCOND_THRESHOLD = 1e-10
 _KEY_PRIME = np.uint64(0x100000001B3)  # the 64-bit FNV prime
 
@@ -225,7 +225,6 @@ class TableSchema:
     cluster: str | None = None
     extra_controls: tuple[str, ...] = ()
     delimiter: str = ","
-    max_cell_levels: int = DEFAULT_MAX_CELL_LEVELS
 
     def __post_init__(self):
         has_single = self.treatment is not None
@@ -335,10 +334,7 @@ class CellEncoding:
     labels: tuple[str, ...]
 
 
-def encode_cells(
-    columns: Sequence[np.ndarray],
-    max_levels: int = DEFAULT_MAX_CELL_LEVELS,
-) -> CellEncoding:
+def encode_cells(columns: Sequence[np.ndarray]) -> CellEncoding:
     """Map discrete covariate combinations to cell indices.
 
     Cells are indexed by the lexicographic order of their label; the
@@ -355,9 +351,9 @@ def encode_cells(
         if len(col) != n:
             raise InputError(f"covariate column {k} has length {len(col)}, expected {n}")
         col_codes, col_labels = _levels(col)
-        if len(col_labels) > max_levels:
+        if len(col_labels) > MAX_CELL_LEVELS:
             raise InputError(
-                f"covariate column {k} has {len(col_labels)} levels (> {max_levels}); "
+                f"covariate column {k} has {len(col_labels)} levels (> {MAX_CELL_LEVELS}); "
                 "coarsen it before encoding"
             )
         codes.append(col_codes)
@@ -570,7 +566,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
             raise ParseError(f"covariate {name!r} has a missing value in row {i + 1}")
         cov_cols.append(col)
     enc = (
-        encode_cells(cov_cols, max_levels=schema.max_cell_levels)
+        encode_cells(cov_cols)
         if cov_cols
         else CellEncoding(np.zeros(len(y), dtype=int), ("all",))
     )

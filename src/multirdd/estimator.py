@@ -19,21 +19,21 @@ Each fit passes over the rows inside the kernel window once.
 = [E | X | y] once, on those rows only, into the one array that
 :class:`DesignMatrices` holds: the cell dummies W from the dataset's cell
 codes, the extra controls from the ``aux`` columns it names.  R, without
-Q, is taken of it once, by a Cholesky of its Gram matrix A'A, or by a
-Householder QR of the rows where a scaled pivot is too small for the
-normal equations; the conditional design is written stratum by stratum,
-each stratum's columns on its own rows and zero elsewhere.  Every stage
-reads that one R, gated on its first read by R_EE's diagonal over R's
-column norms.  The second
-stage, y on [X_hat | C], is least squares on K = [R_EX | R_EC], the
-regressors in the rows of E; K = Q_K R_K is factored once and gated the
-same way, by R_K's diagonal over K's column norms, and (beta, eta) =
-R_K^-1 Q_K' R_Ey.  The first-stage residual sums of squares are column
-norms of R below the rows of E and of C; the covariance and the J test
-share one pass that forms the moment rows E*u and their cluster sums,
-each column summed over its block's rows, and the sandwich reads the
-same Q_K and R_K^-1, with R_EE^-1 applied to Q_K.
-Every gate reads sizes that are free of the columns' units.
+Q, is taken of it once by :func:`_r_factor`: a Cholesky of its Gram
+matrix A'A, or a Householder QR of the rows where a scaled pivot is too
+small for the normal equations; the conditional design is written
+stratum by stratum, each stratum's columns on its own rows and zero
+elsewhere.  Every stage reads that one R, gated on its first read by
+R_EE's diagonal over R's column norms.  The second stage, y on
+[X_hat | C], is least squares on K = [R_EX | R_EC], the regressors in the
+rows of E; K = Q_K R_K is factored once and gated the same way, and
+(beta, eta) = R_K^-1 Q_K' R_Ey.  The first-stage residual sums of
+squares are column norms of R below the rows of E and of C.  The
+covariance and the J test share one pass that forms the cluster sums S
+of the moment rows E*u, each column summed over its own rows, and takes
+R_S of S with the same :func:`_r_factor`; the sandwich is B'B with
+B = R_S R_EE^-1 Q_K R_K^-T, and J = |R_S^-T g|^2 is gated on R_S like E on R.
+Every gate reads R's diagonal over its column norms, free of units.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .errors import EstimationError, InputError, SingularDesignError, UnderIdent
 from .kernels import window
 
 __all__ = [
-    "Block",
     "DesignMatrices",
     "FitResult",
     "FirstStageReport",
@@ -62,16 +60,6 @@ __all__ = [
     "first_stage_diagnostics",
     "estimate",
 ]
-
-
-class Block(NamedTuple):
-    """Where one block of a design's nonzeros sit: a range of rows and the
-    columns of :attr:`DesignMatrices.augmented` it spans, in ascending order;
-    the moment sums read only its rows, and ``label`` names it in a rank error."""
-
-    rows: slice
-    columns: slice | np.ndarray
-    label: str = ""
 
 
 def _scaled_pivots(r: np.ndarray, k: int) -> np.ndarray:
@@ -96,8 +84,9 @@ def _missing_ids(ids: np.ndarray) -> np.ndarray:
     return np.empty(0, dtype=np.intp)
 
 
-def _deficient(block: np.ndarray, k: int) -> bool:
-    """Whether the first ``k`` columns of ``block`` fail the rank gate on their own."""
+def _deficient(block: np.ndarray) -> bool:
+    """Whether the columns of ``block`` fail the rank gate on their own."""
+    k = block.shape[1]
     pivots = _scaled_pivots(np.linalg.qr(block, mode="r"), k)
     return conditioning(pivots, n=k) < DEFAULT_RCOND_THRESHOLD
 
@@ -126,6 +115,12 @@ def _gram_r(a: np.ndarray) -> np.ndarray | None:
     return low.T * norms
 
 
+def _r_factor(a: np.ndarray) -> np.ndarray:
+    """R of ``a``, without Q: from A'A (:func:`_gram_r`), or one ``qr`` where that returns None."""
+    r = _gram_r(a)
+    return np.linalg.qr(a, mode="r") if r is None else r
+
+
 @dataclass(frozen=True)
 class DesignMatrices:
     """The weighted design of weight-positive rows, their clusters and its one R.
@@ -134,11 +129,9 @@ class DesignMatrices:
     its weight, column-major for LAPACK; the label tuples split its
     columns.  :func:`build_design` passes only the rows inside the kernel
     window; a design with no rows, or with a weight that is not > 0, is
-    rejected.  ``blocks`` says where the nonzeros of ``augmented`` sit:
-    outside its blocks' rows and columns every entry is zero.  The default
-    is one block of every row and column; the conditional design has one
-    block per stratum, its rows and its own columns plus the shared extra
-    controls and y.
+    rejected.  ``column_rows`` holds one row slice per exogenous column,
+    outside which that column is zero; empty means every row.  The
+    conditional design gives each stratum's columns its own rows.
     """
 
     augmented: np.ndarray
@@ -147,7 +140,7 @@ class DesignMatrices:
     instrument_labels: tuple[str, ...]
     control_labels: tuple[str, ...]
     cluster: np.ndarray | None = None
-    blocks: tuple[Block, ...] = (Block(slice(None), slice(None)),)
+    column_rows: tuple[slice, ...] = ()
 
     def __post_init__(self):
         shape = (len(self.weights), self.n_exogenous + self.k_endogenous + 1)
@@ -189,32 +182,12 @@ class DesignMatrices:
     def r(self) -> np.ndarray:
         """R of :attr:`augmented`, without Q: the one factorization of the fit.
 
-        R is read from A'A (:func:`_gram_r`), or is one ``qr`` of
-        :attr:`augmented` where that returns None; either way, the first
-        read runs the rank gate of E on R's scaled pivots.  A design of
-        several blocks that fails it factors each block's own columns on
-        its rows, to name the blocks that fail on their own.
+        It is :func:`_r_factor` of :attr:`augmented`; the first read runs
+        the rank gate of E on R's scaled pivots.
         """
-        a, k = self.augmented, self.n_exogenous
-        r = _gram_r(a)
-        if r is None:
-            r = np.linalg.qr(a, mode="r")
+        r, k = _r_factor(self.augmented), self.n_exogenous
         what = f"exogenous block is rank deficient after weighting ({k} columns)"
-        try:
-            conditioning(_scaled_pivots(r, k), what, n=k)
-        except SingularDesignError as err:
-            if len(self.blocks) == 1:
-                raise
-            columns = np.arange(a.shape[1])
-            # a block's exogenous columns are its first
-            own = [
-                b.label for b in self.blocks
-                if _deficient(a[b.rows, b.columns], np.count_nonzero(columns[b.columns] < k))
-            ]
-            if not own:
-                raise
-            message = f"{err}; rank deficient on its own: {', '.join(own)}"
-            raise SingularDesignError(message) from None
+        conditioning(_scaled_pivots(r, k), what, n=k)
         return r
 
     @cached_property
@@ -290,12 +263,12 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     the window leaves a zero column.  The design is written stratum by
     stratum: the conditional design sorts the window rows by stratum once
     and writes each stratum's [C_s | Z_s | X_s] on its own rows, zero
-    elsewhere, with a :class:`Block` per stratum that says where its
-    nonzeros sit; any other design is the one stratum of every row.
-    Raises when the endogenous block outruns the instruments or when the
-    weighted exogenous block is rank deficient (for instance because a
-    covariate cell is empty inside the bandwidth); for a stratum whose
-    own block is, the error names it.
+    elsewhere, and :attr:`DesignMatrices.column_rows` says which rows
+    each exogenous column lives on; any other design is the one stratum
+    of every row.  Raises when the endogenous block outruns the
+    instruments or when the weighted exogenous block is rank deficient
+    (for instance because a covariate cell is empty inside the
+    bandwidth); for a stratum whose own columns are, the error names it.
     """
     rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
     m = ds.m
@@ -304,10 +277,6 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     if conditional:
         if spec.r_column not in ds.aux:
             raise InputError(f"conditioning column {spec.r_column!r} not found in dataset")
-        if ds.d > m + 1:
-            raise UnderIdentifiedError(
-                f"under-identified: q=m+1={m + 1} < d={ds.d} within each stratum"
-            )
         r_col = ds.aux[spec.r_column]
         if r_col.dtype.kind == "f":
             _numeric(r_col, spec.r_column)  # a NaN or an inf would be a stratum of its own
@@ -368,17 +337,16 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     extra = len(tags) * nc  # the row of the first extra control
     design = np.zeros((k + len(endogenous) + 1, len(rows)))
     z, cells = ds.z[rows], ds.cells[rows]
-    blocks = []
+    column_rows = [slice(None)] * k
     for s, part in enumerate(parts):
         c0, z0, x0 = s * nc, p + s * nz, k + s * nx
+        column_rows[c0 : c0 + nc] = [part] * nc
+        column_rows[z0 : z0 + nz] = [part] * nz
         _write_cells(design[c0 : c0 + nc, part], design[z0 : z0 + nz, part], z[part], cells[part])
         x = design[x0 : x0 + nx, part]
         x[: ds.d] = ds.x[rows[part]].T
         for i, name in enumerate(wtilde, 1):
             np.multiply(x[: ds.d], ds.aux[name][rows[part]], out=x[i * ds.d : (i + 1) * ds.d])
-        # the stratum's own columns, the extra controls and y
-        columns = np.r_[c0 : c0 + nc, extra:p, z0 : z0 + nz, x0 : x0 + nx, len(design) - 1]
-        blocks.append(Block(part, columns, f"stratum {tags[s]}"))
     for i, name in enumerate(ds.extra_control_names, extra):
         design[i] = ds.aux[name][rows]
     design[-1] = ds.y[rows]
@@ -391,15 +359,21 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
         instrument_labels=tuple(instruments),
         control_labels=tuple(controls),
         cluster=cluster,
-        blocks=tuple(blocks) if conditional else DesignMatrices.blocks,
+        column_rows=tuple(column_rows) if conditional else (),
     )
     try:
         dm.r  # the first read of R runs the rank gate
     except SingularDesignError as err:
+        notes, own = [str(err)], []
+        for s, (tag, part) in enumerate(zip(tags, parts) if conditional else ()):
+            c0, z0 = s * nc, p + s * nz  # the stratum's C_s and Z_s, and the extra controls
+            if _deficient(design[np.r_[c0 : c0 + nc, extra:p, z0 : z0 + nz], part].T):
+                own.append(f"stratum {tag}")
+        if own:
+            notes.append(f"rank deficient on its own: {', '.join(own)}")
         empty = validate_dataset(ds, cfg).empty_side_warnings
-        raise SingularDesignError(
-            f"{err}; " + ("; ".join(empty) if empty else "the weighted columns are collinear")
-        ) from None
+        notes += empty or ["the weighted columns are collinear"]
+        raise SingularDesignError("; ".join(notes)) from None
     return dm
 
 
@@ -494,11 +468,13 @@ def weighted_2sls(dm: DesignMatrices) -> FitResult:
 
 
 def _moments(fit, dm) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cluster sums of the moment rows E*u, their cross-product, and |u|.
+    """Cluster sums S of the moment rows E*u, the R of S, and |u|.
 
     u is the structural residual of the weighted rows (actual endogenous
-    columns, not fitted).  :func:`cluster_covariance` and :func:`j_test`
-    share this pass: it is kept on ``dm`` for the ``fit`` that made it.
+    columns, not fitted).  S has one row per cluster, or per row when
+    unclustered, and R_S'R_S = S'S.  :func:`cluster_covariance` and
+    :func:`j_test` share this pass: it is kept on ``dm`` for the ``fit``
+    that made it.
     """
     cached = dm.__dict__.get("_moments")
     if cached is not None and cached[0] is fit:
@@ -511,18 +487,14 @@ def _moments(fit, dm) -> tuple[np.ndarray, np.ndarray, float]:
     if codes is None:
         summed = a[:, :k] * u[:, None]  # E * u
     else:
-        # a column of one block is zero off that block's rows, so only they are summed
-        home = {}
-        for b in dm.blocks:
-            for j in np.arange(a.shape[1])[b.columns].tolist():
-                home[j] = slice(None) if j in home else b.rows
+        # a column is zero off its rows, so only they are summed
         n_groups = int(codes.max()) + 1
-        sums = []
-        for j in range(k):
-            rows = home.get(j, slice(None))
-            sums.append(np.bincount(codes[rows], weights=a[rows, j] * u[rows], minlength=n_groups))
+        sums = [
+            np.bincount(codes[rows], weights=a[rows, j] * u[rows], minlength=n_groups)
+            for j, rows in enumerate(dm.column_rows or [slice(None)] * k)
+        ]
         summed = np.stack(sums, axis=1)
-    out = summed, summed.T @ summed, float(np.linalg.norm(u))
+    out = summed, _r_factor(summed), float(np.linalg.norm(u))
     dm.__dict__["_moments"] = (fit, out)
     return out
 
@@ -537,25 +509,20 @@ def cluster_covariance(fit: FitResult, dm: DesignMatrices) -> np.ndarray:
 
     The regressors [X_hat | C] are Q_E K with K = [R_EX | R_EC].  With
     K = Q_K R_K, the factor :func:`weighted_2sls` solved with, they are
-    E H R_K for H = R_EE^-1 Q_K, so the score sums are the moment sums
-    times H R_K, and the sandwich is R_K^-1 H' Omega H R_K^-T: no normal
-    matrix is formed or inverted.
+    E H R_K for H = R_EE^-1 Q_K, so the score sums are S H R_K^-T for
+    the moment sums S, and with S'S = R_S'R_S the sandwich is B'B for
+    B = R_S H R_K^-T: no normal matrix is formed or inverted.
     """
-    codes = dm.cluster_codes
-    n = dm.n
-    n_groups = n if codes is None else int(codes.max(initial=-1)) + 1
+    summed, r_s, _ = _moments(fit, dm)
+    n, n_groups, k = dm.n, len(summed), dm.n_exogenous
     if n_groups < 2:
         raise EstimationError(
             f"need at least 2 clusters among weight-positive rows, found {n_groups}"
         )
-    _, omega, _ = _moments(fit, dm)
-    k = dm.n_exogenous
     q_k, r_k_inv = dm.second_stage
-    h = np.linalg.solve(dm.r[:k, :k], q_k)
-    n_params = len(r_k_inv)
-    correction = (n_groups / (n_groups - 1)) * ((n - 1) / max(n - n_params, 1))
-    cov = correction * r_k_inv @ (h.T @ omega @ h) @ r_k_inv.T
-    return 0.5 * (cov + cov.T)
+    b = r_s @ np.linalg.solve(dm.r[:k, :k], q_k) @ r_k_inv.T
+    correction = (n_groups / (n_groups - 1)) * ((n - 1) / max(n - len(r_k_inv), 1))
+    return correction * (b.T @ b)
 
 
 def chi2_sf(x: float, dof: int) -> float:
@@ -585,12 +552,11 @@ def chi2_sf(x: float, dof: int) -> float:
 def j_test(fit: FitResult, dm: DesignMatrices) -> tuple[float, int, float]:
     """Over-identification test from the weighted 2SLS residuals.
 
-    The moment vector stacks weighted residual cross-products with the
-    full exogenous row; its robust covariance (cluster-aggregated when
-    clustering is active) weights the quadratic form, which is gated and
-    solved in correlation form, free of units.  Degrees of freedom are
-    instruments minus endogenous columns; a just-identified fit reports
-    J = 0 with p-value 1 by convention.
+    The moment vector g = 1'S sums the cluster sums S of the weighted
+    residual cross-products with the exogenous row, and J = g'(S'S)^-1 g
+    = |R_S^-T g|^2.  R_S first passes E's rank gate, on its scaled
+    pivots.  Degrees of freedom are instruments minus endogenous columns;
+    a just-identified fit reports J = 0 with p-value 1 by convention.
     """
     dof = dm.n_instruments - len(fit.beta)
     if dof == 0:
@@ -598,17 +564,15 @@ def j_test(fit: FitResult, dm: DesignMatrices) -> tuple[float, int, float]:
 
     # an exact fit satisfies every moment condition; the quadratic form is a
     # 0/0 limit there, and its value is zero, not roundoff noise
-    summed, omega, resid_norm = _moments(fit, dm)
+    summed, r_s, resid_norm = _moments(fit, dm)
     if resid_norm <= 1e-10 * np.linalg.norm(dm.r[:, -1]):  # the norm of the weighted y
         return 0.0, dof, 1.0
 
-    # D^-1/2 Omega D^-1/2; a zero variance leaves no correlation form, and is singular
-    scale = np.sqrt(np.diagonal(omega))
-    corr = omega / scale[:, None] / scale if scale.all() else np.zeros_like(omega)
-    what = "moment weighting matrix is singular, possibly fewer clusters than moment conditions"
-    conditioning(np.linalg.eigvalsh(corr), what)
-    gvec = summed.sum(axis=0) / scale
-    j_stat = max(float(gvec @ np.linalg.solve(corr, gvec)), 0.0)
+    k = dm.n_exogenous
+    what = f"moment covariance is singular ({len(summed)} clusters, {k} moment conditions)"
+    conditioning(_scaled_pivots(r_s, k), what, n=k)
+    v = np.linalg.solve(r_s.T, summed.sum(axis=0))
+    j_stat = float(v @ v)
     return j_stat, dof, chi2_sf(j_stat, dof)
 
 

@@ -201,3 +201,24 @@ def test_montecarlo_takes_the_separation_weights_from_discontinuities():
     assert own_separation_weights(fine) == []
     source = (SRC / "multirdd" / "montecarlo.py").read_text(encoding="utf-8")
     assert own_separation_weights(source) == []
+
+
+EIGEN_ROUTINES = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def eigen_calls(source: str) -> list:
+    """The lines of ``source`` that call a numpy.linalg eigen routine."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in EIGEN_ROUTINES and is_linalg(node.func.value)
+    )
+
+
+def test_estimator_gates_read_pivots_not_eigenvalues():
+    # every gate of the fit reads the scaled pivots of an R, J's included
+    caught = "import numpy as np\nnp.linalg.eigvalsh(m)\nnp.linalg.eigh(m)\nnumpy.linalg.eig(m)\n"
+    assert eigen_calls(caught) == [2, 3, 4]
+    assert eigen_calls("import numpy as np\nnp.linalg.qr(a, mode='r')\nnp.sort(eigh)\n") == []
+    source = (SRC / "multirdd" / "estimator.py").read_text(encoding="utf-8")
+    assert eigen_calls(source) == []

@@ -217,6 +217,17 @@ def test_a_near_copy_of_a_control_is_factored_from_its_rows():
     assert calls == [("cholesky", [(c, c)]), ("qr", [dm.augmented.shape])], calls
 
 
+def test_a_near_copy_of_a_control_passes_the_j_gate():
+    # E passes its gate at a scaled pivot of about 1e-6, and so do the moment
+    # sums; J is the J of any basis of the same columns
+    ds = near_copy_of_a_control(1e-6)
+    fit = estimate(ds, ModelSpec(), CFG)
+    aux = dict(ds.aux, ctl2=(ds.aux["ctl2"] - ds.aux["ctl"]) * 1e6)
+    want = estimate(replace(ds, aux=aux), ModelSpec(), CFG)
+    assert fit.j_dof == want.j_dof == 1
+    assert fit.j_stat == pytest.approx(want.j_stat, rel=1e-9)
+
+
 GATE_ERROR = r"exogenous block is rank deficient after weighting \(14 columns\) \(rcond {}"
 COLLINEAR = r"\d\.\d{3}e-1[2-7] < 1\.0e-10\); the weighted columns are collinear"
 RANK_ERRORS = {
@@ -524,10 +535,12 @@ def test_j_cluster_aggregated_matches_oracle():
 def test_j_singular_weighting_matrix_rejected():
     rng = np.random.default_rng(16)
     ds, dm = build_random(rng, n=50, d=1, m=2)
-    dm = replace(dm, cluster=(np.arange(dm.n) % 2).astype(float))  # 2 clusters, 10 moments
+    dm = replace(dm, cluster=(np.arange(dm.n) % 2).astype(float))  # 2 clusters, 12 moments
     fit = weighted_2sls(dm)
-    with pytest.raises(SingularDesignError, match="singular"):
+    with pytest.raises(SingularDesignError, match="singular") as err:
         j_test(fit, dm)
+    assert dm.n_exogenous == 12
+    assert "2 clusters" in str(err.value) and "12 moment conditions" in str(err.value)
 
 
 def test_j_exact_fit_degenerates_to_zero():
@@ -837,13 +850,14 @@ def test_fit_invariant_to_row_order_cell_labels_and_outcome_units(
     for other, cfg, scale, per_x in variants:
         with recorded("cholesky", "qr") as calls:
             fit = estimate(other, ModelSpec(), cfg)
-        # one Cholesky of A'A in every unit, and no qr of the rows
-        c = len(fit.eta) + ds.q + d + 1
+        # one Cholesky of A'A and one of the moment sums' S'S in every unit,
+        # and no qr of the rows
+        k = len(fit.eta) + ds.q
         path = [
             (name, shapes) for name, shapes in calls
             if name == "cholesky" or any(shape[0] == fit.n_effective for shape in shapes)
         ]
-        assert path == [("cholesky", [(c, c)])], calls
+        assert path == [("cholesky", [(k + d + 1,) * 2]), ("cholesky", [(k, k)])], calls
         assert_rel_close(fit.beta * per_x, scale * base.beta)
         assert_rel_close(fit.se * per_x, abs(scale) * base.se)
         assert_rel_close(fit.j_pvalue, base.j_pvalue)
@@ -886,19 +900,22 @@ def test_estimate_factors_the_weighted_rows_once():
         # the rows are read once, into A'A; no numpy.linalg call sees them
         tall = [(name, shape) for name, shapes in calls for shape in shapes if shape[0] == dm.n]
         assert tall == [], (kind, tall)
-        # R alone of [controls | instruments | endogenous | y]: k + d + 1 columns
-        c = len(fit.eta) + dm.n_instruments + len(fit.beta) + 1
+        # R alone of [controls | instruments | endogenous | y]: k + d + 1
+        # columns, and R_S of the k columns of moment sums
+        k = len(fit.eta) + dm.n_instruments
         cholesky = [shapes for name, shapes in calls if name == "cholesky"]
-        assert cholesky == [[(c, c)]], (kind, calls)
+        assert cholesky == [[(k + len(fit.beta) + 1,) * 2], [(k, k)]], (kind, calls)
 
 
 def test_estimate_solves_from_two_qr_calls_and_no_lstsq():
     # one Cholesky of the scaled A'A, then one QR of K = [R_EX | R_EC], which
-    # both the solve and the sandwich read
+    # both the solve and the sandwich read, then one Cholesky of the moment
+    # sums' S'S, which the sandwich and J read
     for kind, dm, fit, calls in linalg_calls_of_sample_fits():
         d, p, k = len(fit.beta), len(fit.eta), dm.n_exogenous
         factors = [(name, shapes) for name, shapes in calls if name in ("cholesky", "qr")]
-        assert factors == [("cholesky", [(k + d + 1,) * 2]), ("qr", [(k, d + p)])], (kind, calls)
+        want = [("cholesky", [(k + d + 1,) * 2]), ("qr", [(k, d + p)]), ("cholesky", [(k, k)])]
+        assert factors == want, (kind, calls)
         assert "lstsq" not in [name for name, _ in calls]
 
 
@@ -1019,9 +1036,11 @@ def test_blocked_r_matches_a_dense_qr():
         aux={"ctl": rng.normal(size=n), "grp": np.array(["b", "a"] * (big.n // 2) + ["c"] * 10)},
     )
     dm = build_design(ds, ModelSpec(kind="conditional", r_column="grp"), CFG)
-    assert [b.label for b in dm.blocks] == ["stratum grp=a", "stratum grp=b", "stratum grp=c"]
-    small = dm.blocks[-1]
-    assert small.rows.stop - small.rows.start == 10 < len(small.columns) == 11
+    # stratum c, last in label order, owns the last rows; its 8 exogenous
+    # columns with the shared control, x and y make 11
+    small = dm.column_rows[dm.control_labels.index("grp=c|const")]
+    columns = sum(rows == small for rows in dm.column_rows) + 3
+    assert (small.start, small.stop) == (dm.n - 10, dm.n) and columns == 11
     dense = np.linalg.qr(dm.augmented, mode="r")
     assert dm.r.shape == dense.shape
     # R is unique up to the signs of its rows
@@ -1058,7 +1077,10 @@ def test_conditional_cluster_sums_match_loop_oracles():
         aux={"ctl": rng.normal(size=ds.n), "grp": rng.choice(["u", "v"], size=ds.n)},
     )
     dm = build_design(ds, ModelSpec(kind="conditional", r_column="grp"), CFG)
-    assert len(dm.blocks) == 2
+    # each stratum's columns are summed over its own rows, the shared control over all
+    first, shared, last = (dm.column_rows[j] for j in (0, dm.n_controls - 1, -1))
+    assert (first.start, first.stop, last.stop) == (0, last.start, dm.n)
+    assert shared == slice(None)
     fit = weighted_2sls(dm)
     _, xhat, resid, zmat = tsls_oracle(*design_blocks(dm), dm.weights)
     want = cluster_sandwich_oracle(xhat, resid, dm.cluster)
