@@ -21,9 +21,7 @@ from .data_model import EstimationConfig, ModelSpec, TableSchema
 from .data_model import load_table, validate_dataset
 from .discontinuities import cell_table, ratio_late, relevance
 from .errors import EstimationError, InputError
-from .estimator import estimate
 from .kernels import KernelKind, window
-from .montecarlo import default_config, load_dgp_spec, run_study
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -105,10 +103,10 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     merged: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise InputError(f"config file not found: {path}")
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as err:
+            raise InputError(f"cannot read --config {path}: {err.strerror}") from None
         except json.JSONDecodeError as err:
             raise InputError(f"config file {path} is not valid JSON: {err}") from None
         if not isinstance(doc, dict):
@@ -190,7 +188,10 @@ def _model_spec(cfg: dict) -> ModelSpec:
 
 def _write(payload: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(payload + "\n", encoding="utf-8")
+        try:
+            Path(out_path).write_text(payload + "\n", encoding="utf-8")
+        except OSError as err:
+            raise InputError(f"cannot write --out {out_path}: {err.strerror}") from None
     else:
         sys.stdout.write(payload + "\n")
 
@@ -232,43 +233,78 @@ def _diagnostics_doc(ds, cfg, ct=None) -> tuple[dict, bool]:
     return doc, tw.passed
 
 
+def _quantile_edges(sorted_z: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``np.quantile(sorted_z, levels)`` by its "linear" rule, bit for bit, for sorted finite z.
+
+    np.quantile also works, but it imports numpy.ma on every call (through
+    np.unique), a sizable share of a cold ``diagnose``.
+    """
+    n = len(sorted_z)
+    virtual = (n - 1) * levels
+    top = virtual >= n - 1
+    # numpy indexes the top value as -1 on both sides, so there t = virtual + 1
+    lo = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    t = virtual - lo
+    a, b = sorted_z[lo], sorted_z[hi]
+    diff = b - a
+    # np.quantile's lerp: from b's end where t >= 0.5, so that t = 1 gives b exactly
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
+def _series_bins(ds, cfg) -> list[tuple[str, str, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per-cell, per-side bins of the window rows: (label, side, z, count, means).
+
+    A bin is one distinct z, or one of SERIES_MAX_POINTS quantile bins
+    (z at the midpoint of its edges) when the side has more distinct z.
+    Bins with no rows are left out.  ``means`` holds one row per bin: the
+    means of y and of each indicator, as bin sums over counts.
+    """
+    rows, _ = window(cfg.kernel, cfg.bandwidth, ds.z)
+    out = []
+    for l, label in enumerate(ds.cell_labels):
+        in_cell = rows[ds.cells[rows] == l]
+        right = ds.z[in_cell] >= 0
+        for side, sel in (("left", in_cell[~right]), ("right", in_cell[right])):
+            if not sel.size:
+                continue
+            z_vals = ds.z[sel]
+            centers, bins = np.unique(z_vals, return_inverse=True)
+            if len(centers) > SERIES_MAX_POINTS:
+                levels = np.linspace(0, 1, SERIES_MAX_POINTS + 1)
+                edges = _quantile_edges(np.sort(z_vals), levels)
+                centers = 0.5 * (edges[:-1] + edges[1:])
+                bins = np.searchsorted(edges[1:-1], z_vals, side="right")
+            count = np.bincount(bins, minlength=len(centers))
+            sums = np.column_stack([
+                np.bincount(bins, weights=col, minlength=len(centers))
+                for col in (ds.y[sel], *ds.x[sel].T)
+            ])
+            keep = count > 0
+            out.append((label, side, centers[keep], count[keep], sums[keep] / count[keep, None]))
+    return out
+
+
 def write_series(path: str, ds, cfg) -> None:
     """Per-cell, per-side binned means of the outcome and each indicator.
 
     This is the plotting data behind first-stage figures; the toolkit
     does not plot, it emits the series for external tooling.
     """
-    rows, _ = window(cfg.kernel, cfg.bandwidth, ds.z)
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["cell", "side", "z", "count", "y_mean"]
-            + [f"x{j + 1}_mean" for j in range(ds.d)]
-        )
-        for l, label in enumerate(ds.cell_labels):
-            in_cell = rows[ds.cells[rows] == l]
-            right = ds.z[in_cell] >= 0
-            for side, sel in (("left", in_cell[~right]), ("right", in_cell[right])):
-                if not sel.size:
-                    continue
-                z_vals = ds.z[sel]
-                uniques, bins = np.unique(z_vals, return_inverse=True)
-                if len(uniques) > SERIES_MAX_POINTS:
-                    edges = np.quantile(z_vals, np.linspace(0, 1, SERIES_MAX_POINTS + 1))
-                    uniques = 0.5 * (edges[:-1] + edges[1:])
-                    bins = np.searchsorted(edges[1:-1], z_vals, side="right")
-                for b in range(len(uniques)):
-                    in_bin = sel[bins == b]
-                    if in_bin.size == 0:
-                        continue
-                    writer.writerow(
-                        [label, side, f"{uniques[b]:.6g}", in_bin.size]
-                        + [f"{ds.y[in_bin].mean():.6g}"]
-                        + [f"{ds.x[in_bin, j].mean():.6g}" for j in range(ds.d)]
-                    )
+    lines = [["cell", "side", "z", "count", "y_mean"] + [f"x{j + 1}_mean" for j in range(ds.d)]]
+    for label, side, z, count, means in _series_bins(ds, cfg):
+        for zb, nb, mb in zip(z.tolist(), count.tolist(), means.tolist()):
+            lines.append([label, side, f"{zb:.6g}", nb, *(f"{m:.6g}" for m in mb)])
+    try:
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(lines)
+    except OSError as err:
+        raise InputError(f"cannot write --series {path}: {err.strerror}") from None
 
 
 def estimate_cmd(cfg: dict) -> int:
+    from .estimator import estimate  # here, so that diagnose never imports the estimator
+
     schema = _schema_from(cfg)
     ds = load_table(str(_require(cfg, "data")), schema)
     est_cfg = _estimation_config(cfg)
@@ -333,6 +369,8 @@ def diagnose_cmd(cfg: dict) -> int:
 
 
 def simulate_cmd(cfg: dict) -> int:
+    from .montecarlo import default_config, load_dgp_spec, run_study
+
     dgp = load_dgp_spec(str(_require(cfg, "data")))
     reps = _convert("reps", cfg.get("reps", 0) or 0, int)
     if reps < 1:

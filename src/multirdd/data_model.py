@@ -519,9 +519,10 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     dropping rows would change the estimand.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"data file not found: {path}")
-    header, aux = _read_columns(path, schema.delimiter)
+    try:
+        header, aux = _read_columns(path, schema.delimiter)
+    except OSError as err:
+        raise InputError(f"data file {path} not found or unreadable: {err.strerror}") from None
 
     def require(name: str, role: str) -> np.ndarray:
         if name not in aux:

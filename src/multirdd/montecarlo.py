@@ -24,7 +24,8 @@ import numpy as np
 
 from .data_model import Dataset, EstimationConfig, ModelSpec, _lock_fields
 from .discontinuities import _separation
-from .errors import EstimationError, InputError, RelevanceError, UnderIdentifiedError
+from .errors import EstimationError, InputError, MultirddError, RelevanceError
+from .errors import UnderIdentifiedError
 from .estimator import estimate
 from .kernels import KernelKind
 
@@ -116,13 +117,13 @@ class DgpSpec:
 def load_dgp_spec(path: str | Path) -> DgpSpec:
     """Read a DgpSpec from its JSON document form."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"DGP spec file not found: {path}")
-    with path.open(encoding="utf-8") as fh:
-        try:
+    try:
+        with path.open(encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise InputError(f"DGP spec {path} is not valid JSON: {err}") from None
+    except OSError as err:
+        raise InputError(f"DGP spec file {path} not found or unreadable: {err.strerror}") from None
+    except json.JSONDecodeError as err:
+        raise InputError(f"DGP spec {path} is not valid JSON: {err}") from None
     known = set(DgpSpec.__dataclass_fields__)
     extra = set(doc) - known
     if extra:
@@ -302,8 +303,10 @@ def run_study(
     """Replicate generate -> homogeneous estimate and summarize against the targets.
 
     Replication r draws from a stream derived from (seed, r) alone, and
-    replications run in one loop, in order.  The ``workers`` keyword is
-    accepted for older callers but ignored, and it warns.
+    replications run in one loop, in order.  A replication that raises a
+    package error counts as failed; any other exception propagates.  The
+    ``workers`` keyword is accepted for older callers but ignored, and it
+    warns.
     """
     if workers is not None:
         warnings.warn(
@@ -328,7 +331,7 @@ def run_study(
     for rep in range(reps):
         try:
             fits.append(_run_one(dgp, n, seed, rep, cfg))
-        except Exception as err:  # noqa: BLE001 - classified below
+        except MultirddError as err:
             failures.append(err)
 
     if not fits:

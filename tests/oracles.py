@@ -9,7 +9,9 @@ QR solves, eigendecompositions, and closed forms.
 import numpy as np
 from scipy import integrate
 
+from multirdd.cli import SERIES_MAX_POINTS
 from multirdd.estimator import DesignMatrices
+from multirdd.kernels import window
 
 
 def design_from_blocks(y, endogenous, instruments, controls, weights, **fields):
@@ -156,3 +158,32 @@ def omega_oracle(p, deltas_x):
         m += p[l] * np.outer(dx[l], dx[l])
     minv = np.linalg.inv(m)
     return [minv @ np.outer(dx[l], dx[l]) for l in range(len(p))], m
+
+
+def series_oracle(ds, cfg):
+    """The series rows (label, side, z, count, means of y and each x), bin by bin.
+
+    One boolean mask and one ``.mean()`` per bin, with ``np.quantile`` for
+    the edges of a side that has more than ``SERIES_MAX_POINTS`` distinct z.
+    """
+    rows, _ = window(cfg.kernel, cfg.bandwidth, ds.z)
+    out = []
+    for l, label in enumerate(ds.cell_labels):
+        in_cell = rows[ds.cells[rows] == l]
+        right = ds.z[in_cell] >= 0
+        for side, sel in (("left", in_cell[~right]), ("right", in_cell[right])):
+            if not sel.size:
+                continue
+            z_vals = ds.z[sel]
+            uniques, bins = np.unique(z_vals, return_inverse=True)
+            if len(uniques) > SERIES_MAX_POINTS:
+                edges = np.quantile(z_vals, np.linspace(0, 1, SERIES_MAX_POINTS + 1))
+                uniques = 0.5 * (edges[:-1] + edges[1:])
+                bins = np.searchsorted(edges[1:-1], z_vals, side="right")
+            for b in range(len(uniques)):
+                in_bin = sel[bins == b]
+                if in_bin.size == 0:
+                    continue
+                means = [ds.y[in_bin].mean()] + [ds.x[in_bin, j].mean() for j in range(ds.d)]
+                out.append((label, side, uniques[b], in_bin.size, means))
+    return out

@@ -1,11 +1,19 @@
 import csv
+import errno
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from multirdd.cli import main
+from multirdd.cli import _quantile_edges, _series_bins, main
+from multirdd.data_model import EstimationConfig, TableSchema, load_table
+from multirdd.kernels import KernelKind
+from oracles import series_oracle
 from synthetic import piecewise_linear_dataset
 
 SAMPLE_DIR = Path(__file__).parent.parent / "sample_data"
@@ -525,6 +533,116 @@ def test_diagnose_series_export(capsys, tmp_path):
     assert len(lines) > 12  # several bins per cell and side
     sides = {line.split(",")[1] for line in lines[1:]}
     assert sides == {"left", "right"}
+
+
+SAMPLE_SCHEMA = TableSchema(
+    outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+    covariates=("race", "educ"),
+)
+
+
+def tiled_sample(path, folds, seed):
+    """``folds`` copies of the sample's rows, shuffled, written to ``path``."""
+    header, *rows = (SAMPLE_DIR / "insurance_style.csv").read_text(encoding="utf-8").splitlines()
+    rows = rows * folds
+    order = np.random.default_rng(seed).permutation(len(rows))
+    path.write_text("\n".join([header] + [rows[i] for i in order]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "folds, bandwidth, kernel, binned",
+    [(1, 10.0, "uniform", True), (1, 1.5, "triangular", False), (5, 10.0, "epanechnikov", True)],
+)
+def test_series_bins_match_the_per_bin_oracle(tmp_path, folds, bandwidth, kernel, binned):
+    data = SAMPLE_DIR / "insurance_style.csv"
+    if folds > 1:
+        data = tiled_sample(tmp_path / "tiled.csv", folds, seed=11)
+    ds = load_table(data, SAMPLE_SCHEMA)
+    cfg = EstimationConfig(bandwidth=bandwidth, kernel=KernelKind.from_name(kernel))
+    got = [
+        (label, side, zb, nb, mb)
+        for label, side, z, count, means in _series_bins(ds, cfg)
+        for zb, nb, mb in zip(z.tolist(), count.tolist(), means.tolist())
+    ]
+    want = series_oracle(ds, cfg)
+    assert [row[:4] for row in got] == [row[:4] for row in want]
+    np.testing.assert_allclose([row[4] for row in got], [row[4] for row in want], rtol=1e-12)
+    # a bin's z is a value of the data unless the side is binned by quantiles
+    data_z = set(ds.z.tolist())
+    assert all(row[2] in data_z for row in want) is not binned
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 400),
+        elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+    )
+)
+def test_quantile_edges_equal_np_quantile_bit_for_bit(z):
+    levels = np.linspace(0, 1, 61)
+    got, want = _quantile_edges(np.sort(z), levels), np.quantile(z, levels)
+    if np.signbit(z[z == 0]).any():
+        # a sort may put -0.0 before or after 0.0, so only a zero's sign may differ
+        got, want = got + 0.0, want + 0.0
+    assert got.tobytes() == want.tobytes()
+
+
+def diagnose_args(series):
+    return ["diagnose", *ESTIMATE_ARGS[1:], "--series", str(series)]
+
+
+# each case: the argv, the flag or file role its error names, and the path it names;
+# deny(path) makes opening path raise PermissionError, as it would for a user without access
+UNUSABLE_PATHS = {
+    "diagnose --series in a missing directory": lambda d, deny: (
+        diagnose_args(d / "none" / "s.csv"), "--series", d / "none" / "s.csv"
+    ),
+    "estimate --out in a missing directory": lambda d, deny: (
+        ESTIMATE_ARGS + ["--out", str(d / "none" / "o.json")], "--out", d / "none" / "o.json"
+    ),
+    "estimate --data is a directory": lambda d, deny: (
+        ESTIMATE_ARGS + ["--data", str(d)], "data file", d
+    ),
+    "estimate --data is unreadable": lambda d, deny: (
+        ESTIMATE_ARGS + ["--data", str(deny(d / "t.csv"))], "data file", d / "t.csv"
+    ),
+    "simulate --data is a directory": lambda d, deny: (
+        ["simulate", "--data", str(d), "--reps", "1", "--n", "100"], "DGP spec file", d
+    ),
+    "simulate --data is unreadable": lambda d, deny: (
+        ["simulate", "--data", str(deny(d / "dgp.json")), "--reps", "1"], "DGP spec file", d / "dgp.json"
+    ),
+    "--config is a directory": lambda d, deny: (["estimate", "--config", str(d)], "--config", d),
+    "--config is unreadable": lambda d, deny: (
+        ["estimate", "--config", str(deny(d / "c.json"))], "--config", d / "c.json"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_PATHS)
+def test_unusable_path_is_one_input_error_line(capsys, monkeypatch, tmp_path, case):
+    opened = Path.open
+
+    def deny(path):
+        path.write_text("{}", encoding="utf-8")
+
+        def guarded(self, *args, **kwargs):
+            if self == path:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return opened(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", guarded)
+        return path
+
+    argv, role, path = UNUSABLE_PATHS[case](tmp_path, deny)
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert role in err and str(path) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("delimiter", [";", "\t"])

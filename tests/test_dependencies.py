@@ -29,9 +29,10 @@ print(" ".join(loaded))
 """
 
 
-def test_fit_and_study_do_not_import_scipy():
+def run_fresh(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter from the checkout's root."""
     proc = subprocess.run(
-        [sys.executable, "-c", FIT_WITHOUT_SCIPY],
+        [sys.executable, "-c", code],
         cwd=SRC.parent,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
@@ -39,7 +40,63 @@ def test_fit_and_study_do_not_import_scipy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    return proc.stdout
+
+
+def test_fit_and_study_do_not_import_scipy():
+    assert run_fresh(FIT_WITHOUT_SCIPY).strip() == ""
+
+
+CLI_ARGS = (
+    "'--data', 'sample_data/insurance_style.csv', '--outcome', 'delayed_care', "
+    "'--running', 'age', '--cutoff', '65', '--treatment', 'coverage', '--w', 'race,educ', "
+    "'--controls', 'region', '--cluster', 'age', '--bandwidth', '10'"
+)
+
+
+def modules_loaded_by(code: str) -> set:
+    """The modules that a fresh interpreter has loaded after running ``code``."""
+    return set(run_fresh(code + "\nimport sys\nprint(' '.join(sys.modules))").split())
+
+
+def is_numpy_ma(name: str) -> bool:
+    return name == "numpy.ma" or name.startswith("numpy.ma.")
+
+
+def test_import_multirdd_loads_no_submodule():
+    loaded = modules_loaded_by("import multirdd")
+    assert "multirdd" in loaded
+    assert not {name for name in loaded if name.startswith("multirdd.")}
+
+
+def test_diagnose_loads_neither_the_estimator_nor_the_harness_nor_numpy_ma(tmp_path):
+    series, out = tmp_path / "s.csv", tmp_path / "d.json"
+    loaded = modules_loaded_by(
+        "from multirdd import cli\n"
+        f"assert cli.main(['diagnose', {CLI_ARGS}, '--series', {str(series)!r}, "
+        f"'--out', {str(out)!r}]) == 0"
+    )
+    assert "multirdd.discontinuities" in loaded and series.stat().st_size > 0
+    assert not {"multirdd.estimator", "multirdd.montecarlo"} & loaded
+    assert not [name for name in loaded if is_numpy_ma(name)]
+
+
+def test_estimate_loads_neither_the_harness_nor_numpy_ma(tmp_path):
+    out = tmp_path / "fit.json"
+    loaded = modules_loaded_by(
+        "from multirdd import cli\n"
+        f"assert cli.main(['estimate', {CLI_ARGS}, '--out', {str(out)!r}]) == 0"
+    )
+    assert "multirdd.estimator" in loaded and out.stat().st_size > 0
+    assert "multirdd.montecarlo" not in loaded
+    assert not [name for name in loaded if is_numpy_ma(name)]
+
+
+def test_dir_lists_every_exported_name_before_it_loads():
+    import multirdd
+
+    listed = run_fresh("import multirdd\nprint(' '.join(sorted(dir(multirdd))))").split()
+    assert set(multirdd.__all__) <= set(listed)
 
 
 def package_modules() -> list:

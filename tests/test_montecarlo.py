@@ -6,7 +6,7 @@ import pytest
 
 from multirdd.data_model import Dataset, EstimationConfig, ModelSpec, validate_dataset
 from multirdd.discontinuities import cell_table, ratio_late, relevance, wlate_feasibility
-from multirdd.errors import EstimationError, InputError
+from multirdd.errors import EstimationError, InputError, SingularDesignError
 from multirdd.estimator import estimate
 from multirdd.kernels import KernelKind
 from multirdd.montecarlo import (
@@ -323,6 +323,33 @@ def test_each_replication_replays_from_seed_and_rep_alone():
         betas[r] = estimate(ds, ModelSpec(), cfg).beta
     replayed = np.asarray([betas[r] for r in range(reps)]).mean(axis=0)
     assert tuple(replayed.tolist()) == study.mean_estimate
+
+
+def test_run_study_lets_a_programming_error_escape(monkeypatch):
+    from multirdd import montecarlo
+
+    def broken(*args, **kwargs):
+        raise TypeError("a fault in the code, not a failed draw")
+
+    monkeypatch.setattr(montecarlo, "estimate", broken)
+    with pytest.raises(TypeError, match="fault in the code"):
+        run_study(homogeneous_dgp(), n=1500, reps=3, seed=2)
+
+
+def test_run_study_counts_a_package_error_as_a_failed_replication(monkeypatch):
+    from multirdd import montecarlo
+
+    calls = []
+
+    def singular_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SingularDesignError("design is numerically singular")
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "estimate", singular_once)
+    res = run_study(homogeneous_dgp(), n=1500, reps=3, seed=2)
+    assert (res.successes, res.failures, res.relevance_failures) == (2, 1, 0)
 
 
 def test_run_study_accounting_is_exact():
