@@ -19,9 +19,9 @@ import numpy as np
 
 from .data_model import EstimationConfig, ModelSpec, TableSchema
 from .data_model import load_table, validate_dataset
-from .discontinuities import cell_table, ratio_late, relevance
+from .discontinuities import SIDES, _window_groups, cell_table, ratio_late, relevance
 from .errors import EstimationError, InputError
-from .kernels import KernelKind, window
+from .kernels import KernelKind
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -220,10 +220,8 @@ def _diagnostics_doc(ds, cfg, ct=None) -> tuple[dict, bool]:
         ct = cell_table(ds, cfg)
     tw = relevance(ct)
     ratios = {}
-    for l, cell in enumerate(ct.cells):
-        ratios[cell.label] = {
-            f"x{j}": ratio_late(ct, l, j).to_dict() for j in range(1, ct.d + 1)
-        }
+    for l, label in enumerate(ct.labels):
+        ratios[label] = {f"x{j}": ratio_late(ct, l, j).to_dict() for j in range(1, ct.d + 1)}
     doc = {
         "cell_table": ct.to_dict(),
         "relevance": tw.to_dict(),
@@ -260,28 +258,27 @@ def _series_bins(ds, cfg) -> list[tuple[str, str, np.ndarray, np.ndarray, np.nda
     Bins with no rows are left out.  ``means`` holds one row per bin: the
     means of y and of each indicator, as bin sums over counts.
     """
-    rows, _ = window(cfg.kernel, cfg.bandwidth, ds.z)
+    rows, _, groups = _window_groups(ds, cfg)
+    order = np.argsort(groups, kind="stable")  # keeps each group's rows ascending
+    bounds = np.searchsorted(groups[order], np.arange(2 * ds.q + 1))
     out = []
-    for l, label in enumerate(ds.cell_labels):
-        in_cell = rows[ds.cells[rows] == l]
-        right = ds.z[in_cell] >= 0
-        for side, sel in (("left", in_cell[~right]), ("right", in_cell[right])):
-            if not sel.size:
-                continue
-            z_vals = ds.z[sel]
-            centers, bins = np.unique(z_vals, return_inverse=True)
-            if len(centers) > SERIES_MAX_POINTS:
-                levels = np.linspace(0, 1, SERIES_MAX_POINTS + 1)
-                edges = _quantile_edges(np.sort(z_vals), levels)
-                centers = 0.5 * (edges[:-1] + edges[1:])
-                bins = np.searchsorted(edges[1:-1], z_vals, side="right")
-            count = np.bincount(bins, minlength=len(centers))
-            sums = np.column_stack([
-                np.bincount(bins, weights=col, minlength=len(centers))
-                for col in (ds.y[sel], *ds.x[sel].T)
-            ])
-            keep = count > 0
-            out.append((label, side, centers[keep], count[keep], sums[keep] / count[keep, None]))
+    for g in np.flatnonzero(np.diff(bounds)):
+        label, side = ds.cell_labels[g // 2], SIDES[g % 2]
+        sel = rows[order[bounds[g] : bounds[g + 1]]]
+        z_vals = ds.z[sel]
+        centers, bins = np.unique(z_vals, return_inverse=True)
+        if len(centers) > SERIES_MAX_POINTS:
+            levels = np.linspace(0, 1, SERIES_MAX_POINTS + 1)
+            edges = _quantile_edges(np.sort(z_vals), levels)
+            centers = 0.5 * (edges[:-1] + edges[1:])
+            bins = np.searchsorted(edges[1:-1], z_vals, side="right")
+        count = np.bincount(bins, minlength=len(centers))
+        sums = np.column_stack([
+            np.bincount(bins, weights=col, minlength=len(centers))
+            for col in (ds.y[sel], *ds.x[sel].T)
+        ])
+        keep = count > 0
+        out.append((label, side, centers[keep], count[keep], sums[keep] / count[keep, None]))
     return out
 
 

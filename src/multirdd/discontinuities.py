@@ -1,8 +1,9 @@
 """Cell-wise discontinuity estimation and identification diagnostics.
 
 Within each covariate cell the jump of a variable at the cutoff is the
-difference of two one-sided local-linear intercepts.  Stacking the
-treatment jumps across cells gives the relevance matrix
+difference of two one-sided local-linear intercepts, which :func:`cell_table`
+fits for every (cell, side) at once from weighted group sums.  Stacking
+the treatment jumps across cells gives the relevance matrix
 M = sum_l p_l * delta_x(w_l) delta_x(w_l)'; when M is numerically
 positive definite, the separation weights omega(w_l) =
 M^{-1} delta_x(w_l) delta_x(w_l)' average to the identity, and the
@@ -12,7 +13,7 @@ the weighted combination of conditional effects those weights define.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,6 @@ from .errors import CellUnusableError, EstimationError, RelevanceError
 from .kernels import window
 
 __all__ = [
-    "CellEstimate",
     "DroppedCell",
     "CellTable",
     "TwlateWeights",
@@ -37,69 +37,44 @@ __all__ = [
 ]
 
 DEFAULT_JUMP_TOL = 1e-6
+SIDES = ("left", "right")  # side s of cell l is group 2 * l + s
+CELL_KEYS = ("label", "delta_x", "delta_y", "se_x", "se_y", "p_hat", "n_left", "n_right")
 
 
-def _side_fit(values: np.ndarray, z: np.ndarray, w: np.ndarray, label: str, side: str):
-    """Weighted least squares of each column of ``values`` on (1, z); intercepts, HC variances."""
-    if not z.size or z.min() == z.max():
-        detail = (
-            "needs at least 2 distinct running-variable values with positive weight, "
-            f"found {min(z.size, 1)}"
-        )
-        raise CellUnusableError(label, side, detail)
-    design = np.column_stack([np.ones(len(z)), z])
-    sw = np.sqrt(w)
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], values * sw[:, None], rcond=None)
-    resid = values - design @ coef
-    bread = np.linalg.inv(design.T @ (design * w[:, None]))
-    # (bread @ meat @ bread)[0, 0] with meat = sum_i (w_i r_i)^2 D_i D_i'
-    lever = w * (design @ bread[0])
-    return coef[0], np.sum((lever[:, None] * resid) ** 2, axis=0)
+def _window_groups(ds: Dataset, cfg: EstimationConfig):
+    """The window's rows (ascending) and weights, and each row's group 2 * cell + (z >= 0)."""
+    rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
+    return rows, w, 2 * ds.cells[rows] + (ds.z[rows] >= 0)
 
 
-def _jumps(values: np.ndarray, z: np.ndarray, w: np.ndarray, label: str):
-    """Intercept gaps at the cutoff of each column of ``values``, and their naive SEs.
+def _group_fits(columns, z: np.ndarray, w: np.ndarray, groups: np.ndarray, n_groups: int):
+    """Weighted least squares of each of ``columns`` on (1, z) within every group.
 
-    Each side is a weighted least squares fit on (1, z), and every weight
-    must be positive.  A naive SE sums the two sides' heteroskedasticity-
-    robust intercept variances: a screening diagnostic, as inference
-    belongs to the estimator module.
+    Returns the intercepts at z = 0 and their HC0 variances, n_groups x
+    (number of columns) each.  Centred at the group's weighted mean z-bar, the
+    regressors (1, z - z-bar) are orthogonal under the weights, so the
+    intercept is v-bar - slope * z-bar: the linear form of v with weights
+    lever = w (1/S0 - z-bar (z - z-bar) / Szz), whose sandwich variance is
+    sum (lever * resid)^2.  A group without two distinct z gets NaN.
     """
-    right = z >= 0
-    b_right, v_right = _side_fit(values[right], z[right], w[right], label, "right")
-    b_left, v_left = _side_fit(values[~right], z[~right], w[~right], label, "left")
-    return b_right - b_left, np.sqrt(v_right + v_left)
 
+    def total(weights):
+        return np.bincount(groups, weights=weights, minlength=n_groups)
 
-@dataclass(frozen=True)
-class CellEstimate:
-    """Per-cell first stages, reduced form, and kernel-weighted share; arrays write-locked."""
-
-    index: int
-    label: str
-    delta_x: np.ndarray
-    delta_y: float
-    se_x: np.ndarray
-    se_y: float
-    p_hat: float
-    n_left: int
-    n_right: int
-    weight_mass: float
-
-    def __post_init__(self):
-        _lock_fields(self, "delta_x", "se_x")
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "delta_x": [float(v) for v in self.delta_x],
-            "delta_y": float(self.delta_y),
-            "se_x": [float(v) for v in self.se_x],
-            "se_y": float(self.se_y),
-            "p_hat": float(self.p_hat),
-            "n_left": self.n_left,
-            "n_right": self.n_right,
-        }
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s0 = total(w)
+        zbar = total(w * z) / s0
+        zc = z - zbar[groups]
+        wzc = w * zc
+        szz = total(wzc * zc)
+        lever = w / s0[groups] - zbar[groups] * wzc / szz[groups]
+        fits = []
+        for v in columns:
+            vbar = total(w * v) / s0
+            slope = total(wzc * v) / szz
+            resid = v - vbar[groups] - slope[groups] * zc
+            fits.append((vbar - slope * zbar, total((lever * resid) ** 2)))
+    return np.stack(fits, axis=-1)  # the intercepts, then their variances
 
 
 @dataclass(frozen=True)
@@ -111,37 +86,48 @@ class DroppedCell:
 
 @dataclass(frozen=True)
 class CellTable:
-    """Usable cells with their jump estimates; dropped cells reported loudly."""
+    """Usable cells' jumps, naive SEs, shares and side counts, by row; arrays write-locked.
 
-    cells: tuple[CellEstimate, ...]
+    ``delta_x`` and ``se_x`` are q_usable x d, the rest one entry per cell.
+    """
+
+    labels: tuple[str, ...]
+    delta_x: np.ndarray
+    delta_y: np.ndarray
+    se_x: np.ndarray
+    se_y: np.ndarray
+    p_hat: np.ndarray
+    n_left: np.ndarray
+    n_right: np.ndarray
     dropped: tuple[DroppedCell, ...]
-    d: int
+
+    def __post_init__(self):
+        _lock_fields(self, *CELL_KEYS[1:])
+        for name in CELL_KEYS[1:]:
+            rows = len(getattr(self, name))
+            if rows != len(self.labels):
+                raise ValueError(f"CellTable.{name} has {rows} rows for {len(self.labels)} labels")
+        if self.delta_x.ndim != 2 or self.se_x.shape != self.delta_x.shape:
+            shapes = f"{self.delta_x.shape} and {self.se_x.shape}"
+            raise ValueError(f"CellTable.delta_x and se_x must be q x d, got {shapes}")
 
     @property
     def q_usable(self) -> int:
-        return len(self.cells)
+        return len(self.labels)
 
     @property
-    def p_hat(self) -> np.ndarray:
-        return np.asarray([c.p_hat for c in self.cells])
-
-    @property
-    def delta_x_matrix(self) -> np.ndarray:
-        """q_usable x d matrix of treatment jumps."""
-        return np.asarray([c.delta_x for c in self.cells]).reshape(self.q_usable, self.d)
-
-    @property
-    def delta_y_vector(self) -> np.ndarray:
-        return np.asarray([c.delta_y for c in self.cells])
+    def d(self) -> int:
+        return self.delta_x.shape[1]
 
     @property
     def dropped_weight_share(self) -> float:
         return float(sum(c.weight_share for c in self.dropped))
 
     def to_dict(self) -> dict:
+        rows = zip(self.labels, *(getattr(self, k).tolist() for k in CELL_KEYS[1:]))
         return {
             "d": self.d,
-            "cells": [c.to_dict() for c in self.cells],
+            "cells": [dict(zip(CELL_KEYS, row)) for row in rows],
             "dropped": [asdict(c) for c in self.dropped],
             "dropped_weight_share": self.dropped_weight_share,
         }
@@ -150,58 +136,52 @@ class CellTable:
 def cell_table(ds: Dataset, cfg: EstimationConfig) -> CellTable:
     """Estimate y and treatment jumps within every covariate cell.
 
-    Cell probabilities are kernel-weighted shares of total weight among
-    usable cells; cells without two-sided support are dropped and
-    reported together with the weight share they carried.
+    Each side of each cell is a weighted least squares fit on (1, z), all
+    from group sums (:func:`_group_fits`).  A naive SE sums the two sides'
+    heteroskedasticity-robust intercept variances: a screening diagnostic,
+    as inference belongs to the estimator module.  Cell probabilities are
+    kernel-weighted shares of total weight among usable cells; cells
+    without two distinct z on each side are dropped and reported with the
+    weight share they carried.
     """
-    rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
+    rows, w, groups = _window_groups(ds, cfg)
     total_mass = float(w.sum())
     if total_mass <= 0:
         raise EstimationError(
             f"no observations carry positive kernel weight at bandwidth {cfg.bandwidth}"
         )
-
-    # the window rows grouped by cell, in row order within each cell
-    cells = ds.cells[rows]
-    order = np.argsort(cells, kind="stable")
-    bounds = np.searchsorted(cells[order], np.arange(ds.q + 1))
-    rows, w = rows[order], w[order]
+    n_groups = 2 * ds.q
     z = ds.z[rows]
-    values = np.column_stack([ds.y[rows], ds.x[rows]])  # y, then every indicator
-
-    usable: list[CellEstimate] = []
-    dropped: list[DroppedCell] = []
-    for l, label in enumerate(ds.cell_labels):
-        cell = slice(bounds[l], bounds[l + 1])
-        zc, wc, vc = z[cell], w[cell], values[cell]
-        mass = float(wc.sum())
-        try:
-            delta, se = _jumps(vc, zc, wc, label)
-        except CellUnusableError as err:
-            dropped.append(DroppedCell(label, str(err), mass / total_mass))
-            continue
-        n_right = int((zc >= 0).sum())
-        usable.append(
-            CellEstimate(
-                index=l,
-                label=label,
-                delta_x=delta[1:],
-                delta_y=float(delta[0]),
-                se_x=se[1:],
-                se_y=float(se[0]),
-                p_hat=mass,  # normalized below
-                n_left=len(zc) - n_right,
-                n_right=n_right,
-                weight_mass=mass,
-            )
-        )
-    if not usable:
+    lo, hi = np.full(n_groups, np.inf), np.full(n_groups, -np.inf)
+    np.minimum.at(lo, groups, z)
+    np.maximum.at(hi, groups, z)
+    spread = (lo < hi).reshape(ds.q, 2)
+    counts = np.bincount(groups, minlength=n_groups).reshape(ds.q, 2)
+    mass = np.bincount(groups, weights=w, minlength=n_groups).reshape(ds.q, 2).sum(axis=1)
+    usable = spread.all(axis=1)
+    dropped = []
+    for l in np.flatnonzero(~usable):
+        side = 0 if spread[l, 1] else 1  # the right side is checked first
+        found = f"positive weight, found {min(counts[l, side], 1)}"
+        detail = f"needs at least 2 distinct running-variable values with {found}"
+        reason = str(CellUnusableError(ds.cell_labels[l], SIDES[side], detail))
+        dropped.append(DroppedCell(ds.cell_labels[l], reason, float(mass[l] / total_mass)))
+    if not usable.any():
         raise EstimationError(
             "no usable cells: every cell lacks two-sided support within the bandwidth"
         )
-    usable_mass = sum(c.weight_mass for c in usable)
-    cells = tuple(replace(c, p_hat=c.weight_mass / usable_mass) for c in usable)
-    return CellTable(cells=cells, dropped=tuple(dropped), d=ds.d)
+
+    columns = (col[rows] for col in (ds.y, *ds.x.T))  # y, then every indicator, one at a time
+    fits, variances = _group_fits(columns, z, w, groups, n_groups)
+    fits = fits.reshape(ds.q, 2, -1)[usable]
+    jumps = fits[:, 1] - fits[:, 0]
+    se = np.sqrt(variances.reshape(ds.q, 2, -1)[usable].sum(axis=1))
+    return CellTable(
+        labels=tuple(ds.cell_labels[l] for l in np.flatnonzero(usable)),
+        delta_x=jumps[:, 1:], delta_y=jumps[:, 0], se_x=se[:, 1:], se_y=se[:, 0],
+        p_hat=mass[usable] / mass[usable].sum(),
+        n_left=counts[usable, 0], n_right=counts[usable, 1], dropped=tuple(dropped),
+    )
 
 
 @dataclass(frozen=True)
@@ -277,9 +257,7 @@ def relevance(ct: CellTable) -> TwlateWeights:
     reciprocal condition number, and numerical rank are reported whether
     or not the weights could be formed (at rcond >= DEFAULT_RCOND_THRESHOLD).
     """
-    p = ct.p_hat
-    labels = tuple(c.label for c in ct.cells)
-    return TwlateWeights(*_separation(ct.delta_x_matrix, p), p_hat=p, cell_labels=labels)
+    return TwlateWeights(*_separation(ct.delta_x, ct.p_hat), p_hat=ct.p_hat, cell_labels=ct.labels)
 
 
 def plugin_estimator(ct: CellTable, tw: TwlateWeights) -> np.ndarray:
@@ -288,7 +266,7 @@ def plugin_estimator(ct: CellTable, tw: TwlateWeights) -> np.ndarray:
         raise RelevanceError(
             f"relevance check failed (rcond {tw.rcond:.3e}); plug-in estimator unavailable"
         )
-    return tw.m_inverse @ (ct.delta_x_matrix.T @ (ct.p_hat * ct.delta_y_vector))
+    return tw.m_inverse @ (ct.delta_x.T @ (ct.p_hat * ct.delta_y))
 
 
 @dataclass(frozen=True)
@@ -304,26 +282,23 @@ class RatioLate:
 def ratio_late(ct: CellTable, cell: int, j: int, tol: float = DEFAULT_JUMP_TOL) -> RatioLate:
     """Within-cell ratio identification of the margin-``j`` effect.
 
-    ``j`` is the 1-based treatment margin.  Identified exactly when the
-    margin's own jump exceeds ``tol`` and every other margin's jump is
-    within ``tol`` of zero; otherwise the violating magnitudes are
-    reported.
+    ``cell`` is the 0-based row of ``ct`` and ``j`` the 1-based treatment
+    margin.  Identified exactly when the margin's own jump exceeds ``tol``
+    and every other margin's jump is within ``tol`` of zero; otherwise
+    the violating magnitudes are reported.
     """
+    if not 0 <= cell < ct.q_usable:
+        raise ValueError(f"cell must lie in [0, {ct.q_usable - 1}], got {cell}")
     if not 1 <= j <= ct.d:
         raise ValueError(f"treatment margin j must lie in [1, {ct.d}], got {j}")
-    est = ct.cells[cell]
-    own = abs(float(est.delta_x[j - 1]))
-    blocking = {
-        f"x{s + 1}": abs(float(est.delta_x[s]))
-        for s in range(ct.d)
-        if s != j - 1 and abs(float(est.delta_x[s])) > tol
-    }
+    jumps = np.abs(ct.delta_x[cell]).tolist()
+    own = jumps[j - 1]
+    blocking = {f"x{s + 1}": v for s, v in enumerate(jumps) if s != j - 1 and v > tol}
     if own <= tol:
         blocking[f"x{j}"] = own
-        return RatioLate(False, None, blocking)
     if blocking:
         return RatioLate(False, None, blocking)
-    return RatioLate(True, float(est.delta_y / est.delta_x[j - 1]), {})
+    return RatioLate(True, float(ct.delta_y[cell] / ct.delta_x[cell, j - 1]), {})
 
 
 @dataclass(frozen=True)
@@ -346,7 +321,7 @@ def wlate_feasibility(
 
     Weights may load only on cells where every other margin's jump is
     (numerically) zero.  All-zero weights are vacuously feasible but
-    flagged as trivial.
+    flagged as trivial; a NaN or infinite weight is an error.
     """
     if not 1 <= j <= ct.d:
         raise ValueError(f"treatment margin j must lie in [1, {ct.d}], got {j}")
@@ -355,17 +330,13 @@ def wlate_feasibility(
         raise ValueError(
             f"need one weight per usable cell ({ct.q_usable}), got {len(user_weights)}"
         )
-    violations = []
-    for l, est in enumerate(ct.cells):
-        if abs(user_weights[l]) <= tol:
-            continue
-        off = [abs(float(est.delta_x[s])) for s in range(ct.d) if s != j - 1]
-        worst = max(off, default=0.0)
-        if worst > tol:
-            violations.append((est.label, abs(float(user_weights[l])), worst))
-    trivial = bool((np.abs(user_weights) <= tol).all())
-    return FeasibilityReport(
-        feasible=not violations,
-        trivial=trivial,
-        violations=tuple(violations),
+    bad = [f"{ct.labels[l]}: {user_weights[l]}" for l in np.flatnonzero(~np.isfinite(user_weights))]
+    if bad:
+        raise ValueError(f"weights must be finite, got {', '.join(bad)}")
+    size = np.abs(user_weights)
+    worst = np.delete(np.abs(ct.delta_x), j - 1, axis=1).max(axis=1, initial=0.0)
+    violations = tuple(
+        (ct.labels[l], float(size[l]), float(worst[l]))
+        for l in np.flatnonzero((size > tol) & (worst > tol))
     )
+    return FeasibilityReport(not violations, bool((size <= tol).all()), violations)

@@ -28,24 +28,32 @@ def design_blocks(dm):
     return a[:, -1], a[:, k:-1], a[:, p:k], a[:, :p]
 
 
-def side_intercept(values, z, w):
-    """Weighted least squares intercept of values on (1, z) via 2x2 normal equations."""
-    keep = w > 0
-    v, zz, ww = values[keep], z[keep], w[keep]
-    s0 = ww.sum()
-    s1 = (ww * zz).sum()
-    s2 = (ww * zz * zz).sum()
-    b0 = (ww * v).sum()
-    b1 = (ww * zz * v).sum()
-    det = s0 * s2 - s1 * s1
-    return (s2 * b0 - s1 * b1) / det
+def side_hc0_oracle(values, z, w):
+    """Weighted least squares intercept of values on (1, z) and its HC0 variance, row by row.
+
+    The 2x2 normal equations and the meat sum_i (w_i r_i)^2 D_i D_i' are
+    accumulated in a python loop; the variance is (bread meat bread)[0, 0].
+    """
+    xtx, xtv = np.zeros((2, 2)), np.zeros(2)
+    for zi, wi, vi in zip(z, w, values):
+        row = np.array([1.0, zi])
+        xtx += wi * np.outer(row, row)
+        xtv += wi * vi * row
+    bread = np.linalg.inv(xtx)
+    coef = bread @ xtv
+    meat = np.zeros((2, 2))
+    for zi, wi, vi in zip(z, w, values):
+        row = np.array([1.0, zi])
+        meat += (wi * (vi - row @ coef)) ** 2 * np.outer(row, row)
+    return coef[0], (bread @ meat @ bread)[0, 0]
 
 
-def jump_oracle(values, z, w):
+def jump_se_oracle(values, z, w):
+    """The intercept gap at the cutoff and the naive SE sqrt(v_right + v_left), per side fits."""
     right = z >= 0
-    return side_intercept(values[right], z[right], w[right]) - side_intercept(
-        values[~right], z[~right], w[~right]
-    )
+    b_right, v_right = side_hc0_oracle(values[right], z[right], w[right])
+    b_left, v_left = side_hc0_oracle(values[~right], z[~right], w[~right])
+    return b_right - b_left, np.sqrt(v_right + v_left)
 
 
 def kernel_callable(name):

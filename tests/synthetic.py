@@ -3,7 +3,7 @@
 import numpy as np
 
 from multirdd.data_model import Dataset
-from multirdd.discontinuities import CellEstimate, CellTable
+from multirdd.discontinuities import CellTable
 
 
 def piecewise_linear_dataset(
@@ -102,20 +102,15 @@ def random_cell_table(rng, q=3, d=2, require_passing=False, max_tries=200):
         eig = np.linalg.eigvalsh(m)
         if require_passing and (eig[0] <= 1e-6 * max(eig[-1], 1e-12)):
             continue
-        cells = tuple(
-            CellEstimate(
-                index=l,
-                label=f"cell{l:03d}",
-                delta_x=deltas[l],
-                delta_y=float(dy[l]),
-                se_x=np.zeros(d),
-                se_y=0.0,
-                p_hat=float(p[l]),
-                n_left=10,
-                n_right=10,
-                weight_mass=float(p[l]),
-            )
-            for l in range(q)
+        return CellTable(
+            labels=tuple(f"cell{l:03d}" for l in range(q)),
+            delta_x=deltas,
+            delta_y=dy,
+            se_x=np.zeros((q, d)),
+            se_y=np.zeros(q),
+            p_hat=p,
+            n_left=np.full(q, 10),
+            n_right=np.full(q, 10),
+            dropped=(),
         )
-        return CellTable(cells=cells, dropped=(), d=d)
     raise AssertionError("could not draw a passing random cell table")

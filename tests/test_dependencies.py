@@ -279,3 +279,24 @@ def test_estimator_gates_read_pivots_not_eigenvalues():
     assert eigen_calls("import numpy as np\nnp.linalg.qr(a, mode='r')\nnp.sort(eigh)\n") == []
     source = (SRC / "multirdd" / "estimator.py").read_text(encoding="utf-8")
     assert eigen_calls(source) == []
+
+
+def linalg_calls(source: str) -> list:
+    """(top-level definition, routine) of each numpy.linalg call in ``source``."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if is_linalg(node.func.value):
+                    found.append((getattr(top, "name", None), node.func.attr))
+    return found
+
+
+def test_discontinuities_factors_only_the_relevance_matrix():
+    # every (cell, side) fit of cell_table comes from group sums; only M is decomposed
+    caught = "import numpy as np\nm = np.linalg.inv(a)\ndef f():\n    def g():\n"
+    caught += "        return np.linalg.lstsq(a, b)\nclass C:\n    r = numpy.linalg.qr(a)\n"
+    assert linalg_calls(caught) == [(None, "inv"), ("f", "lstsq"), ("C", "qr")]
+    assert linalg_calls("import numpy as np\nnp.sqrt(a)\nla.inv(a)\n") == []
+    source = (SRC / "multirdd" / "discontinuities.py").read_text(encoding="utf-8")
+    assert linalg_calls(source) == [("_separation", "eigh")]

@@ -1,9 +1,15 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multirdd.data_model import Dataset, EstimationConfig
+from multirdd.data_model import Dataset, EstimationConfig, TableSchema, load_table
 from multirdd.discontinuities import (
-    _jumps,
+    CellTable,
+    _group_fits,
     cell_table,
     plugin_estimator,
     ratio_late,
@@ -12,8 +18,18 @@ from multirdd.discontinuities import (
 )
 from multirdd.errors import EstimationError, RelevanceError
 from multirdd.kernels import KernelKind, weights_vector
-from oracles import jump_oracle, omega_oracle, plugin_oracle
-from synthetic import piecewise_linear_dataset, random_cell_table
+from oracles import jump_se_oracle, omega_oracle, plugin_oracle
+from synthetic import piecewise_linear_dataset, random_cell_table, random_dataset
+
+SAMPLE = Path(__file__).parent.parent / "sample_data" / "insurance_style.csv"
+
+
+def sample_dataset():
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race", "educ"),
+    )
+    return load_table(SAMPLE, schema)
 
 
 def cell_dataset(values, z, cells=None, labels=("cell000",)):
@@ -25,8 +41,9 @@ def cell_dataset(values, z, cells=None, labels=("cell000",)):
 
 def one_jump(values, z, cfg):
     """The outcome jump and its naive SE that ``cell_table`` reports for a one-cell dataset."""
-    (cell,) = cell_table(cell_dataset(values, z), cfg).cells
-    return cell.delta_y, cell.se_y
+    ct = cell_table(cell_dataset(values, z), cfg)
+    (delta,), (se,) = ct.delta_y, ct.se_y
+    return delta, se
 
 
 def unusable_reason(values, z):
@@ -62,13 +79,19 @@ def test_cell_jump_constant_values():
 def test_cell_jump_weight_scale_invariant():
     rng = np.random.default_rng(2)
     z = np.sort(rng.uniform(-1, 1, 30))
-    values = rng.normal(size=(30, 1))
+    values = rng.normal(size=30)
     w = weights_vector(KernelKind.TRIANGULAR, 1.0, z)
     keep = w > 0
-    delta_a, se_a = _jumps(values[keep], z[keep], w[keep], "")
-    delta_b, se_b = _jumps(values[keep], z[keep], 125.0 * w[keep], "")
-    assert delta_a[0] == pytest.approx(delta_b[0], abs=1e-12)
-    assert se_a[0] == pytest.approx(se_b[0], rel=1e-10)
+    sides = (z[keep] >= 0).astype(int)
+
+    def jump(weights):
+        fits, variances = _group_fits([values[keep]], z[keep], weights, sides, 2)
+        return fits[1, 0] - fits[0, 0], np.sqrt(variances[:, 0].sum())
+
+    delta_a, se_a = jump(w[keep])
+    delta_b, se_b = jump(125.0 * w[keep])
+    assert delta_a == pytest.approx(delta_b, abs=1e-12)
+    assert se_a == pytest.approx(se_b, rel=1e-10)
 
 
 def test_cell_jump_quadratic_matches_normal_equations_oracle():
@@ -76,7 +99,7 @@ def test_cell_jump_quadratic_matches_normal_equations_oracle():
     values = 1.0 + z * z
     w = weights_vector(KernelKind.UNIFORM, 1.0, z)
     delta, _ = one_jump(values, z, EstimationConfig(bandwidth=1.0))
-    assert delta == pytest.approx(jump_oracle(values, z, w), abs=1e-12)
+    assert delta == pytest.approx(jump_se_oracle(values, z, w)[0], abs=1e-12)
 
 
 def test_cell_jump_respects_mask():
@@ -85,8 +108,8 @@ def test_cell_jump_respects_mask():
     values = np.where(np.arange(40) < 20, 1.0 + 2.0 * (z >= 0), -50.0)
     ds = cell_dataset(values, z, cells=np.repeat([0, 1], 20), labels=("cell000", "cell001"))
     ct = cell_table(ds, EstimationConfig(bandwidth=2.0))
-    assert ct.cells[0].delta_y == pytest.approx(2.0, abs=1e-12)
-    assert ct.cells[1].delta_y == pytest.approx(0.0, abs=1e-12)
+    assert ct.delta_y[0] == pytest.approx(2.0, abs=1e-12)
+    assert ct.delta_y[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cell_jump_insufficient_side_support():
@@ -101,6 +124,16 @@ def test_cell_jump_collinear_side():
     assert "unusable on the left side" in unusable_reason(np.ones(5), z)
 
 
+def test_a_cell_unusable_on_both_sides_is_reported_on_the_right():
+    reason = unusable_reason(np.ones(3), np.array([-0.5, -0.5, 0.3]))
+    assert reason == (
+        "cell 'cell000' unusable on the right side of the cutoff: needs at least 2 distinct "
+        "running-variable values with positive weight, found 1"
+    )
+    empty_right = unusable_reason(np.ones(1), np.array([-0.5]))
+    assert "on the right side" in empty_right and empty_right.endswith("found 0")
+
+
 def test_cell_table_reproduces_noiseless_jumps():
     ds = piecewise_linear_dataset(
         jumps_x=[(1, 0), (0, 1)],
@@ -110,17 +143,30 @@ def test_cell_table_reproduces_noiseless_jumps():
     )
     ct = cell_table(ds, EstimationConfig(bandwidth=2.0))
     assert ct.q_usable == 2
-    assert np.allclose(ct.delta_x_matrix, [[1, 0], [0, 1]], atol=1e-12)
-    assert np.allclose(ct.delta_y_vector, [0.5, -0.3], atol=1e-12)
+    assert np.allclose(ct.delta_x, [[1, 0], [0, 1]], atol=1e-12)
+    assert np.allclose(ct.delta_y, [0.5, -0.3], atol=1e-12)
     assert ct.p_hat.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cell_estimate_arrays_are_write_locked():
     ds = piecewise_linear_dataset(jumps_x=[(1, 0), (0, 1)], jumps_y=[0.5, -0.3])
-    cell = cell_table(ds, EstimationConfig(bandwidth=2.0)).cells[0]
-    for a in (cell.delta_x, cell.se_x):
+    ct = cell_table(ds, EstimationConfig(bandwidth=2.0))
+    for a in (ct.delta_x, ct.delta_y, ct.se_x, ct.se_y, ct.p_hat, ct.n_left, ct.n_right):
         with pytest.raises(ValueError, match="read-only"):
-            a[0] = 1.0
+            a.flat[0] = 1
+
+
+def test_cell_table_rejects_columns_that_do_not_match_its_labels():
+    ok = dict(
+        labels=("a", "b"), delta_x=np.zeros((2, 1)), delta_y=np.zeros(2), se_x=np.zeros((2, 1)),
+        se_y=np.zeros(2), p_hat=np.full(2, 0.5), n_left=np.ones(2), n_right=np.ones(2), dropped=(),
+    )
+    assert CellTable(**ok).q_usable == 2
+    for name, bad in (("p_hat", np.ones(3)), ("delta_x", np.zeros((1, 1))), ("n_left", [])):
+        with pytest.raises(ValueError, match=f"CellTable.{name} has"):
+            CellTable(**dict(ok, **{name: bad}))
+    with pytest.raises(ValueError, match="must be q x d"):
+        CellTable(**dict(ok, se_x=np.zeros((2, 2))))
 
 
 def test_cell_table_single_cell():
@@ -168,26 +214,92 @@ def test_cell_table_no_usable_cells_is_fatal():
         cell_table(broken, EstimationConfig(bandwidth=2.0))
 
 
-def make_table(p, deltas, dys):
-    from multirdd.discontinuities import CellEstimate, CellTable
+def heteroskedastic_dataset(rng, n=600):
+    """``random_dataset``'s design, with noise SD growing in |z| and differing by cell and side."""
+    ds = random_dataset(rng, n=n, noise=0.0)
+    sd = (0.2 + 2.0 * np.abs(ds.z)) * (1.0 + ds.cells) * np.where(ds.z >= 0, 3.0, 1.0)
+    return replace(ds, y=ds.y + sd * rng.normal(size=n))
 
-    d = len(deltas[0])
-    cells = tuple(
-        CellEstimate(
-            index=l,
-            label=f"cell{l:03d}",
-            delta_x=np.asarray(deltas[l], dtype=float),
-            delta_y=float(dys[l]),
-            se_x=np.zeros(d),
-            se_y=0.0,
-            p_hat=float(p[l]),
-            n_left=5,
-            n_right=5,
-            weight_mass=float(p[l]),
-        )
-        for l in range(len(p))
+
+def stacked(ct):
+    """The jumps and SEs of ``ct``, y first then each indicator, in one row per cell."""
+    return np.column_stack([ct.delta_y, ct.delta_x]), np.column_stack([ct.se_y, ct.se_x])
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("data", ["sample", "heteroskedastic"])
+def test_cell_table_matches_the_hc0_sandwich_oracle(kind, data):
+    if data == "sample":
+        ds, cfg = sample_dataset(), EstimationConfig(bandwidth=10.0, kernel=kind)
+    else:
+        ds, cfg = heteroskedastic_dataset(np.random.default_rng(5)), EstimationConfig(0.8, kind)
+    ct = cell_table(ds, cfg)
+    assert ct.labels == ds.cell_labels
+    jumps, ses = stacked(ct)
+    w = weights_vector(cfg.kernel, cfg.bandwidth, ds.z)
+    for l in range(ds.q):
+        rows = np.flatnonzero((ds.cells == l) & (w > 0))
+        for j, col in enumerate([ds.y, *ds.x.T]):
+            want_jump, want_se = jump_se_oracle(col[rows], ds.z[rows], w[rows])
+            assert jumps[l, j] == pytest.approx(want_jump, rel=1e-10, abs=0)
+            assert want_se > 0 and ses[l, j] == pytest.approx(want_se, rel=1e-10, abs=0)
+
+
+def by_label(ct, y_scale=1.0):
+    """Each cell's jumps and SEs keyed by its label, with the outcome's divided by ``y_scale``."""
+    jumps, ses = stacked(ct)
+    jumps[:, 0] /= y_scale
+    ses[:, 0] /= y_scale
+    return {label: (jumps[l], ses[l]) for l, label in enumerate(ct.labels)}
+
+
+def assert_same_cells(got, want):
+    assert got.keys() == want.keys()
+    for label, (jumps, ses) in want.items():
+        assert np.allclose(got[label][0], jumps, rtol=1e-10, atol=1e-13)
+        assert np.allclose(got[label][1], ses, rtol=1e-10, atol=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.floats(1e-3, 1e3),
+    kind=st.sampled_from(list(KernelKind)),
+)
+def test_jumps_and_ses_ignore_row_order_cell_codes_and_units(seed, c, kind):
+    rng = np.random.default_rng(seed)
+    ds = heteroskedastic_dataset(rng)
+    cfg = EstimationConfig(bandwidth=0.8, kernel=kind)
+    want = by_label(cell_table(ds, cfg))
+
+    # rows shuffled, and every cell coded afresh under the same label
+    perm, codes = rng.permutation(ds.n), rng.permutation(ds.q)
+    labels = tuple(ds.cell_labels[l] for l in np.argsort(codes))
+    shuffled = Dataset(
+        y=ds.y[perm], z=ds.z[perm], x=ds.x[perm], cells=codes[ds.cells[perm]], cell_labels=labels,
     )
-    return CellTable(cells=cells, dropped=(), d=d)
+    assert_same_cells(by_label(cell_table(shuffled, cfg)), want)
+    # z and h in other units
+    cfg_c = EstimationConfig(bandwidth=0.8 * c, kernel=kind)
+    assert_same_cells(by_label(cell_table(replace(ds, z=c * ds.z), cfg_c)), want)
+    # y in other units: its jumps and SEs scale by c, the indicators' do not move
+    assert_same_cells(by_label(cell_table(replace(ds, y=c * ds.y), cfg), y_scale=c), want)
+
+
+def make_table(p, deltas, dys):
+    deltas = np.asarray(deltas, dtype=float)
+    q = len(p)
+    return CellTable(
+        labels=tuple(f"cell{l:03d}" for l in range(q)),
+        delta_x=deltas,
+        delta_y=np.asarray(dys, dtype=float),
+        se_x=np.zeros_like(deltas),
+        se_y=np.zeros(q),
+        p_hat=np.asarray(p, dtype=float),
+        n_left=np.full(q, 5),
+        n_right=np.full(q, 5),
+        dropped=(),
+    )
 
 
 def test_relevance_single_cell_rank_one_fails():
@@ -301,28 +413,24 @@ def test_relevance_rank_matches_matrix_rank():
 
 
 def test_cell_table_fits_each_side_once(monkeypatch):
-    from pathlib import Path
-
-    from multirdd.data_model import TableSchema, load_table
-
-    schema = TableSchema(
-        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
-        covariates=("race", "educ"),
-    )
-    ds = load_table(Path(__file__).parent.parent / "sample_data" / "insurance_style.csv", schema)
+    ds = sample_dataset()
     calls = []
-    lstsq = np.linalg.lstsq
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[1]))
-        return lstsq(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+        return wrapper
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counted(name, fn))
     ct = cell_table(ds, EstimationConfig(bandwidth=10.0))
     assert ct.q_usable == ds.q and not ct.dropped
-    # one fit per cell and side, of y and every indicator at once
-    assert len(calls) == 2 * ct.q_usable
-    assert all(shape[1:] == (1 + ds.d,) for shape in calls)
+    # every (cell, side) fit comes from group sums: nothing is factored or solved
+    assert calls == []
 
 
 def test_plugin_orthogonal_design():
@@ -359,16 +467,12 @@ def test_plugin_changes_only_through_cell_shares():
     for _ in range(10):
         ct = random_cell_table(rng, q=3, d=2, require_passing=True)
         scale = 2.5
-        masses = np.asarray([c.weight_mass for c in ct.cells])
-        masses[1] *= scale
-        p_new = masses / masses.sum()
-        ct_scaled = make_table(
-            p_new, [c.delta_x for c in ct.cells], [c.delta_y for c in ct.cells]
-        )
+        shares = ct.p_hat.copy()
+        shares[1] *= scale
+        p_new = shares / shares.sum()
+        ct_scaled = make_table(p_new, ct.delta_x, ct.delta_y)
         got = plugin_estimator(ct_scaled, relevance(ct_scaled))
-        want, _ = plugin_oracle(
-            p_new, [c.delta_x for c in ct.cells], [c.delta_y for c in ct.cells]
-        )
+        want, _ = plugin_oracle(p_new, ct.delta_x, ct.delta_y)
         assert np.allclose(got, want, atol=1e-10)
 
 
@@ -387,8 +491,8 @@ def test_duplicating_cell_rows_scales_share_not_jumps():
     cfg = EstimationConfig(bandwidth=2.0)
     base = cell_table(ds, cfg)
     doubled = cell_table(dup, cfg)
-    assert np.allclose(doubled.delta_x_matrix, base.delta_x_matrix, atol=1e-12)
-    assert np.allclose(doubled.delta_y_vector, base.delta_y_vector, atol=1e-12)
+    assert np.allclose(doubled.delta_x, base.delta_x, atol=1e-12)
+    assert np.allclose(doubled.delta_y, base.delta_y, atol=1e-12)
     assert doubled.p_hat[1] == pytest.approx(2 * base.p_hat[1] / (1 + base.p_hat[1]), abs=1e-12)
 
 
@@ -414,6 +518,10 @@ def test_ratio_late_margin_bounds():
         ratio_late(ct, 0, j=0)
     with pytest.raises(ValueError):
         ratio_late(ct, 0, j=3)
+    # a cell outside the table names the range instead of wrapping or raising IndexError
+    for cell in (-1, 1):
+        with pytest.raises(ValueError, match=r"cell must lie in \[0, 0\], got"):
+            ratio_late(ct, cell, j=2)
 
 
 def test_wlate_feasibility_cases():
@@ -427,6 +535,11 @@ def test_wlate_feasibility_cases():
 
     trivial = wlate_feasibility(ct, [0.0, 0.0], j=2)
     assert trivial.feasible and trivial.trivial
+
+    # a weight that is not a number is an error, not a feasible load on a clean cell
+    for weight in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="weights must be finite, got cell000: "):
+            wlate_feasibility(ct, [weight, 0.0], j=2)
 
 
 def test_non_identification_witness_single_cell():
