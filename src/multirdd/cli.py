@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import EstimationConfig, ModelSpec, TableSchema
+from .data_model import SIDES, EstimationConfig, ModelSpec, TableSchema, _window_groups
 from .data_model import load_table, validate_dataset
-from .discontinuities import SIDES, _window_groups, cell_table, ratio_late, relevance
+from .discontinuities import cell_table, ratio_late, relevance
 from .errors import EstimationError, InputError
 from .kernels import KernelKind
 
@@ -28,10 +28,6 @@ EXIT_INPUT = 1
 EXIT_IDENTIFICATION = 2
 SUBCOMMANDS = ("estimate", "diagnose", "simulate")
 SERIES_MAX_POINTS = 60  # a side with more distinct z in the series is binned by quantiles
-
-
-def _csv_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,7 +141,7 @@ def _as_list(cfg: dict, key: str) -> list[str]:
     if value is None:
         return []
     if isinstance(value, str):
-        return _csv_list(value)
+        return [part.strip() for part in value.split(",") if part.strip()]
     return [str(v) for v in _convert(key, value, list)]
 
 
@@ -184,6 +180,12 @@ def _model_spec(cfg: dict) -> ModelSpec:
         r_column=cfg.get("r"),
         wtilde_columns=tuple(_as_list(cfg, "wtilde")),
     )
+
+
+def _echo(cfg: dict, schema: TableSchema, est_cfg: EstimationConfig) -> dict:
+    """The data, cutoff and window that a report was made from."""
+    kernel, h = est_cfg.kernel.value, est_cfg.bandwidth
+    return {"data": str(cfg.get("data")), "kernel": kernel, "bandwidth": h, "cutoff": schema.cutoff}
 
 
 def _write(payload: str, out_path: str | None) -> None:
@@ -226,7 +228,7 @@ def _diagnostics_doc(ds, cfg, ct=None) -> tuple[dict, bool]:
         "cell_table": ct.to_dict(),
         "relevance": tw.to_dict(),
         "ratio_late": ratios,
-        "validation": validate_dataset(ds, cfg).to_dict(),
+        "validation": validate_dataset(ds).to_dict(),
     }
     return doc, tw.passed
 
@@ -306,14 +308,7 @@ def estimate_cmd(cfg: dict) -> int:
     ds = load_table(str(_require(cfg, "data")), schema)
     est_cfg = _estimation_config(cfg)
     spec = _model_spec(cfg)
-    echo = {
-        "data": str(cfg.get("data")),
-        "kernel": est_cfg.kernel.value,
-        "bandwidth": est_cfg.bandwidth,
-        "cutoff": schema.cutoff,
-        "model": spec.kind,
-        "cluster": cfg.get("cluster"),
-    }
+    echo = {**_echo(cfg, schema, est_cfg), "model": spec.kind, "cluster": cfg.get("cluster")}
     ct = min_eig = None
     if spec.kind == "homogeneous":
         try:
@@ -350,12 +345,7 @@ def diagnose_cmd(cfg: dict) -> int:
     ds = load_table(str(_require(cfg, "data")), schema)
     est_cfg = _estimation_config(cfg)
     doc, passed = _diagnostics_doc(ds, est_cfg)
-    doc["config"] = {
-        "data": str(cfg.get("data")),
-        "kernel": est_cfg.kernel.value,
-        "bandwidth": est_cfg.bandwidth,
-        "cutoff": schema.cutoff,
-    }
+    doc["config"] = _echo(cfg, schema, est_cfg)
     if cfg.get("series"):
         write_series(str(cfg["series"]), ds, est_cfg)
     _write(_render_json(doc), cfg.get("out"))

@@ -47,6 +47,7 @@ __all__ = [
 MAX_CELL_LEVELS = 64  # per covariate column; more levels must be coarsened first
 DEFAULT_RCOND_THRESHOLD = 1e-10
 _KEY_PRIME = np.uint64(0x100000001B3)  # the 64-bit FNV prime
+SIDES = ("left", "right")  # side s of cell l is window group 2 * l + s (_window_groups)
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
@@ -306,6 +307,12 @@ class EstimationConfig:
             object.__setattr__(self, "kernel", KernelKind.from_name(self.kernel))
         if not self.bandwidth > 0:
             raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
+
+
+def _window_groups(ds: Dataset, cfg: EstimationConfig):
+    """The window's rows (ascending) and weights, and each row's group 2 * cell + (z >= 0)."""
+    rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
+    return rows, w, 2 * ds.cells[rows] + (ds.z[rows] >= 0)
 
 
 def encode_treatment(t: np.ndarray, levels: Sequence[float]) -> np.ndarray:
@@ -592,52 +599,26 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Structural diagnostics; reporting only, estimation enforces hard failures."""
+    """Dataset-wide checks, for reporting; window rows per cell and side are ``cell_table``'s."""
 
     monotonicity_violations: tuple[int, ...]
-    cell_side_counts: dict[str, tuple[int, int]]
-    empty_side_warnings: tuple[str, ...]
     constant_columns: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.monotonicity_violations and not self.empty_side_warnings
+        return not self.monotonicity_violations
 
     def to_dict(self) -> dict:
         return {**asdict(self), "ok": self.ok}
 
 
-def validate_dataset(ds: Dataset, cfg: EstimationConfig | None = None) -> ValidationReport:
-    """Report monotonicity violations, per-cell side counts, constant columns.
-
-    When a config is given, side counts are restricted to observations
-    with positive kernel weight; otherwise the whole sample counts.
-    """
+def validate_dataset(ds: Dataset) -> ValidationReport:
+    """Report the rows whose indicators are not cumulative, and the constant columns."""
     viol = np.where((np.diff(ds.x, axis=1) > 1e-12).any(axis=1))[0]
-
-    cells, z = ds.cells, ds.z
-    if cfg is not None:
-        rows, _ = window(cfg.kernel, cfg.bandwidth, ds.z)
-        cells, z = cells[rows], z[rows]
-    lefts = np.bincount(cells[z < 0], minlength=ds.q)
-    rights = np.bincount(cells[z >= 0], minlength=ds.q)
-
-    counts = dict(zip(ds.cell_labels, zip(lefts.tolist(), rights.tolist())))
-    where = " within the bandwidth" if cfg is not None else ""
-    empty = [
-        f"cell {label!r} has no observations on the {side} side of the cutoff{where}"
-        for label, pair in counts.items()
-        for side, n_side in zip(("left", "right"), pair)
-        if n_side == 0
-    ]
-
     named = [("y", ds.y), ("z", ds.z)] + [(f"x{j + 1}", col) for j, col in enumerate(ds.x.T)]
     named += [(name, ds.aux[name]) for name in ds.extra_control_names]
     constant = [name for name, col in named if ds.n and np.ptp(col) == 0]
-
     return ValidationReport(
         monotonicity_violations=tuple(int(i) for i in viol),
-        cell_side_counts=counts,
-        empty_side_warnings=tuple(empty),
         constant_columns=tuple(constant),
     )

@@ -18,10 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset, EstimationConfig, conditioning
-from .data_model import _lock_fields
+from .data_model import DEFAULT_RCOND_THRESHOLD, SIDES, Dataset, EstimationConfig, conditioning
+from .data_model import _lock_fields, _window_groups
 from .errors import CellUnusableError, EstimationError, RelevanceError
-from .kernels import window
 
 __all__ = [
     "DroppedCell",
@@ -37,14 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_JUMP_TOL = 1e-6
-SIDES = ("left", "right")  # side s of cell l is group 2 * l + s
 CELL_KEYS = ("label", "delta_x", "delta_y", "se_x", "se_y", "p_hat", "n_left", "n_right")
-
-
-def _window_groups(ds: Dataset, cfg: EstimationConfig):
-    """The window's rows (ascending) and weights, and each row's group 2 * cell + (z >= 0)."""
-    rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
-    return rows, w, 2 * ds.cells[rows] + (ds.z[rows] >= 0)
 
 
 def _group_fits(columns, z: np.ndarray, w: np.ndarray, groups: np.ndarray, n_groups: int):
@@ -82,6 +74,8 @@ class DroppedCell:
     label: str
     reason: str
     weight_share: float
+    n_left: int
+    n_right: int
 
 
 @dataclass(frozen=True)
@@ -89,6 +83,8 @@ class CellTable:
     """Usable cells' jumps, naive SEs, shares and side counts, by row; arrays write-locked.
 
     ``delta_x`` and ``se_x`` are q_usable x d, the rest one entry per cell.
+    Every other cell of the dataset is in ``dropped``, with its own side
+    counts, so the table holds the window rows per side of every cell.
     """
 
     labels: tuple[str, ...]
@@ -142,7 +138,7 @@ def cell_table(ds: Dataset, cfg: EstimationConfig) -> CellTable:
     as inference belongs to the estimator module.  Cell probabilities are
     kernel-weighted shares of total weight among usable cells; cells
     without two distinct z on each side are dropped and reported with the
-    weight share they carried.
+    weight share they carried and their window rows per side.
     """
     rows, w, groups = _window_groups(ds, cfg)
     total_mass = float(w.sum())
@@ -165,7 +161,8 @@ def cell_table(ds: Dataset, cfg: EstimationConfig) -> CellTable:
         found = f"positive weight, found {min(counts[l, side], 1)}"
         detail = f"needs at least 2 distinct running-variable values with {found}"
         reason = str(CellUnusableError(ds.cell_labels[l], SIDES[side], detail))
-        dropped.append(DroppedCell(ds.cell_labels[l], reason, float(mass[l] / total_mass)))
+        share = float(mass[l] / total_mass)
+        dropped.append(DroppedCell(ds.cell_labels[l], reason, share, *counts[l].tolist()))
     if not usable.any():
         raise EstimationError(
             "no usable cells: every cell lacks two-sided support within the bandwidth"
@@ -191,7 +188,8 @@ class TwlateWeights:
     ``m_inverse`` and ``omega`` are None when the relevance check failed;
     diagnostics stay reportable either way.  The inverse is kept for
     :func:`plugin_estimator` and is not serialized.  Every array, each
-    ``omega`` entry too, is write-locked.
+    ``omega`` entry too, is write-locked.  ``omega[l]`` is row l of the
+    :class:`CellTable` they came from, which holds the labels and shares.
     """
 
     m_hat: np.ndarray
@@ -200,11 +198,9 @@ class TwlateWeights:
     eigenvalues: np.ndarray  # ascending order
     rcond: float
     rank: int
-    p_hat: np.ndarray
-    cell_labels: tuple[str, ...]
 
     def __post_init__(self):
-        _lock_fields(self, "m_hat", "m_inverse", "omega", "eigenvalues", "p_hat")
+        _lock_fields(self, "m_hat", "m_inverse", "omega", "eigenvalues")
 
     @property
     def passed(self) -> bool:
@@ -223,8 +219,6 @@ class TwlateWeights:
             "rcond": float(self.rcond),
             "rank": int(self.rank),
             "passed": self.passed,
-            "p_hat": self.p_hat.tolist(),
-            "cell_labels": list(self.cell_labels),
         }
 
 
@@ -257,7 +251,7 @@ def relevance(ct: CellTable) -> TwlateWeights:
     reciprocal condition number, and numerical rank are reported whether
     or not the weights could be formed (at rcond >= DEFAULT_RCOND_THRESHOLD).
     """
-    return TwlateWeights(*_separation(ct.delta_x, ct.p_hat), p_hat=ct.p_hat, cell_labels=ct.labels)
+    return TwlateWeights(*_separation(ct.delta_x, ct.p_hat))
 
 
 def plugin_estimator(ct: CellTable, tw: TwlateWeights) -> np.ndarray:

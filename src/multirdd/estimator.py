@@ -44,8 +44,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset, EstimationConfig, ModelSpec
-from .data_model import _levels, _lock_fields, _numeric, conditioning, validate_dataset
+from .data_model import DEFAULT_RCOND_THRESHOLD, SIDES, Dataset, EstimationConfig, ModelSpec
+from .data_model import _levels, _lock_fields, _numeric, _window_groups, conditioning
 from .errors import EstimationError, InputError, SingularDesignError, UnderIdentifiedError
 from .kernels import window
 
@@ -371,8 +371,11 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
                 own.append(f"stratum {tag}")
         if own:
             notes.append(f"rank deficient on its own: {', '.join(own)}")
-        empty = validate_dataset(ds, cfg).empty_side_warnings
-        notes += empty or ["the weighted columns are collinear"]
+        empty = np.flatnonzero(np.bincount(_window_groups(ds, cfg)[2], minlength=2 * ds.q) == 0)
+        notes += [
+            f"cell {ds.cell_labels[g // 2]!r} has no observations on the {SIDES[g % 2]} side "
+            "of the cutoff within the bandwidth" for g in empty.tolist()
+        ] or ["the weighted columns are collinear"]
         raise SingularDesignError("; ".join(notes)) from None
     return dm
 

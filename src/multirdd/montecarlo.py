@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,27 @@ __all__ = [
     "run_study",
     "load_dgp_spec",
 ]
+
+
+def _as_field(f, value):
+    """``value`` as DgpSpec field ``f``'s annotated type: an int >= 0, a float or tuples of floats.
+
+    A value that does not convert is an :class:`InputError` naming the field.
+    """
+    if f.type == "int":
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise InputError(f"{f.name} must be a nonnegative integer, got {value!r}")
+        return int(value)
+    ndim = f.type.count("tuple")
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged list
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf" or a.ndim != ndim:
+        what = ("a number", "a list of numbers", "a table of numbers")[ndim]
+        raise InputError(f"{f.name} must be {what}, got {value!r}")
+    out = a.astype(float).tolist()
+    return tuple(map(tuple, out)) if ndim == 2 else tuple(out) if ndim else out
 
 
 @dataclass(frozen=True)
@@ -64,11 +85,10 @@ class DgpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        probs = np.asarray(self.cell_probs, dtype=float)
-        base = np.atleast_2d(np.asarray(self.base_levels, dtype=float))
-        jumps = np.atleast_2d(np.asarray(self.jumps, dtype=float))
-        betas = np.atleast_2d(np.asarray(self.betas, dtype=float))
-        alphas = np.asarray(self.intercepts, dtype=float)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _as_field(f, getattr(self, f.name)))
+        probs, alphas = np.asarray(self.cell_probs), np.asarray(self.intercepts)
+        base, jumps, betas = (np.asarray(t) for t in (self.base_levels, self.jumps, self.betas))
         q, d = base.shape
         if probs.shape != (q,) or jumps.shape != (q, d) or betas.shape != (q, d):
             raise InputError(
@@ -92,15 +112,8 @@ class DgpSpec:
                 )
         if self.noise_sd < 0:
             raise InputError(f"noise_sd must be nonnegative, got {self.noise_sd}")
-        lo, hi = self.z_range
-        if not lo < 0 < hi:
-            raise InputError(f"z_range must straddle the cutoff 0, got {self.z_range}")
-        object.__setattr__(self, "z_range", (lo, hi))
-        object.__setattr__(self, "cell_probs", tuple(float(v) for v in probs))
-        object.__setattr__(self, "base_levels", tuple(tuple(float(v) for v in r) for r in base))
-        object.__setattr__(self, "jumps", tuple(tuple(float(v) for v in r) for r in jumps))
-        object.__setattr__(self, "betas", tuple(tuple(float(v) for v in r) for r in betas))
-        object.__setattr__(self, "intercepts", tuple(float(v) for v in alphas))
+        if len(self.z_range) != 2 or not self.z_range[0] < 0 < self.z_range[1]:
+            raise InputError(f"z_range must be two numbers around the cutoff 0, got {self.z_range}")
 
     @property
     def q(self) -> int:
@@ -124,14 +137,17 @@ def load_dgp_spec(path: str | Path) -> DgpSpec:
         raise InputError(f"DGP spec file {path} not found or unreadable: {err.strerror}") from None
     except json.JSONDecodeError as err:
         raise InputError(f"DGP spec {path} is not valid JSON: {err}") from None
-    known = set(DgpSpec.__dataclass_fields__)
-    extra = set(doc) - known
+    if not isinstance(doc, dict):
+        raise InputError(f"DGP spec {path} must hold a JSON object")
+    extra = set(doc) - set(DgpSpec.__dataclass_fields__)
     if extra:
-        raise InputError(f"DGP spec has unknown fields {sorted(extra)}")
+        raise InputError(f"DGP spec {path} has unknown fields {sorted(extra)}")
     try:
         return DgpSpec(**doc)
-    except TypeError as err:
+    except TypeError as err:  # DgpSpec turns every bad value into an InputError: a field is missing
         raise InputError(f"DGP spec {path} is incomplete: {err}") from None
+    except InputError as err:
+        raise InputError(f"DGP spec {path}: {err}") from None
 
 
 @dataclass(frozen=True)

@@ -226,7 +226,7 @@ def test_criterion_6_separation_identity():
         q = int(rng.integers(d, d + 4))
         ct = random_cell_table(rng, q=q, d=d, require_passing=True)
         tw = relevance(ct)
-        total = sum(p * o for p, o in zip(tw.p_hat, tw.omega))
+        total = sum(p * o for p, o in zip(ct.p_hat, tw.omega))
         worst = max(worst, float(np.abs(total - np.eye(d)).max()))
     ok = worst < 1e-10
     report(

@@ -535,6 +535,81 @@ def test_diagnose_series_export(capsys, tmp_path):
     assert sides == {"left", "right"}
 
 
+def sample_without_right_side(path, cell):
+    """The sample without the right-side rows of ``cell`` ("race|educ"), written to ``path``."""
+    header, *rows = (SAMPLE_DIR / "insurance_style.csv").read_text(encoding="utf-8").splitlines()
+    race, educ = cell.split("|")
+
+    def kept(row):
+        _, age, _, r, e, _ = row.split(",")
+        return not (r == race and e == educ and float(age) >= 65)
+
+    path.write_text("\n".join([header, *filter(kept, rows)]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_diagnose_report_schema(capsys, tmp_path):
+    data = sample_without_right_side(tmp_path / "dropped.csv", "MIN|COL")
+    out = tmp_path / "diag.json"
+    argv = ["diagnose", "--data", str(data), *ESTIMATE_ARGS[3:], "--out", str(out)]
+    assert run_cli(capsys, argv)[0] == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"cell_table", "config", "ratio_late", "relevance", "validation"}
+    assert set(doc["validation"]) == {"constant_columns", "monotonicity_violations", "ok"}
+    assert set(doc["relevance"]) == {
+        "eigenvalues", "m_hat", "min_eigenvalue", "omega", "passed", "rank", "rcond"
+    }
+    table = doc["cell_table"]
+    assert set(table) == {"cells", "d", "dropped", "dropped_weight_share"}
+    cell_keys = {"label", "delta_x", "delta_y", "se_x", "se_y", "p_hat", "n_left", "n_right"}
+    assert [set(cell) for cell in table["cells"]] == [cell_keys] * 5
+    (dropped,) = table["dropped"]
+    assert set(dropped) == {"label", "reason", "weight_share", "n_left", "n_right"}
+    assert dropped["label"] == "MIN|COL" and dropped["n_left"] > 0 and dropped["n_right"] == 0
+
+
+def test_diagnose_evaluates_the_kernel_once(capsys, monkeypatch, tmp_path):
+    from multirdd import kernels
+
+    calls = []
+    weights_vector = kernels.weights_vector
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return weights_vector(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "weights_vector", counted)
+    out = tmp_path / "diag.json"
+    assert run_cli(capsys, ["diagnose", *ESTIMATE_ARGS[1:], "--out", str(out)])[0] == 0
+    assert len(calls) == 1
+
+
+# each case: the fields of the bundled spec replaced (None removes one), and what the error says
+DGP_SPEC_ERRORS = {
+    "cell_probs of text": ({"cell_probs": ["a", 0.5, 0.5]}, "cell_probs must be a list of numbers"),
+    "z_range of one number": ({"z_range": [1]}, "z_range must be two numbers"),
+    "seed of text": ({"seed": "abc"}, "seed must be a nonnegative integer"),
+    "seed of a float": ({"seed": 7.5}, "seed must be a nonnegative integer"),
+    "noise_sd of text": ({"noise_sd": "x"}, "noise_sd must be a number"),
+    "intercepts missing": ({"intercepts": None}, "is incomplete: "),
+}
+
+
+@pytest.mark.parametrize("case", DGP_SPEC_ERRORS)
+def test_a_bad_dgp_spec_field_is_one_input_error_line(capsys, tmp_path, case):
+    fields, says = DGP_SPEC_ERRORS[case]
+    doc = json.loads((SAMPLE_DIR / "dgp_homogeneous.json").read_text(encoding="utf-8"))
+    doc = {key: value for key, value in {**doc, **fields}.items() if value is not None}
+    spec = tmp_path / "dgp.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["simulate", "--data", str(spec), "--n", "500", "--reps", "2"])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err and str(spec) in err and case.split()[0] in err  # the field
+    assert ("incomplete" in err) == case.endswith("missing")
+    assert "Traceback" not in err
+
+
 SAMPLE_SCHEMA = TableSchema(
     outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
     covariates=("race", "educ"),

@@ -457,15 +457,6 @@ def test_validate_flags_violation_row():
     assert report.monotonicity_violations == (1,)
 
 
-def test_validate_warns_on_empty_side_within_bandwidth():
-    # no right-side points in [0, h)
-    ds = make_dataset([[1, 0]] * 4, z=[-0.2, -0.1, -0.05, 5.0])
-    cfg = EstimationConfig(bandwidth=1.0)
-    report = validate_dataset(ds, cfg)
-    assert any("right side" in w for w in report.empty_side_warnings)
-    assert report.cell_side_counts["all"] == (3, 0)
-
-
 def test_validate_reports_constant_columns():
     ds = make_dataset([[1, 1]] * 4)
     report = validate_dataset(ds)

@@ -300,3 +300,30 @@ def test_discontinuities_factors_only_the_relevance_matrix():
     assert linalg_calls("import numpy as np\nnp.sqrt(a)\nla.inv(a)\n") == []
     source = (SRC / "multirdd" / "discontinuities.py").read_text(encoding="utf-8")
     assert linalg_calls(source) == [("_separation", "eigh")]
+
+
+def window_calls(source: str) -> list:
+    """The top-level definition of each call to ``window`` or ``<module>.window`` in ``source``."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "window":
+                    found.append(getattr(top, "name", None))
+    return found
+
+
+def test_only_the_window_groups_and_the_design_evaluate_the_kernel_window():
+    # the window's (cell, side) groups have one owner; build_design's fit keeps its own call
+    caught = "rows, w = window(k, h, z)\ndef f():\n    def g():\n"
+    caught += "        return kernels.window(k, h, z)\nclass C:\n    r = window(k, h, z)\n"
+    assert window_calls(caught) == [None, "f", "C"]
+    assert window_calls("def f():\n    window\n    windows(z)\n    np.window_size(a)\n") == []
+    found = [
+        f"{path.stem}.{top}"
+        for path in sorted((SRC / "multirdd").glob("*.py"))
+        for top in window_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert found == ["data_model._window_groups", "estimator.build_design"]

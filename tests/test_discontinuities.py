@@ -199,6 +199,44 @@ def test_cell_table_drops_unusable_cell_and_renormalizes():
     assert ds2.n  # silence unused warning
 
 
+def test_cell_table_drops_a_cell_empty_on_one_side_within_bandwidth():
+    # cell 'all' has no right-side rows in [0, h); cell 'both' has support on both sides
+    z = np.array([-0.2, -0.1, -0.05, 5.0, -0.5, -0.3, 0.2, 0.4])
+    ds = Dataset(
+        y=np.zeros(8), z=z, x=np.tile([1.0, 0.0], (8, 1)),
+        cells=np.repeat([0, 1], 4), cell_labels=("all", "both"),
+    )
+    ct = cell_table(ds, EstimationConfig(bandwidth=1.0))
+    assert ct.labels == ("both",)
+    (dropped,) = ct.dropped
+    assert dropped.label == "all"
+    assert "right side" in dropped.reason and dropped.reason.endswith("found 0")
+    assert (dropped.n_left, dropped.n_right) == (3, 0)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("h", [10.0, 3.0])
+def test_every_cell_counts_its_own_window_rows(kind, h):
+    ds = sample_dataset()
+    # MIN|COL loses its right side and WH|HS keeps one left z: both are dropped
+    no_right = ds.cells == ds.cell_labels.index("MIN|COL")
+    one_left = ds.cells == ds.cell_labels.index("WH|HS")
+    z = np.where(no_right & (ds.z >= 0), ds.z + 100.0, ds.z)
+    z = np.where(one_left & (z < 0), -0.5, z)
+    ct = cell_table(replace(ds, z=z), EstimationConfig(bandwidth=h, kernel=kind))
+    assert {c.label for c in ct.dropped} == {"MIN|COL", "WH|HS"}
+    # the uniform kernel keeps |z| = h; the others vanish there
+    inside = np.abs(z) <= h if kind is KernelKind.UNIFORM else np.abs(z) < h
+    want = {
+        label: (int(np.sum(inside & (ds.cells == l) & (z < 0))),
+                int(np.sum(inside & (ds.cells == l) & (z >= 0))))
+        for l, label in enumerate(ds.cell_labels)
+    }
+    got = dict(zip(ct.labels, zip(ct.n_left.tolist(), ct.n_right.tolist())))
+    got.update((c.label, (c.n_left, c.n_right)) for c in ct.dropped)
+    assert got == want
+
+
 def test_cell_table_no_usable_cells_is_fatal():
     ds = piecewise_linear_dataset(jumps_x=[(1,)], jumps_y=[0.5])
     import multirdd.data_model as dm
@@ -348,8 +386,9 @@ def test_relevance_and_population_targets_share_one_threshold():
 
 
 def test_twlate_weights_arrays_are_write_locked():
-    tw = relevance(make_table([0.5, 0.5], [(1, 0), (0, 1)], [0.5, -0.3]))
-    for a in (tw.m_hat, tw.m_inverse, tw.eigenvalues, tw.p_hat, *tw.omega):
+    ct = make_table([0.5, 0.5], [(1, 0), (0, 1)], [0.5, -0.3])
+    tw = relevance(ct)
+    for a in (tw.m_hat, tw.m_inverse, tw.eigenvalues, ct.p_hat, *tw.omega):
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
 
@@ -376,7 +415,7 @@ def test_separation_identity_by_construction():
     for _ in range(25):
         ct = random_cell_table(rng, q=int(rng.integers(2, 6)), d=2, require_passing=True)
         tw = relevance(ct)
-        total = sum(p * o for p, o in zip(tw.p_hat, tw.omega))
+        total = sum(p * o for p, o in zip(ct.p_hat, tw.omega))
         assert np.abs(total - np.eye(2)).max() < 1e-10
 
 

@@ -124,7 +124,7 @@ def test_every_report_value_serializes_to_json():
         relevance(ct),
         ratio_late(ct, 0, 1),
         wlate_feasibility(ct, [1.0, 0.0, 0.0], 1),
-        validate_dataset(ds, cfg),
+        validate_dataset(ds),
         dgp,
         population_targets(dgp),
         population_targets(unidentified),
