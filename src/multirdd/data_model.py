@@ -129,7 +129,9 @@ class Dataset:
     when every value of the column parses as a number, its stripped text
     otherwise.  Model variants look up the conditioning column R, the
     parametric transform columns, cluster columns and the extra controls
-    named by ``extra_control_names`` there; discrete labels of
+    named by ``extra_control_names`` there, each by :func:`_column`; ``y``,
+    ``z``, ``cluster`` and the extra controls are checked so at
+    construction, the others when a fit names them.  Discrete labels of
     covariates and of R come from the same :func:`_levels`.  ``aux`` is
     read-only and its arrays are write-locked.  ``cells`` codes each
     row's cell as an index into ``cell_labels``; the first label is the
@@ -168,26 +170,20 @@ class Dataset:
             raise InputError(f"treatment matrix has {x.shape[0]} rows, expected {n}")
         if self.cluster is not None and len(self.cluster) != n:
             raise InputError("cluster column length mismatch")
-        if not np.isfinite(z).all():
-            raise InputError("running variable contains missing or non-finite values")
-        if not np.isfinite(y).all():
-            raise InputError("outcome contains missing or non-finite values")
+        # the dataset's own columns are named by their fields
+        for role, name, col in (("running", "z", z), ("outcome", "y", y)):
+            _column({name: col}, name, role, numeric=True)
+        if self.cluster is not None:
+            _column({"cluster": self.cluster}, "cluster", "cluster")
         q = len(self.cell_labels)
         if q and (cells.min(initial=0) < 0 or cells.max(initial=-1) >= q):
             raise InputError("cell index out of range of cell_labels")
-        for name in self.extra_control_names:
-            col = aux.get(name)
-            if col is None:
-                raise InputError(f"extra control column {name!r} not found in aux")
-            if col.dtype.kind not in "biuf" or len(col) != n:
-                raise InputError(
-                    f"extra control column {name!r} is not a numeric column of {n} rows"
-                )
-            if not np.isfinite(col).all():
-                raise InputError(f"extra control column {name!r} has missing or non-finite values")
         for name, col in aux.items():
             if col.shape[:1] != (n,):
-                raise InputError(f"aux column {name!r} has shape {col.shape}, expected {n} rows")
+                role = "extra control" if name in self.extra_control_names else "aux"
+                raise InputError(f"{role} column {name!r} has shape {col.shape}, expected {n} rows")
+        for name in self.extra_control_names:
+            _column(aux, name, "extra control", numeric=True)
 
     @property
     def n(self) -> int:
@@ -379,25 +375,46 @@ def encode_cells(columns: Sequence[np.ndarray]) -> CellEncoding:
     return CellEncoding(rank[combo], tuple(labels.tolist()))
 
 
-def _is_float(text: str) -> bool:
+def _is_float(text) -> bool:
     """Whether numpy's text reader reads ``text`` as a float: ``float``'s grammar, less
     digit separators and non-ASCII digits."""
     try:
         float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         return False
-    return "_" not in text and text.strip().isascii()
+    return isinstance(text, str) and "_" not in text and text.strip().isascii()
 
 
-def _numeric(col: np.ndarray, name: str) -> np.ndarray:
-    """A column the model needs as finite numbers; the error names the first bad row."""
-    if col.dtype.kind != "f":
-        i, raw = next((i, raw) for i, raw in enumerate(col.tolist(), 1) if not _is_float(raw))
-        what = "a missing value" if raw == "" else f"non-numeric value {raw!r}"
-        raise ParseError(f"column {name!r} has {what} in row {i}")
-    bad = np.flatnonzero(~np.isfinite(col))
+def _missing(col: np.ndarray) -> np.ndarray:
+    """Each row's lack of a value: NaN or inf in numbers, ``""`` in text, and None in objects."""
+    if col.dtype.kind == "f":
+        return ~np.isfinite(col)
+    if col.dtype.kind == "O":
+        return np.array([v is None or v == "" for v in col.tolist()], dtype=bool)
+    return col == "" if col.dtype.kind == "U" else np.zeros(len(col), dtype=bool)
+
+
+def _column(table: Mapping[str, np.ndarray], name: str, role: str, numeric=False) -> np.ndarray:
+    """Column ``name`` of ``table`` for ``role``, with a value in every row: the one lookup.
+
+    An absent name is a :class:`SchemaError` listing the table's columns.
+    A ``numeric`` role, or a column parsed as numbers, needs a finite
+    number in every row; any other column, no empty text and no None.
+    Else it is a :class:`ParseError` naming the role, the column and the
+    first bad data row, counted from 1.
+    """
+    col = table.get(name)
+    if col is None:
+        raise SchemaError(f"{role} column {name!r} not found (table has {list(table)})")
+    if numeric and col.dtype.kind not in "biuf":
+        values = col.tolist()
+        i = next((i for i, raw in enumerate(values) if not _is_float(raw)), 0)
+        what = "a missing value" if values[i] in ("", None) else f"non-numeric value {values[i]!r}"
+        raise ParseError(f"{role} column {name!r} has {what} in row {i + 1}")
+    bad = np.flatnonzero(_missing(col))
     if bad.size:
-        raise ParseError(f"column {name!r} has non-finite value {col[bad[0]]} in row {bad[0] + 1}")
+        what = f"non-finite value {col[bad[0]]}" if col.dtype.kind == "f" else "a missing value"
+        raise ParseError(f"{role} column {name!r} has {what} in row {bad[0] + 1}")
     return col
 
 
@@ -522,8 +539,12 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     it.  Cell labels come from ``_levels``, so a numeric covariate is
     labelled by its value ("4.0" and "04" are both "4").  The running
     variable is recentered by ``schema.cutoff`` so the threshold sits at
-    zero.  Missing and non-finite values are a hard error: silently
-    dropping rows would change the estimand.
+    zero.  Each column the schema names is looked up by :func:`_column`
+    and checked on every row: the outcome, running variable, treatment,
+    indicators and extra controls must be finite numbers, and a
+    covariate or the cluster column must hold a value (finite if
+    numeric), so a missing value is a hard error naming the role, the
+    column and the row; silently dropping rows would change the estimand.
     """
     path = Path(path)
     try:
@@ -531,18 +552,16 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     except OSError as err:
         raise InputError(f"data file {path} not found or unreadable: {err.strerror}") from None
 
-    def require(name: str, role: str) -> np.ndarray:
-        if name not in aux:
-            raise SchemaError(f"{role} column {name!r} not found (file has {header})")
+    def require(name: str, role: str, numeric=True) -> np.ndarray:
         if header.count(name) > 1:
             raise SchemaError(f"{role} column {name!r} appears more than once in the header")
-        return aux[name]
+        return _column(aux, name, role, numeric)
 
-    y = _numeric(require(schema.outcome, "outcome"), schema.outcome)
-    z = _numeric(require(schema.running, "running"), schema.running) - float(schema.cutoff)
+    y = require(schema.outcome, "outcome")
+    z = require(schema.running, "running") - float(schema.cutoff)
 
     if schema.treatment is not None:
-        t = _numeric(require(schema.treatment, "treatment"), schema.treatment)
+        t = require(schema.treatment, "treatment")
         levels = schema.treatment_levels
         if levels is None:
             # return_counts keeps np.unique off its masked-array check, which
@@ -555,7 +574,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
         x = encode_treatment(t, levels)
     else:
         names = schema.treatment_indicators
-        x = np.column_stack([_numeric(require(ind, "treatment indicator"), ind) for ind in names])
+        x = np.column_stack([require(ind, "treatment indicator") for ind in names])
         if not np.isin(x, (0.0, 1.0)).all():
             raise InputError("treatment indicator columns must contain only 0/1 values")
         bad = np.where((np.diff(x, axis=1) > 0).any(axis=1))[0]
@@ -564,24 +583,17 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
                 f"treatment indicators are not cumulative in rows {(bad + 1).tolist()[:10]}"
             )
 
-    cov_cols = []
-    for name in schema.covariates:
-        col = require(name, "covariate")
-        if col.dtype.kind == "f":
-            _numeric(col, name)  # a NaN or an inf would label a cell of its own
-        elif (col == "").any():
-            i = int(np.flatnonzero(col == "")[0])
-            raise ParseError(f"covariate {name!r} has a missing value in row {i + 1}")
-        cov_cols.append(col)
+    # a missing value in a covariate would label a cell of its own
+    cov_cols = [require(name, "covariate", numeric=False) for name in schema.covariates]
     enc = (
         encode_cells(cov_cols)
         if cov_cols
         else CellEncoding(np.zeros(len(y), dtype=int), ("all",))
     )
 
-    cluster = None if schema.cluster is None else require(schema.cluster, "cluster")
-    for name in schema.extra_controls:  # checked here, so the error names the row
-        _numeric(require(name, "extra control"), name)
+    cluster = None if schema.cluster is None else require(schema.cluster, "cluster", numeric=False)
+    for name in schema.extra_controls:  # Dataset checks them too, but not for a doubled header
+        require(name, "extra control")
 
     for made in (z, x, enc.cells):  # made here and locked, so Dataset keeps them as they are
         made.setflags(write=False)

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .data_model import DEFAULT_RCOND_THRESHOLD, SIDES, Dataset, EstimationConfig, ModelSpec
-from .data_model import _levels, _lock_fields, _numeric, _window_groups, conditioning
+from .data_model import _column, _levels, _lock_fields, _window_groups, conditioning
 from .errors import EstimationError, InputError, SingularDesignError, UnderIdentifiedError
 from .kernels import window
 
@@ -71,17 +71,6 @@ def _scaled_pivots(r: np.ndarray, k: int) -> np.ndarray:
     pivots = np.abs(np.diagonal(r[:, :k]))
     norms = np.linalg.norm(r[:, : len(pivots)], axis=0)
     return np.divide(pivots, norms, out=np.zeros_like(pivots), where=norms > 0)
-
-
-def _missing_ids(ids: np.ndarray) -> np.ndarray:
-    """Positions of missing cluster ids: None or "" as text, NaN as a number."""
-    if ids.dtype.kind == "U":
-        return np.flatnonzero(ids == "")
-    if ids.dtype.kind == "O":
-        return np.flatnonzero([v is None or v == "" for v in ids.tolist()])
-    if ids.dtype.kind == "f":
-        return np.flatnonzero(np.isnan(ids))
-    return np.empty(0, dtype=np.intp)
 
 
 def _deficient(block: np.ndarray) -> bool:
@@ -214,10 +203,7 @@ class DesignMatrices:
         """Validated :attr:`cluster` as integer codes 0..G-1; None for one row per cluster."""
         if self.cluster is None:
             return None
-        ids = np.asarray(self.cluster)
-        bad = _missing_ids(ids)
-        if bad.size:
-            raise InputError(f"cluster id missing for weight-positive row {bad[0]}")
+        ids = _column({"cluster": np.asarray(self.cluster)}, "cluster", "cluster")
         return np.unique(ids, return_inverse=True)[1]
 
 
@@ -265,7 +251,11 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     and writes each stratum's [C_s | Z_s | X_s] on its own rows, zero
     elsewhere, and :attr:`DesignMatrices.column_rows` says which rows
     each exogenous column lives on; any other design is the one stratum
-    of every row.  Raises when the endogenous block outruns the
+    of every row.  The conditioning column, the transform columns and
+    ``cfg.cluster_by`` are looked up by :func:`data_model._column`, which
+    checks every row of the table, inside the window or not, so a missing
+    value is an input error naming the role, the column and the data row.
+    Raises when the endogenous block outruns the
     instruments or when the weighted exogenous block is rank deficient
     (for instance because a covariate cell is empty inside the
     bandwidth); for a stratum whose own columns are, the error names it.
@@ -275,17 +265,8 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     tags, parts = [""], [slice(0, len(rows))]
     conditional = spec.kind == "conditional"
     if conditional:
-        if spec.r_column not in ds.aux:
-            raise InputError(f"conditioning column {spec.r_column!r} not found in dataset")
-        r_col = ds.aux[spec.r_column]
-        if r_col.dtype.kind == "f":
-            _numeric(r_col, spec.r_column)  # a NaN or an inf would be a stratum of its own
-        r_codes, strata = _levels(r_col)
-        if any(lev in ("", "None", "nan") for lev in strata):
-            raise InputError(
-                f"conditioning column {spec.r_column!r} has missing values; "
-                "its levels must partition the sample"
-            )
+        # a missing value would be a stratum of its own
+        r_codes, strata = _levels(_column(ds.aux, spec.r_column, "conditioning"))
         order = sorted(range(len(strata)), key=strata.__getitem__)  # strata in label order
         tags = [f"{spec.r_column}={strata[j]}" for j in order]
         rank = np.empty(len(strata), dtype=np.min_scalar_type(len(strata)))
@@ -297,29 +278,18 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
         ends = np.cumsum(np.bincount(stratum, minlength=len(strata))).tolist()
         parts = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
 
-    cluster, where = ds.cluster, "cluster id missing"
+    cluster = ds.cluster
     if cfg.cluster_by == "running":
         cluster = ds.z
     elif cfg.cluster_by is not None:
-        if cfg.cluster_by not in ds.aux:
-            raise InputError(
-                f"cluster column {cfg.cluster_by!r} not found (table has {list(ds.aux)})"
-            )
-        cluster = ds.aux[cfg.cluster_by]
-        where = f"cluster column {cfg.cluster_by!r} has a missing id"
+        cluster = _column(ds.aux, cfg.cluster_by, "cluster")
     if cluster is not None:
-        cluster = np.asarray(cluster)[rows]
-        bad = _missing_ids(cluster)
-        if bad.size:
-            raise InputError(f"{where} in data row {rows[bad].min() + 1}")
+        cluster = cluster[rows]
 
     x_names = [f"x{j + 1}" for j in range(ds.d)]
     wtilde = spec.wtilde_columns if spec.kind == "parametric" else ()
     for name in wtilde:
-        if name not in ds.aux:
-            raise InputError(f"wtilde column {name!r} not found in dataset")
-        if ds.aux[name].dtype.kind not in "biuf":
-            raise InputError(f"wtilde column {name!r} is not numeric")
+        _column(ds.aux, name, "wtilde", numeric=True)
         x_names += [f"{name}:x{j + 1}" for j in range(ds.d)]
     if len(x_names) > m + 1:
         raise UnderIdentifiedError(

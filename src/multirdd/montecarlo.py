@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data_model import Dataset, EstimationConfig, ModelSpec, _lock_fields
 from .discontinuities import _separation
-from .errors import EstimationError, InputError, MultirddError, RelevanceError
-from .errors import UnderIdentifiedError
+from .errors import EstimationError, InputError, RelevanceError, UnderIdentifiedError
 from .estimator import estimate
 from .kernels import KernelKind
 
@@ -319,8 +318,10 @@ def run_study(
     """Replicate generate -> homogeneous estimate and summarize against the targets.
 
     Replication r draws from a stream derived from (seed, r) alone, and
-    replications run in one loop, in order.  A replication that raises a
-    package error counts as failed; any other exception propagates.  The
+    replications run in one loop, in order.  A replication that raises an
+    :class:`EstimationError` counts as failed; any other exception,
+    such as the :class:`InputError` of a sample size below 1,
+    propagates.  ``seed`` follows ``DgpSpec.seed``'s rule.  The
     ``workers`` keyword is accepted for older callers but ignored, and it
     warns.
     """
@@ -340,14 +341,13 @@ def run_study(
         )
     if cfg is None:
         cfg = default_config(dgp)
-    if seed is None:
-        seed = dgp.seed
+    seed = dgp.seed if seed is None else replace(dgp, seed=seed).seed  # DgpSpec.seed's rule
 
     fits, failures = [], []
     for rep in range(reps):
         try:
             fits.append(_run_one(dgp, n, seed, rep, cfg))
-        except MultirddError as err:
+        except EstimationError as err:
             failures.append(err)
 
     if not fits:

@@ -1,12 +1,14 @@
+import contextlib
 import csv
 import errno
+import io
 import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -218,7 +220,78 @@ def test_estimate_missing_cluster_id_names_column_and_data_row(capsys, tmp_path)
     args += ["t", "--w", "g", "--cluster", "cl", "--bandwidth", "5"]
     code, _, err = run_cli(capsys, args)
     assert code == 1
-    assert "cluster column 'cl' has a missing id in data row 7" in err
+    assert "cluster column 'cl' has a missing value in row 7" in err
+
+
+# one column per role that an estimate reads; all hold numbers, so a "" turns one to text
+ROLE_COLUMNS = {
+    "outcome": "y", "running": "z", "treatment": "t", "covariate": "w",
+    "extra control": "ctl", "cluster": "cl", "conditioning": "r", "wtilde": "wt",
+}
+ROLE_ROWS = 48
+
+
+def estimate_roles(path, rows, model):
+    """Exit code and stderr of an in-process estimate of ``rows`` (ROLE_COLUMNS' fields)."""
+    lines = [",".join(ROLE_COLUMNS.values())] + [",".join(fields) for fields in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = ["estimate", "--data", str(path), "--outcome", "y", "--running", "z", "--treatment",
+            "t", "--w", "w", "--controls", "ctl", "--cluster", "cl", "--bandwidth", "3"]
+    args += ["--model", "parametric", "--wtilde", "wt"] if model == "parametric" else [
+        "--model", "conditional", "--r", "r"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    return code, err.getvalue()
+
+
+def role_rows():
+    """A table that both models fit: the window |z| < 3 holds every (stratum, cell, side)."""
+    return [
+        [str(v) for v in (i % 3, (i - 24) / 4, int(i >= 24) ^ (i % 5 == 0), i % 2, i % 5, i,
+                          i // 2 % 2, i % 3)]
+        for i in range(ROLE_ROWS)
+    ]
+
+
+@pytest.mark.parametrize("model", ["conditional", "parametric"])
+def test_the_role_table_fits(tmp_path, model):
+    code, err = estimate_roles(tmp_path / "data.csv", role_rows(), model)
+    assert code == 0, err
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    role=st.sampled_from(sorted(ROLE_COLUMNS)),
+    row=st.integers(0, ROLE_ROWS - 1),
+    bad=st.sampled_from(["", "nan", "inf", "-inf"]),
+)
+@example(role="wtilde", row=2, bad="nan")  # once read as a failed second stage
+@example(role="cluster", row=0, bad="")  # a missing id outside the window
+def test_a_bad_value_in_any_named_column_is_one_error_line(tmp_path_factory, role, row, bad):
+    rows = role_rows()
+    rows[row][list(ROLE_COLUMNS).index(role)] = bad
+    path = tmp_path_factory.mktemp("roles") / "data.csv"
+    code, err = estimate_roles(path, rows, "parametric" if role == "wtilde" else "conditional")
+    what = "a missing value" if bad == "" else f"non-finite value {bad}"
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{role} column {ROLE_COLUMNS[role]!r} has {what} in row {row + 1}" in err
+    assert "Traceback" not in err
+
+
+def test_a_conditioning_level_named_none_is_a_stratum(capsys, tmp_path):
+    header, *rows = (SAMPLE_DIR / "insurance_style.csv").read_text(encoding="utf-8").splitlines()
+    tagged = [f"{row},{'A' if i % 2 else 'None'}" for i, row in enumerate(rows)]
+    data, out = tmp_path / "strat.csv", tmp_path / "fit.json"
+    data.write_text("\n".join([header + ",strat"] + tagged) + "\n", encoding="utf-8")
+    args = list(ESTIMATE_ARGS)
+    args[args.index("--data") + 1] = str(data)
+    args[args.index("--w") + 1] = "race"
+    args += ["--model", "conditional", "--r", "strat", "--out", str(out)]
+    code, _, err = run_cli(capsys, args)
+    assert code == 0, err
+    assert {"x1|strat=A", "x1|strat=None"} <= set(json.loads(out.read_text())["beta"])
 
 
 def test_estimate_unknown_cluster_column_exits_1(capsys):
@@ -607,6 +680,20 @@ def test_a_bad_dgp_spec_field_is_one_input_error_line(capsys, tmp_path, case):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert says in err and str(spec) in err and case.split()[0] in err  # the field
     assert ("incomplete" in err) == case.endswith("missing")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, says", [
+    ("--n", "0", "sample size must be positive, got 0"),
+    ("--n", "-5", "sample size must be positive, got -5"),
+    ("--seed", "-1", "seed must be a nonnegative integer, got -1"),
+])
+def test_a_bad_simulate_flag_is_one_input_error_line(capsys, flag, value, says):
+    args = ["simulate", "--data", str(SAMPLE_DIR / "dgp_homogeneous.json"), "--n", "500"]
+    code, _, err = run_cli(capsys, args + ["--reps", "2", flag, value])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err
     assert "Traceback" not in err
 
 

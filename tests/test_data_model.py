@@ -128,9 +128,12 @@ def test_dataset_rejects_non_finite_columns(field):
 @pytest.mark.parametrize(
     "aux, message",
     [
-        ({}, "extra control column 'ctl' not found in aux"),
-        ({"ctl": np.array(["a", "b", "c", "d"])}, "extra control column 'ctl' is not a numeric"),
-        ({"ctl": np.ones(3)}, "extra control column 'ctl' is not a numeric column of 4 rows"),
+        ({}, r"extra control column 'ctl' not found \(table has \[\]\)"),
+        (
+            {"ctl": np.array(["a", "b", "c", "d"])},
+            "extra control column 'ctl' has non-numeric value 'a' in row 1",
+        ),
+        ({"ctl": np.ones(3)}, r"extra control column 'ctl' has shape \(3,\), expected 4 rows"),
     ],
 )
 def test_extra_control_names_an_aux_column_of_finite_numbers(aux, message):
@@ -166,7 +169,7 @@ def test_missing_value_is_hard_error(tmp_path):
     [
         ("nan", "column 'g' has non-finite value nan in row 2"),
         ("-inf", "column 'g' has non-finite value -inf in row 2"),
-        ("", "covariate 'g' has a missing value in row 2"),
+        ("", "covariate column 'g' has a missing value in row 2"),
     ],
 )
 def test_covariate_value_that_is_no_cell_names_column_and_row(tmp_path, value, message):

@@ -327,3 +327,34 @@ def test_only_the_window_groups_and_the_design_evaluate_the_kernel_window():
         for top in window_calls(path.read_text(encoding="utf-8"))
     ]
     assert found == ["data_model._window_groups", "estimator.build_design"]
+
+
+def column_checks(source: str) -> list:
+    """The line of each call to ``_numeric`` or ``_missing`` in ``source``, and of each
+    ``in`` or ``not in`` test against an ``.aux`` mapping."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("_numeric", "_missing"):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            for op, right in zip(node.ops, node.comparators):
+                if isinstance(op, (ast.In, ast.NotIn)) and getattr(right, "attr", None) == "aux":
+                    found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_data_model_looks_up_and_checks_a_named_column():
+    # a named column has one owner, data_model._column; no other module judges a value missing
+    caught = "_numeric(col, 'x')\nm._missing(ids)\nif r not in ds.aux:\n    pass\n"
+    caught += "ok = n in self.aux\n"
+    assert column_checks(caught) == [1, 2, 3, 5]
+    assert column_checks("numeric(c)\ncol = ds.aux[name]\nname in aux\nname in ds.cols\n") == []
+    found = {
+        path.stem: column_checks(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "multirdd").glob("*.py"))
+        if path.stem != "data_model"
+    }
+    assert not any(found.values()), found

@@ -708,7 +708,7 @@ def test_conditional_rejects_missing_r_values():
     )
     from multirdd.errors import InputError
 
-    with pytest.raises(InputError, match="missing values"):
+    with pytest.raises(InputError, match="conditioning column 'grp' has a missing value in row 2$"):
         build_design(ds, ModelSpec(kind="conditional", r_column="grp"), CFG)
 
 
@@ -719,17 +719,34 @@ def test_text_cluster_ids_must_not_be_empty(dtype):
     rng = np.random.default_rng(24)
     ds0, _ = build_random(rng, n=60, d=1, m=1)
     ids = np.asarray(["", "a", "b"] * 20, dtype=dtype)
-    ds = Dataset(
-        y=ds0.y, z=ds0.z, x=ds0.x, cells=ds0.cells, cell_labels=ds0.cell_labels,
-        cluster=ids,
-    )
-    with pytest.raises(InputError, match="cluster id missing in data row 1$"):
-        estimate(ds, ModelSpec(), CFG)
+    # a hand-built dataset's cluster ids are checked when it is made, by data row
+    with pytest.raises(InputError, match="cluster column 'cluster' has a missing value in row 1$"):
+        Dataset(
+            y=ds0.y, z=ds0.z, x=ds0.x, cells=ds0.cells, cell_labels=ds0.cell_labels,
+            cluster=ids,
+        )
     # a hand-built design keeps its own check, by its row
-    dm = build_design(replace(ds, cluster=None), ModelSpec(), CFG)
+    dm = build_design(ds0, ModelSpec(), CFG)
     hand_built = replace(dm, cluster=ids[: dm.n])
-    with pytest.raises(InputError, match="cluster id missing for weight-positive row 0"):
+    with pytest.raises(InputError, match="cluster column 'cluster' has a missing value in row 1$"):
         cluster_covariance(weighted_2sls(hand_built), hand_built)
+
+
+@pytest.mark.parametrize("role", ["conditioning", "cluster", "cluster ids"])
+def test_a_none_in_a_hand_built_object_column_names_its_row(role):
+    from multirdd.errors import InputError
+
+    ds0 = random_dataset(np.random.default_rng(25), n=60, d=1, m=1)
+    col, missing = np.asarray(["a", None, "b"] * 20, dtype=object), "has a missing value in row 2$"
+    if role == "cluster ids":  # the dataset's own ids are checked when it is made
+        with pytest.raises(InputError, match=f"cluster column 'cluster' {missing}"):
+            replace(ds0, cluster=col)
+        return
+    ds = replace(ds0, aux={"g": col})
+    spec = ModelSpec(kind="conditional", r_column="g") if role == "conditioning" else ModelSpec()
+    cfg = EstimationConfig(bandwidth=1.0, cluster_by="g" if role == "cluster" else None)
+    with pytest.raises(InputError, match=f"{role} column 'g' {missing}"):
+        build_design(ds, spec, cfg)
 
 
 def test_cluster_by_a_missing_column_is_an_input_error():

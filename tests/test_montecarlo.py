@@ -291,6 +291,17 @@ def test_run_study_requires_reps():
         run_study(homogeneous_dgp(), n=1000, reps=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+def test_run_study_checks_its_seed_as_the_spec_does(seed):
+    with pytest.raises(InputError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+        run_study(homogeneous_dgp(), n=1000, reps=2, seed=seed)
+
+
+def test_run_study_lets_a_bad_sample_size_escape():
+    with pytest.raises(InputError, match="sample size must be positive, got 0"):
+        run_study(homogeneous_dgp(), n=0, reps=2)
+
+
 def test_run_study_unidentified_dgp_rejected():
     dgp = DgpSpec(
         cell_probs=(1.0,),
