@@ -1,10 +1,11 @@
 """Command-line interface: estimate, diagnose, simulate.
 
-Configuration may come from flags or from a JSON config file whose keys
-are flag names (flags win); any other key is an error.  Reports are
-JSON by default, with an optional aligned-text rendering.  Exit codes:
-0 success, 1 input or configuration error, 2 identification/relevance
-failure (diagnostics are still written where possible).
+Each option is declared once, in :data:`COMMANDS`.  Its value comes from
+its flag or from its key in a JSON config file (flags win; any other key
+is an error), and either way passes the option's one converter.  Reports
+are JSON by default, with an optional aligned-text rendering.  Exit codes:
+0 success; 1 an input, configuration or usage error, one ``error:`` line;
+2 an identification or relevance failure, after the report is written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import SIDES, EstimationConfig, ModelSpec, TableSchema, _window_groups
+from .data_model import SIDES, Dataset, EstimationConfig, ModelSpec, TableSchema, _window_groups
 from .data_model import load_table, validate_dataset
 from .discontinuities import cell_table, ratio_late, relevance
 from .errors import EstimationError, InputError
@@ -26,12 +27,96 @@ from .kernels import KernelKind
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IDENTIFICATION = 2
-SUBCOMMANDS = ("estimate", "diagnose", "simulate")
 SERIES_MAX_POINTS = 60  # a side with more distinct z in the series is binned by quantiles
 
 
+def _text(value) -> str:
+    """Text as given; any other JSON value is refused."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected text, got {json.dumps(value)}")
+    return value
+
+
+def _count(value) -> int:
+    """An integer, from a whole number or its text; 2.5 and "2.5" are refused."""
+    if not (isinstance(value, (int, str)) or isinstance(value, float) and value.is_integer()):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _names(value) -> tuple[str, ...]:
+    """Comma-separated text, or a JSON list, as a tuple of names."""
+    if isinstance(value, list):
+        return tuple(str(v) for v in value)
+    return tuple(part.strip() for part in _text(value).split(",") if part.strip())
+
+
+def _format(value, choices=("json", "text")) -> str:
+    if value not in choices:
+        raise ValueError(f"{value!r}, expected {' or '.join(map(repr, choices))}")
+    return value
+
+
+DATA_OPTIONS = {
+    "data": (_text, "input CSV path"),
+    "outcome": (_text, "outcome column name"),
+    "running": (_text, "running-variable column name"),
+    "cutoff": (float, "cutoff value (default 0)"),
+    "treatment": (_text, "integer-valued treatment column"),
+    "treatment_levels": (
+        lambda v: tuple(map(float, _names(v))),
+        "comma-separated ordered treatment levels (default: observed values)",
+    ),
+    "treatment_indicators": (_names, "comma-separated pre-built cumulative indicator columns"),
+    "w": (_names, "comma-separated discrete covariate columns forming the cells"),
+    "r": (_text, "conditioning column for the conditional model"),
+    "wtilde": (_names, "comma-separated transform columns for the parametric model"),
+    "controls": (_names, "comma-separated extra exogenous control columns"),
+    "cluster": (_text, "cluster column name, or 'running' to cluster by z"),
+    "kernel": (lambda v: KernelKind.from_name(_text(v)), "uniform | triangular | epanechnikov"),
+    "bandwidth": (float, "bandwidth in running-variable units"),
+    "model": (lambda v: _text(v).lower(), "homogeneous | conditional | parametric"),
+    "delimiter": (_text, "CSV delimiter (default comma)"),
+}
+OUTPUT_OPTIONS = {
+    "out": (_text, "output path (default: stdout)"),
+    "format": (_format, "output format: json | text (default json)"),
+}
+# each subcommand's help line, and its options by config key: each one's converter and help;
+# an option's flag is its key with "-" for "_", and every flag is read as text
+COMMANDS = {
+    "estimate": ("fit the weighted 2SLS estimator", {**DATA_OPTIONS, **OUTPUT_OPTIONS}),
+    "diagnose": ("cell-wise discontinuities and relevance", {
+        **DATA_OPTIONS,
+        "series": (_text, "also write per-cell binned means to this CSV (plotting data)"),
+        "out": OUTPUT_OPTIONS["out"],
+        "format": (lambda v: _format(v, ("json",)), "output format: json (a nested report)"),
+    }),
+    "simulate": ("Monte Carlo study from a DGP spec", {
+        "data": (_text, "DGP spec JSON path"),
+        "n": (_count, "sample size per replication"),
+        "reps": (_count, "number of replications"),
+        "seed": (_count, "master seed (default: spec's seed)"),
+        "kernel": DATA_OPTIONS["kernel"],
+        "bandwidth": (float, "bandwidth override"),
+        **OUTPUT_OPTIONS,
+    }),
+}
+
+
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 1)."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multirdd",
         description=(
             "Regression discontinuity estimation with multivalued treatments: "
@@ -40,64 +125,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_io(p):
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["json", "text"], help="output format (default json)")
-
-    def add_data(p):
-        p.add_argument("--data", help="input CSV path")
-        p.add_argument("--outcome", help="outcome column name")
-        p.add_argument("--running", help="running-variable column name")
-        p.add_argument("--cutoff", type=float, help="cutoff value (default 0)")
-        p.add_argument("--treatment", help="integer-valued treatment column")
-        p.add_argument(
-            "--treatment-levels",
-            dest="treatment_levels",
-            help="comma-separated ordered treatment levels (default: observed values)",
-        )
-        p.add_argument(
-            "--treatment-indicators",
-            dest="treatment_indicators",
-            help="comma-separated pre-built cumulative indicator columns",
-        )
-        p.add_argument("--w", help="comma-separated discrete covariate columns forming the cells")
-        p.add_argument("--r", help="conditioning column for the conditional model")
-        p.add_argument("--wtilde", help="comma-separated transform columns for the parametric model")
-        p.add_argument("--controls", help="comma-separated extra exogenous control columns")
-        p.add_argument("--cluster", help="cluster column name, or 'running' to cluster by z")
-        p.add_argument("--kernel", help="uniform | triangular | epanechnikov")
-        p.add_argument("--bandwidth", type=float, help="bandwidth in running-variable units")
-        p.add_argument("--model", help="homogeneous | conditional | parametric")
-        p.add_argument("--delimiter", help="CSV delimiter (default comma)")
-
-    p_est = sub.add_parser("estimate", help="fit the weighted 2SLS estimator")
-    add_data(p_est)
-    add_io(p_est)
-
-    p_diag = sub.add_parser("diagnose", help="cell-wise discontinuities and relevance")
-    add_data(p_diag)
-    p_diag.add_argument(
-        "--series",
-        help="also write per-cell binned means to this CSV (plotting data)",
-    )
-    add_io(p_diag)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo study from a DGP spec")
-    p_sim.add_argument("--data", help="DGP spec JSON path")
-    p_sim.add_argument("--n", type=int, help="sample size per replication")
-    p_sim.add_argument("--reps", type=int, help="number of replications")
-    p_sim.add_argument("--seed", type=int, help="master seed (default: spec's seed)")
-    p_sim.add_argument("--kernel", help="uniform | triangular | epanechnikov")
-    p_sim.add_argument("--bandwidth", type=float, help="bandwidth override")
-    add_io(p_sim)
+    for name, (summary, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("--config", help="JSON config file; flags override its keys")
+        for key, (_, help_text) in options.items():
+            command.add_argument(_flag(key), help=help_text)
     return parser
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
+    """This subcommand's options from the --config file, then the flags, each converted once."""
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -107,85 +146,53 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise InputError(f"config file {path} is not valid JSON: {err}") from None
         if not isinstance(doc, dict):
             raise InputError(f"config file {path} must hold a JSON object")
-        flags = {key for name in SUBCOMMANDS for key in vars(parser.parse_args([name]))}
-        unknown = sorted(set(doc) - flags - {"subcommand"})
+        # any subcommand's key, so that one file serves them all
+        keys = {key for _, options in COMMANDS.values() for key in options}
+        unknown = sorted(set(doc) - keys - {"config", "subcommand"})
         if unknown:
             raise InputError(f"config file {path} has unknown key {unknown[0]!r}")
-        merged.update((key, value) for key, value in doc.items() if value is not None)
-    for key, value in vars(args).items():
-        if key in ("config", "subcommand"):
-            continue
-        if value is not None:
-            merged[key] = value
-    if merged.get("format", "json") not in ("json", "text"):
-        raise InputError(f"invalid --format: {merged['format']!r}, expected 'json' or 'text'")
-    return merged
+        merged.update(doc)
+    merged.update((key, value) for key, value in vars(args).items() if value is not None)
+    cfg = {}
+    for key, (convert, _) in COMMANDS[args.subcommand][1].items():
+        if merged.get(key) is not None:
+            try:
+                cfg[key] = convert(merged[key])
+            except (TypeError, ValueError, OverflowError) as err:
+                raise InputError(f"invalid {_flag(key)}: {err}") from None
+    return cfg
 
 
 def _require(cfg: dict, key: str) -> object:
     if cfg.get(key) in (None, ""):
-        raise InputError(f"missing required option --{key.replace('_', '-')}")
+        raise InputError(f"missing required option {_flag(key)}")
     return cfg[key]
 
 
-def _convert(key: str, value, kind):
-    """``kind(value)``; an :class:`InputError` naming the option if it does not convert."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as err:
-        raise InputError(f"invalid --{key.replace('_', '-')}: {err}") from None
-
-
-def _as_list(cfg: dict, key: str) -> list[str]:
-    value = cfg.get(key)
-    if value is None:
-        return []
-    if isinstance(value, str):
-        return [part.strip() for part in value.split(",") if part.strip()]
-    return [str(v) for v in _convert(key, value, list)]
-
-
-def _schema_from(cfg: dict) -> TableSchema:
-    levels = None
-    if cfg.get("treatment_levels") is not None:
-        levels = [_convert("treatment_levels", v, float) for v in _as_list(cfg, "treatment_levels")]
-    return TableSchema(
-        outcome=str(_require(cfg, "outcome")),
-        running=str(_require(cfg, "running")),
-        cutoff=_convert("cutoff", cfg.get("cutoff", 0.0), float),
-        treatment=cfg.get("treatment"),
-        treatment_indicators=tuple(_as_list(cfg, "treatment_indicators")),
-        treatment_levels=None if levels is None else tuple(levels),
-        covariates=tuple(_as_list(cfg, "w")),
-        extra_controls=tuple(_as_list(cfg, "controls")),
-        delimiter=str(cfg.get("delimiter", ",")),
-    )
-
-
 def _estimation_config(cfg: dict) -> EstimationConfig:
-    cluster = cfg.get("cluster")
-    return EstimationConfig(
-        bandwidth=_convert("bandwidth", _require(cfg, "bandwidth"), float),
-        kernel=_convert("kernel", str(cfg.get("kernel", "uniform")), KernelKind.from_name),
-        # --cluster sets only this; build_design reads the column from Dataset.aux
-        cluster_by=None if cluster is None else str(cluster),
+    # --cluster sets only cluster_by; build_design reads the column from Dataset.aux
+    kernel = cfg.get("kernel", KernelKind.UNIFORM)
+    return EstimationConfig(_require(cfg, "bandwidth"), kernel, cluster_by=cfg.get("cluster"))
+
+
+def _load(cfg: dict) -> tuple[Dataset, EstimationConfig, dict]:
+    """The dataset, its estimation config, and the data, cutoff and window a report echoes."""
+    schema = TableSchema(
+        outcome=_require(cfg, "outcome"),
+        running=_require(cfg, "running"),
+        cutoff=cfg.get("cutoff", 0.0),
+        treatment=cfg.get("treatment"),
+        treatment_indicators=cfg.get("treatment_indicators", ()),
+        treatment_levels=cfg.get("treatment_levels"),
+        covariates=cfg.get("w", ()),
+        extra_controls=cfg.get("controls", ()),
+        delimiter=cfg.get("delimiter", ","),
     )
-
-
-def _model_spec(cfg: dict) -> ModelSpec:
-    kind = str(cfg.get("model", "homogeneous")).lower()
-    # the treatment levels belong to the schema, which encodes the treatment at load
-    return ModelSpec(
-        kind=kind,
-        r_column=cfg.get("r"),
-        wtilde_columns=tuple(_as_list(cfg, "wtilde")),
-    )
-
-
-def _echo(cfg: dict, schema: TableSchema, est_cfg: EstimationConfig) -> dict:
-    """The data, cutoff and window that a report was made from."""
+    ds = load_table(_require(cfg, "data"), schema)
+    est_cfg = _estimation_config(cfg)
     kernel, h = est_cfg.kernel.value, est_cfg.bandwidth
-    return {"data": str(cfg.get("data")), "kernel": kernel, "bandwidth": h, "cutoff": schema.cutoff}
+    echo = {"data": cfg["data"], "kernel": kernel, "bandwidth": h, "cutoff": schema.cutoff}
+    return ds, est_cfg, echo
 
 
 def _write(payload: str, out_path: str | None) -> None:
@@ -200,6 +207,13 @@ def _write(payload: str, out_path: str | None) -> None:
 
 def _render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _failed(err: EstimationError, cfg: dict, echo: dict, **more) -> int:
+    """Write the failure report, ``err`` with the config ``echo`` and ``more``; exit 2."""
+    _write(_render_json({"error": str(err), "config": echo, **more}), cfg.get("out"))
+    sys.stderr.write(f"estimation failed: {err}\n")
+    return EXIT_IDENTIFICATION
 
 
 def _fit_text(doc: dict) -> str:
@@ -304,11 +318,9 @@ def write_series(path: str, ds, cfg) -> None:
 def estimate_cmd(cfg: dict) -> int:
     from .estimator import estimate  # here, so that diagnose never imports the estimator
 
-    schema = _schema_from(cfg)
-    ds = load_table(str(_require(cfg, "data")), schema)
-    est_cfg = _estimation_config(cfg)
-    spec = _model_spec(cfg)
-    echo = {**_echo(cfg, schema, est_cfg), "model": spec.kind, "cluster": cfg.get("cluster")}
+    ds, est_cfg, echo = _load(cfg)
+    spec = ModelSpec(cfg.get("model", "homogeneous"), cfg.get("r"), cfg.get("wtilde", ()))
+    echo.update(model=spec.kind, cluster=cfg.get("cluster"))
     ct = min_eig = None
     if spec.kind == "homogeneous":
         try:
@@ -319,15 +331,10 @@ def estimate_cmd(cfg: dict) -> int:
     try:
         fit = estimate(ds, spec, est_cfg)
     except EstimationError as err:
-        doc = {"error": str(err), "config": echo}
         try:
-            diag, _ = _diagnostics_doc(ds, est_cfg, ct)
-            doc["diagnostics"] = diag
+            return _failed(err, cfg, echo, diagnostics=_diagnostics_doc(ds, est_cfg, ct)[0])
         except EstimationError as diag_err:
-            doc["diagnostics_error"] = str(diag_err)
-        _write(_render_json(doc), cfg.get("out"))
-        sys.stderr.write(f"estimation failed: {err}\n")
-        return EXIT_IDENTIFICATION
+            return _failed(err, cfg, echo, diagnostics_error=str(diag_err))
     doc = fit.to_dict()
     doc["first_stage"]["joint_min_eigenvalue"] = min_eig
     doc["config"] = echo
@@ -337,17 +344,14 @@ def estimate_cmd(cfg: dict) -> int:
 
 
 def diagnose_cmd(cfg: dict) -> int:
-    if cfg.get("format", "json") != "json":
-        raise InputError(
-            f"invalid --format for diagnose: {cfg['format']!r}; its report is nested JSON only"
-        )
-    schema = _schema_from(cfg)
-    ds = load_table(str(_require(cfg, "data")), schema)
-    est_cfg = _estimation_config(cfg)
-    doc, passed = _diagnostics_doc(ds, est_cfg)
-    doc["config"] = _echo(cfg, schema, est_cfg)
+    ds, est_cfg, echo = _load(cfg)
+    try:
+        doc, passed = _diagnostics_doc(ds, est_cfg)
+    except EstimationError as err:
+        return _failed(err, cfg, echo)
+    doc["config"] = echo
     if cfg.get("series"):
-        write_series(str(cfg["series"]), ds, est_cfg)
+        write_series(cfg["series"], ds, est_cfg)
     _write(_render_json(doc), cfg.get("out"))
     if not passed:
         sys.stderr.write("relevance check failed; see the report for diagnostics\n")
@@ -358,38 +362,23 @@ def diagnose_cmd(cfg: dict) -> int:
 def simulate_cmd(cfg: dict) -> int:
     from .montecarlo import default_config, load_dgp_spec, run_study
 
-    dgp = load_dgp_spec(str(_require(cfg, "data")))
-    reps = _convert("reps", cfg.get("reps", 0) or 0, int)
+    dgp = load_dgp_spec(_require(cfg, "data"))
+    reps = cfg.get("reps", 0)
     if reps < 1:
         raise InputError(f"--reps must be at least 1, got {reps}")
-    n = _convert("n", _require(cfg, "n"), int)
-    # the DGP's default bandwidth; simulate has no --cluster, though a shared config may set it
-    defaults = {"bandwidth": default_config(dgp).bandwidth}
-    est_cfg = _estimation_config({**defaults, **cfg, "cluster": None})
-    result = run_study(
-        dgp,
-        n=n,
-        reps=reps,
-        cfg=est_cfg,
-        seed=None if cfg.get("seed") is None else _convert("seed", cfg["seed"], int),
-    )
+    n = _require(cfg, "n")
+    est_cfg = _estimation_config({"bandwidth": default_config(dgp).bandwidth, **cfg})
+    result = run_study(dgp, n=n, reps=reps, cfg=est_cfg, seed=cfg.get("seed"))
     payload = result.summary_text() if cfg.get("format") == "text" else result.to_json()
     _write(payload, cfg.get("out"))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args, parser)
-        if args.subcommand == "estimate":
-            return estimate_cmd(cfg)
-        if args.subcommand == "diagnose":
-            return diagnose_cmd(cfg)
-        if args.subcommand == "simulate":
-            return simulate_cmd(cfg)
-        raise InputError(f"unknown subcommand {args.subcommand!r}")  # pragma: no cover
+        args = build_parser().parse_args(argv)
+        # looked up by name, so that a command wrapped on the module is the one that runs
+        return globals()[f"{args.subcommand}_cmd"](_merge_config(args))
     except InputError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT

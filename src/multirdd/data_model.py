@@ -230,6 +230,9 @@ class TableSchema:
             raise SchemaError(
                 "exactly one of 'treatment' or 'treatment_indicators' must be specified"
             )
+        sep = self.delimiter  # numpy's reader splits fields at one character, never at these
+        if not isinstance(sep, str) or len(sep) != 1 or sep in '"\r\n':
+            raise SchemaError(f"delimiter must be one character, not a quote or newline: {sep!r}")
 
 
 @dataclass(frozen=True)
@@ -307,8 +310,15 @@ class EstimationConfig:
 
 def _window_groups(ds: Dataset, cfg: EstimationConfig):
     """The window's rows (ascending) and weights, and each row's group 2 * cell + (z >= 0)."""
-    rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
-    return rows, w, 2 * ds.cells[rows] + (ds.z[rows] >= 0)
+    key = (cfg.kernel, cfg.bandwidth)
+    # the dataset keeps its last window, locked, so a second reader does not weigh it again
+    if vars(ds).get("_window", (None,))[0] != key:
+        rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
+        groups = 2 * ds.cells[rows] + (ds.z[rows] >= 0)
+        for a in (rows, w, groups):
+            a.setflags(write=False)
+        object.__setattr__(ds, "_window", (key, rows, w, groups))
+    return ds._window[1:]
 
 
 def encode_treatment(t: np.ndarray, levels: Sequence[float]) -> np.ndarray:
@@ -323,10 +333,12 @@ def encode_treatment(t: np.ndarray, levels: Sequence[float]) -> np.ndarray:
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise InputError(f"treatment levels must be strictly increasing, got {levels}")
     t = np.asarray(t, dtype=float)
-    known = np.isin(t, levels)
-    if not known.all():
-        bad = t[~known][0]
-        raise InputError(f"treatment value {bad!r} is not among declared levels {levels}")
+    unknown = np.flatnonzero(~np.isin(t, levels))
+    if unknown.size:
+        value, row = _format_value(float(t[unknown[0]])), unknown[0] + 1
+        raise InputError(
+            f"treatment value {value} in row {row} is not among declared levels {levels}"
+        )
     thresholds = np.asarray(levels[1:], dtype=float)
     return (t[:, None] >= thresholds[None, :]).astype(float)
 
@@ -428,7 +440,7 @@ def _field_widths(path: Path, delimiter: str, m: int) -> np.ndarray | None:
     is empty or has another field count than the header.
     """
     sep = delimiter.encode()
-    if len(sep) != 1 or sep in b'\r\n"':
+    if len(sep) != 1:  # TableSchema has refused a quote and a line break
         return None
     buf = np.fromfile(path, dtype=np.uint8)
     if buf[-1] != ord("\n"):  # numpy reads the last line alike with or without a newline
@@ -567,11 +579,10 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
             # return_counts keeps np.unique off its masked-array check, which
             # imports numpy.ma: about 12 ms of every cold CLI run
             levels = np.unique(t, return_counts=True)[0].tolist()
-        if len(levels) < 2:
-            raise InputError(
-                f"treatment column {schema.treatment!r} has fewer than two distinct levels"
-            )
-        x = encode_treatment(t, levels)
+        try:  # the levels' own errors, too, name the column
+            x = encode_treatment(t, levels)
+        except InputError as err:
+            raise InputError(f"treatment column {schema.treatment!r}: {err}") from None
     else:
         names = schema.treatment_indicators
         x = np.column_stack([require(ind, "treatment indicator") for ind in names])

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,20 @@ def estimate_config() -> dict:
         ("simulate", "format", "xml", False),
         ("diagnose", "format", "text", True),
         ("diagnose", "format", "text", False),
+        # a flag's text passes the same converter as a config value
+        ("estimate", "bandwidth", "ten", True),
+        ("estimate", "cutoff", "sixty-five", True),
+        ("simulate", "n", "many", True),
+        ("simulate", "reps", "x", True),
+        ("simulate", "seed", "abc", True),
+        ("estimate", "format", "xml", True),
+        # a text option takes text only, and a count a whole number
+        ("estimate", "treatment", ["coverage"], False),
+        ("estimate", "r", ["educ"], False),
+        ("estimate", "out", ["x"], False),
+        ("diagnose", "series", ["x"], False),
+        ("simulate", "n", 800.7, False),
+        ("simulate", "reps", 2.9, False),
     ],
 )
 def test_bad_option_value_is_an_input_error(capsys, tmp_path, subcommand, key, value, as_flag):
@@ -371,9 +386,54 @@ def test_bad_option_value_is_an_input_error(capsys, tmp_path, subcommand, key, v
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     code, _, err = run_cli(capsys, [subcommand, "--config", str(cfg_path)] + flags)
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1, err
     assert f"--{key.replace('_', '-')}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, says", [
+    (ESTIMATE_ARGS + ["--bandwidht", "3"], "unrecognized arguments: --bandwidht 3"),
+    ([], "the following arguments are required: subcommand"),
+    (["estimat"], "invalid choice: 'estimat'"),
+    (ESTIMATE_ARGS + ["--bandwidth"], "argument --bandwidth: expected one argument"),
+])
+def test_a_usage_error_is_one_input_error_line(capsys, argv, says):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err and out == ""
+    assert "Traceback" not in err and "usage:" not in err
+
+
+def test_each_subcommand_lists_its_table_options_and_config(capsys):
+    from multirdd.cli import COMMANDS
+
+    for name, (_, options) in COMMANDS.items():
+        with pytest.raises(SystemExit) as stop:
+            main([name, "--help"])
+        assert stop.value.code == 0
+        shown = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+        assert shown == {"--help", "--config"} | {f"--{key.replace('_', '-')}" for key in options}
+
+
+def test_flags_and_config_keys_give_the_same_report(capsys, tmp_path):
+    simulate_args = [
+        "simulate", "--data", str(SAMPLE_DIR / "dgp_homogeneous.json"),
+        "--n", "1500", "--reps", "3", "--seed", "4", "--kernel", "triangular",
+    ]
+    # numbers and lists as JSON values, not as the text of a flag
+    typed = {"cutoff": 65, "bandwidth": 10.0, "w": ["race", "educ"], "n": 1500, "reps": 3}
+    for argv in (ESTIMATE_ARGS, simulate_args):
+        flags = argv[1:]
+        doc = {flag[2:].replace("-", "_"): value for flag, value in zip(flags[::2], flags[1::2])}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, **{k: typed[k] for k in doc if k in typed}}))
+        reports = []
+        for extra in (flags, ["--config", str(cfg_path)]):
+            out = tmp_path / f"report{len(reports)}.json"
+            assert run_cli(capsys, [argv[0], *extra, "--out", str(out)])[0] == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], argv[0]
 
 
 @pytest.mark.parametrize("key", ["bandwidht", "rcond_threshold"])
@@ -652,9 +712,12 @@ def test_diagnose_evaluates_the_kernel_once(capsys, monkeypatch, tmp_path):
         return weights_vector(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "weights_vector", counted)
-    out = tmp_path / "diag.json"
-    assert run_cli(capsys, ["diagnose", *ESTIMATE_ARGS[1:], "--out", str(out)])[0] == 0
-    assert len(calls) == 1
+    out, series = tmp_path / "diag.json", tmp_path / "series.csv"
+    for extra in ([], ["--series", str(series)]):
+        calls.clear()
+        assert run_cli(capsys, ["diagnose", *ESTIMATE_ARGS[1:], *extra, "--out", str(out)])[0] == 0
+        assert len(calls) == 1, extra  # the series bins reuse cell_table's window
+    assert series.stat().st_size > 0
 
 
 # each case: the fields of the bundled spec replaced (None removes one), and what the error says
@@ -821,3 +884,32 @@ def test_delimiter_option_gives_the_comma_fit(capsys, tmp_path, delimiter):
         del doc["config"]
         fits.append(doc)
     assert fits[0] == fits[1]
+
+
+@pytest.mark.parametrize("delimiter", ["", "ab", '"', "\n", "\r"])
+def test_a_bad_delimiter_is_one_input_error_line(capsys, delimiter):
+    code, _, err = run_cli(capsys, ESTIMATE_ARGS + ["--delimiter", delimiter])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"delimiter must be one character, not a quote or newline: {delimiter!r}" in err
+    assert "Traceback" not in err
+
+
+def test_diagnose_writes_its_failure_report(capsys, tmp_path):
+    out = tmp_path / "diag.json"
+    argv = ["diagnose", *ESTIMATE_ARGS[1:], "--bandwidth", "0.001", "--out", str(out)]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith("estimation failed: no usable cells") and err.count("\n") == 1, err
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"error", "config"}
+    assert err == f"estimation failed: {doc['error']}\n" and doc["config"]["bandwidth"] == 0.001
+
+
+def test_an_undeclared_treatment_value_names_the_value_column_and_row(capsys):
+    code, _, err = run_cli(capsys, ESTIMATE_ARGS + ["--treatment-levels", "0,1"])
+    assert code == 1
+    assert err == (
+        "error: treatment column 'coverage': treatment value 2 in row 6 "
+        "is not among declared levels [0.0, 1.0]\n"
+    )

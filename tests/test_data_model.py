@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -225,6 +226,12 @@ def test_schema_requires_exactly_one_treatment_form():
         TableSchema(outcome="y", running="z", treatment="t", treatment_indicators=("x1",))
 
 
+@pytest.mark.parametrize("delimiter", ["", "ab", '"', "\n", "\r", None])
+def test_schema_delimiter_is_one_character_that_splits_fields(delimiter):
+    with pytest.raises(SchemaError, match=f"delimiter .*: {re.escape(repr(delimiter))}$"):
+        TableSchema(outcome="y", running="z", treatment="t", delimiter=delimiter)
+
+
 def test_dataset_arrays_are_immutable(six_row_csv):
     ds = load_table(six_row_csv, schema())
     with pytest.raises(ValueError):
@@ -362,7 +369,7 @@ def test_encode_treatment_definition():
 
 
 def test_encode_treatment_out_of_range():
-    with pytest.raises(InputError, match="not among declared levels"):
+    with pytest.raises(InputError, match=r"treatment value 3 in row 2 is not among declared levels"):
         encode_treatment(np.array([0.0, 3.0]), (0, 1, 2))
     with pytest.raises(InputError, match="strictly increasing"):
         encode_treatment(np.array([0.0, 1.0]), (0, 0, 1))

@@ -358,3 +358,54 @@ def test_only_data_model_looks_up_and_checks_a_named_column():
         if path.stem != "data_model"
     }
     assert not any(found.values()), found
+
+
+def typed_arguments(source: str) -> list:
+    """The line of each ``add_argument`` call in ``source`` passing ``type=`` or ``choices=``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        and any(kw.arg in ("type", "choices") for kw in node.keywords)
+    )
+
+
+def test_every_flag_is_read_as_text():
+    # argparse converts nothing: a flag's text passes the option's converter, as a config value does
+    caught = "p.add_argument('--n', type=int)\nadd_argument('--f', choices=['a'])\n"
+    caught += "p.add_argument('--k', help='x', type=float)\n"
+    assert typed_arguments(caught) == [1, 3]
+    assert typed_arguments("p.add_argument('--n', help='n')\np.add(type=int)\n") == []
+    assert typed_arguments((SRC / "multirdd" / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def converter_calls(source: str, converters: set) -> list:
+    """(definition, converter) of each call to one of ``converters`` in a top-level function or
+    class of ``source``, other than ``_merge_config`` and the converters themselves."""
+    found = []
+    for top in ast.parse(source).body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue  # the option table's own entries build converters from converters
+        if top.name in converters or top.name == "_merge_config":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in converters:
+                    found.append((top.name, name))
+    return found
+
+
+def test_only_merge_config_converts_an_option():
+    from multirdd import cli
+
+    converters = {fn for _, options in cli.COMMANDS.values() for fn, _ in options.values()}
+    names = {fn.__name__ for fn in converters if getattr(cli, fn.__name__, None) is fn}
+    assert {"_text", "_count", "_names", "_format"} <= names
+    caught = "def f(cfg):\n    return _text(cfg['x'])\nclass C:\n    def g(self):\n"
+    caught += "        m._count(1)\ndef _merge_config(a):\n    _text(a)\ndef _names(v):\n"
+    caught += "    _text(v)\nT = {'k': (lambda v: _text(v), 'help')}\n"
+    found = converter_calls(caught, {"_text", "_count", "_names"})
+    assert found == [("f", "_text"), ("C", "_count")]
+    source = (SRC / "multirdd" / "cli.py").read_text(encoding="utf-8")
+    assert converter_calls(source, names) == []
