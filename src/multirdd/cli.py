@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import SIDES, Dataset, EstimationConfig, ModelSpec, TableSchema, _window_groups
-from .data_model import load_table, validate_dataset
+from .data_model import SIDES, Dataset, EstimationConfig, KernelWindow, ModelSpec, TableSchema
+from .data_model import _window_of, kernel_window, load_table, validate_dataset
 from .discontinuities import cell_table, ratio_late, relevance
 from .errors import EstimationError, InputError
 from .kernels import KernelKind
@@ -231,9 +231,9 @@ def _fit_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _diagnostics_doc(ds, cfg, ct=None) -> tuple[dict, bool]:
+def _diagnostics_doc(ds, cfg, win, ct=None) -> tuple[dict, bool]:
     if ct is None:
-        ct = cell_table(ds, cfg)
+        ct = cell_table(ds, cfg, win)
     tw = relevance(ct)
     ratios = {}
     for l, label in enumerate(ct.labels):
@@ -266,15 +266,15 @@ def _quantile_edges(sorted_z: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _series_bins(ds, cfg) -> list[tuple[str, str, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-cell, per-side bins of the window rows: (label, side, z, count, means).
+def _series_bins(win: KernelWindow) -> list[tuple[str, str, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per-cell, per-side bins of the rows of ``win``: (label, side, z, count, means).
 
     A bin is one distinct z, or one of SERIES_MAX_POINTS quantile bins
     (z at the midpoint of its edges) when the side has more distinct z.
     Bins with no rows are left out.  ``means`` holds one row per bin: the
     means of y and of each indicator, as bin sums over counts.
     """
-    rows, _, groups = _window_groups(ds, cfg)
+    ds, rows, groups = win.dataset, win.rows, win.groups
     order = np.argsort(groups, kind="stable")  # keeps each group's rows ascending
     bounds = np.searchsorted(groups[order], np.arange(2 * ds.q + 1))
     out = []
@@ -298,14 +298,15 @@ def _series_bins(ds, cfg) -> list[tuple[str, str, np.ndarray, np.ndarray, np.nda
     return out
 
 
-def write_series(path: str, ds, cfg) -> None:
+def write_series(path: str, ds, cfg, window: KernelWindow | None = None) -> None:
     """Per-cell, per-side binned means of the outcome and each indicator.
 
     This is the plotting data behind first-stage figures; the toolkit
-    does not plot, it emits the series for external tooling.
+    does not plot, it emits the series for external tooling.  ``window``
+    is the kernel window of ``ds`` under ``cfg``, built here when None.
     """
     lines = [["cell", "side", "z", "count", "y_mean"] + [f"x{j + 1}_mean" for j in range(ds.d)]]
-    for label, side, z, count, means in _series_bins(ds, cfg):
+    for label, side, z, count, means in _series_bins(_window_of(ds, cfg, window)):
         for zb, nb, mb in zip(z.tolist(), count.tolist(), means.tolist()):
             lines.append([label, side, f"{zb:.6g}", nb, *(f"{m:.6g}" for m in mb)])
     try:
@@ -321,18 +322,20 @@ def estimate_cmd(cfg: dict) -> int:
     ds, est_cfg, echo = _load(cfg)
     spec = ModelSpec(cfg.get("model", "homogeneous"), cfg.get("r"), cfg.get("wtilde", ()))
     echo.update(model=spec.kind, cluster=cfg.get("cluster"))
+    win = kernel_window(ds, est_cfg)  # the kernel is evaluated once per command
     ct = min_eig = None
     if spec.kind == "homogeneous":
         try:
-            ct = cell_table(ds, est_cfg)
+            ct = cell_table(ds, est_cfg, win)
             min_eig = float(relevance(ct).min_eigenvalue)
         except EstimationError:
             pass
     try:
-        fit = estimate(ds, spec, est_cfg)
+        fit = estimate(ds, spec, est_cfg, win)
     except EstimationError as err:
         try:
-            return _failed(err, cfg, echo, diagnostics=_diagnostics_doc(ds, est_cfg, ct)[0])
+            diagnostics = _diagnostics_doc(ds, est_cfg, win, ct)[0]
+            return _failed(err, cfg, echo, diagnostics=diagnostics)
         except EstimationError as diag_err:
             return _failed(err, cfg, echo, diagnostics_error=str(diag_err))
     doc = fit.to_dict()
@@ -345,13 +348,14 @@ def estimate_cmd(cfg: dict) -> int:
 
 def diagnose_cmd(cfg: dict) -> int:
     ds, est_cfg, echo = _load(cfg)
+    win = kernel_window(ds, est_cfg)  # the kernel is evaluated once per command
     try:
-        doc, passed = _diagnostics_doc(ds, est_cfg)
+        doc, passed = _diagnostics_doc(ds, est_cfg, win)
     except EstimationError as err:
         return _failed(err, cfg, echo)
     doc["config"] = echo
     if cfg.get("series"):
-        write_series(cfg["series"], ds, est_cfg)
+        write_series(cfg["series"], ds, est_cfg, win)
     _write(_render_json(doc), cfg.get("out"))
     if not passed:
         sys.stderr.write("relevance check failed; see the report for diagnostics\n")

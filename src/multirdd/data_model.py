@@ -21,7 +21,7 @@ import math
 import re
 import warnings
 from dataclasses import InitVar, asdict, dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -36,6 +36,8 @@ __all__ = [
     "TableSchema",
     "ModelSpec",
     "EstimationConfig",
+    "KernelWindow",
+    "kernel_window",
     "CellEncoding",
     "ValidationReport",
     "load_table",
@@ -47,7 +49,7 @@ __all__ = [
 MAX_CELL_LEVELS = 64  # per covariate column; more levels must be coarsened first
 DEFAULT_RCOND_THRESHOLD = 1e-10
 _KEY_PRIME = np.uint64(0x100000001B3)  # the 64-bit FNV prime
-SIDES = ("left", "right")  # side s of cell l is window group 2 * l + s (_window_groups)
+SIDES = ("left", "right")  # side s of cell l is window group 2 * l + s (KernelWindow)
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
@@ -230,6 +232,8 @@ class TableSchema:
             raise SchemaError(
                 "exactly one of 'treatment' or 'treatment_indicators' must be specified"
             )
+        if not math.isfinite(self.cutoff):
+            raise SchemaError(f"cutoff must be a finite number, got {self.cutoff}")
         sep = self.delimiter  # numpy's reader splits fields at one character, never at these
         if not isinstance(sep, str) or len(sep) != 1 or sep in '"\r\n':
             raise SchemaError(f"delimiter must be one character, not a quote or newline: {sep!r}")
@@ -308,17 +312,73 @@ class EstimationConfig:
             raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
 
 
-def _window_groups(ds: Dataset, cfg: EstimationConfig):
-    """The window's rows (ascending) and weights, and each row's group 2 * cell + (z >= 0)."""
-    key = (cfg.kernel, cfg.bandwidth)
-    # the dataset keeps its last window, locked, so a second reader does not weigh it again
-    if vars(ds).get("_window", (None,))[0] != key:
-        rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
-        groups = 2 * ds.cells[rows] + (ds.z[rows] >= 0)
-        for a in (rows, w, groups):
+@dataclass(frozen=True, eq=False)
+class KernelWindow:
+    """The rows of ``dataset`` inside one kernel window, weighed once, and their groups.
+
+    ``rows`` are the weight-positive rows in ascending order and ``weights``
+    their kernel weights; ``groups`` gives each row's (cell, side) group,
+    2 * cell + (z >= 0), so side s of cell l is group 2 * l + s (``SIDES``).
+    :attr:`extent` holds each group's rows and least and greatest z, and
+    :attr:`usable` whether a group has two distinct z.  Built by
+    :func:`kernel_window`; its arrays are write-locked.
+    """
+
+    dataset: Dataset
+    kernel: KernelKind
+    bandwidth: float
+    rows: np.ndarray
+    weights: np.ndarray
+    groups: np.ndarray
+
+    def __post_init__(self):
+        _lock_fields(self, "rows", "weights", "groups")
+
+    @cached_property
+    def extent(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows per group, and each group's least and greatest z (inf and -inf when empty)."""
+        n_groups, z = 2 * self.dataset.q, self.dataset.z[self.rows]
+        counts = np.bincount(self.groups, minlength=n_groups)
+        lo, hi = np.full(n_groups, np.inf), np.full(n_groups, -np.inf)
+        np.minimum.at(lo, self.groups, z)
+        np.maximum.at(hi, self.groups, z)
+        for a in (counts, lo, hi):
             a.setflags(write=False)
-        object.__setattr__(ds, "_window", (key, rows, w, groups))
-    return ds._window[1:]
+        return counts, lo, hi
+
+    @property
+    def usable(self) -> np.ndarray:
+        """Per group: whether it has two distinct z, as a local-linear fit needs."""
+        _, lo, hi = self.extent
+        return lo < hi
+
+
+def kernel_window(ds: Dataset, cfg: EstimationConfig) -> KernelWindow:
+    """The one evaluation of ``cfg``'s kernel over ``ds``: its window rows, weights and groups.
+
+    ``cell_table``, ``build_design`` and the CLI's series bins all read
+    it, so a command that builds it once weighs every row once.
+    """
+    rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
+    groups = (2 * ds.cells[rows] + (ds.z[rows] >= 0)).astype(np.min_scalar_type(2 * ds.q))
+    for a in (rows, w, groups):  # made here and locked, so the window keeps them without a copy
+        a.setflags(write=False)
+    return KernelWindow(ds, cfg.kernel, cfg.bandwidth, rows, w, groups)
+
+
+def _window_of(ds: Dataset, cfg: EstimationConfig, win: KernelWindow | None) -> KernelWindow:
+    """``win``, checked to be the window of ``ds`` under ``cfg``; built here when None."""
+    if win is None:
+        return kernel_window(ds, cfg)
+    if win.dataset is not ds or (win.kernel, win.bandwidth) != (cfg.kernel, cfg.bandwidth):
+        raise InputError("the kernel window was built for another dataset, kernel or bandwidth")
+    return win
+
+
+def _too_few(count: int) -> str:
+    """Why a (cell, side) with ``count`` rows but not two distinct z cannot be fitted."""
+    found = min(count, 1)
+    return f"needs at least 2 distinct running-variable values with positive weight, found {found}"
 
 
 def encode_treatment(t: np.ndarray, levels: Sequence[float]) -> np.ndarray:

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_model import DEFAULT_RCOND_THRESHOLD, SIDES, Dataset, EstimationConfig, conditioning
-from .data_model import _lock_fields, _window_groups
+from .data_model import DEFAULT_RCOND_THRESHOLD, SIDES, Dataset, EstimationConfig, KernelWindow
+from .data_model import _lock_fields, _too_few, _window_of, conditioning
 from .errors import CellUnusableError, EstimationError, RelevanceError
 
 __all__ = [
@@ -129,18 +129,21 @@ class CellTable:
         }
 
 
-def cell_table(ds: Dataset, cfg: EstimationConfig) -> CellTable:
+def cell_table(ds: Dataset, cfg: EstimationConfig, window: KernelWindow | None = None) -> CellTable:
     """Estimate y and treatment jumps within every covariate cell.
 
     Each side of each cell is a weighted least squares fit on (1, z), all
-    from group sums (:func:`_group_fits`).  A naive SE sums the two sides'
-    heteroskedasticity-robust intercept variances: a screening diagnostic,
-    as inference belongs to the estimator module.  Cell probabilities are
-    kernel-weighted shares of total weight among usable cells; cells
-    without two distinct z on each side are dropped and reported with the
-    weight share they carried and their window rows per side.
+    from group sums (:func:`_group_fits`) over the rows of ``window``, the
+    :class:`KernelWindow` of ``ds`` under ``cfg`` (built here when None).
+    A naive SE sums the two sides' heteroskedasticity-robust intercept
+    variances: a screening diagnostic, as inference belongs to the
+    estimator module.  Cell probabilities are kernel-weighted shares of
+    total weight among usable cells; cells without two distinct z on each
+    side are dropped and reported with the weight share they carried and
+    their window rows per side.
     """
-    rows, w, groups = _window_groups(ds, cfg)
+    win = _window_of(ds, cfg, window)
+    rows, w, groups = win.rows, win.weights, win.groups
     total_mass = float(w.sum())
     if total_mass <= 0:
         raise EstimationError(
@@ -148,19 +151,14 @@ def cell_table(ds: Dataset, cfg: EstimationConfig) -> CellTable:
         )
     n_groups = 2 * ds.q
     z = ds.z[rows]
-    lo, hi = np.full(n_groups, np.inf), np.full(n_groups, -np.inf)
-    np.minimum.at(lo, groups, z)
-    np.maximum.at(hi, groups, z)
-    spread = (lo < hi).reshape(ds.q, 2)
-    counts = np.bincount(groups, minlength=n_groups).reshape(ds.q, 2)
+    spread = win.usable.reshape(ds.q, 2)
+    counts = win.extent[0].reshape(ds.q, 2)
     mass = np.bincount(groups, weights=w, minlength=n_groups).reshape(ds.q, 2).sum(axis=1)
     usable = spread.all(axis=1)
     dropped = []
     for l in np.flatnonzero(~usable):
         side = 0 if spread[l, 1] else 1  # the right side is checked first
-        found = f"positive weight, found {min(counts[l, side], 1)}"
-        detail = f"needs at least 2 distinct running-variable values with {found}"
-        reason = str(CellUnusableError(ds.cell_labels[l], SIDES[side], detail))
+        reason = str(CellUnusableError(ds.cell_labels[l], SIDES[side], _too_few(counts[l, side])))
         share = float(mass[l] / total_mass)
         dropped.append(DroppedCell(ds.cell_labels[l], reason, share, *counts[l].tolist()))
     if not usable.any():

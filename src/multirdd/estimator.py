@@ -14,24 +14,33 @@ the stacked fit coincides with running the estimator separately within
 each stratum.  That design is block-diagonal by stratum, apart from the
 shared extra controls and y.
 
-Each fit passes over the rows inside the kernel window once.
-:func:`build_design` writes the weighted augmented block [C | Z | X | y]
-= [E | X | y] once, on those rows only, into the one array that
-:class:`DesignMatrices` holds: the cell dummies W from the dataset's cell
-codes, the extra controls from the ``aux`` columns it names.  R, without
-Q, is taken of it once by :func:`_r_factor`: a Cholesky of its Gram
-matrix A'A, or a Householder QR of the rows where a scaled pivot is too
-small for the normal equations; the conditional design is written
-stratum by stratum, each stratum's columns on its own rows and zero
-elsewhere.  Every stage reads that one R, gated on its first read by
+Each fit passes over the rows inside the kernel window and writes no
+n x k array.  C and Z span exactly the per-(cell, side) local-linear
+basis, so every one of their columns is B T for the group basis B, row
+i = e_g (x) (1, z_i) for the row's group g, and a fixed 0/1 matrix T.
+:func:`build_design` keeps, for the window rows sorted by group, each
+row's group and z, a small dense block D = [extra controls | X | y] (X
+per stratum in the conditional design), and the 0/1 matrix M that writes
+A = [C | Z | X | y] = [B | D] M; :class:`DesignMatrices` holds them.  The
+Gram matrix of the weighted A is M'[B'WB, B'WD; D'WB, D'WD]M, whose group
+blocks are per-group sums of w, wz, wz^2, w*v and wz*v, and D'WD is one
+small product.  R, without Q, is taken of it once by :func:`_r_of`: a
+Cholesky of A'A, or, where a scaled pivot is too small for the normal
+equations, the R of [B | D] from per-group closed forms and one
+Householder QR of D with each group's (1, z) fit partialled out, then a
+QR of that small R times M.  A (cell, side) group without two distinct
+z makes two columns exactly dependent; it is named before anything is
+factored.  Every stage reads that one R, gated on its first read by
 R_EE's diagonal over R's column norms.  The second stage, y on
 [X_hat | C], is least squares on K = [R_EX | R_EC], the regressors in the
 rows of E; K = Q_K R_K is factored once and gated the same way, and
 (beta, eta) = R_K^-1 Q_K' R_Ey.  The first-stage residual sums of
 squares are column norms of R below the rows of E and of C.  The
-covariance and the J test share one pass that forms the cluster sums S
-of the moment rows E*u, each column summed over its own rows, and takes
-R_S of S with the same :func:`_r_factor`; the sandwich is B'B with
+covariance and the J test share one pass that forms the residual u from
+per-group coefficients and D, and the R_S of the cluster sums S of the
+moment rows E*u: per-(cluster, group) sums of w*u and w*z*u and
+per-cluster sums of w*u*v mapped by M, or, unclustered, R_S of E*u by
+:func:`_r_of` under the weights (w*u)^2; the sandwich is B'B with
 B = R_S R_EE^-1 Q_K R_K^-T, and J = |R_S^-T g|^2 is gated on R_S like E on R.
 Every gate reads R's diagonal over its column norms, free of units.
 """
@@ -40,14 +49,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .data_model import DEFAULT_RCOND_THRESHOLD, SIDES, Dataset, EstimationConfig, ModelSpec
-from .data_model import _column, _levels, _lock_fields, _window_groups, conditioning
-from .errors import EstimationError, InputError, SingularDesignError, UnderIdentifiedError
-from .kernels import window
+from .data_model import SIDES, Dataset, EstimationConfig, KernelWindow, ModelSpec, conditioning
+from .data_model import _column, _levels, _lock_fields, _too_few, _window_of
+from .errors import CellUnusableError, EstimationError, InputError, SingularDesignError
+from .errors import UnderIdentifiedError
 
 __all__ = [
     "DesignMatrices",
@@ -73,25 +82,24 @@ def _scaled_pivots(r: np.ndarray, k: int) -> np.ndarray:
     return np.divide(pivots, norms, out=np.zeros_like(pivots), where=norms > 0)
 
 
-def _deficient(block: np.ndarray) -> bool:
-    """Whether the columns of ``block`` fail the rank gate on their own."""
-    k = block.shape[1]
-    pivots = _scaled_pivots(np.linalg.qr(block, mode="r"), k)
-    return conditioning(pivots, n=k) < DEFAULT_RCOND_THRESHOLD
+def _exogenous_gate(pivots: np.ndarray, k: int) -> None:
+    """The rank gate of the weighted exogenous block E on its ``k`` scaled pivots."""
+    conditioning(pivots, f"exogenous block is rank deficient after weighting ({k} columns)", n=k)
 
 
 # The smallest scaled pivot R is taken from A'A with: the normal equations lose
 # about eps / pivot^2, so every column R feeds (beta, F, J) keeps about 1e-10.
 GRAM_PIVOT_FLOOR = 1e-3
+# Rows weighed at a time into the Gram matrix: a weighted block of a few columns stays small.
+GRAM_ROWS = 1 << 14
 
 
-def _gram_r(a: np.ndarray) -> np.ndarray | None:
-    """R = L'D of ``a`` from D^-1 A'A D^-1 = LL', D = sqrt(diag A'A): no copy of the rows.
+def _cholesky_r(g: np.ndarray) -> np.ndarray | None:
+    """R = L'D from the Gram matrix g = A'A, with D^-1 g D^-1 = LL' and D = sqrt(diag g).
 
     diag(L) are R's scaled pivots, free of the columns' units.  None when
     a column is zero, the Cholesky fails, or a pivot is below the floor.
     """
-    g = a.T @ a
     norms = np.sqrt(np.diagonal(g))
     if not norms.all():
         return None
@@ -104,48 +112,177 @@ def _gram_r(a: np.ndarray) -> np.ndarray | None:
     return low.T * norms
 
 
-def _r_factor(a: np.ndarray) -> np.ndarray:
-    """R of ``a``, without Q: from A'A (:func:`_gram_r`), or one ``qr`` where that returns None."""
-    r = _gram_r(a)
-    return np.linalg.qr(a, mode="r") if r is None else r
+class _Basis:
+    """The group basis B of rows sorted by group: row i is e_g (x) (1, z_i) for its group g.
+
+    :meth:`total` sums rows within each group by pairwise summation over
+    the group's contiguous rows, and is 0 for a group without rows.
+    """
+
+    def __init__(self, groups: np.ndarray, z: np.ndarray, n_groups: int):
+        self.groups, self.z, self.n = groups, z, n_groups
+        # the first row of each group that has rows, and that group
+        self.starts = np.flatnonzero(np.concatenate([[True], groups[1:] != groups[:-1]]))
+        self.ids = groups[self.starts]
+
+    def total(self, v: np.ndarray, lo: int = 0) -> np.ndarray:
+        """Each group's sum over the last axis of ``v``, which holds rows lo, lo + 1, ..."""
+        if lo == 0 and v.shape[-1] == len(self.groups):  # every row: each group's own start
+            starts, ids = self.starts, self.ids
+        else:
+            a, b = np.searchsorted(self.starts, (lo + 1, lo + v.shape[-1]))
+            starts = np.concatenate([[0], self.starts[a:b] - lo])
+            ids = np.concatenate([self.groups[lo : lo + 1], self.ids[a:b]])
+        sums = np.add.reduceat(v, starts, axis=-1)
+        if len(ids) == self.n:  # every group has rows here
+            return sums
+        out = np.zeros(v.shape[:-1] + (self.n,))
+        out[..., ids] = sums
+        return out
+
+
+def _group_gram(omega, cols, basis) -> np.ndarray:
+    """[B | D]' diag(omega) [B | D] from group sums, for D = cols' and the group basis B.
+
+    B's columns 2g and 2g + 1 are group g's (1, z).  Its blocks are per-group
+    sums of omega, omega*z, omega*z^2, omega*v and omega*z*v for each column
+    v of D, and D'WD is a product; both are taken over blocks of
+    ``GRAM_ROWS`` rows, so no weighted copy of D is held whole.  A basis of
+    None is no B.
+    """
+    m, c = 2 * (basis.n if basis else 0), len(cols)
+    h = np.zeros((m + c, m + c))
+    sums = np.zeros((3 + 2 * c, m // 2))
+    for lo in range(0, len(omega), GRAM_ROWS):
+        part, w = cols[:, lo : lo + GRAM_ROWS], omega[lo : lo + GRAM_ROWS]
+        block = np.empty((3 + c, len(w)))  # w, wz, wz^2, then w*v for each column v
+        wd = np.multiply(part, w, out=block[3:])
+        if c:
+            h[m:, m:] += wd @ part.T
+        if basis:
+            z = basis.z[lo : lo + GRAM_ROWS]
+            block[0] = w
+            np.multiply(w, z, out=block[1])
+            np.multiply(block[1], z, out=block[2])
+            sums[: 3 + c] += basis.total(block, lo)
+            if c:
+                wd *= z
+                sums[3 + c :] += basis.total(wd, lo)
+    if basis:  # row 2g + j of B'W[B | D] is group g's sums with z^j
+        by_group = h[:m].reshape(basis.n, 2, m + c)
+        own, g = by_group[:, :, :m].reshape(basis.n, 2, basis.n, 2), np.arange(basis.n)
+        own[g, 0, g, 0], own[g, 0, g, 1], own[g, 1, g, 1] = sums[:3]
+        own[g, 1, g, 0] = sums[1]
+        by_group[:, 0, m:], by_group[:, 1, m:] = sums[3 : 3 + c].T, sums[3 + c :].T
+        h[m:, :m] = h[:m, m:].T
+    return h
+
+
+def _partialled_r(omega, cols, basis) -> np.ndarray:
+    """R of diag(sqrt(omega)) [B | D] from its rows, where A'A is too coarse.
+
+    Each group's (1, z) has a closed-form QR: centred at the group's
+    weighted mean z-bar, its orthonormal columns are sqrt(omega) / sqrt(S0)
+    and sqrt(omega) (z - z-bar) / sqrt(Szz).  D's projections on them are R's
+    rows above D's block, and one Householder QR of D's residuals, n x c,
+    is that block: no row of B is written.  A group without weight, or
+    without spread in z, keeps zero rows.
+    """
+    m, c = 2 * (basis.n if basis else 0), len(cols)
+    r = np.zeros((m + c, m + c))
+    resid = cols * np.sqrt(omega)
+    if basis:
+        def unit(sums):
+            root = np.sqrt(sums)
+            return root, np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
+
+        total, groups, sw = basis.total, basis.groups, np.sqrt(omega)
+        s0 = total(omega)
+        zbar = np.divide(total(omega * basis.z), s0, out=np.zeros_like(s0), where=s0 > 0)
+        zc = basis.z - zbar[groups]
+        root0, inv0 = unit(s0)
+        root1, inv1 = unit(total(omega * zc * zc))
+        b = np.arange(0, m, 2)
+        r[b, b], r[b, b + 1], r[b + 1, b + 1] = root0, root0 * zbar, root1
+        units = (sw * inv0[groups], sw * zc * inv1[groups])
+        for j, v in enumerate(resid):
+            for _ in range(2):  # projected twice, so the residual is orthogonal to rounding
+                for i, e in enumerate(units):
+                    a = total(e * v)
+                    r[b + i, m + j] += a
+                    v -= e * a[groups]
+    top = np.linalg.qr(resid.T, mode="r")
+    r[m : m + len(top), m:] = top
+    return r
+
+
+def _r_of(omega, cols, basis=None, layout=None) -> np.ndarray:
+    """R, without Q, of diag(sqrt(omega)) [B | D] M, where D = cols' and M = ``layout``.
+
+    From the Gram matrix M'[B | D]'W[B | D]M (:func:`_group_gram`) when
+    :func:`_cholesky_r` accepts it; else from the rows by
+    :func:`_partialled_r`, then one QR of that R times M.  None for M is
+    the identity, and no basis no B.
+    """
+    h = _group_gram(omega, cols, basis)
+    r = _cholesky_r(h if layout is None else layout.T @ h @ layout)
+    if r is None:
+        r = _partialled_r(omega, cols, basis)
+        if layout is not None:
+            r = np.linalg.qr(r @ layout, mode="r")
+    return r
 
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """The weighted design of weight-positive rows, their clusters and its one R.
+    """The weighted design of weight-positive rows, as structure; their clusters; its one R.
 
-    ``augmented`` is [C | Z | X | y] with every row scaled by the root of
-    its weight, column-major for LAPACK; the label tuples split its
-    columns.  :func:`build_design` passes only the rows inside the kernel
-    window; a design with no rows, or with a weight that is not > 0, is
-    rejected.  ``column_rows`` holds one row slice per exogenous column,
-    outside which that column is zero; empty means every row.  The
-    conditional design gives each stratum's columns its own rows.
+    The design A = [C | Z | X | y] is [B | D] M, never written: ``dense``
+    is D, n x c and unweighted; row i of the group basis B is
+    e_g (x) (1, z_i) for ``groups[i]`` = g and ``z[i]``, which fill rows 2g
+    and 2g + 1 of ``layout``, M, (2G + c) x (number of labels + 1); the
+    rows are sorted by group.  The label tuples split A's columns.  A
+    hand-built design leaves ``groups``, ``z`` and ``layout`` None: no
+    basis, and ``dense`` is A itself, unweighted.  :func:`build_design`
+    passes only the rows inside the kernel window; a design with no rows,
+    or with a weight that is not > 0, is rejected.  Every array is
+    write-locked.
     """
 
-    augmented: np.ndarray
+    dense: np.ndarray
     weights: np.ndarray
     endogenous_labels: tuple[str, ...]
     instrument_labels: tuple[str, ...]
     control_labels: tuple[str, ...]
     cluster: np.ndarray | None = None
-    column_rows: tuple[slice, ...] = ()
+    groups: np.ndarray | None = None
+    z: np.ndarray | None = None
+    layout: np.ndarray | None = None
 
     def __post_init__(self):
-        shape = (len(self.weights), self.n_exogenous + self.k_endogenous + 1)
-        if np.ndim(self.augmented) != 2 or self.augmented.shape != shape:
+        _lock_fields(self, "dense", "weights", "cluster", "groups", "z", "layout")
+        n, width = len(self.weights), self.n_exogenous + self.k_endogenous + 1
+        c = self.dense.shape[1] if self.dense.ndim == 2 else -1
+        layout = (c, width) if self.layout is None else np.shape(self.layout)
+        if self.dense.shape != (n, c) or layout[1] != width or (layout[0] - c) % 2 or layout[0] < c:
             raise InputError(
-                f"augmented has shape {np.shape(self.augmented)}, expected {shape}: "
-                "one row per weight, one column per label and y"
+                f"dense block of shape {self.dense.shape} and layout of shape {layout} for "
+                f"{n} weights: one row per weight, one column per label and y"
             )
         if not self.n:
             raise EstimationError("no weight-positive rows; widen the bandwidth")
-        positive = np.asarray(self.weights) > 0
+        positive = self.weights > 0
         if not positive.all():
             i = int(np.argmin(positive))
             raise EstimationError(f"row {i} has weight {self.weights[i]}, not weight-positive")
         if self.cluster is not None and len(self.cluster) != self.n:
             raise InputError(f"cluster ids have length {len(self.cluster)}, expected {self.n}")
+        if self.layout is not None and not (
+            np.shape(self.groups) == np.shape(self.z) == (n,)
+            and 0 <= self.groups[0] and self.groups[-1] < self.n_groups
+            and (self.groups[1:] >= self.groups[:-1]).all()
+        ):
+            raise InputError(f"a layout needs sorted groups in [0, {self.n_groups}) and z per row")
 
     @property
     def n(self) -> int:
@@ -167,16 +304,37 @@ class DesignMatrices:
     def n_exogenous(self) -> int:
         return self.n_controls + self.n_instruments
 
+    @property
+    def n_groups(self) -> int:
+        return 0 if self.layout is None else (len(self.layout) - self.dense.shape[1]) // 2
+
+    @cached_property
+    def basis(self) -> _Basis | None:
+        """The group basis B of the rows; None for a hand-built design."""
+        return None if self.layout is None else _Basis(self.groups, self.z, self.n_groups)
+
+    def columns(self, coef: np.ndarray) -> np.ndarray:
+        """A coef, unweighted, without writing A: ``coef`` has one row per column of A.
+
+        A vector gives one value per row of A; a matrix, one row per column of it.
+        """
+        mixed = coef if self.layout is None else self.layout @ coef
+        m = 2 * self.n_groups
+        out = mixed[m:].T @ self.dense.T
+        if mixed[:m].any():  # each row's group's constant and slope
+            a0, a1 = (np.take(mixed[j:m:2].T, self.groups, axis=-1) for j in (0, 1))
+            out += a0 + a1 * self.z
+        return out
+
     @cached_property
     def r(self) -> np.ndarray:
-        """R of :attr:`augmented`, without Q: the one factorization of the fit.
+        """R of the weighted A, without Q: the one factorization of the fit.
 
-        It is :func:`_r_factor` of :attr:`augmented`; the first read runs
+        It is :func:`_r_of` of the design's structure; the first read runs
         the rank gate of E on R's scaled pivots.
         """
-        r, k = _r_factor(self.augmented), self.n_exogenous
-        what = f"exogenous block is rank deficient after weighting ({k} columns)"
-        conditioning(_scaled_pivots(r, k), what, n=k)
+        r = _r_of(self.weights, self.dense.T, self.basis, self.layout)
+        _exogenous_gate(_scaled_pivots(r, self.n_exogenous), self.n_exogenous)
         return r
 
     @cached_property
@@ -207,22 +365,26 @@ class DesignMatrices:
         return np.unique(ids, return_inverse=True)[1]
 
 
-def _write_cells(controls, instruments, z, cells):
-    """Write a stratum's C_s and Z_s on its rows, one row of the design per column.
+@lru_cache
+def _cell_basis(q: int) -> np.ndarray:
+    """T, 4q x 4q: one stratum's [C_s | Z_s] from its group basis, as 0/1 loadings, locked.
 
+    Row 2g + j is the constant (j = 0) or z (j = 1) of group g = 2 * cell + side.
     C_s = (1, W', z, D*z, z*W', D*z*W') and Z_s = (D, D*W') for the cell
-    dummies W of cells 1..q-1; every column is written in place.
+    dummies W of cells 1..q-1 and D = 1(z >= 0), the right side.
     """
-    q = len(instruments)
-    w = controls[1:q]
-    controls[0] = 1.0
-    np.equal(cells, np.arange(1, q)[:, None], out=w)
-    controls[q] = z
-    np.greater_equal(z, 0, out=instruments[0])
-    np.multiply(instruments[0], z, out=controls[q + 1])
-    np.multiply(controls[q], w, out=controls[q + 2 : 2 * q + 1])
-    np.multiply(controls[q + 1], w, out=controls[2 * q + 1 :])
-    np.multiply(instruments[0], w, out=instruments[1:])
+    t = np.zeros((q, 2, 2, 4 * q))  # cell, side, (1, z), column
+    t[:, :, 0, 0] = 1  # const
+    t[:, :, 1, q] = 1  # z
+    t[:, 1, 1, q + 1] = 1  # d:z
+    t[:, 1, 0, 3 * q] = 1  # d
+    cell = np.arange(1, q)
+    t[cell, :, 0, cell] = 1  # w
+    t[cell, :, 1, q + 1 + cell] = 1  # z:w
+    t[cell, 1, 1, 2 * q + cell] = 1  # d:z:w
+    t[cell, 1, 0, 3 * q + cell] = 1  # d:w
+    t.setflags(write=False)
+    return t.reshape(4 * q, 4 * q)
 
 
 def _labels(tag, dummies, x_names):
@@ -237,46 +399,81 @@ def _labels(tag, dummies, x_names):
     return controls, [f"{pre}d", *per_cell("d:w:")], [f"{x}{post}" for x in x_names]
 
 
-def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignMatrices:
-    """Write the weighted design of the rows inside the kernel window, once.
+def _unusable(ds, tags, basis) -> list[str]:
+    """A note for each (stratum,) cell and side without two distinct z; empty when none.
 
-    One array holds [C | Z | X | y], one row per column: every column is
-    written into its row on the window rows only, the cell dummies from
-    the cell codes and the extra controls from their ``aux`` columns, and
-    the array is then weighted in place; its transpose is
-    :attr:`DesignMatrices.augmented`.  The dummies and the strata of R keep
-    the levels of the full sample, so a cell or a stratum without rows in
-    the window leaves a zero column.  The design is written stratum by
-    stratum: the conditional design sorts the window rows by stratum once
-    and writes each stratum's [C_s | Z_s | X_s] on its own rows, zero
-    elsewhere, and :attr:`DesignMatrices.column_rows` says which rows
-    each exogenous column lives on; any other design is the one stratum
-    of every row.  The conditioning column, the transform columns and
-    ``cfg.cluster_by`` are looked up by :func:`data_model._column`, which
-    checks every row of the table, inside the window or not, so a missing
-    value is an input error naming the role, the column and the data row.
-    Raises when the endogenous block outruns the
-    instruments or when the weighted exogenous block is rank deficient
-    (for instance because a covariate cell is empty inside the
-    bandwidth); for a stratum whose own columns are, the error names it.
+    Such a group's constant and z columns are exactly dependent, so the
+    design is rank deficient before anything is factored.  Each group's
+    rows are contiguous in ``basis``, so its count and spread are read there.
     """
-    rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
-    m = ds.m
-    tags, parts = [""], [slice(0, len(rows))]
-    conditional = spec.kind == "conditional"
+    wide = np.minimum.reduceat(basis.z, basis.starts) < np.maximum.reduceat(basis.z, basis.starts)
+    if len(basis.ids) == basis.n and wide.all():
+        return []
+    counts, spread = np.zeros(basis.n, dtype=int), np.zeros(basis.n, dtype=bool)
+    counts[basis.ids], spread[basis.ids] = np.diff(basis.starts, append=len(basis.z)), wide
+    q2, notes, strata = 2 * ds.q, [], {}
+    for g in np.flatnonzero(~spread).tolist():
+        label, side = ds.cell_labels[g % q2 // 2], SIDES[g % 2]
+        if counts[g]:
+            note = str(CellUnusableError(label, side, _too_few(int(counts[g]))))
+        else:
+            note = f"cell {label!r} has no observations on the {side} side of the cutoff"
+            note += " within the bandwidth"
+        if tags[0]:  # the conditional design names the stratum too
+            strata[f"stratum {tags[g // q2]}"] = None
+            note += f" (stratum {tags[g // q2]})"
+        notes.append(note)
+    return [f"rank deficient on its own: {', '.join(strata)}"] * bool(strata) + notes
+
+
+def _strata(ds, spec, rows) -> tuple[list[str], np.ndarray]:
+    """The conditional design's stratum tags in label order, and each of ``rows``' stratum.
+
+    The strata are the levels of the conditioning column in the full sample.
+    """
+    # a missing value would be a stratum of its own
+    codes, strata = _levels(_column(ds.aux, spec.r_column, "conditioning"))
+    order = sorted(range(len(strata)), key=strata.__getitem__)  # strata in label order
+    rank = np.empty(len(strata), dtype=np.intp)
+    rank[order] = np.arange(len(strata))
+    return [f"{spec.r_column}={strata[j]}" for j in order], rank[codes[rows]]
+
+
+def build_design(
+    ds: Dataset, spec: ModelSpec, cfg: EstimationConfig, window: KernelWindow | None = None
+) -> DesignMatrices:
+    """The design of the rows inside the kernel window, as structure: no n x k array.
+
+    ``window`` is the :class:`KernelWindow` of ``ds`` under ``cfg``, built
+    here when None.  The controls and instruments of each stratum are the
+    loadings :func:`_cell_basis` of its (cell, side) groups' basis (1, z);
+    the dense block holds the extra controls from their ``aux`` columns,
+    the endogenous columns (each stratum's on its own rows, zero elsewhere)
+    and y.  A homogeneous or parametric design is the one stratum of every
+    row; the conditional design's groups are (stratum, cell, side).  The
+    dummies and the strata keep the levels of the full sample.  The
+    conditioning column, the transform columns and ``cfg.cluster_by`` are
+    looked up by :func:`data_model._column`, which checks every row of the
+    table, inside the window or not, so a missing value is an input error
+    naming the role, the column and the data row.  Raises when the
+    endogenous block outruns the instruments, and when the weighted
+    exogenous block is rank deficient: before any factor, naming each cell
+    and side (and stratum) without two distinct z inside the bandwidth;
+    else, on R's scaled pivots, as collinear columns.
+    """
+    win = _window_of(ds, cfg, window)
+    rows, w, groups = win.rows, win.weights, win.groups
+    z, q2 = ds.z[rows], 2 * ds.q
+    tags, conditional = [""], spec.kind == "conditional"
     if conditional:
-        # a missing value would be a stratum of its own
-        r_codes, strata = _levels(_column(ds.aux, spec.r_column, "conditioning"))
-        order = sorted(range(len(strata)), key=strata.__getitem__)  # strata in label order
-        tags = [f"{spec.r_column}={strata[j]}" for j in order]
-        rank = np.empty(len(strata), dtype=np.min_scalar_type(len(strata)))
-        rank[order] = np.arange(len(strata))
-        stratum = rank[r_codes[rows]]
-        # the window rows sorted by stratum, once; a radix sort on codes this small
-        sort = np.argsort(stratum, kind="stable")
-        rows, w = rows[sort], w[sort]
-        ends = np.cumsum(np.bincount(stratum, minlength=len(strata))).tolist()
-        parts = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
+        tags, stratum = _strata(ds, spec, rows)
+        groups = (stratum * q2 + groups).astype(np.min_scalar_type(len(tags) * q2))
+    # the rows in group order, so that each group's sums run over contiguous rows;
+    # a radix sort on codes this small
+    order = np.argsort(groups, kind="stable")
+    rows, w, groups, z = rows[order], w[order], groups[order], z[order]
+    if conditional:
+        stratum = stratum[order]
 
     cluster = ds.cluster
     if cfg.cluster_by == "running":
@@ -286,6 +483,7 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     if cluster is not None:
         cluster = cluster[rows]
 
+    m = ds.m
     x_names = [f"x{j + 1}" for j in range(ds.d)]
     wtilde = spec.wtilde_columns if spec.kind == "parametric" else ()
     for name in wtilde:
@@ -303,50 +501,55 @@ def build_design(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> DesignM
     controls, instruments, endogenous = ([lab for s in labels for lab in s[i]] for i in range(3))
     controls += ds.extra_control_names
     nc, nz, nx = (len(lab) for lab in labels[0])
-    p, k = len(controls), len(controls) + len(instruments)
-    extra = len(tags) * nc  # the row of the first extra control
-    design = np.zeros((k + len(endogenous) + 1, len(rows)))
-    z, cells = ds.z[rows], ds.cells[rows]
-    column_rows = [slice(None)] * k
-    for s, part in enumerate(parts):
-        c0, z0, x0 = s * nc, p + s * nz, k + s * nx
-        column_rows[c0 : c0 + nc] = [part] * nc
-        column_rows[z0 : z0 + nz] = [part] * nz
-        _write_cells(design[c0 : c0 + nc, part], design[z0 : z0 + nz, part], z[part], cells[part])
-        x = design[x0 : x0 + nx, part]
-        x[: ds.d] = ds.x[rows[part]].T
-        for i, name in enumerate(wtilde, 1):
-            np.multiply(x[: ds.d], ds.aux[name][rows[part]], out=x[i * ds.d : (i + 1) * ds.d])
-    for i, name in enumerate(ds.extra_control_names, extra):
-        design[i] = ds.aux[name][rows]
-    design[-1] = ds.y[rows]
-    design *= np.sqrt(w)
-    design.setflags(write=False)  # locked in place: R and the second stage are cached from it
+    e, p, k = len(ds.extra_control_names), len(controls), len(controls) + len(instruments)
+
+    # D = [extra controls | X | y], column-major, written through its transpose
+    dense = np.empty((len(rows), e + len(endogenous) + 1), order="F")
+    cols = dense.T
+    for i, name in enumerate(ds.extra_control_names):
+        cols[i] = ds.aux[name][rows]
+    x = cols[e:-1]
+    for j in range(ds.d):
+        x[j] = ds.x[rows, j]
+    for i, name in enumerate(wtilde, 1):
+        np.multiply(x[: ds.d], ds.aux[name][rows], out=x[i * ds.d : (i + 1) * ds.d])
+    if conditional:  # each stratum's x on its own rows, zero elsewhere; stratum 0 last, in place
+        for s in reversed(range(len(tags))):
+            np.multiply(x[: ds.d], stratum == s, out=x[s * nx : (s + 1) * nx])
+    cols[-1] = ds.y[rows]
+
+    # M: each stratum's basis rows load its C_s and Z_s; D's rows load their own columns
+    n_basis = 2 * len(tags) * q2
+    layout = np.zeros((n_basis + len(cols), k + len(endogenous) + 1))
+    t = _cell_basis(ds.q)
+    for s in range(len(tags)):
+        own = slice(s * 2 * q2, (s + 1) * 2 * q2)
+        layout[own, s * nc : (s + 1) * nc] = t[:, :nc]
+        layout[own, p + s * nz : p + (s + 1) * nz] = t[:, nc:]
+    layout[n_basis : n_basis + e, p - e : p] = np.eye(e)
+    layout[n_basis + e :, k:] = np.eye(len(cols) - e)
+
+    for a in (dense, w, z, groups, layout) + ((cluster,) if cluster is not None else ()):
+        a.setflags(write=False)  # made here: the design keeps them without a copy
     dm = DesignMatrices(
-        augmented=design.T,
+        dense=dense,
         weights=w,
         endogenous_labels=tuple(endogenous),
         instrument_labels=tuple(instruments),
         control_labels=tuple(controls),
         cluster=cluster,
-        column_rows=tuple(column_rows) if conditional else (),
+        groups=groups,
+        z=z,
+        layout=layout,
     )
+    notes = _unusable(ds, tags, dm.basis)
     try:
+        if notes:
+            _exogenous_gate(np.zeros(k), k)
         dm.r  # the first read of R runs the rank gate
     except SingularDesignError as err:
-        notes, own = [str(err)], []
-        for s, (tag, part) in enumerate(zip(tags, parts) if conditional else ()):
-            c0, z0 = s * nc, p + s * nz  # the stratum's C_s and Z_s, and the extra controls
-            if _deficient(design[np.r_[c0 : c0 + nc, extra:p, z0 : z0 + nz], part].T):
-                own.append(f"stratum {tag}")
-        if own:
-            notes.append(f"rank deficient on its own: {', '.join(own)}")
-        empty = np.flatnonzero(np.bincount(_window_groups(ds, cfg)[2], minlength=2 * ds.q) == 0)
-        notes += [
-            f"cell {ds.cell_labels[g // 2]!r} has no observations on the {SIDES[g % 2]} side "
-            "of the cutoff within the bandwidth" for g in empty.tolist()
-        ] or ["the weighted columns are collinear"]
-        raise SingularDesignError("; ".join(notes)) from None
+        notes = notes or ["the weighted columns are collinear"]
+        raise SingularDesignError("; ".join([str(err), *notes])) from None
     return dm
 
 
@@ -440,34 +643,52 @@ def weighted_2sls(dm: DesignMatrices) -> FitResult:
     )
 
 
-def _moments(fit, dm) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cluster sums S of the moment rows E*u, the R of S, and |u|.
+def _moments(fit, dm) -> tuple[np.ndarray, int, np.ndarray, float]:
+    """The moment sum g = 1'S, the number of clusters, the R of S, and |u|.
 
-    u is the structural residual of the weighted rows (actual endogenous
-    columns, not fitted).  S has one row per cluster, or per row when
-    unclustered, and R_S'R_S = S'S.  :func:`cluster_covariance` and
-    :func:`j_test` share this pass: it is kept on ``dm`` for the ``fit``
-    that made it.
+    S holds the cluster sums of the moment rows E*u, one row per cluster,
+    or per row when unclustered, with R_S'R_S = S'S; u is the structural
+    residual of the weighted rows (actual endogenous columns, not fitted),
+    formed from the design's structure (:meth:`DesignMatrices.columns`).
+    E = [B | D_E] M_E for the dense columns D_E that enter E.  Clustered,
+    [B | D_E]'s cluster sums are per-(cluster, group) sums of w*u and
+    w*z*u and per-cluster sums of w*u*v, and S, G x k, is them times M_E.
+    Unclustered, R_S is :func:`_r_of` [B | D_E] M_E under the weights
+    (w*u)^2, as R is of A under w, and S is not written.
+    :func:`cluster_covariance` and :func:`j_test` share this pass: it is
+    kept on ``dm`` for the ``fit`` that made it.
     """
     cached = dm.__dict__.get("_moments")
     if cached is not None and cached[0] is fit:
         return cached[1]
+    p, k, n_groups = dm.n_controls, dm.n_exogenous, dm.n_groups
+    u = dm.columns(np.concatenate([-fit.eta, np.zeros(k - p), -fit.beta, [1.0]]))
+    wu = dm.weights * u
+    m, c = 2 * n_groups, dm.dense.shape[1]
+    layout = np.eye(c) if dm.layout is None else dm.layout
+    keep = np.concatenate([np.ones(m, dtype=bool), layout[m:, :k].any(axis=1)])
+    cols, loads = dm.dense.T[keep[m:]], layout[keep, :k]  # [B | D_E] and M_E
+
     codes = dm.cluster_codes
-    p, k = dm.n_controls, dm.n_exogenous
-    coef = np.concatenate([-fit.eta, np.zeros(k - p), -fit.beta, [1.0]])
-    a = dm.augmented
-    u = a @ coef
     if codes is None:
-        summed = a[:, :k] * u[:, None]  # E * u
-    else:
-        # a column is zero off its rows, so only they are summed
-        n_groups = int(codes.max()) + 1
-        sums = [
-            np.bincount(codes[rows], weights=a[rows, j] * u[rows], minlength=n_groups)
-            for j, rows in enumerate(dm.column_rows or [slice(None)] * k)
-        ]
-        summed = np.stack(sums, axis=1)
-    out = summed, _r_factor(summed), float(np.linalg.norm(u))
+        n_clusters, basis = dm.n, dm.basis
+        sums = basis.total(np.vstack([wu, wu * dm.z])).ravel(order="F") if basis else []
+        g = np.concatenate([sums, cols @ wu]) @ loads
+        r_s = _r_of(wu * wu, cols, basis, None if basis is None else loads)
+    else:  # S: each cluster's sums of the moment rows, by group and by dense column
+        n_clusters = int(codes.max()) + 1
+        s = np.empty((n_clusters, m + len(cols)))
+        for j, v in enumerate(cols):
+            s[:, m + j] = np.bincount(codes, weights=wu * v, minlength=n_clusters)
+        if n_groups:
+            key = codes * n_groups + dm.groups
+            for j, v in enumerate((wu, wu * dm.z)):
+                s[:, j:m:2] = np.bincount(
+                    key, weights=v, minlength=n_clusters * n_groups
+                ).reshape(n_clusters, n_groups)
+        s = s @ loads
+        g, r_s = s.sum(axis=0), _r_of(np.ones(n_clusters), s.T)
+    out = g, n_clusters, r_s, math.sqrt(wu @ u)
     dm.__dict__["_moments"] = (fit, out)
     return out
 
@@ -486,8 +707,8 @@ def cluster_covariance(fit: FitResult, dm: DesignMatrices) -> np.ndarray:
     the moment sums S, and with S'S = R_S'R_S the sandwich is B'B for
     B = R_S H R_K^-T: no normal matrix is formed or inverted.
     """
-    summed, r_s, _ = _moments(fit, dm)
-    n, n_groups, k = dm.n, len(summed), dm.n_exogenous
+    _, n_groups, r_s, _ = _moments(fit, dm)
+    n, k = dm.n, dm.n_exogenous
     if n_groups < 2:
         raise EstimationError(
             f"need at least 2 clusters among weight-positive rows, found {n_groups}"
@@ -537,14 +758,14 @@ def j_test(fit: FitResult, dm: DesignMatrices) -> tuple[float, int, float]:
 
     # an exact fit satisfies every moment condition; the quadratic form is a
     # 0/0 limit there, and its value is zero, not roundoff noise
-    summed, r_s, resid_norm = _moments(fit, dm)
+    g, n_clusters, r_s, resid_norm = _moments(fit, dm)
     if resid_norm <= 1e-10 * np.linalg.norm(dm.r[:, -1]):  # the norm of the weighted y
         return 0.0, dof, 1.0
 
     k = dm.n_exogenous
-    what = f"moment covariance is singular ({len(summed)} clusters, {k} moment conditions)"
+    what = f"moment covariance is singular ({n_clusters} clusters, {k} moment conditions)"
     conditioning(_scaled_pivots(r_s, k), what, n=k)
-    v = np.linalg.solve(r_s.T, summed.sum(axis=0))
+    v = np.linalg.solve(r_s.T, g)
     j_stat = float(v @ v)
     return j_stat, dof, chi2_sf(j_stat, dof)
 
@@ -558,9 +779,8 @@ def first_stage_diagnostics(dm: DesignMatrices) -> FirstStageReport:
     r, p, k = dm.r, dm.n_controls, dm.n_exogenous
     rss_u = np.sum(r[k:, k:-1] ** 2, axis=0)
     rss_r = np.sum(r[p:, k:-1] ** 2, axis=0)
-    # unweighted, a constant c reads (c * s) / s, within 2 eps of c: constant to 4 eps
-    x = dm.augmented[:, k:-1] / np.sqrt(dm.weights)[:, None]
-    constant = np.ptp(x, axis=0) <= 4 * np.finfo(float).eps * np.abs(x).max(axis=0)
+    # the endogenous columns, unweighted
+    constant = np.ptp(dm.columns(np.eye(k + dm.k_endogenous + 1, dm.k_endogenous, -k)), axis=1) == 0
     df_denom = max(dm.n - k, 1)
 
     f_stats, flags = [], []
@@ -579,9 +799,14 @@ def first_stage_diagnostics(dm: DesignMatrices) -> FirstStageReport:
     )
 
 
-def estimate(ds: Dataset, spec: ModelSpec, cfg: EstimationConfig) -> FitResult:
-    """Full pass: design, 2SLS, cluster covariance, J test, first stages."""
-    dm = build_design(ds, spec, cfg)
+def estimate(
+    ds: Dataset, spec: ModelSpec, cfg: EstimationConfig, window: KernelWindow | None = None
+) -> FitResult:
+    """Full pass: design, 2SLS, cluster covariance, J test, first stages.
+
+    ``window`` is the :class:`KernelWindow` of ``ds`` under ``cfg``; built here when None.
+    """
+    dm = build_design(ds, spec, cfg, window)
     fit = weighted_2sls(dm)
     cov = cluster_covariance(fit, dm)
     j_stat, j_dof, j_pvalue = j_test(fit, dm)

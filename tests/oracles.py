@@ -10,22 +10,96 @@ import numpy as np
 from scipy import integrate
 
 from multirdd.cli import SERIES_MAX_POINTS
+from multirdd.data_model import _column, _levels
 from multirdd.estimator import DesignMatrices
 from multirdd.kernels import window
 
 
 def design_from_blocks(y, endogenous, instruments, controls, weights, **fields):
-    """A :class:`DesignMatrices` of unweighted blocks, weighted as ``build_design`` weights them."""
+    """A hand-built :class:`DesignMatrices` of unweighted blocks: no group basis."""
     columns = [controls, instruments, endogenous, np.asarray(y)[:, None]]
-    augmented = np.column_stack(columns).astype(float) * np.sqrt(weights)[:, None]
-    return DesignMatrices(augmented=np.asfortranarray(augmented), weights=weights, **fields)
+    return DesignMatrices(dense=np.column_stack(columns).astype(float), weights=weights, **fields)
+
+
+def design_columns(dm):
+    """[C | Z | X | y] of ``dm``, unweighted, written out: [B | D] M with B row by row.
+
+    Row i of the group basis B holds 1 and z_i in the two columns of its
+    group, and zeros elsewhere.
+    """
+    if dm.layout is None:
+        return np.asarray(dm.dense, dtype=float)
+    basis = np.zeros((dm.n, 2 * dm.n_groups))
+    for i, (g, zi) in enumerate(zip(dm.groups.tolist(), dm.z.tolist())):
+        basis[i, 2 * g], basis[i, 2 * g + 1] = 1.0, zi
+    return np.column_stack([basis, dm.dense]) @ dm.layout
 
 
 def design_blocks(dm):
-    """The unweighted y, endogenous, instruments and controls of ``dm``, to rounding."""
-    a = dm.augmented / np.sqrt(dm.weights)[:, None]
+    """The unweighted y, endogenous, instruments and controls of ``dm``."""
+    a = design_columns(dm)
     p, k = dm.n_controls, dm.n_exogenous
     return a[:, -1], a[:, k:-1], a[:, p:k], a[:, :p]
+
+
+def explicit_design(ds, spec, cfg):
+    """The cell-interacted design of ``ds`` written column by column: a hand-built design.
+
+    Per stratum s, on its own window rows and zero elsewhere, C_s = (1, W',
+    z, D*z, z*W', D*z*W') and Z_s = (D, D*W') for the dummies W of cells
+    1..q-1 and D = 1(z >= 0), and X_s, or X and each transform column times
+    X for the parametric model; then the extra controls and y.  Strata are
+    in label order; a homogeneous or parametric design is one stratum.
+    """
+    rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
+    z, d_ind = ds.z[rows], (ds.z[rows] >= 0).astype(float)
+    dummies = (ds.cells[rows][:, None] == np.arange(1, ds.q)).astype(float)
+    x_names = [f"x{j + 1}" for j in range(ds.d)]
+    x = ds.x[rows]
+    if spec.kind == "parametric":
+        for name in spec.wtilde_columns:
+            x = np.column_stack([x, ds.x[rows] * ds.aux[name][rows][:, None]])
+            x_names += [f"{name}:x{j + 1}" for j in range(ds.d)]
+    strata = [("", np.ones(len(rows)))]
+    if spec.kind == "conditional":
+        codes, labels = _levels(_column(ds.aux, spec.r_column, "conditioning"))
+        strata = [
+            (f"{spec.r_column}={labels[c]}", (codes[rows] == c).astype(float))
+            for c in sorted(range(len(labels)), key=labels.__getitem__)
+        ]
+    blocks = {"controls": [], "instruments": [], "endogenous": []}
+    names = {key: [] for key in blocks}
+    cells = ds.cell_labels[1:]
+    for tag, own in strata:
+        pre, post = (f"{tag}|", f"|{tag}") if tag else ("", "")
+        one, zs = own[:, None], (z * own)[:, None]
+        blocks["controls"] += [
+            one, dummies * one, zs, d_ind[:, None] * zs, dummies * zs, d_ind[:, None] * dummies * zs
+        ]
+        blocks["instruments"] += [d_ind[:, None] * one, d_ind[:, None] * dummies * one]
+        blocks["endogenous"].append(x * one)
+        names["controls"] += [f"{pre}const", *(f"{pre}w:{c}" for c in cells)]
+        names["controls"] += [f"{pre}z", f"{pre}d:z"]
+        names["controls"] += [f"{pre}z:w:{c}" for c in cells] + [f"{pre}d:z:w:{c}" for c in cells]
+        names["instruments"] += [f"{pre}d", *(f"{pre}d:w:{c}" for c in cells)]
+        names["endogenous"] += [f"{name}{post}" for name in x_names]
+    for name in ds.extra_control_names:
+        blocks["controls"].append(ds.aux[name][rows][:, None])
+        names["controls"].append(name)
+    cluster = ds.cluster
+    if cfg.cluster_by == "running":
+        cluster = ds.z
+    elif cfg.cluster_by is not None:
+        cluster = ds.aux[cfg.cluster_by]
+    return design_from_blocks(
+        ds.y[rows],
+        *(np.column_stack(blocks[key]) for key in ("endogenous", "instruments", "controls")),
+        w,
+        endogenous_labels=tuple(names["endogenous"]),
+        instrument_labels=tuple(names["instruments"]),
+        control_labels=tuple(names["controls"]),
+        cluster=None if cluster is None else cluster[rows],
+    )
 
 
 def side_hc0_oracle(values, z, w):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from multirdd.cli import _quantile_edges, _series_bins, main
-from multirdd.data_model import EstimationConfig, TableSchema, load_table
+from multirdd.data_model import EstimationConfig, TableSchema, kernel_window, load_table
 from multirdd.kernels import KernelKind
 from oracles import series_oracle
 from synthetic import piecewise_linear_dataset
@@ -718,6 +718,19 @@ def test_diagnose_evaluates_the_kernel_once(capsys, monkeypatch, tmp_path):
         assert run_cli(capsys, ["diagnose", *ESTIMATE_ARGS[1:], *extra, "--out", str(out)])[0] == 0
         assert len(calls) == 1, extra  # the series bins reuse cell_table's window
     assert series.stat().st_size > 0
+    # an estimate's cell_table and its fit read the one window too
+    calls.clear()
+    assert run_cli(capsys, [*ESTIMATE_ARGS, "--out", str(out)])[0] == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_cutoff_is_one_input_error_line(capsys, value):
+    args = list(ESTIMATE_ARGS)
+    args[args.index("--cutoff") + 1] = value
+    code, out, err = run_cli(capsys, args)
+    assert code == 1 and out == ""
+    assert err == f"error: cutoff must be a finite number, got {float(value)}\n", err
 
 
 # each case: the fields of the bundled spec replaced (None removes one), and what the error says
@@ -787,7 +800,7 @@ def test_series_bins_match_the_per_bin_oracle(tmp_path, folds, bandwidth, kernel
     cfg = EstimationConfig(bandwidth=bandwidth, kernel=KernelKind.from_name(kernel))
     got = [
         (label, side, zb, nb, mb)
-        for label, side, z, count, means in _series_bins(ds, cfg)
+        for label, side, z, count, means in _series_bins(kernel_window(ds, cfg))
         for zb, nb, mb in zip(z.tolist(), count.tolist(), means.tolist())
     ]
     want = series_oracle(ds, cfg)

@@ -121,7 +121,7 @@ def test_stages_take_the_fit_and_its_design_only():
         estimator.cluster_covariance: ["fit", "dm"],
         estimator.j_test: ["fit", "dm"],
         estimator.first_stage_diagnostics: ["dm"],
-        estimator.estimate: ["ds", "spec", "cfg"],
+        estimator.estimate: ["ds", "spec", "cfg", "window"],
         discontinuities.relevance: ["ct"],
     }
     for stage, names in stages.items():
@@ -316,7 +316,7 @@ def window_calls(source: str) -> list:
 
 
 def test_only_the_window_groups_and_the_design_evaluate_the_kernel_window():
-    # the window's (cell, side) groups have one owner; build_design's fit keeps its own call
+    # one function weighs the window, and cell_table, build_design and the series read its value
     caught = "rows, w = window(k, h, z)\ndef f():\n    def g():\n"
     caught += "        return kernels.window(k, h, z)\nclass C:\n    r = window(k, h, z)\n"
     assert window_calls(caught) == [None, "f", "C"]
@@ -326,7 +326,7 @@ def test_only_the_window_groups_and_the_design_evaluate_the_kernel_window():
         for path in sorted((SRC / "multirdd").glob("*.py"))
         for top in window_calls(path.read_text(encoding="utf-8"))
     ]
-    assert found == ["data_model._window_groups", "estimator.build_design"]
+    assert found == ["data_model.kernel_window"]
 
 
 def column_checks(source: str) -> list:

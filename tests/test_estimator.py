@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from multirdd.data_model import Dataset, EstimationConfig, ModelSpec, TableSchema, load_table
+from multirdd.data_model import Dataset, EstimationConfig, ModelSpec, TableSchema, kernel_window
+from multirdd.data_model import load_table
+from multirdd.discontinuities import cell_table
 from multirdd.errors import (
     EstimationError,
     InputError,
@@ -30,6 +32,7 @@ from oracles import (
     cluster_sandwich_oracle,
     design_blocks,
     design_from_blocks,
+    explicit_design,
     j_oracle,
     partial_f_oracle,
     tsls_oracle,
@@ -94,15 +97,22 @@ def test_design_column_counts_homogeneous():
     dm = build_design(ds, ModelSpec(), CFG)  # d=2, m=1
     assert dm.n_controls == 6
     assert dm.n_instruments == 2
-    assert dm.augmented.shape == (dm.n, 6 + 2 + 2 + 1)  # [C | Z | X | y]
+    # [C | Z | X | y] = [B | D] M: 2 cells x 2 sides, each (1, z), and D = [X | y]
+    assert dm.n_groups == 4 and dm.dense.shape == (dm.n, 2 + 1)
+    assert dm.layout.shape == (2 * 4 + 3, 6 + 2 + 2 + 1)
 
 
 def test_design_columns_must_match_labels():
     ds = piecewise_linear_dataset(jumps_x=[(1, 0), (0, 1)], jumps_y=[0.5, -0.3])
     dm = build_design(ds, ModelSpec(), CFG)
-    for augmented in (dm.augmented[:, 1:], dm.augmented[:-1], dm.augmented[:, 0]):
+    for dense in (dm.dense[:, 1:], dm.dense[:-1], dm.dense[:, 0]):
         with pytest.raises(InputError, match="one column per label and y"):
-            replace(dm, augmented=augmented)
+            replace(dm, dense=dense)
+    with pytest.raises(InputError, match="sorted"):
+        replace(dm, groups=dm.groups[::-1])
+    # a window is the one of its dataset, kernel and bandwidth
+    with pytest.raises(InputError, match="another dataset, kernel or bandwidth"):
+        build_design(ds, ModelSpec(), CFG, kernel_window(ds, EstimationConfig(bandwidth=2.0)))
 
 
 def test_design_parametric_counts_and_constraint():
@@ -201,20 +211,25 @@ def near_copy_of_a_control(noise):
 
 
 def test_a_near_copy_of_a_control_is_factored_from_its_rows():
-    # ctl2's scaled pivot is about 1e-6: from A'A, R would lose about 1e-3 of
-    # eta, so R is the Householder qr of the rows, as if A'A were never formed
+    # ctl2's scaled pivot is about 1e-4, below the floor: from A'A, R would lose
+    # about 4e-8 of eta, so R comes from the rows, as if A'A were never formed.
+    # (At a pivot of 1e-6 no two float64 factors of the rows agree to 1e-10.)
+    ds = near_copy_of_a_control(1e-4)
     with recorded("cholesky", "qr") as calls:
-        dm = build_design(near_copy_of_a_control(1e-6), ModelSpec(), CFG)
+        dm = build_design(ds, ModelSpec(), CFG)
     fit = weighted_2sls(dm)
     fit = replace(fit, cov=cluster_covariance(fit, dm))
-    ref = replace(dm)  # the same design, with nothing cached
-    ref.__dict__["r"] = np.linalg.qr(dm.augmented, mode="r")  # R of the rows' qr alone
+    ref = explicit_design(ds, ModelSpec(), CFG)  # the written design, with R of its rows' qr
+    ref.__dict__["r"] = np.linalg.qr(ref.dense * np.sqrt(ref.weights)[:, None], mode="r")
     want = weighted_2sls(ref)
     want = replace(want, cov=cluster_covariance(want, ref))
     for got, expected in ((fit.beta, want.beta), (fit.eta, want.eta), (fit.se, want.se)):
         assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max(), (got, expected)
-    c = dm.augmented.shape[1]
-    assert calls == [("cholesky", [(c, c)]), ("qr", [dm.augmented.shape])], calls
+    # A'A, then one qr of the dense block with each group's (1, z) partialled
+    # out, n x (e + d + 1), and one of the small R of [B | D] times M
+    c = ref.dense.shape[1]
+    factors = [("cholesky", [(c, c)]), ("qr", [dm.dense.shape]), ("qr", [(c, c)])]
+    assert calls == factors and dm.dense.shape == (dm.n, 2 + 2 + 1), calls
 
 
 def test_a_near_copy_of_a_control_passes_the_j_gate():
@@ -265,6 +280,8 @@ def test_span_equivalence_with_two_sided_basis():
         mask = dm.weights > 0
         sw = np.sqrt(dm.weights[mask])
         exog = np.column_stack([instruments, controls])[mask] * sw[:, None]
+        # every row is inside the window, and the design holds them in (cell, side) order
+        ds = subset_dataset(ds, np.argsort(2 * ds.cells + (ds.z >= 0), kind="stable"))
         d_ind = (ds.z >= 0).astype(float)
         dummies = (ds.cells[:, None] == np.arange(1, ds.q)).astype(float)
         one_w = np.column_stack([np.ones(ds.n), dummies])
@@ -292,8 +309,9 @@ def test_fit_result_arrays_are_write_locked():
 
 def test_built_design_is_write_locked():
     _, dm = build_random(np.random.default_rng(32))
-    with pytest.raises(ValueError, match="read-only"):
-        dm.augmented[0, 0] = 1.0
+    for a in (dm.dense, dm.weights, dm.groups, dm.z, dm.layout):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 # --------------------------------------------------------------- weighted_2sls
@@ -353,7 +371,7 @@ def test_zero_weight_rows_rejected():
         with pytest.raises(EstimationError, match="weight-positive"):
             replace(dm, weights=weights)
     with pytest.raises(EstimationError, match="weight-positive"):
-        replace(dm, augmented=dm.augmented[:0], weights=dm.weights[:0])
+        replace(dm, dense=dm.dense[:0], weights=dm.weights[:0], groups=dm.groups[:0], z=dm.z[:0])
 
 
 def test_singular_first_stage_reports_rcond():
@@ -572,10 +590,6 @@ def test_first_stage_constant_column_flagged():
             instrument_labels=dm.instrument_labels,
             control_labels=dm.control_labels,
         )
-        if kernel == "triangular":
-            # weighting and unweighting the value moves it by an ulp in some rows
-            sw = np.sqrt(dm.weights)
-            assert (dm_const.augmented[:, dm.n_exogenous] / sw != value).any()
         report = first_stage_diagnostics(dm_const)
         assert report.f_stats[0] == 0.0
         assert report.flags[0] == "constant"
@@ -936,31 +950,45 @@ def test_estimate_solves_from_two_qr_calls_and_no_lstsq():
         assert "lstsq" not in [name for name, _ in calls]
 
 
-@pytest.mark.parametrize(
-    "covariates, spec, bound",
-    [
-        (("race", "educ"), ModelSpec(), 1.6),
-        (("race",), ModelSpec(kind="conditional", r_column="educ"), 1.6),
-    ],
-)
-def test_design_is_written_once(covariates, spec, bound):
+def fit_peak(ds, spec, cfg):
+    """The tracemalloc peak of ``build_design`` then ``estimate`` on one window, and the design."""
     import tracemalloc
 
-    schema = TableSchema(
-        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
-        covariates=covariates, cluster="age", extra_controls=("region",),
-    )
-    ds = load_table(SAMPLE_CSV, schema)
-    cfg = EstimationConfig(bandwidth=10.0, cluster_by="age")
-    build_design(ds, spec, cfg)  # imports and caches outside the measurement
+    win = kernel_window(ds, cfg)  # the kernel weighs the whole table, outside the measurement
+    estimate(ds, spec, cfg, win)  # imports and caches outside the measurement
     tracemalloc.start()
     try:
-        dm = build_design(ds, spec, cfg)
+        dm = build_design(ds, spec, cfg, win)
+        estimate(ds, spec, cfg, win)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the design itself and row-sized temporaries: R is read from A'A, which copies no rows
-    assert peak < bound * dm.augmented.nbytes, peak / dm.augmented.nbytes
+    return peak, dm
+
+
+@pytest.mark.parametrize("covariates, spec", SAMPLE_DESIGNS)
+def test_a_fit_holds_no_array_of_rows_by_design_columns(covariates, spec):
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=covariates, extra_controls=("region",),
+    )
+    ds = load_table(SAMPLE_CSV, schema)
+    peak, dm = fit_peak(ds, spec, EstimationConfig(bandwidth=10.0))
+    # two designs' dense blocks and row-sized vectors: 2.2-2.5 of the bound's
+    # unit; with the n x k design written, as before, the peak read 6.6-7.5
+    rows = dm.n * (dm.dense.shape[1] + 8) * 8
+    assert peak < 3.0 * rows, peak / rows
+
+
+def test_a_fit_does_not_grow_with_the_number_of_cells():
+    # equal cell shares at one n: q = 48 has 8 times q = 6's 24 exogenous columns
+    peaks = []
+    for q in (6, 48):
+        ds = random_dataset(np.random.default_rng(71), n=200_000, d=2, m=q - 1)
+        peak, dm = fit_peak(ds, ModelSpec(), EstimationConfig(bandwidth=0.5))
+        assert dm.n_exogenous == 4 * q and dm.n > 90_000
+        peaks.append(peak)
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 @settings(max_examples=25, deadline=None)
@@ -1052,13 +1080,12 @@ def test_blocked_r_matches_a_dense_qr():
         extra_control_names=("ctl",),
         aux={"ctl": rng.normal(size=n), "grp": np.array(["b", "a"] * (big.n // 2) + ["c"] * 10)},
     )
-    dm = build_design(ds, ModelSpec(kind="conditional", r_column="grp"), CFG)
-    # stratum c, last in label order, owns the last rows; its 8 exogenous
-    # columns with the shared control, x and y make 11
-    small = dm.column_rows[dm.control_labels.index("grp=c|const")]
-    columns = sum(rows == small for rows in dm.column_rows) + 3
-    assert (small.start, small.stop) == (dm.n - 10, dm.n) and columns == 11
-    dense = np.linalg.qr(dm.augmented, mode="r")
+    spec = ModelSpec(kind="conditional", r_column="grp")
+    dm, ref = build_design(ds, spec, CFG), explicit_design(ds, spec, CFG)
+    # stratum c has 10 rows; its 8 exogenous columns with the shared control,
+    # x and y make 11
+    assert np.count_nonzero(ref.dense[:, ref.control_labels.index("grp=c|const")]) == 10
+    dense = np.linalg.qr(ref.dense * np.sqrt(ref.weights)[:, None], mode="r")
     assert dm.r.shape == dense.shape
     # R is unique up to the signs of its rows
     assert np.abs(np.abs(dm.r) - np.abs(dense)).max() <= 1e-12 * np.abs(dense).max()
@@ -1093,16 +1120,100 @@ def test_conditional_cluster_sums_match_loop_oracles():
         extra_control_names=("ctl",),
         aux={"ctl": rng.normal(size=ds.n), "grp": rng.choice(["u", "v"], size=ds.n)},
     )
-    dm = build_design(ds, ModelSpec(kind="conditional", r_column="grp"), CFG)
-    # each stratum's columns are summed over its own rows, the shared control over all
-    first, shared, last = (dm.column_rows[j] for j in (0, dm.n_controls - 1, -1))
-    assert (first.start, first.stop, last.stop) == (0, last.start, dm.n)
-    assert shared == slice(None)
+    spec = ModelSpec(kind="conditional", r_column="grp")
+    dm, ref = build_design(ds, spec, CFG), explicit_design(ds, spec, CFG)
     fit = weighted_2sls(dm)
-    _, xhat, resid, zmat = tsls_oracle(*design_blocks(dm), dm.weights)
-    want = cluster_sandwich_oracle(xhat, resid, dm.cluster)
+    _, xhat, resid, zmat = tsls_oracle(*design_blocks(ref), ref.weights)
+    want = cluster_sandwich_oracle(xhat, resid, ref.cluster)
     cov = cluster_covariance(fit, dm)
     assert np.abs(cov - want).max() / np.abs(want).max() < 1e-8
     j_stat, dof, _ = j_test(fit, dm)
-    want_stat, _ = j_oracle(zmat, resid, dm.cluster, dof)
+    want_stat, _ = j_oracle(zmat, resid, ref.cluster, dof)
     assert dof == 2 and j_stat == pytest.approx(want_stat, rel=1e-8, abs=1e-10)
+
+
+# the sample's three model kinds, each fitted with and without the extra control
+ORACLE_MODELS = {
+    "homogeneous": (("race", "educ"), ModelSpec()),
+    "conditional": (("race",), ModelSpec(kind="conditional", r_column="educ")),
+    "parametric": (("race", "educ"), ModelSpec(kind="parametric", wtilde_columns=("region",))),
+}
+
+
+def rel_close(got, want, tol=1e-10):
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    return np.all(np.abs(got - want) <= tol * np.abs(want))
+
+
+@pytest.mark.parametrize("controls", [(), ("region",)])
+@pytest.mark.parametrize("cluster", [None, "age", "running"])
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_estimate_matches_the_written_design(model, cluster, controls):
+    covariates, spec = ORACLE_MODELS[model]
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=covariates, extra_controls=controls,
+    )
+    ds = load_table(SAMPLE_CSV, schema)
+    cfg = EstimationConfig(bandwidth=10.0, cluster_by=cluster)
+    fit = estimate(ds, spec, cfg)
+    ref = explicit_design(ds, spec, cfg)  # the n x k design, written out, on the same stages
+    want = weighted_2sls(ref)
+    cov = cluster_covariance(want, ref)
+    j_stat, j_dof, _ = j_test(want, ref)
+    f_stats = first_stage_diagnostics(ref).f_stats
+    assert (fit.beta_labels, fit.eta_labels) == (ref.endogenous_labels, ref.control_labels)
+    assert fit.j_dof == j_dof and fit.n_effective == ref.n
+    se = np.sqrt(np.diag(cov)[: len(want.beta)])
+    for got, expected in (
+        (fit.beta, want.beta), (fit.eta, want.eta), (fit.se, se), (fit.first_stage.f_stats, f_stats)
+    ):
+        assert rel_close(got, expected), (got, expected)
+    assert abs(fit.j_stat - j_stat) <= 1e-10 * abs(j_stat), (fit.j_stat, j_stat)
+    assert np.abs(fit.cov - cov).max() <= 1e-10 * np.abs(cov).max()
+
+
+def one_row_right_of_the_cutoff():
+    """Cells a, b and c on [-1, 1], 40 rows a side, but c has one row right of the cutoff."""
+    rng = np.random.default_rng(61)
+    z = np.concatenate([rng.uniform(-1, 0, 120), rng.uniform(0.01, 1, 80), [0.5]])
+    cells = np.concatenate([np.repeat([0, 1, 2], 40), np.repeat([0, 1], 40), [2]])
+    x = (rng.uniform(size=len(z)) < 0.3 + 0.4 * (z >= 0)).astype(float)
+    y = x + 0.5 * z + rng.normal(0, 0.3, size=len(z))
+    return Dataset(y=y, z=z, x=x[:, None], cells=cells, cell_labels=("a", "b", "c"))
+
+
+def test_a_one_row_side_is_named_before_the_fit():
+    ds = one_row_right_of_the_cutoff()
+    (dropped,) = cell_table(ds, CFG).dropped
+    assert dropped.label == "c" and "found 1" in dropped.reason
+    with pytest.raises(SingularDesignError) as err:
+        estimate(ds, ModelSpec(), CFG)
+    # the same words as cell_table's: the cell, its side, and what it lacks
+    assert dropped.reason == (
+        "cell 'c' unusable on the right side of the cutoff: needs at least 2 distinct "
+        "running-variable values with positive weight, found 1"
+    )
+    assert str(err.value).endswith(f"(rcond 0.000e+00 < 1.0e-10); {dropped.reason}"), err.value
+    assert "collinear" not in str(err.value)
+
+
+def test_a_one_row_side_of_a_stratum_names_the_stratum():
+    ds = one_row_right_of_the_cutoff()
+    # stratum u repeats every row and adds two of c's right of the cutoff
+    both = np.concatenate([np.arange(ds.n), np.arange(ds.n), [ds.n - 1] * 2])
+    z = ds.z[both].copy()
+    z[-2:] = (0.3, 0.7)
+    grp = np.array(["v"] * ds.n + ["u"] * (len(both) - ds.n))
+    ds = Dataset(
+        y=ds.y[both], z=z, x=ds.x[both], cells=ds.cells[both], cell_labels=ds.cell_labels,
+        aux={"grp": grp},
+    )
+    with pytest.raises(SingularDesignError) as err:
+        estimate(ds, ModelSpec(kind="conditional", r_column="grp"), CFG)
+    assert str(err.value).endswith(
+        "(rcond 0.000e+00 < 1.0e-10); rank deficient on its own: stratum grp=v; cell 'c' "
+        "unusable on the right side of the cutoff: needs at least 2 distinct running-variable "
+        "values with positive weight, found 1 (stratum grp=v)"
+    ), err.value
+    assert "grp=u" not in str(err.value)
