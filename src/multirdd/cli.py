@@ -171,8 +171,11 @@ def _require(cfg: dict, key: str) -> object:
 
 def _estimation_config(cfg: dict) -> EstimationConfig:
     # --cluster sets only cluster_by; build_design reads the column from Dataset.aux
-    kernel = cfg.get("kernel", KernelKind.UNIFORM)
-    return EstimationConfig(_require(cfg, "bandwidth"), kernel, cluster_by=cfg.get("cluster"))
+    bandwidth, kernel = _require(cfg, "bandwidth"), cfg.get("kernel", KernelKind.UNIFORM)
+    try:  # of these, the config checks the bandwidth only
+        return EstimationConfig(bandwidth, kernel, cluster_by=cfg.get("cluster"))
+    except InputError as err:
+        raise InputError(f"invalid --bandwidth: {err}") from None
 
 
 def _load(cfg: dict) -> tuple[Dataset, EstimationConfig, dict]:
@@ -274,14 +277,11 @@ def _series_bins(win: KernelWindow) -> list[tuple[str, str, np.ndarray, np.ndarr
     Bins with no rows are left out.  ``means`` holds one row per bin: the
     means of y and of each indicator, as bin sums over counts.
     """
-    ds, rows, groups = win.dataset, win.rows, win.groups
-    order = np.argsort(groups, kind="stable")  # keeps each group's rows ascending
-    bounds = np.searchsorted(groups[order], np.arange(2 * ds.q + 1))
+    ds, basis, bounds = win.dataset, win.basis, win.basis.bounds.tolist()
     out = []
-    for g in np.flatnonzero(np.diff(bounds)):
+    for g in basis.ids.tolist():  # each group's rows are contiguous, in ascending order
         label, side = ds.cell_labels[g // 2], SIDES[g % 2]
-        sel = rows[order[bounds[g] : bounds[g + 1]]]
-        z_vals = ds.z[sel]
+        sel, z_vals = win.rows[bounds[g] : bounds[g + 1]], basis.z[bounds[g] : bounds[g + 1]]
         centers, bins = np.unique(z_vals, return_inverse=True)
         if len(centers) > SERIES_MAX_POINTS:
             levels = np.linspace(0, 1, SERIES_MAX_POINTS + 1)

@@ -36,6 +36,7 @@ __all__ = [
     "TableSchema",
     "ModelSpec",
     "EstimationConfig",
+    "GroupBasis",
     "KernelWindow",
     "kernel_window",
     "CellEncoding",
@@ -308,19 +309,78 @@ class EstimationConfig:
             )
         if isinstance(self.kernel, str):
             object.__setattr__(self, "kernel", KernelKind.from_name(self.kernel))
-        if not self.bandwidth > 0:
-            raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < math.inf:
+            raise InputError(f"bandwidth must be a positive finite number, got {self.bandwidth}")
+
+
+class GroupBasis:
+    """Rows sorted by group, and every per-group sum over them: the one grouping of the rows.
+
+    ``groups`` holds each row's group in [0, ``n``), ascending, and ``z``
+    its running variable; row i of the basis B is e_g (x) (1, z_i) for its
+    group g.  Group g's rows are contiguous, ``bounds[g]:bounds[g + 1]``,
+    so :meth:`total` sums each group by pairwise summation, more accurately
+    than an unordered accumulation.  Its arrays are write-locked.
+    """
+
+    def __init__(self, groups: np.ndarray, z: np.ndarray, n: int):
+        self.groups, self.z, self.n = _locked(groups), _locked(z), n
+        g = self.groups
+        if not (
+            g.ndim == 1 and self.z.shape == g.shape and (g[1:] >= g[:-1]).all()
+            and (not len(g) or 0 <= g[0] and g[-1] < n)
+        ):
+            raise InputError(f"a group basis needs sorted groups in [0, {n}) and z per row")
+        self.bounds = np.searchsorted(g, np.arange(n + 1))
+        # the groups that have rows, and the first row of each
+        self.ids = np.flatnonzero(self.bounds[1:] > self.bounds[:-1])
+        self.starts = self.bounds[self.ids]
+        for a in (self.bounds, self.ids, self.starts):
+            a.setflags(write=False)
+
+    def total(self, v: np.ndarray, lo: int = 0) -> np.ndarray:
+        """Each group's sum over the last axis of ``v``, rows lo, lo + 1, ...; 0 without rows."""
+        if lo == 0 and v.shape[-1] == len(self.groups):  # every row: each group's own start
+            starts, ids = self.starts, self.ids
+        else:
+            a, b = np.searchsorted(self.starts, (lo + 1, lo + v.shape[-1]))
+            starts = np.concatenate([[0], self.starts[a:b] - lo])
+            ids = np.concatenate([self.groups[lo : lo + 1], self.ids[a:b]])
+        sums = np.add.reduceat(v, starts, axis=-1)
+        if len(ids) == self.n:  # every group has rows here
+            return sums
+        out = np.zeros(v.shape[:-1] + (self.n,))
+        out[..., ids] = sums
+        return out
+
+    @cached_property
+    def extent(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows per group, and whether each has two distinct z, as a local-linear fit needs."""
+        counts, usable = self.bounds[1:] - self.bounds[:-1], np.zeros(self.n, dtype=bool)
+        least, most = (f.reduceat(self.z, self.starts) for f in (np.minimum, np.maximum))
+        usable[self.ids] = least < most
+        for a in (counts, usable):
+            a.setflags(write=False)
+        return counts, usable
+
+    def moments(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each group's S0 = sum w and z-bar = sum w z / S0 (0 without weight), each row's
+        z - z-bar, and each group's Szz = sum w (z - z-bar)^2: its centred weighted moments."""
+        s0 = self.total(w)
+        zbar = np.divide(self.total(w * self.z), s0, out=np.zeros_like(s0), where=s0 > 0)
+        zc = self.z - zbar[self.groups]
+        return s0, zbar, zc, self.total(w * zc * zc)
 
 
 @dataclass(frozen=True, eq=False)
 class KernelWindow:
-    """The rows of ``dataset`` inside one kernel window, weighed once, and their groups.
+    """The rows of ``dataset`` inside one kernel window, weighed once, in group order.
 
-    ``rows`` are the weight-positive rows in ascending order and ``weights``
-    their kernel weights; ``groups`` gives each row's (cell, side) group,
-    2 * cell + (z >= 0), so side s of cell l is group 2 * l + s (``SIDES``).
-    :attr:`extent` holds each group's rows and least and greatest z, and
-    :attr:`usable` whether a group has two distinct z.  Built by
+    ``rows`` are the weight-positive rows and ``weights`` their kernel
+    weights.  A row's (cell, side) group is 2 * cell + (z >= 0), so side s
+    of cell l is group 2 * l + s (``SIDES``); the rows are sorted by group,
+    each group's ascending, and ``basis`` is their :class:`GroupBasis`, which
+    holds every per-(cell, side) count, sum and moment.  Built by
     :func:`kernel_window`; its arrays are write-locked.
     """
 
@@ -329,41 +389,26 @@ class KernelWindow:
     bandwidth: float
     rows: np.ndarray
     weights: np.ndarray
-    groups: np.ndarray
+    basis: GroupBasis
 
     def __post_init__(self):
-        _lock_fields(self, "rows", "weights", "groups")
-
-    @cached_property
-    def extent(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows per group, and each group's least and greatest z (inf and -inf when empty)."""
-        n_groups, z = 2 * self.dataset.q, self.dataset.z[self.rows]
-        counts = np.bincount(self.groups, minlength=n_groups)
-        lo, hi = np.full(n_groups, np.inf), np.full(n_groups, -np.inf)
-        np.minimum.at(lo, self.groups, z)
-        np.maximum.at(hi, self.groups, z)
-        for a in (counts, lo, hi):
-            a.setflags(write=False)
-        return counts, lo, hi
-
-    @property
-    def usable(self) -> np.ndarray:
-        """Per group: whether it has two distinct z, as a local-linear fit needs."""
-        _, lo, hi = self.extent
-        return lo < hi
+        _lock_fields(self, "rows", "weights")
 
 
 def kernel_window(ds: Dataset, cfg: EstimationConfig) -> KernelWindow:
-    """The one evaluation of ``cfg``'s kernel over ``ds``: its window rows, weights and groups.
+    """The one evaluation of ``cfg``'s kernel over ``ds``: its window rows, sorted by group once.
 
     ``cell_table``, ``build_design`` and the CLI's series bins all read
-    it, so a command that builds it once weighs every row once.
+    it, so a command that builds it once weighs and groups every row once.
     """
     rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
-    groups = (2 * ds.cells[rows] + (ds.z[rows] >= 0)).astype(np.min_scalar_type(2 * ds.q))
-    for a in (rows, w, groups):  # made here and locked, so the window keeps them without a copy
+    z = ds.z[rows]
+    groups = (2 * ds.cells[rows] + (z >= 0)).astype(np.min_scalar_type(2 * ds.q))
+    order = np.argsort(groups, kind="stable")  # keeps each group's rows ascending; a radix sort
+    rows, w, groups, z = rows[order], w[order], groups[order], z[order]
+    for a in (rows, w, groups, z):  # made here and locked, so the window keeps them without a copy
         a.setflags(write=False)
-    return KernelWindow(ds, cfg.kernel, cfg.bandwidth, rows, w, groups)
+    return KernelWindow(ds, cfg.kernel, cfg.bandwidth, rows, w, GroupBasis(groups, z, 2 * ds.q))
 
 
 def _window_of(ds: Dataset, cfg: EstimationConfig, win: KernelWindow | None) -> KernelWindow:

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_model import DEFAULT_RCOND_THRESHOLD, SIDES, Dataset, EstimationConfig, KernelWindow
-from .data_model import _lock_fields, _too_few, _window_of, conditioning
+from .data_model import DEFAULT_RCOND_THRESHOLD, SIDES, Dataset, EstimationConfig, GroupBasis
+from .data_model import KernelWindow, _lock_fields, _too_few, _window_of, conditioning
 from .errors import CellUnusableError, EstimationError, RelevanceError
 
 __all__ = [
@@ -39,26 +39,22 @@ DEFAULT_JUMP_TOL = 1e-6
 CELL_KEYS = ("label", "delta_x", "delta_y", "se_x", "se_y", "p_hat", "n_left", "n_right")
 
 
-def _group_fits(columns, z: np.ndarray, w: np.ndarray, groups: np.ndarray, n_groups: int):
-    """Weighted least squares of each of ``columns`` on (1, z) within every group.
+def _group_fits(columns, w: np.ndarray, basis: GroupBasis):
+    """Weighted least squares of each of ``columns`` on (1, z) within every group of ``basis``.
 
     Returns the intercepts at z = 0 and their HC0 variances, n_groups x
-    (number of columns) each.  Centred at the group's weighted mean z-bar, the
+    (number of columns) each, from the group sums of ``basis``.  Centred at
+    the group's weighted mean z-bar (:meth:`GroupBasis.moments`), the
     regressors (1, z - z-bar) are orthogonal under the weights, so the
     intercept is v-bar - slope * z-bar: the linear form of v with weights
     lever = w (1/S0 - z-bar (z - z-bar) / Szz), whose sandwich variance is
-    sum (lever * resid)^2.  A group without two distinct z gets NaN.
+    sum (lever * resid)^2.  A group's fit means nothing unless it has two
+    distinct z (:attr:`GroupBasis.extent`).
     """
-
-    def total(weights):
-        return np.bincount(groups, weights=weights, minlength=n_groups)
-
+    total, groups = basis.total, basis.groups
+    s0, zbar, zc, szz = basis.moments(w)
+    wzc = w * zc
     with np.errstate(divide="ignore", invalid="ignore"):
-        s0 = total(w)
-        zbar = total(w * z) / s0
-        zc = z - zbar[groups]
-        wzc = w * zc
-        szz = total(wzc * zc)
         lever = w / s0[groups] - zbar[groups] * wzc / szz[groups]
         fits = []
         for v in columns:
@@ -133,27 +129,25 @@ def cell_table(ds: Dataset, cfg: EstimationConfig, window: KernelWindow | None =
     """Estimate y and treatment jumps within every covariate cell.
 
     Each side of each cell is a weighted least squares fit on (1, z), all
-    from group sums (:func:`_group_fits`) over the rows of ``window``, the
-    :class:`KernelWindow` of ``ds`` under ``cfg`` (built here when None).
-    A naive SE sums the two sides' heteroskedasticity-robust intercept
-    variances: a screening diagnostic, as inference belongs to the
-    estimator module.  Cell probabilities are kernel-weighted shares of
-    total weight among usable cells; cells without two distinct z on each
-    side are dropped and reported with the weight share they carried and
-    their window rows per side.
+    from the group sums of the rows of ``window`` (:func:`_group_fits`),
+    the :class:`KernelWindow` of ``ds`` under ``cfg`` (built here when
+    None); its :class:`GroupBasis` also gives each side's rows and whether
+    it has two distinct z.  A naive SE sums the two sides'
+    heteroskedasticity-robust intercept variances: a screening diagnostic,
+    as inference belongs to the estimator module.  Cell probabilities are
+    kernel-weighted shares of total weight among usable cells; cells
+    without two distinct z on each side are dropped and reported with the
+    weight share they carried and their window rows per side.
     """
     win = _window_of(ds, cfg, window)
-    rows, w, groups = win.rows, win.weights, win.groups
+    rows, w, basis = win.rows, win.weights, win.basis
     total_mass = float(w.sum())
     if total_mass <= 0:
         raise EstimationError(
             f"no observations carry positive kernel weight at bandwidth {cfg.bandwidth}"
         )
-    n_groups = 2 * ds.q
-    z = ds.z[rows]
-    spread = win.usable.reshape(ds.q, 2)
-    counts = win.extent[0].reshape(ds.q, 2)
-    mass = np.bincount(groups, weights=w, minlength=n_groups).reshape(ds.q, 2).sum(axis=1)
+    counts, spread = (a.reshape(ds.q, 2) for a in basis.extent)
+    mass = basis.total(w).reshape(ds.q, 2).sum(axis=1)
     usable = spread.all(axis=1)
     dropped = []
     for l in np.flatnonzero(~usable):
@@ -167,7 +161,7 @@ def cell_table(ds: Dataset, cfg: EstimationConfig, window: KernelWindow | None =
         )
 
     columns = (col[rows] for col in (ds.y, *ds.x.T))  # y, then every indicator, one at a time
-    fits, variances = _group_fits(columns, z, w, groups, n_groups)
+    fits, variances = _group_fits(columns, w, basis)
     fits = fits.reshape(ds.q, 2, -1)[usable]
     jumps = fits[:, 1] - fits[:, 0]
     se = np.sqrt(variances.reshape(ds.q, 2, -1)[usable].sum(axis=1))

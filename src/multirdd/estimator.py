@@ -18,18 +18,21 @@ Each fit passes over the rows inside the kernel window and writes no
 n x k array.  C and Z span exactly the per-(cell, side) local-linear
 basis, so every one of their columns is B T for the group basis B, row
 i = e_g (x) (1, z_i) for the row's group g, and a fixed 0/1 matrix T.
-:func:`build_design` keeps, for the window rows sorted by group, each
-row's group and z, a small dense block D = [extra controls | X | y] (X
-per stratum in the conditional design), and the 0/1 matrix M that writes
-A = [C | Z | X | y] = [B | D] M; :class:`DesignMatrices` holds them.  The
-Gram matrix of the weighted A is M'[B'WB, B'WD; D'WB, D'WD]M, whose group
-blocks are per-group sums of w, wz, wz^2, w*v and wz*v, and D'WD is one
-small product.  R, without Q, is taken of it once by :func:`_r_of`: a
-Cholesky of A'A, or, where a scaled pivot is too small for the normal
-equations, the R of [B | D] from per-group closed forms and one
-Householder QR of D with each group's (1, z) fit partialled out, then a
-QR of that small R times M.  A (cell, side) group without two distinct
-z makes two columns exactly dependent; it is named before anything is
+The rows are in group order, and B is their :class:`data_model.GroupBasis`,
+which owns every per-group sum and moment: the kernel window's own, or,
+in the conditional design, that of the window's rows stable-sorted by
+stratum.  :func:`build_design` keeps it, a small dense block
+D = [extra controls | X | y] (X per stratum in the conditional design),
+and the 0/1 matrix M that writes A = [C | Z | X | y] = [B | D] M;
+:class:`DesignMatrices` holds them.  The Gram matrix of the weighted A is
+M'[B'WB, B'WD; D'WB, D'WD]M, whose group blocks are the basis's group
+sums of w, wz, wz^2, w*v and wz*v, and D'WD is one small product.  R,
+without Q, is taken of it once by :func:`_r_of`: a Cholesky of A'A, or,
+where a scaled pivot is too small for the normal equations, the R of
+[B | D] from per-group closed forms and one Householder QR of D with
+each group's (1, z) fit partialled out, then a QR of that small R times
+M.  A (cell, side) group without two distinct z makes two columns
+exactly dependent; the basis's extent names it before anything is
 factored.  Every stage reads that one R, gated on its first read by
 R_EE's diagonal over R's column norms.  The second stage, y on
 [X_hat | C], is least squares on K = [R_EX | R_EC], the regressors in the
@@ -53,8 +56,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .data_model import SIDES, Dataset, EstimationConfig, KernelWindow, ModelSpec, conditioning
-from .data_model import _column, _levels, _lock_fields, _too_few, _window_of
+from .data_model import SIDES, Dataset, EstimationConfig, GroupBasis, KernelWindow, ModelSpec
+from .data_model import _column, _levels, _lock_fields, _too_few, _window_of, conditioning
 from .errors import CellUnusableError, EstimationError, InputError, SingularDesignError
 from .errors import UnderIdentifiedError
 
@@ -110,35 +113,6 @@ def _cholesky_r(g: np.ndarray) -> np.ndarray | None:
     if not (np.diagonal(low) >= GRAM_PIVOT_FLOOR).all():  # NaN included
         return None
     return low.T * norms
-
-
-class _Basis:
-    """The group basis B of rows sorted by group: row i is e_g (x) (1, z_i) for its group g.
-
-    :meth:`total` sums rows within each group by pairwise summation over
-    the group's contiguous rows, and is 0 for a group without rows.
-    """
-
-    def __init__(self, groups: np.ndarray, z: np.ndarray, n_groups: int):
-        self.groups, self.z, self.n = groups, z, n_groups
-        # the first row of each group that has rows, and that group
-        self.starts = np.flatnonzero(np.concatenate([[True], groups[1:] != groups[:-1]]))
-        self.ids = groups[self.starts]
-
-    def total(self, v: np.ndarray, lo: int = 0) -> np.ndarray:
-        """Each group's sum over the last axis of ``v``, which holds rows lo, lo + 1, ..."""
-        if lo == 0 and v.shape[-1] == len(self.groups):  # every row: each group's own start
-            starts, ids = self.starts, self.ids
-        else:
-            a, b = np.searchsorted(self.starts, (lo + 1, lo + v.shape[-1]))
-            starts = np.concatenate([[0], self.starts[a:b] - lo])
-            ids = np.concatenate([self.groups[lo : lo + 1], self.ids[a:b]])
-        sums = np.add.reduceat(v, starts, axis=-1)
-        if len(ids) == self.n:  # every group has rows here
-            return sums
-        out = np.zeros(v.shape[:-1] + (self.n,))
-        out[..., ids] = sums
-        return out
 
 
 def _group_gram(omega, cols, basis) -> np.ndarray:
@@ -197,11 +171,9 @@ def _partialled_r(omega, cols, basis) -> np.ndarray:
             return root, np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
 
         total, groups, sw = basis.total, basis.groups, np.sqrt(omega)
-        s0 = total(omega)
-        zbar = np.divide(total(omega * basis.z), s0, out=np.zeros_like(s0), where=s0 > 0)
-        zc = basis.z - zbar[groups]
+        s0, zbar, zc, szz = basis.moments(omega)
         root0, inv0 = unit(s0)
-        root1, inv1 = unit(total(omega * zc * zc))
+        root1, inv1 = unit(szz)
         b = np.arange(0, m, 2)
         r[b, b], r[b, b + 1], r[b + 1, b + 1] = root0, root0 * zbar, root1
         units = (sw * inv0[groups], sw * zc * inv1[groups])
@@ -238,15 +210,14 @@ class DesignMatrices:
     """The weighted design of weight-positive rows, as structure; their clusters; its one R.
 
     The design A = [C | Z | X | y] is [B | D] M, never written: ``dense``
-    is D, n x c and unweighted; row i of the group basis B is
-    e_g (x) (1, z_i) for ``groups[i]`` = g and ``z[i]``, which fill rows 2g
-    and 2g + 1 of ``layout``, M, (2G + c) x (number of labels + 1); the
-    rows are sorted by group.  The label tuples split A's columns.  A
-    hand-built design leaves ``groups``, ``z`` and ``layout`` None: no
-    basis, and ``dense`` is A itself, unweighted.  :func:`build_design`
-    passes only the rows inside the kernel window; a design with no rows,
-    or with a weight that is not > 0, is rejected.  Every array is
-    write-locked.
+    is D, n x c and unweighted; the rows are in the group order of
+    ``basis``, the :class:`GroupBasis` B, whose row i, e_g (x) (1, z_i),
+    fills rows 2g and 2g + 1 of ``layout``, M, (2G + c) x (number of
+    labels + 1).  The label tuples split A's columns.  A hand-built design
+    leaves ``basis`` and ``layout`` None: no B, and ``dense`` is A itself,
+    unweighted.  :func:`build_design` passes only the rows inside the
+    kernel window; a design with no rows, or with a weight that is not
+    > 0, is rejected.  Every array is write-locked.
     """
 
     dense: np.ndarray
@@ -255,19 +226,20 @@ class DesignMatrices:
     instrument_labels: tuple[str, ...]
     control_labels: tuple[str, ...]
     cluster: np.ndarray | None = None
-    groups: np.ndarray | None = None
-    z: np.ndarray | None = None
+    basis: GroupBasis | None = None
     layout: np.ndarray | None = None
 
     def __post_init__(self):
-        _lock_fields(self, "dense", "weights", "cluster", "groups", "z", "layout")
+        _lock_fields(self, "dense", "weights", "cluster", "layout")
         n, width = len(self.weights), self.n_exogenous + self.k_endogenous + 1
         c = self.dense.shape[1] if self.dense.ndim == 2 else -1
         layout = (c, width) if self.layout is None else np.shape(self.layout)
-        if self.dense.shape != (n, c) or layout[1] != width or (layout[0] - c) % 2 or layout[0] < c:
+        rows = n if self.basis is None else len(self.basis.z)
+        if self.dense.shape != (n, c) or rows != n or layout != (2 * self.n_groups + c, width):
             raise InputError(
-                f"dense block of shape {self.dense.shape} and layout of shape {layout} for "
-                f"{n} weights: one row per weight, one column per label and y"
+                f"dense block of shape {self.dense.shape}, layout of shape {layout} and {rows} "
+                f"basis rows for {n} weights and {self.n_groups} groups: one row per weight, "
+                "two layout rows per group, one column per label and y"
             )
         if not self.n:
             raise EstimationError("no weight-positive rows; widen the bandwidth")
@@ -277,12 +249,6 @@ class DesignMatrices:
             raise EstimationError(f"row {i} has weight {self.weights[i]}, not weight-positive")
         if self.cluster is not None and len(self.cluster) != self.n:
             raise InputError(f"cluster ids have length {len(self.cluster)}, expected {self.n}")
-        if self.layout is not None and not (
-            np.shape(self.groups) == np.shape(self.z) == (n,)
-            and 0 <= self.groups[0] and self.groups[-1] < self.n_groups
-            and (self.groups[1:] >= self.groups[:-1]).all()
-        ):
-            raise InputError(f"a layout needs sorted groups in [0, {self.n_groups}) and z per row")
 
     @property
     def n(self) -> int:
@@ -306,12 +272,7 @@ class DesignMatrices:
 
     @property
     def n_groups(self) -> int:
-        return 0 if self.layout is None else (len(self.layout) - self.dense.shape[1]) // 2
-
-    @cached_property
-    def basis(self) -> _Basis | None:
-        """The group basis B of the rows; None for a hand-built design."""
-        return None if self.layout is None else _Basis(self.groups, self.z, self.n_groups)
+        return 0 if self.basis is None else self.basis.n
 
     def columns(self, coef: np.ndarray) -> np.ndarray:
         """A coef, unweighted, without writing A: ``coef`` has one row per column of A.
@@ -322,8 +283,8 @@ class DesignMatrices:
         m = 2 * self.n_groups
         out = mixed[m:].T @ self.dense.T
         if mixed[:m].any():  # each row's group's constant and slope
-            a0, a1 = (np.take(mixed[j:m:2].T, self.groups, axis=-1) for j in (0, 1))
-            out += a0 + a1 * self.z
+            a0, a1 = (np.take(mixed[j:m:2].T, self.basis.groups, axis=-1) for j in (0, 1))
+            out += a0 + a1 * self.basis.z
         return out
 
     @cached_property
@@ -404,15 +365,13 @@ def _unusable(ds, tags, basis) -> list[str]:
 
     Such a group's constant and z columns are exactly dependent, so the
     design is rank deficient before anything is factored.  Each group's
-    rows are contiguous in ``basis``, so its count and spread are read there.
+    count and spread are the ``extent`` of ``basis``.
     """
-    wide = np.minimum.reduceat(basis.z, basis.starts) < np.maximum.reduceat(basis.z, basis.starts)
-    if len(basis.ids) == basis.n and wide.all():
+    counts, usable = basis.extent
+    if usable.all():
         return []
-    counts, spread = np.zeros(basis.n, dtype=int), np.zeros(basis.n, dtype=bool)
-    counts[basis.ids], spread[basis.ids] = np.diff(basis.starts, append=len(basis.z)), wide
     q2, notes, strata = 2 * ds.q, [], {}
-    for g in np.flatnonzero(~spread).tolist():
+    for g in np.flatnonzero(~usable).tolist():
         label, side = ds.cell_labels[g % q2 // 2], SIDES[g % 2]
         if counts[g]:
             note = str(CellUnusableError(label, side, _too_few(int(counts[g]))))
@@ -450,30 +409,31 @@ def build_design(
     the dense block holds the extra controls from their ``aux`` columns,
     the endogenous columns (each stratum's on its own rows, zero elsewhere)
     and y.  A homogeneous or parametric design is the one stratum of every
-    row; the conditional design's groups are (stratum, cell, side).  The
-    dummies and the strata keep the levels of the full sample.  The
-    conditioning column, the transform columns and ``cfg.cluster_by`` are
-    looked up by :func:`data_model._column`, which checks every row of the
-    table, inside the window or not, so a missing value is an input error
-    naming the role, the column and the data row.  Raises when the
-    endogenous block outruns the instruments, and when the weighted
-    exogenous block is rank deficient: before any factor, naming each cell
-    and side (and stratum) without two distinct z inside the bandwidth;
-    else, on R's scaled pivots, as collinear columns.
+    row, and its rows and :class:`GroupBasis` are the window's own; the
+    conditional design's groups are (stratum, cell, side), the window's
+    rows stable-sorted by stratum.  The dummies and the strata keep the
+    levels of the full sample.  The conditioning column, the transform
+    columns and ``cfg.cluster_by`` are looked up by
+    :func:`data_model._column`, which checks every row of the table, inside
+    the window or not, so a missing value is an input error naming the
+    role, the column and the data row.  Raises when the endogenous block
+    outruns the instruments, and when the weighted exogenous block is rank
+    deficient: before any factor, naming each cell and side (and stratum)
+    without two distinct z inside the bandwidth (the basis's extent); else,
+    on R's scaled pivots, as collinear columns.
     """
     win = _window_of(ds, cfg, window)
-    rows, w, groups = win.rows, win.weights, win.groups
-    z, q2 = ds.z[rows], 2 * ds.q
+    rows, w, basis, q2 = win.rows, win.weights, win.basis, 2 * ds.q
     tags, conditional = [""], spec.kind == "conditional"
-    if conditional:
+    if conditional:  # the window's (cell, side) order, stable-sorted by stratum
         tags, stratum = _strata(ds, spec, rows)
-        groups = (stratum * q2 + groups).astype(np.min_scalar_type(len(tags) * q2))
-    # the rows in group order, so that each group's sums run over contiguous rows;
-    # a radix sort on codes this small
-    order = np.argsort(groups, kind="stable")
-    rows, w, groups, z = rows[order], w[order], groups[order], z[order]
-    if conditional:
-        stratum = stratum[order]
+        groups = (stratum * q2 + basis.groups).astype(np.min_scalar_type(len(tags) * q2))
+        order = np.argsort(groups, kind="stable")  # a radix sort on codes this small
+        rows, w, stratum = rows[order], w[order], stratum[order]
+        groups, z = groups[order], basis.z[order]
+        for a in (groups, z):  # made here and locked, so the basis keeps them without a copy
+            a.setflags(write=False)
+        basis = GroupBasis(groups, z, len(tags) * q2)
 
     cluster = ds.cluster
     if cfg.cluster_by == "running":
@@ -529,7 +489,7 @@ def build_design(
     layout[n_basis : n_basis + e, p - e : p] = np.eye(e)
     layout[n_basis + e :, k:] = np.eye(len(cols) - e)
 
-    for a in (dense, w, z, groups, layout) + ((cluster,) if cluster is not None else ()):
+    for a in (dense, w, layout) + ((cluster,) if cluster is not None else ()):
         a.setflags(write=False)  # made here: the design keeps them without a copy
     dm = DesignMatrices(
         dense=dense,
@@ -538,11 +498,10 @@ def build_design(
         instrument_labels=tuple(instruments),
         control_labels=tuple(controls),
         cluster=cluster,
-        groups=groups,
-        z=z,
+        basis=basis,
         layout=layout,
     )
-    notes = _unusable(ds, tags, dm.basis)
+    notes = _unusable(ds, tags, basis)
     try:
         if notes:
             _exogenous_gate(np.zeros(k), k)
@@ -669,10 +628,10 @@ def _moments(fit, dm) -> tuple[np.ndarray, int, np.ndarray, float]:
     keep = np.concatenate([np.ones(m, dtype=bool), layout[m:, :k].any(axis=1)])
     cols, loads = dm.dense.T[keep[m:]], layout[keep, :k]  # [B | D_E] and M_E
 
-    codes = dm.cluster_codes
+    codes, basis = dm.cluster_codes, dm.basis
     if codes is None:
-        n_clusters, basis = dm.n, dm.basis
-        sums = basis.total(np.vstack([wu, wu * dm.z])).ravel(order="F") if basis else []
+        n_clusters = dm.n
+        sums = basis.total(np.vstack([wu, wu * basis.z])).ravel(order="F") if basis else []
         g = np.concatenate([sums, cols @ wu]) @ loads
         r_s = _r_of(wu * wu, cols, basis, None if basis is None else loads)
     else:  # S: each cluster's sums of the moment rows, by group and by dense column
@@ -681,8 +640,8 @@ def _moments(fit, dm) -> tuple[np.ndarray, int, np.ndarray, float]:
         for j, v in enumerate(cols):
             s[:, m + j] = np.bincount(codes, weights=wu * v, minlength=n_clusters)
         if n_groups:
-            key = codes * n_groups + dm.groups
-            for j, v in enumerate((wu, wu * dm.z)):
+            key = codes * n_groups + basis.groups
+            for j, v in enumerate((wu, wu * basis.z)):
                 s[:, j:m:2] = np.bincount(
                     key, weights=v, minlength=n_clusters * n_groups
                 ).reshape(n_clusters, n_groups)

@@ -55,7 +55,8 @@ def weights_vector(kind: KernelKind, h: float, z: np.ndarray) -> np.ndarray:
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     z = np.asarray(z, dtype=float)
-    return np.asarray(evaluate(kind, z / h), dtype=float)
+    with np.errstate(over="ignore"):  # an infinite |z / h| is outside the support: weight 0
+        return np.asarray(evaluate(kind, z / h), dtype=float)
 
 
 def window(kind: KernelKind, h: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ def design_columns(dm):
     if dm.layout is None:
         return np.asarray(dm.dense, dtype=float)
     basis = np.zeros((dm.n, 2 * dm.n_groups))
-    for i, (g, zi) in enumerate(zip(dm.groups.tolist(), dm.z.tolist())):
+    for i, (g, zi) in enumerate(zip(dm.basis.groups.tolist(), dm.basis.z.tolist())):
         basis[i, 2 * g], basis[i, 2 * g + 1] = 1.0, zi
     return np.column_stack([basis, dm.dense]) @ dm.layout
 

@@ -370,6 +370,13 @@ def estimate_config() -> dict:
         ("diagnose", "series", ["x"], False),
         ("simulate", "n", 800.7, False),
         ("simulate", "reps", 2.9, False),
+        # a bandwidth must be a positive finite number: an infinite one weighs every row alike
+        ("estimate", "bandwidth", "inf", True),
+        ("estimate", "bandwidth", "inf", False),
+        ("diagnose", "bandwidth", float("inf"), False),
+        ("simulate", "bandwidth", "inf", True),
+        ("estimate", "bandwidth", "0", True),
+        ("estimate", "bandwidth", -1.0, False),
     ],
 )
 def test_bad_option_value_is_an_input_error(capsys, tmp_path, subcommand, key, value, as_flag):

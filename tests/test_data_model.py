@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -17,6 +18,7 @@ from multirdd.data_model import (
     TableSchema,
     encode_cells,
     encode_treatment,
+    kernel_window,
     load_table,
     validate_dataset,
 )
@@ -491,8 +493,57 @@ def test_model_spec_validation():
 def test_estimation_config_validation():
     with pytest.raises(InputError, match="bandwidth"):
         EstimationConfig(bandwidth=-1.0)
+    # an infinite bandwidth would weigh every row alike: a global fit, not a local one
+    for h in (math.inf, -math.inf, math.nan, 0.0):
+        with pytest.raises(InputError, match=f"positive finite number, got {h}"):
+            EstimationConfig(bandwidth=h)
     cfg = EstimationConfig(bandwidth=1.0, kernel="triangular")
     assert cfg.kernel.value == "triangular"
+
+
+# few z values, several outside the window (|z| > 1) and one at the cutoff, so sides tie,
+# go empty or hold one row
+WINDOW_Z = st.sampled_from([-1.5, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda q: st.tuples(
+            st.just(q),
+            st.lists(st.tuples(st.integers(0, q - 1), WINDOW_Z, st.floats(-1e3, 1e3)), max_size=40),
+        )
+    ),
+    st.integers(1, 9),
+)
+def test_the_window_rows_are_grouped_once(table, block):
+    q, rows = table
+    cells, z, v = (np.array([r[j] for r in rows], dtype=float) for j in range(3))
+    ds = Dataset(
+        y=v, z=z, x=np.zeros((len(rows), 1)), cells=cells.astype(int),
+        cell_labels=tuple(f"c{l}" for l in range(q)),
+    )
+    win = kernel_window(ds, EstimationConfig(bandwidth=1.0))
+    basis = win.basis
+    # the weight-positive rows, sorted by (cell, side) group, each group's rows ascending
+    group = [2 * int(cells[i]) + (z[i] >= 0) for i in win.rows.tolist()]
+    assert sorted(win.rows.tolist()) == [i for i in range(len(rows)) if abs(z[i]) <= 1.0]
+    assert list(zip(group, win.rows.tolist())) == sorted(zip(group, win.rows.tolist()))
+    assert basis.groups.tolist() == group and basis.z.tolist() == z[win.rows].tolist()
+    # each group's rows and whether it has two distinct z, counted row by row
+    counts, usable = basis.extent
+    for g in range(2 * q):
+        mine = [z[i] for i, h in zip(win.rows.tolist(), group) if h == g]
+        assert counts[g] == len(mine) and usable[g] == (len(set(mine)) > 1)
+    # each group's sum over a block of rows lo, lo + 1, ..., from any row on, mid-group too
+    vals = v[win.rows]
+    for lo in range(len(vals)):
+        part = vals[lo : lo + block]
+        got = basis.total(part, lo)
+        for g in range(2 * q):
+            mine = [x for x, h in zip(part.tolist(), group[lo : lo + block]) if h == g]
+            bound = 4 * len(mine) * np.finfo(float).eps * math.fsum(map(abs, mine))
+            assert abs(got[g] - math.fsum(mine)) <= bound, (lo, g)
 
 
 def test_estimation_config_does_not_own_the_cutoff():

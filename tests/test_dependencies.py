@@ -360,6 +360,36 @@ def test_only_data_model_looks_up_and_checks_a_named_column():
     assert not any(found.values()), found
 
 
+def calls_named(source: str, names: tuple) -> list:
+    """The line of each call in ``source`` to a function or method named in ``names``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_data_model_groups_the_window_rows():
+    # data_model.GroupBasis sorts the window rows by (cell, side) group once and sums every
+    # group one way; cell_table, the fit and the series bins read it and group nothing again
+    caught = "np.add.reduceat(v, s)\nnp.minimum.at(lo, g, z)\nbincount(g)\nx.argsort()\n"
+    assert calls_named(caught, ("reduceat", "at")) == [1, 2]
+    assert calls_named(caught, ("bincount",)) == [3] and calls_named(caught, ("argsort",)) == [4]
+    assert calls_named("np.at\nreduceat = 1\nf(at=2)\nat_least(3)\n", ("reduceat", "at")) == []
+    source = {path.stem: path.read_text(encoding="utf-8") for path in (SRC / "multirdd").glob("*.py")}
+    found = {
+        f"{stem}: reduceat or at": calls_named(text, ("reduceat", "at"))
+        for stem, text in source.items()
+        if stem != "data_model"
+    }
+    found["discontinuities: bincount"] = calls_named(source["discontinuities"], ("bincount",))
+    found["cli: argsort"] = calls_named(source["cli"], ("argsort",))
+    assert not any(found.values()), found
+
+
 def typed_arguments(source: str) -> list:
     """The line of each ``add_argument`` call in ``source`` passing ``type=`` or ``choices=``."""
     return sorted(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multirdd.data_model import Dataset, EstimationConfig, TableSchema, load_table
+from multirdd.data_model import Dataset, EstimationConfig, GroupBasis, TableSchema, load_table
 from multirdd.discontinuities import (
     CellTable,
     _group_fits,
@@ -82,10 +82,10 @@ def test_cell_jump_weight_scale_invariant():
     values = rng.normal(size=30)
     w = weights_vector(KernelKind.TRIANGULAR, 1.0, z)
     keep = w > 0
-    sides = (z[keep] >= 0).astype(int)
+    sides = GroupBasis((z[keep] >= 0).astype(int), z[keep], 2)  # z is sorted, so its sides are
 
     def jump(weights):
-        fits, variances = _group_fits([values[keep]], z[keep], weights, sides, 2)
+        fits, variances = _group_fits([values[keep]], weights, sides)
         return fits[1, 0] - fits[0, 0], np.sqrt(variances[:, 0].sum())
 
     delta_a, se_a = jump(w[keep])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from multirdd.data_model import Dataset, EstimationConfig, ModelSpec, TableSchema, kernel_window
+from multirdd.data_model import Dataset, EstimationConfig, GroupBasis, ModelSpec, TableSchema
+from multirdd.data_model import kernel_window
 from multirdd.data_model import load_table
 from multirdd.discontinuities import cell_table
 from multirdd.errors import (
@@ -108,8 +109,13 @@ def test_design_columns_must_match_labels():
     for dense in (dm.dense[:, 1:], dm.dense[:-1], dm.dense[:, 0]):
         with pytest.raises(InputError, match="one column per label and y"):
             replace(dm, dense=dense)
+    groups, z = dm.basis.groups, dm.basis.z
     with pytest.raises(InputError, match="sorted"):
-        replace(dm, groups=dm.groups[::-1])
+        GroupBasis(groups[::-1], z, dm.n_groups)
+    # a basis of other rows, or of other groups, than the design's
+    for basis in (GroupBasis(groups[:-1], z[:-1], dm.n_groups), GroupBasis(groups, z, 8)):
+        with pytest.raises(InputError, match="one row per weight, two layout rows per group"):
+            replace(dm, basis=basis)
     # a window is the one of its dataset, kernel and bandwidth
     with pytest.raises(InputError, match="another dataset, kernel or bandwidth"):
         build_design(ds, ModelSpec(), CFG, kernel_window(ds, EstimationConfig(bandwidth=2.0)))
@@ -309,7 +315,8 @@ def test_fit_result_arrays_are_write_locked():
 
 def test_built_design_is_write_locked():
     _, dm = build_random(np.random.default_rng(32))
-    for a in (dm.dense, dm.weights, dm.groups, dm.z, dm.layout):
+    basis = dm.basis
+    for a in (dm.dense, dm.weights, dm.layout, basis.groups, basis.z, basis.bounds, *basis.extent):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
 
@@ -371,7 +378,8 @@ def test_zero_weight_rows_rejected():
         with pytest.raises(EstimationError, match="weight-positive"):
             replace(dm, weights=weights)
     with pytest.raises(EstimationError, match="weight-positive"):
-        replace(dm, dense=dm.dense[:0], weights=dm.weights[:0], groups=dm.groups[:0], z=dm.z[:0])
+        empty = GroupBasis(dm.basis.groups[:0], dm.basis.z[:0], dm.n_groups)
+        replace(dm, dense=dm.dense[:0], weights=dm.weights[:0], basis=empty)
 
 
 def test_singular_first_stage_reports_rcond():
@@ -1217,3 +1225,23 @@ def test_a_one_row_side_of_a_stratum_names_the_stratum():
         "values with positive weight, found 1 (stratum grp=v)"
     ), err.value
     assert "grp=u" not in str(err.value)
+
+
+@pytest.mark.parametrize("copies", [1, 50])
+def test_first_stage_instrument_coefficients_are_the_cell_table_jumps(copies):
+    # C holds every (cell, side)'s line but the jumps, so R_ZZ^-1 [R_ZX | R_Zy] from the fit's R
+    # is the jumps: the d row is the reference cell's, and d plus the d:w:l row is cell l's
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race", "educ"),
+    )
+    ds = load_table(SAMPLE_CSV, schema)
+    # the sample, or its rows 50 times over in a seed-7 shuffle
+    ds = subset_dataset(ds, np.random.default_rng(7).permutation(np.tile(np.arange(ds.n), copies)))
+    cfg = EstimationConfig(bandwidth=10.0)
+    dm, ct = build_design(ds, ModelSpec(), cfg), cell_table(ds, cfg)
+    p, k = dm.n_controls, dm.n_exogenous
+    coef = np.linalg.solve(dm.r[p:k, p:k], dm.r[p:k, k:])
+    jumps = coef[0] + np.vstack([np.zeros_like(coef[0]), coef[1:]])
+    assert dm.instrument_labels == ("d", *(f"d:w:{lab}" for lab in ct.labels[1:]))
+    np.testing.assert_allclose(jumps, np.column_stack([ct.delta_x, ct.delta_y]), rtol=1e-12)

@@ -46,6 +46,14 @@ def test_weights_vector_empty():
     assert weights_vector(KernelKind.EPANECHNIKOV, 1.0, np.array([])).shape == (0,)
 
 
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_weights_vector_tiny_bandwidth_gives_zero_weight_without_a_warning(kind):
+    # z / h overflows to inf off the cutoff: outside the support, so weight 0, and no warning
+    # (the test configuration turns a RuntimeWarning into an error)
+    w = weights_vector(kind, 1e-320, np.array([-1.0, 0.0, 1e-160, 2.0]))
+    assert w[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0] and w[1] > 0
+
+
 def test_weights_vector_bad_bandwidth():
     with pytest.raises(ValueError, match="positive"):
         weights_vector(KernelKind.UNIFORM, 0.0, np.array([0.1]))
