@@ -13,7 +13,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["KernelKind", "evaluate", "weights_vector", "window", "one_sided_moment"]
+__all__ = ["KernelKind", "in_support", "evaluate", "weights_vector", "window", "one_sided_moment"]
 
 MAX_MOMENT_ORDER = 8
 
@@ -32,17 +32,21 @@ class KernelKind(enum.Enum):
             raise ValueError(f"unknown kernel {name!r}; expected one of: {valid}") from None
 
 
+def in_support(u) -> np.ndarray:
+    """Where |u| <= 1: every kernel's support, so it holds each one's weight-positive points."""
+    return (-1.0 <= u) & (u <= 1.0)  # bool temporaries only: no float |u| of a large table
+
+
 def evaluate(kind: KernelKind, u):
     """Evaluate kernel ``kind`` at ``u`` (scalar or array); zero outside [-1, 1]."""
     arr = np.asarray(u, dtype=float)
     if np.isnan(arr).any():
         raise ValueError("kernel argument contains NaN")
-    au = np.abs(arr)
-    inside = au <= 1.0
+    inside = in_support(arr)
     if kind is KernelKind.UNIFORM:
         out = np.where(inside, 0.5, 0.0)
     elif kind is KernelKind.TRIANGULAR:
-        out = np.where(inside, 1.0 - au, 0.0)
+        out = np.where(inside, 1.0 - np.abs(arr), 0.0)
     elif kind is KernelKind.EPANECHNIKOV:
         out = np.where(inside, 0.75 * (1.0 - arr * arr), 0.0)
     else:  # pragma: no cover - enum is closed

@@ -10,12 +10,16 @@ effect-weighted sum.
 
 Replications use counter-based Philox streams keyed by (seed, rep), so
 any evaluation order produces identical results, and any replication can
-be replayed from (seed, rep) alone.
+be replayed from (seed, rep) alone.  A replication draws every row of its
+sample but builds only the rows inside its bandwidth, the support of
+every kernel; the fit reads no other row, and the study still reports
+the drawn sample size as its ``n``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -26,7 +30,7 @@ from .data_model import Dataset, EstimationConfig, ModelSpec, _lock_fields
 from .discontinuities import _separation
 from .errors import EstimationError, InputError, RelevanceError, UnderIdentifiedError
 from .estimator import estimate
-from .kernels import KernelKind
+from .kernels import KernelKind, in_support
 
 __all__ = [
     "DgpSpec",
@@ -39,13 +43,18 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_field(f, value):
-    """``value`` as DgpSpec field ``f``'s annotated type: an int >= 0, a float or tuples of floats.
+    """``value`` as DgpSpec field ``f``'s type: an int >= 0, a finite float or tuples of them.
 
     A value that does not convert is an :class:`InputError` naming the field.
     """
     if f.type == "int":
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        if not _is_int(value) or value < 0:
             raise InputError(f"{f.name} must be a nonnegative integer, got {value!r}")
         return int(value)
     ndim = f.type.count("tuple")
@@ -56,6 +65,8 @@ def _as_field(f, value):
     if a.dtype.kind not in "iuf" or a.ndim != ndim:
         what = ("a number", "a list of numbers", "a table of numbers")[ndim]
         raise InputError(f"{f.name} must be {what}, got {value!r}")
+    if not np.isfinite(a).all():
+        raise InputError(f"{f.name} must be finite, got {value!r}")
     out = a.astype(float).tolist()
     return tuple(map(tuple, out)) if ndim == 2 else tuple(out) if ndim else out
 
@@ -212,35 +223,51 @@ def _rng_for(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
-def generate(dgp: DgpSpec, n: int, seed) -> Dataset:
-    """Draw a sample of size n; byte-identical for identical (dgp, n, seed)."""
+def generate(dgp: DgpSpec, n: int, seed, *, bandwidth: float | None = None) -> Dataset:
+    """Draw a sample of size n; byte-identical for identical (dgp, n, seed).
+
+    Given a ``bandwidth`` h, every row is still drawn, but only the rows
+    with |z / h| <= 1, every kernel's support, are built: the full
+    sample's rows that a fit at h reads, byte for byte and in their order.
+    """
+    if not _is_int(n):
+        raise InputError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise InputError(f"sample size must be positive, got {n}")
+    if bandwidth is not None and not 0 < bandwidth < math.inf:
+        raise InputError(f"bandwidth must be a positive finite number, got {bandwidth}")
     rng = _rng_for(seed)
-    q, d = dgp.q, dgp.d
-    probs = np.asarray(dgp.cell_probs)
+    q = dgp.q
     base = np.asarray(dgp.base_levels)
     jumps = np.asarray(dgp.jumps)
-    betas = np.asarray(dgp.betas)
-    alphas = np.asarray(dgp.intercepts)
 
-    cells = rng.choice(q, size=n, p=probs)
+    cells = rng.choice(q, size=n, p=np.asarray(dgp.cell_probs))
     lo, hi = dgp.z_range
     z = rng.uniform(lo, hi, size=n)
     latent = rng.uniform(0.0, 1.0, size=n)
+    noise = rng.standard_normal(n) if dgp.noise_sd > 0 else None
+    if bandwidth is not None:
+        with np.errstate(over="ignore"):  # an infinite |z / h| is outside the support
+            keep = np.flatnonzero(in_support(z / bandwidth))
+        cells, z, latent = cells.take(keep), z.take(keep), latent.take(keep)
+        noise = None if noise is None else noise.take(keep)
     right = z >= 0
     # one table row per (side, cell): base + jumps * False left of the cutoff, * True right of it
     table = np.concatenate([base + jumps * False, base + jumps * True])
     thresholds = table.take(right * q + cells, axis=0)
     x = (latent[:, None] <= thresholds).astype(float)
 
-    slope = np.where(right, dgp.slope_right, dgp.slope_left)
-    curve = np.where(right, dgp.curvature_right, dgp.curvature_left)
+    slope, curve = np.array(
+        [(dgp.slope_left, dgp.slope_right), (dgp.curvature_left, dgp.curvature_right)]
+    ).take(right, axis=1)
     trend = slope * z + curve * z * z
-    y = alphas[cells] + trend + np.einsum("ij,ij->i", betas[cells], x)
-    if dgp.noise_sd > 0:
-        y = y + dgp.noise_sd * rng.standard_normal(n)
+    y = np.asarray(dgp.intercepts).take(cells) + trend
+    y += np.einsum("ij,ij->i", np.asarray(dgp.betas).take(cells, axis=0), x)
+    if noise is not None:
+        y += dgp.noise_sd * noise
 
+    for a in (y, z, x, cells):  # made here and locked, so the Dataset keeps them without a copy
+        a.setflags(write=False)
     labels = tuple(f"cell{l:03d}" for l in range(q))
     return Dataset(y=y, z=z, x=x, cells=cells, cell_labels=labels)
 
@@ -303,7 +330,7 @@ class SimResult:
 
 def _run_one(dgp: DgpSpec, n: int, seed, rep: int, cfg: EstimationConfig):
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(rep),))
-    ds = generate(dgp, n, ss)
+    ds = generate(dgp, n, ss, bandwidth=cfg.bandwidth)
     return estimate(ds, ModelSpec(), cfg)  # the targets are the homogeneous weighting's
 
 
@@ -318,12 +345,14 @@ def run_study(
     """Replicate generate -> homogeneous estimate and summarize against the targets.
 
     Replication r draws from a stream derived from (seed, r) alone, and
-    replications run in one loop, in order.  A replication that raises an
-    :class:`EstimationError` counts as failed; any other exception,
-    such as the :class:`InputError` of a sample size below 1,
-    propagates.  ``seed`` follows ``DgpSpec.seed``'s rule.  The
-    ``workers`` keyword is accepted for older callers but ignored, and it
-    warns.
+    replications run in one loop, in order.  Each draws all ``n`` rows
+    but builds only those inside ``cfg.bandwidth``, the only rows its fit
+    reads; ``SimResult.n`` is still the drawn ``n``.  A replication that
+    raises an :class:`EstimationError` counts as failed; any other
+    exception, such as the :class:`InputError` of a sample size below 1,
+    propagates.  ``n`` and ``reps`` must be integers, not bools.
+    ``seed`` follows ``DgpSpec.seed``'s rule.  The ``workers`` keyword is
+    accepted for older callers but ignored, and it warns.
     """
     if workers is not None:
         warnings.warn(
@@ -331,8 +360,8 @@ def run_study(
             FutureWarning,
             stacklevel=2,
         )
-    if reps < 1:
-        raise InputError(f"reps must be at least 1, got {reps}")
+    if not _is_int(reps) or reps < 1:
+        raise InputError(f"reps must be a positive integer, got {reps!r}")
     targets = population_targets(dgp)
     if not targets.identified:
         raise EstimationError(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from multirdd.kernels import KernelKind, evaluate, one_sided_moment, weights_vector
+from multirdd.kernels import KernelKind, evaluate, in_support, one_sided_moment, weights_vector
 from oracles import moment_quadrature
 
 ALL_KINDS = list(KernelKind)
@@ -52,6 +52,21 @@ def test_weights_vector_tiny_bandwidth_gives_zero_weight_without_a_warning(kind)
     # (the test configuration turns a RuntimeWarning into an error)
     w = weights_vector(kind, 1e-320, np.array([-1.0, 0.0, 1e-160, 2.0]))
     assert w[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0] and w[1] > 0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("h", [0.25, 1.0, 1e-320])
+def test_the_support_holds_every_weight_positive_row(kind, h):
+    # z = 0, +-h and one ulp beyond +-h; at h = 1e-320 the last two overflow z / h to inf
+    beyond = np.nextafter(h, np.inf)
+    z = np.array([0.0, -h, h, -beyond, beyond])
+    with np.errstate(over="ignore"):
+        inside = in_support(z / h)
+    assert inside.tolist() == [True, True, True, False, False]
+    positive = weights_vector(kind, h, z) > 0
+    assert not (positive & ~inside).any()
+    if kind is KernelKind.UNIFORM:
+        assert positive.tolist() == inside.tolist()
 
 
 def test_weights_vector_bad_bandwidth():

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multirdd.data_model import Dataset, EstimationConfig, ModelSpec, validate_dataset
 from multirdd.discontinuities import cell_table, ratio_late, relevance, wlate_feasibility
@@ -171,6 +174,37 @@ def test_dgp_validation_errors():
         )
 
 
+FLOAT_FIELDS = (
+    "cell_probs", "base_levels", "jumps", "betas", "intercepts", "slope_left", "slope_right",
+    "curvature_left", "curvature_right", "noise_sd", "z_range",
+)
+
+
+def first_entry_set(value, bad):
+    """``value`` with its first number, at any depth of tuples, replaced by ``bad``."""
+    if isinstance(value, tuple):
+        return (first_entry_set(value[0], bad),) + value[1:]
+    return bad
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_dgp_spec_refuses_a_number_that_is_not_finite(name, bad):
+    doc = homogeneous_dgp().to_dict()
+    doc[name] = first_entry_set(doc[name], bad)
+    with pytest.raises(InputError, match=f"^{name} must be finite, got "):
+        DgpSpec(**doc)
+
+
+def test_load_dgp_spec_refuses_a_nan(tmp_path):
+    path = tmp_path / "dgp.json"
+    doc = {**homogeneous_dgp().to_dict(), "noise_sd": np.nan}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert "NaN" in path.read_text(encoding="utf-8")
+    with pytest.raises(InputError, match="noise_sd must be finite, got nan"):
+        load_dgp_spec(path)
+
+
 def test_generate_deterministic():
     dgp = homogeneous_dgp()
     a = generate(dgp, 500, 11)
@@ -203,6 +237,71 @@ def test_generate_draws_are_pinned(layout):
         assert a.dtype.itemsize == 8 and a.flags.c_contiguous
         digest.update(a.tobytes())
     assert digest.hexdigest() == GENERATE_SHA256[layout]
+
+
+def random_dgp(seed: int, q: int, d: int, noise: bool) -> DgpSpec:
+    """A valid DGP of q cells and d margins, its numbers drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0.2, 1.0, q)
+    right = -np.sort(-rng.uniform(0.05, 0.95, (q, d)), axis=1)  # non-increasing across margins
+    base = right * rng.uniform(0.2, 0.9, (q, 1))
+    slopes = rng.normal(size=4)
+    return DgpSpec(
+        cell_probs=probs / probs.sum(),
+        base_levels=base,
+        jumps=right - base,
+        betas=rng.normal(size=(q, d)),
+        intercepts=rng.normal(size=q),
+        slope_left=slopes[0],
+        slope_right=slopes[1],
+        curvature_left=slopes[2],
+        curvature_right=slopes[3],
+        noise_sd=rng.uniform(0.1, 2.0) if noise else 0.0,
+        z_range=(-rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)),
+    )
+
+
+def columns(ds: Dataset) -> list:
+    return [(a.dtype, a.shape, a.tobytes()) for a in (ds.y, ds.z, ds.x, ds.cells)]
+
+
+def fit_or_error(ds: Dataset, cfg: EstimationConfig):
+    """The fit's reported values, arrays as bytes, or the text of the error it raised."""
+    try:
+        fit = estimate(ds, ModelSpec(), cfg)
+    except EstimationError as err:
+        return type(err), str(err)
+    return fit.beta.tobytes(), fit.cov.tobytes(), json.dumps(fit.to_dict())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(2, 4),
+    d=st.integers(1, 3),
+    noise=st.booleans(),
+    n=st.integers(20, 1500),
+    kind=st.sampled_from(list(KernelKind)),
+    reach=st.floats(1e-4, 1.5),
+)
+def test_the_windowed_draw_is_the_full_draw_restricted_to_the_support(
+    seed, q, d, noise, n, kind, reach
+):
+    # reach is h as a share of the farther end of z_range: 1e-4 leaves a side empty, >= 1 all rows
+    dgp = random_dgp(seed, q, d, noise)
+    edge = max(-dgp.z_range[0], dgp.z_range[1])
+    h = reach * edge
+    full = generate(dgp, n, seed)
+    windowed = generate(dgp, n, seed, bandwidth=h)
+    inside = np.abs(full.z / h) <= 1
+    restricted = Dataset(
+        y=full.y[inside], z=full.z[inside], x=full.x[inside], cells=full.cells[inside],
+        cell_labels=full.cell_labels,
+    )
+    assert columns(windowed) == columns(restricted)
+    cfg = EstimationConfig(bandwidth=h, kernel=kind)
+    assert fit_or_error(windowed, cfg) == fit_or_error(full, cfg)
+    assert columns(generate(dgp, n, seed, bandwidth=edge)) == columns(full)
 
 
 def test_generate_monotone_cumulative_rows():
@@ -246,6 +345,21 @@ def test_generate_cell_frequencies_binomial_bound():
 def test_generate_rejects_bad_n():
     with pytest.raises(InputError):
         generate(homogeneous_dgp(), 0, 1)
+
+
+@pytest.mark.parametrize("n", [2500.0, np.float64(2500), True, "2500"], ids=repr)
+def test_generate_and_run_study_refuse_a_sample_size_that_is_not_an_integer(n):
+    message = re.escape(f"n must be an integer, got {n!r}")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        generate(homogeneous_dgp(), n, 1)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        run_study(homogeneous_dgp(), n=n, reps=2, seed=1)
+
+
+@pytest.mark.parametrize("reps", [2.0, True, "3", 0])
+def test_run_study_refuses_a_replication_count_that_is_not_a_positive_integer(reps):
+    with pytest.raises(InputError, match=f"^reps must be a positive integer, got {reps!r}"):
+        run_study(homogeneous_dgp(), n=1500, reps=reps, seed=1)
 
 
 def test_load_dgp_spec_roundtrip(tmp_path):
