@@ -76,6 +76,11 @@ def _lock_fields(result, *names: str) -> None:
         object.__setattr__(result, name, value)
 
 
+def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b where b > 0, else 0."""
+    return np.divide(a, b, out=np.zeros_like(a), where=b > 0)
+
+
 def _format_value(v) -> str:
     """Stable string form for covariate values; integral floats print as ints."""
     if isinstance(v, float) and v.is_integer():
@@ -320,7 +325,8 @@ class GroupBasis:
     its running variable; row i of the basis B is e_g (x) (1, z_i) for its
     group g.  Group g's rows are contiguous, ``bounds[g]:bounds[g + 1]``,
     so :meth:`total` sums each group by pairwise summation, more accurately
-    than an unordered accumulation.  Its arrays are write-locked.
+    than an unordered accumulation, and :meth:`line` is the one weighted
+    line fit within each group.  Its arrays are write-locked.
     """
 
     def __init__(self, groups: np.ndarray, z: np.ndarray, n: int):
@@ -363,13 +369,22 @@ class GroupBasis:
             a.setflags(write=False)
         return counts, usable
 
-    def moments(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def moments(self, w: np.ndarray) -> tuple[np.ndarray, ...]:
         """Each group's S0 = sum w and z-bar = sum w z / S0 (0 without weight), each row's
-        z - z-bar, and each group's Szz = sum w (z - z-bar)^2: its centred weighted moments."""
+        z - z-bar, each group's Szz = sum w (z - z-bar)^2, and each row's w (z - z-bar)."""
         s0 = self.total(w)
-        zbar = np.divide(self.total(w * self.z), s0, out=np.zeros_like(s0), where=s0 > 0)
+        zbar = _ratio(self.total(w * self.z), s0)
         zc = self.z - zbar[self.groups]
-        return s0, zbar, zc, self.total(w * zc * zc)
+        wzc = w * zc
+        return s0, zbar, zc, self.total(wzc * zc), wzc
+
+    def line(self, v: np.ndarray, w: np.ndarray, moments) -> tuple[np.ndarray, ...]:
+        """Each group's weighted mean and slope of ``v`` on (1, z - z-bar), orthogonal under
+        ``w``, as ratios of its sums (0 without weight or spread in z), and each row's residual.
+        ``moments`` are :meth:`moments` of ``w``, taken once for every column fitted."""
+        s0, _, zc, szz, wzc = moments
+        mean, slope = _ratio(self.total(w * v), s0), _ratio(self.total(wzc * v), szz)
+        return mean, slope, v - mean[self.groups] - slope[self.groups] * zc
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,25 +43,20 @@ def _group_fits(columns, w: np.ndarray, basis: GroupBasis):
     """Weighted least squares of each of ``columns`` on (1, z) within every group of ``basis``.
 
     Returns the intercepts at z = 0 and their HC0 variances, n_groups x
-    (number of columns) each, from the group sums of ``basis``.  Centred at
-    the group's weighted mean z-bar (:meth:`GroupBasis.moments`), the
-    regressors (1, z - z-bar) are orthogonal under the weights, so the
-    intercept is v-bar - slope * z-bar: the linear form of v with weights
-    lever = w (1/S0 - z-bar (z - z-bar) / Szz), whose sandwich variance is
-    sum (lever * resid)^2.  A group's fit means nothing unless it has two
-    distinct z (:attr:`GroupBasis.extent`).
+    (number of columns) each.  Centred at the group's weighted mean z-bar,
+    a column's :meth:`GroupBasis.line` gives the intercept mean - slope *
+    z-bar: the linear form of v with weights lever = w (1/S0 - z-bar
+    (z - z-bar) / Szz), taken once for all columns, whose sandwich variance
+    is sum (lever * resid)^2.  A group's fit means nothing unless it has
+    two distinct z (:attr:`GroupBasis.extent`).
     """
-    total, groups = basis.total, basis.groups
-    s0, zbar, zc, szz = basis.moments(w)
-    wzc = w * zc
+    s0, zbar, _, szz, wzc = moments = basis.moments(w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lever = w / s0[groups] - zbar[groups] * wzc / szz[groups]
-        fits = []
-        for v in columns:
-            vbar = total(w * v) / s0
-            slope = total(wzc * v) / szz
-            resid = v - vbar[groups] - slope[groups] * zc
-            fits.append((vbar - slope * zbar, total((lever * resid) ** 2)))
+        lever = w / s0[basis.groups] - zbar[basis.groups] * wzc / szz[basis.groups]
+    fits = []
+    for v in columns:
+        mean, slope, resid = basis.line(v, w, moments)
+        fits.append((mean - slope * zbar, basis.total((lever * resid) ** 2)))
     return np.stack(fits, axis=-1)  # the intercepts, then their variances
 
 

@@ -17,7 +17,8 @@ shared extra controls and y.
 Each fit passes over the rows inside the kernel window and writes no
 n x k array.  C and Z span exactly the per-(cell, side) local-linear
 basis, so every one of their columns is B T for the group basis B, row
-i = e_g (x) (1, z_i) for the row's group g, and a fixed 0/1 matrix T.
+i = e_g (x) (1, z_i) for the row's group g, and a fixed 0/1 matrix T;
+one table, :data:`_BASIS_COLUMNS`, declares T's columns and their labels.
 The rows are in group order, and B is their :class:`data_model.GroupBasis`,
 which owns every per-group sum and moment: the kernel window's own, or,
 in the conditional design, that of the window's rows stable-sorted by
@@ -30,11 +31,12 @@ sums of w, wz, wz^2, w*v and wz*v, and D'WD is one small product.  R,
 without Q, is taken of it once by :func:`_r_of`: a Cholesky of A'A, or,
 where a scaled pivot is too small for the normal equations, the R of
 [B | D] from per-group closed forms and one Householder QR of D with
-each group's (1, z) fit partialled out, then a QR of that small R times
-M.  A (cell, side) group without two distinct z makes two columns
-exactly dependent; the basis's extent names it before anything is
-factored.  Every stage reads that one R, gated on its first read by
-R_EE's diagonal over R's column norms.  The second stage, y on
+each group's line (:meth:`GroupBasis.line`, the fit ``cell_table`` reads)
+partialled out, then a QR of that small R times M.  A (cell, side)
+group without two distinct z makes two columns exactly dependent; the
+basis's extent names it before anything is factored.  Every stage reads
+that one R, gated on its first read by R_EE's diagonal over R's column
+norms.  The second stage, y on
 [X_hat | C], is least squares on K = [R_EX | R_EC], the regressors in the
 rows of E; K = Q_K R_K is factored once and gated the same way, and
 (beta, eta) = R_K^-1 Q_K' R_Ey.  The first-stage residual sums of
@@ -143,11 +145,10 @@ def _group_gram(omega, cols, basis) -> np.ndarray:
                 wd *= z
                 sums[3 + c :] += basis.total(wd, lo)
     if basis:  # row 2g + j of B'W[B | D] is group g's sums with z^j
-        by_group = h[:m].reshape(basis.n, 2, m + c)
-        own, g = by_group[:, :, :m].reshape(basis.n, 2, basis.n, 2), np.arange(basis.n)
-        own[g, 0, g, 0], own[g, 0, g, 1], own[g, 1, g, 1] = sums[:3]
-        own[g, 1, g, 0] = sums[1]
-        by_group[:, 0, m:], by_group[:, 1, m:] = sums[3 : 3 + c].T, sums[3 + c :].T
+        b = np.arange(0, m, 2)
+        h[b, b], h[b, b + 1], h[b + 1, b + 1] = sums[:3]
+        h[b + 1, b] = sums[1]
+        h[:m:2, m:], h[1:m:2, m:] = sums[3 : 3 + c].T, sums[3 + c :].T
         h[m:, :m] = h[:m, m:].T
     return h
 
@@ -157,33 +158,24 @@ def _partialled_r(omega, cols, basis) -> np.ndarray:
 
     Each group's (1, z) has a closed-form QR: centred at the group's
     weighted mean z-bar, its orthonormal columns are sqrt(omega) / sqrt(S0)
-    and sqrt(omega) (z - z-bar) / sqrt(Szz).  D's projections on them are R's
-    rows above D's block, and one Householder QR of D's residuals, n x c,
-    is that block: no row of B is written.  A group without weight, or
-    without spread in z, keeps zero rows.
+    and sqrt(omega) (z - z-bar) / sqrt(Szz).  D's projections on them, the
+    mean and slope of its :meth:`GroupBasis.line` times sqrt(S0) and
+    sqrt(Szz), are R's rows above D's block, and one Householder QR of D's
+    weighted residuals, n x c, is that block: no row of B is written.  A
+    group without weight, or without spread in z, keeps zero rows.
     """
     m, c = 2 * (basis.n if basis else 0), len(cols)
-    r = np.zeros((m + c, m + c))
-    resid = cols * np.sqrt(omega)
+    r, resid = np.zeros((m + c, m + c)), np.array(cols, dtype=float)
     if basis:
-        def unit(sums):
-            root = np.sqrt(sums)
-            return root, np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
-
-        total, groups, sw = basis.total, basis.groups, np.sqrt(omega)
-        s0, zbar, zc, szz = basis.moments(omega)
-        root0, inv0 = unit(s0)
-        root1, inv1 = unit(szz)
-        b = np.arange(0, m, 2)
+        s0, zbar, _, szz, _ = moments = basis.moments(omega)
+        root0, root1, b = np.sqrt(s0), np.sqrt(szz), np.arange(0, m, 2)
         r[b, b], r[b, b + 1], r[b + 1, b + 1] = root0, root0 * zbar, root1
-        units = (sw * inv0[groups], sw * zc * inv1[groups])
-        for j, v in enumerate(resid):
-            for _ in range(2):  # projected twice, so the residual is orthogonal to rounding
-                for i, e in enumerate(units):
-                    a = total(e * v)
-                    r[b + i, m + j] += a
-                    v -= e * a[groups]
-    top = np.linalg.qr(resid.T, mode="r")
+        for j in range(c):
+            for _ in range(2):  # fitted twice, so the residual is orthogonal to rounding
+                mean, slope, resid[j] = basis.line(resid[j], omega, moments)
+                r[b, m + j] += root0 * mean
+                r[b + 1, m + j] += root1 * slope
+    top = np.linalg.qr((resid * np.sqrt(omega)).T, mode="r")
     r[m : m + len(top), m:] = top
     return r
 
@@ -326,38 +318,35 @@ class DesignMatrices:
         return np.unique(ids, return_inverse=True)[1]
 
 
+# One stratum's [C | Z], a column per entry in order: its label head, whether it has one
+# column per cell dummy (cells 1..q-1) or one for all cells, the sides it loads (1 is the
+# right, D = 1(z >= 0)), and whether it loads each group's constant (0) or its z (1).
+_BASIS_COLUMNS = (  # C = (1, W', z, D*z, z*W', D*z*W'), its first _N_CONTROLS heads
+    ("const", False, (0, 1), 0), ("w:", True, (0, 1), 0), ("z", False, (0, 1), 1),
+    ("d:z", False, (1,), 1), ("z:w:", True, (0, 1), 1), ("d:z:w:", True, (1,), 1),
+    ("d", False, (1,), 0), ("d:w:", True, (1,), 0),  # Z = (D, D*W')
+)
+_N_CONTROLS = 6
+
+
 @lru_cache
-def _cell_basis(q: int) -> np.ndarray:
-    """T, 4q x 4q: one stratum's [C_s | Z_s] from its group basis, as 0/1 loadings, locked.
+def _stratum_columns(cell_labels: tuple[str, ...]) -> tuple[tuple[str, ...], int, np.ndarray]:
+    """One stratum's [C | Z] labels, untagged, how many are C's, and T, 4q x 4q, locked.
 
-    Row 2g + j is the constant (j = 0) or z (j = 1) of group g = 2 * cell + side.
-    C_s = (1, W', z, D*z, z*W', D*z*W') and Z_s = (D, D*W') for the cell
-    dummies W of cells 1..q-1 and D = 1(z >= 0), the right side.
+    T holds their 0/1 loadings on the stratum's group basis, row 2g + j the
+    constant (j = 0) or z (j = 1) of group g = 2 * cell + side.  Both come
+    from :data:`_BASIS_COLUMNS`, so a label cannot drift from its column.
     """
+    q, labels = len(cell_labels), []
     t = np.zeros((q, 2, 2, 4 * q))  # cell, side, (1, z), column
-    t[:, :, 0, 0] = 1  # const
-    t[:, :, 1, q] = 1  # z
-    t[:, 1, 1, q + 1] = 1  # d:z
-    t[:, 1, 0, 3 * q] = 1  # d
-    cell = np.arange(1, q)
-    t[cell, :, 0, cell] = 1  # w
-    t[cell, :, 1, q + 1 + cell] = 1  # z:w
-    t[cell, 1, 1, 2 * q + cell] = 1  # d:z:w
-    t[cell, 1, 0, 3 * q + cell] = 1  # d:w
+    for i, (head, per_cell, sides, j) in enumerate(_BASIS_COLUMNS):
+        if i == _N_CONTROLS:
+            n_controls = len(labels)
+        for cell in range(1, q) if per_cell else [slice(None)]:
+            t[cell, sides, j, len(labels)] = 1
+            labels.append(head + cell_labels[cell] if per_cell else head)
     t.setflags(write=False)
-    return t.reshape(4 * q, 4 * q)
-
-
-def _labels(tag, dummies, x_names):
-    """A stratum's control, instrument and endogenous labels; no tag for the whole sample."""
-    pre, post = (f"{tag}|", f"|{tag}") if tag else ("", "")
-
-    def per_cell(head):
-        return [f"{pre}{head}{lab}" for lab in dummies]
-
-    controls = [f"{pre}const", *per_cell("w:"), f"{pre}z", f"{pre}d:z"]
-    controls += per_cell("z:w:") + per_cell("d:z:w:")
-    return controls, [f"{pre}d", *per_cell("d:w:")], [f"{x}{post}" for x in x_names]
+    return tuple(labels), n_controls, t.reshape(4 * q, 4 * q)
 
 
 def _unusable(ds, tags, basis) -> list[str]:
@@ -404,8 +393,9 @@ def build_design(
     """The design of the rows inside the kernel window, as structure: no n x k array.
 
     ``window`` is the :class:`KernelWindow` of ``ds`` under ``cfg``, built
-    here when None.  The controls and instruments of each stratum are the
-    loadings :func:`_cell_basis` of its (cell, side) groups' basis (1, z);
+    here when None.  The controls and instruments of each stratum, and their
+    labels, are :func:`_stratum_columns`: 0/1 loadings on the basis (1, z)
+    of its (cell, side) groups, declared once in :data:`_BASIS_COLUMNS`;
     the dense block holds the extra controls from their ``aux`` columns,
     the endogenous columns (each stratum's on its own rows, zero elsewhere)
     and y.  A homogeneous or parametric design is the one stratum of every
@@ -456,11 +446,11 @@ def build_design(
             if wtilde else f"under-identified: q=m+1={m + 1} < d={ds.d}"
         )
 
-    dummies = ds.cell_labels[1:] if ds.q > 1 else ()
-    labels = [_labels(tag, dummies, x_names) for tag in tags]
-    controls, instruments, endogenous = ([lab for s in labels for lab in s[i]] for i in range(3))
-    controls += ds.extra_control_names
-    nc, nz, nx = (len(lab) for lab in labels[0])
+    heads, nc, t = _stratum_columns(tuple(ds.cell_labels))
+    pre = [f"{tag}|" if tag else "" for tag in tags]  # no tag for the whole sample
+    controls = [f + h for f in pre for h in heads[:nc]] + list(ds.extra_control_names)
+    instruments = [f + h for f in pre for h in heads[nc:]]
+    endogenous = [f"{x}|{tag}" if tag else x for tag in tags for x in x_names]
     e, p, k = len(ds.extra_control_names), len(controls), len(controls) + len(instruments)
 
     # D = [extra controls | X | y], column-major, written through its transpose
@@ -475,17 +465,15 @@ def build_design(
         np.multiply(x[: ds.d], ds.aux[name][rows], out=x[i * ds.d : (i + 1) * ds.d])
     if conditional:  # each stratum's x on its own rows, zero elsewhere; stratum 0 last, in place
         for s in reversed(range(len(tags))):
-            np.multiply(x[: ds.d], stratum == s, out=x[s * nx : (s + 1) * nx])
+            np.multiply(x[: ds.d], stratum == s, out=x[s * ds.d : (s + 1) * ds.d])
     cols[-1] = ds.y[rows]
 
     # M: each stratum's basis rows load its C_s and Z_s; D's rows load their own columns
     n_basis = 2 * len(tags) * q2
     layout = np.zeros((n_basis + len(cols), k + len(endogenous) + 1))
-    t = _cell_basis(ds.q)
-    for s in range(len(tags)):
-        own = slice(s * 2 * q2, (s + 1) * 2 * q2)
-        layout[own, s * nc : (s + 1) * nc] = t[:, :nc]
-        layout[own, p + s * nz : p + (s + 1) * nz] = t[:, nc:]
+    eye = np.eye(len(tags))[:, None, :, None]  # block-diagonal by stratum
+    layout[:n_basis, : p - e] = (eye * t[:, None, :nc]).reshape(n_basis, p - e)
+    layout[:n_basis, p:k] = (eye * t[:, None, nc:]).reshape(n_basis, k - p)
     layout[n_basis : n_basis + e, p - e : p] = np.eye(e)
     layout[n_basis + e :, k:] = np.eye(len(cols) - e)
 
