@@ -211,6 +211,13 @@ class Dataset:
         return max(self.q - 1, 0)
 
 
+def _once(field: str, names: Sequence[str]) -> None:
+    """Refuse a column named twice in ``field``: a :class:`SchemaError` naming both."""
+    twice = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if twice is not None:
+        raise SchemaError(f"{field} names column {twice!r} more than once")
+
+
 @dataclass(frozen=True)
 class TableSchema:
     """Column-name mapping for :func:`load_table`.
@@ -243,6 +250,8 @@ class TableSchema:
         sep = self.delimiter  # numpy's reader splits fields at one character, never at these
         if not isinstance(sep, str) or len(sep) != 1 or sep in '"\r\n':
             raise SchemaError(f"delimiter must be one character, not a quote or newline: {sep!r}")
+        for name in ("covariates", "extra_controls", "treatment_indicators"):
+            _once(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -270,6 +279,7 @@ class ModelSpec:
         if self.kind == "parametric" and not self.wtilde_columns:
             raise InputError("parametric model requires at least one wtilde column")
         object.__setattr__(self, "wtilde_columns", tuple(self.wtilde_columns))
+        _once("wtilde_columns", self.wtilde_columns)
 
 
 def conditioning(sizes, what: str | None = None, n: int | None = None) -> float:
@@ -469,27 +479,30 @@ class CellEncoding:
     labels: tuple[str, ...]
 
 
-def encode_cells(columns: Sequence[np.ndarray]) -> CellEncoding:
+def encode_cells(columns: Sequence[np.ndarray], names: Sequence[str] = ()) -> CellEncoding:
     """Map discrete covariate combinations to cell indices.
 
-    Cells are indexed by the lexicographic order of their label; the
-    smallest label, code 0, is the reference cell.  The
-    encoding depends only on the multiset of values, so shuffling rows
-    permutes the cell index column identically.
+    Cells are indexed by the lexicographic order of their label, the
+    values joined by ``|``; the smallest label, code 0, is the reference
+    cell.  Two combinations joined to one label, as ("x|y", "z") and
+    ("x", "y|z") are, are an :class:`InputError` naming it and the columns:
+    every error names a column by ``names``, or by its position.  The encoding depends only on the
+    multiset of values, so shuffling rows permutes the cell index column
+    identically.
     """
     columns = [np.asarray(c) for c in columns]
     if not columns:
         return CellEncoding(np.zeros(0, dtype=int), ())
-    n = len(columns[0])
+    n, names = len(columns[0]), tuple(names) or tuple(range(len(columns)))
     codes, column_labels = [], []
     for k, col in enumerate(columns):
         if len(col) != n:
-            raise InputError(f"covariate column {k} has length {len(col)}, expected {n}")
+            raise InputError(f"covariate column {names[k]!r} has length {len(col)}, expected {n}")
         col_codes, col_labels = _levels(col)
         if len(col_labels) > MAX_CELL_LEVELS:
             raise InputError(
-                f"covariate column {k} has {len(col_labels)} levels (> {MAX_CELL_LEVELS}); "
-                "coarsen it before encoding"
+                f"covariate column {names[k]!r} has {len(col_labels)} levels "
+                f"(> {MAX_CELL_LEVELS}); coarsen it before encoding"
             )
         codes.append(col_codes)
         column_labels.append(col_labels)
@@ -504,6 +517,12 @@ def encode_cells(columns: Sequence[np.ndarray]) -> CellEncoding:
     first[combo] = np.arange(n)  # one row of each combination
     keys = ["|".join(labs[c[i]] for labs, c in zip(column_labels, codes)) for i in first.tolist()]
     labels, rank = np.unique(np.asarray(keys, dtype=str), return_inverse=True)
+    if len(labels) < size:  # a "|" inside the values of two covariates
+        shared = str(labels[np.bincount(rank).argmax()])
+        raise InputError(
+            f"two value combinations of the covariate columns {names} share the cell label "
+            f"{shared!r}: a '|' in their values joins them"
+        )
     return CellEncoding(rank[combo], tuple(labels.tolist()))
 
 
@@ -717,7 +736,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     # a missing value in a covariate would label a cell of its own
     cov_cols = [require(name, "covariate", numeric=False) for name in schema.covariates]
     enc = (
-        encode_cells(cov_cols)
+        encode_cells(cov_cols, schema.covariates)
         if cov_cols
         else CellEncoding(np.zeros(len(y), dtype=int), ("all",))
     )

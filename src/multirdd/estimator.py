@@ -374,6 +374,32 @@ def _unusable(ds, tags, basis) -> list[str]:
     return [f"rank deficient on its own: {', '.join(strata)}"] * bool(strata) + notes
 
 
+def _same_clusters(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ids ``a`` and ``b`` split the rows into the same clusters: at once when each
+    is the other shifted by one number, as a running column and its z are."""
+    if a.dtype.kind in "biuf" and len(a):
+        shift = a[0] - b[0]
+        if np.array_equal(a - shift, b) and np.array_equal(b + shift, a):
+            return True
+    (ca, la), (cb, lb) = _levels(a), _levels(b)
+    return len(la) == len(lb) == len(np.unique(ca * len(lb) + cb))
+
+
+def _running_clusters(ds) -> np.ndarray:
+    """z, the cluster ids of ``cluster_by="running"``, unless a table column named
+    ``running`` splits the rows otherwise: then the name reads two ways and is refused."""
+    col = ds.aux.get("running")
+    if col is None or _same_clusters(col, ds.z):  # none, or the running variable's own
+        return ds.z
+    own = next((f"name its column, {name!r}" for name, c in ds.aux.items() if c.ndim == 1
+                and _same_clusters(c, ds.z)), "name its column")
+    raise InputError(
+        "cluster 'running' reads two ways: the running variable, or the table's column "
+        "'running', which splits the rows into other clusters; to cluster by the running "
+        f"variable, {own}, and to cluster by that column, rename it"
+    )
+
+
 def _strata(ds, spec, rows) -> tuple[list[str], np.ndarray]:
     """The conditional design's stratum tags in label order, and each of ``rows``' stratum.
 
@@ -427,7 +453,7 @@ def build_design(
 
     cluster = ds.cluster
     if cfg.cluster_by == "running":
-        cluster = ds.z
+        cluster = _running_clusters(ds)
     elif cfg.cluster_by is not None:
         cluster = _column(ds.aux, cfg.cluster_by, "cluster")
     if cluster is not None:

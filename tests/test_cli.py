@@ -304,6 +304,65 @@ def test_estimate_unknown_cluster_column_exits_1(capsys):
     assert "delayed_care" in err  # and the table's columns
 
 
+def with_columns(tmp_path, **columns):
+    """The sample plus ``columns``, each a function of the data row's index, as a CSV path."""
+    header, *rows = (SAMPLE_DIR / "insurance_style.csv").read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "extra.csv"
+    rows = [",".join([row, *(f(i) for f in columns.values())]) for i, row in enumerate(rows)]
+    path.write_text("\n".join([",".join([header, *columns]), *rows]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_cluster_running_beside_a_column_named_running_is_one_error_line(capsys, tmp_path):
+    args = list(ESTIMATE_ARGS)
+    args[args.index("--data") + 1] = with_columns(tmp_path, running=lambda i: str(i % 40))
+    args[args.index("--cluster") + 1] = "running"
+    code, out, err = run_cli(capsys, args)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cluster 'running' reads two ways") and err.count("\n") == 1, err
+    assert "name its column, 'age'," in err
+
+
+def test_two_combinations_joined_to_one_label_are_one_error_line(capsys, tmp_path):
+    # ("x|y", "z") and ("x", "y|z") both join to "x|y|z"
+    data = with_columns(
+        tmp_path, a=lambda i: "x|y" if i % 2 else "x", b=lambda i: "z" if i % 2 else "y|z"
+    )
+    args = ["diagnose", *ESTIMATE_ARGS[1:]]
+    args[args.index("--data") + 1] = data
+    args[args.index("--w") + 1] = "a,b"
+    code, out, err = run_cli(capsys, args)
+    assert code == 1 and out == ""
+    assert err == (
+        "error: two value combinations of the covariate columns ('a', 'b') share the cell label "
+        "'x|y|z': a '|' in their values joins them\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, field, names",
+    [
+        ("--w", "covariates", "race,race"),
+        ("--controls", "extra_controls", "region,region"),
+        ("--treatment-indicators", "treatment_indicators", "x1,x1"),
+        ("--wtilde", "wtilde_columns", "region,region"),
+    ],
+)
+def test_a_column_named_twice_in_one_flag_is_one_error_line(capsys, flag, field, names):
+    args = list(ESTIMATE_ARGS)
+    if flag == "--treatment-indicators":
+        del args[args.index("--treatment") : args.index("--treatment") + 2]
+    if flag == "--wtilde":
+        args += ["--model", "parametric"]
+    if flag in args:
+        args[args.index(flag) + 1] = names
+    else:
+        args += [flag, names]
+    code, out, err = run_cli(capsys, args)
+    assert code == 1 and out == ""
+    assert err == f"error: {field} names column '{names.split(',')[0]}' more than once\n", err
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     cfg = {
         "data": str(SAMPLE_DIR / "insurance_style.csv"),

@@ -228,6 +228,24 @@ def test_schema_requires_exactly_one_treatment_form():
         TableSchema(outcome="y", running="z", treatment="t", treatment_indicators=("x1",))
 
 
+@pytest.mark.parametrize(
+    "field, names",
+    [
+        ("covariates", ("race", "educ", "race")),
+        ("extra_controls", ("region", "region")),
+        ("treatment_indicators", ("x1", "x2", "x2")),
+        ("wtilde_columns", ("region", "region")),
+    ],
+)
+def test_a_column_named_twice_in_one_field_is_a_schema_error(field, names):
+    with pytest.raises(SchemaError, match=f"^{field} names column '{names[-1]}' more than once$"):
+        if field == "wtilde_columns":
+            ModelSpec(kind="parametric", wtilde_columns=names)
+        else:
+            treatment = {} if field == "treatment_indicators" else {"treatment": "t"}
+            TableSchema(outcome="y", running="z", **treatment, **{field: names})
+
+
 @pytest.mark.parametrize("delimiter", ["", "ab", '"', "\n", "\r", None])
 def test_schema_delimiter_is_one_character_that_splits_fields(delimiter):
     with pytest.raises(SchemaError, match=f"delimiter .*: {re.escape(repr(delimiter))}$"):
@@ -416,6 +434,21 @@ def test_encode_cells_missing_combo():
     assert enc.cells.tolist() == [0, 1, 2, 2]
 
 
+def test_two_combinations_joined_to_one_label_are_an_input_error():
+    # ("x|y", "z") and ("x", "y|z") both join to "x|y|z"; they once shared one cell
+    a, b = np.array(["x|y", "x", "x|y", "x"]), np.array(["z", "y|z", "z", "y|z"])
+    with pytest.raises(InputError, match=r"columns \(0, 1\) share the cell label 'x\|y\|z'"):
+        encode_cells([a, b])
+    with pytest.raises(InputError, match=r"columns \('a', 'b'\) share the cell label 'x\|y\|z'"):
+        encode_cells([a, b], ("a", "b"))
+
+
+def test_a_bar_inside_the_values_of_one_covariate_is_a_label():
+    enc = encode_cells([np.array(["x|y", "x", "x|y"]), np.array(["z", "z", "w"])])
+    assert enc.labels == ("x|y|w", "x|y|z", "x|z")
+    assert enc.cells.tolist() == [1, 2, 0]
+
+
 def test_encode_cells_of_no_rows():
     for columns in ([np.array([], dtype=str)], [np.array([]), np.array([], dtype=str)]):
         enc = encode_cells(columns)
@@ -426,6 +459,8 @@ def test_encode_cells_too_many_levels():
     col = np.arange(100).astype(str)
     with pytest.raises(InputError, match="coarsen"):
         encode_cells([col])
+    with pytest.raises(InputError, match="^covariate column 'age' has 100 levels"):
+        encode_cells([col], ("age",))  # as load_table names it
 
 
 def test_encode_cells_reference_is_smallest_label():

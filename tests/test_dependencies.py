@@ -1,8 +1,10 @@
 import ast
 import importlib
 import inspect
+import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +59,14 @@ CLI_ARGS = (
 def modules_loaded_by(code: str) -> set:
     """The modules that a fresh interpreter has loaded after running ``code``."""
     return set(run_fresh(code + "\nimport sys\nprint(' '.join(sys.modules))").split())
+
+
+def test_the_readme_library_sketch_runs():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    sketch = re.search(r"## Library sketch\n+```python\n(.*?)```", readme, re.S).group(1)
+    printed = run_fresh(sketch)
+    numbers = re.findall(r"[-+]?(?:nan|inf|\d+\.?\d*(?:e[-+]?\d+)?)", printed)
+    assert len(numbers) >= 5 and all(math.isfinite(float(v)) for v in numbers), printed
 
 
 def is_numpy_ma(name: str) -> bool:

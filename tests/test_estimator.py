@@ -785,6 +785,42 @@ def test_cluster_by_a_missing_column_is_an_input_error():
     assert np.array_equal(by_age.cov, by_schema.cov)
 
 
+def test_cluster_by_running_refuses_a_column_named_running_that_splits_otherwise():
+    # cluster_by="running" once meant z and silently passed over the table's own "running"
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race", "educ"),
+    )
+    ds = load_table(SAMPLE_CSV, schema)
+    groups = (np.arange(ds.n) % 40).astype(float)
+    ds = replace(ds, aux={**ds.aux, "running": groups})
+    cfg = EstimationConfig(bandwidth=10.0, cluster_by="running")
+    with pytest.raises(InputError, match="reads two ways.* name its column, 'age',"):
+        estimate(ds, ModelSpec(), cfg)
+    by_age = estimate(ds, ModelSpec(), replace(cfg, cluster_by="age"))
+    assert by_age.cov is not None
+
+
+def test_cluster_by_running_fits_as_before_when_the_running_column_is_named_running(tmp_path):
+    header, *rows = SAMPLE_CSV.read_text(encoding="utf-8").splitlines()
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text("\n".join([header.replace(",age,", ",running,"), *rows]) + "\n", "utf-8")
+    cfg, datasets = EstimationConfig(bandwidth=10.0, cluster_by="running"), []
+    for path, running in ((SAMPLE_CSV, "age"), (renamed, "running")):
+        schema = TableSchema(
+            outcome="delayed_care", running=running, cutoff=65.0, treatment="coverage",
+            covariates=("race", "educ"),
+        )
+        datasets.append(load_table(path, schema))
+    # a column "running" of the running variable in other units splits the rows alike too
+    by_age = datasets[0]
+    datasets.append(replace(by_age, aux={**by_age.aux, "running": by_age.aux["age"] * 12}))
+    want = estimate(by_age, ModelSpec(), cfg)
+    for ds in datasets[1:]:
+        fit = estimate(ds, ModelSpec(), cfg)
+        assert np.array_equal(fit.beta, want.beta) and np.array_equal(fit.cov, want.cov)
+
+
 def test_estimate_pipeline_populates_everything():
     rng = np.random.default_rng(22)
     ds, dm = build_random(rng, n=50, d=2, m=2)
