@@ -486,9 +486,9 @@ def encode_cells(columns: Sequence[np.ndarray], names: Sequence[str] = ()) -> Ce
     values joined by ``|``; the smallest label, code 0, is the reference
     cell.  Two combinations joined to one label, as ("x|y", "z") and
     ("x", "y|z") are, are an :class:`InputError` naming it and the columns:
-    every error names a column by ``names``, or by its position.  The encoding depends only on the
-    multiset of values, so shuffling rows permutes the cell index column
-    identically.
+    every error names a column by ``names``, or by its position.  The
+    encoding depends only on the multiset of values, so shuffling rows
+    permutes the cell index column identically.
     """
     columns = [np.asarray(c) for c in columns]
     if not columns:
