@@ -18,13 +18,14 @@ Each fit passes over the rows inside the kernel window and writes no
 n x k array.  C and Z span exactly the per-(cell, side) local-linear
 basis, so every one of their columns is B T for the group basis B, row
 i = e_g (x) (1, z_i) for the row's group g, and a fixed 0/1 matrix T;
-one table, :data:`_BASIS_COLUMNS`, declares T's columns and their labels.
-The rows are in group order, and B is their :class:`data_model.GroupBasis`,
-which owns every per-group sum and moment: the kernel window's own, or,
-in the conditional design, that of the window's rows stable-sorted by
-stratum.  :func:`build_design` keeps it, a small dense block
-D = [extra controls | X | y] (X per stratum in the conditional design),
-and the 0/1 matrix M that writes A = [C | Z | X | y] = [B | D] M;
+two tables, :data:`_CONTROL_COLUMNS` and :data:`_INSTRUMENT_COLUMNS`,
+declare T's columns and their labels.  The rows are in group order, and
+B is their :class:`data_model.GroupBasis`, which owns every per-group
+sum and moment: the kernel window's own, or, in the conditional design,
+that of the window's rows stable-sorted by stratum.  :func:`build_design`
+keeps it, a small dense block D = [extra controls | X | y] (X per
+stratum in the conditional design), and the 0/1 matrix M that writes
+A = [C | Z | X | y] = [B | D] M;
 :class:`DesignMatrices` holds them.  The Gram matrix of the weighted A is
 M'[B'WB, B'WD; D'WB, D'WD]M, whose group blocks are the basis's group
 sums of w, wz, wz^2, w*v and wz*v, and D'WD is one small product.  R,
@@ -321,12 +322,11 @@ class DesignMatrices:
 # One stratum's [C | Z], a column per entry in order: its label head, whether it has one
 # column per cell dummy (cells 1..q-1) or one for all cells, the sides it loads (1 is the
 # right, D = 1(z >= 0)), and whether it loads each group's constant (0) or its z (1).
-_BASIS_COLUMNS = (  # C = (1, W', z, D*z, z*W', D*z*W'), its first _N_CONTROLS heads
+_CONTROL_COLUMNS = (  # C = (1, W', z, D*z, z*W', D*z*W')
     ("const", False, (0, 1), 0), ("w:", True, (0, 1), 0), ("z", False, (0, 1), 1),
     ("d:z", False, (1,), 1), ("z:w:", True, (0, 1), 1), ("d:z:w:", True, (1,), 1),
-    ("d", False, (1,), 0), ("d:w:", True, (1,), 0),  # Z = (D, D*W')
 )
-_N_CONTROLS = 6
+_INSTRUMENT_COLUMNS = (("d", False, (1,), 0), ("d:w:", True, (1,), 0))  # Z = (D, D*W')
 
 
 @lru_cache
@@ -335,16 +335,17 @@ def _stratum_columns(cell_labels: tuple[str, ...]) -> tuple[tuple[str, ...], int
 
     T holds their 0/1 loadings on the stratum's group basis, row 2g + j the
     constant (j = 0) or z (j = 1) of group g = 2 * cell + side.  Both come
-    from :data:`_BASIS_COLUMNS`, so a label cannot drift from its column.
+    from :data:`_CONTROL_COLUMNS` and :data:`_INSTRUMENT_COLUMNS`, so a
+    label cannot drift from its column.
     """
     q, labels = len(cell_labels), []
     t = np.zeros((q, 2, 2, 4 * q))  # cell, side, (1, z), column
-    for i, (head, per_cell, sides, j) in enumerate(_BASIS_COLUMNS):
-        if i == _N_CONTROLS:
-            n_controls = len(labels)
-        for cell in range(1, q) if per_cell else [slice(None)]:
-            t[cell, sides, j, len(labels)] = 1
-            labels.append(head + cell_labels[cell] if per_cell else head)
+    for columns in (_CONTROL_COLUMNS, _INSTRUMENT_COLUMNS):
+        n_controls = len(labels)  # C's count, on the instruments' pass
+        for head, per_cell, sides, j in columns:
+            for cell in range(1, q) if per_cell else [slice(None)]:
+                t[cell, sides, j, len(labels)] = 1
+                labels.append(head + cell_labels[cell] if per_cell else head)
     t.setflags(write=False)
     return tuple(labels), n_controls, t.reshape(4 * q, 4 * q)
 
@@ -374,25 +375,23 @@ def _unusable(ds, tags, basis) -> list[str]:
     return [f"rank deficient on its own: {', '.join(strata)}"] * bool(strata) + notes
 
 
-def _same_clusters(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ids ``a`` and ``b`` split the rows into the same clusters: at once when each
-    is the other shifted by one number, as a running column and its z are."""
-    if a.dtype.kind in "biuf" and len(a):
-        shift = a[0] - b[0]
-        if np.array_equal(a - shift, b) and np.array_equal(b + shift, a):
-            return True
-    (ca, la), (cb, lb) = _levels(a), _levels(b)
-    return len(la) == len(lb) == len(np.unique(ca * len(lb) + cb))
+def _splits_like_z(col: np.ndarray, z: np.ndarray) -> bool:
+    """Whether ``col`` is numeric, as the running variable is, and its ids split the rows
+    into the same clusters as ``z``'s; a column of text or objects is never sorted here."""
+    if col.ndim != 1 or col.dtype.kind not in "biuf":
+        return False
+    (ca, la), (cz, lz) = _levels(col), _levels(z)
+    return len(la) == len(lz) == len(np.unique(ca * len(lz) + cz))
 
 
 def _running_clusters(ds) -> np.ndarray:
     """z, the cluster ids of ``cluster_by="running"``, unless a table column named
     ``running`` splits the rows otherwise: then the name reads two ways and is refused."""
     col = ds.aux.get("running")
-    if col is None or _same_clusters(col, ds.z):  # none, or the running variable's own
+    if col is None or _splits_like_z(col, ds.z):  # none, or the running variable's own
         return ds.z
-    own = next((f"name its column, {name!r}" for name, c in ds.aux.items() if c.ndim == 1
-                and _same_clusters(c, ds.z)), "name its column")
+    own = next((f"name its column, {name!r}" for name, c in ds.aux.items()
+                if _splits_like_z(c, ds.z)), "name its column")
     raise InputError(
         "cluster 'running' reads two ways: the running variable, or the table's column "
         "'running', which splits the rows into other clusters; to cluster by the running "
@@ -421,11 +420,12 @@ def build_design(
     ``window`` is the :class:`KernelWindow` of ``ds`` under ``cfg``, built
     here when None.  The controls and instruments of each stratum, and their
     labels, are :func:`_stratum_columns`: 0/1 loadings on the basis (1, z)
-    of its (cell, side) groups, declared once in :data:`_BASIS_COLUMNS`;
-    the dense block holds the extra controls from their ``aux`` columns,
-    the endogenous columns (each stratum's on its own rows, zero elsewhere)
-    and y.  A homogeneous or parametric design is the one stratum of every
-    row, and its rows and :class:`GroupBasis` are the window's own; the
+    of its (cell, side) groups, declared once in :data:`_CONTROL_COLUMNS`
+    and :data:`_INSTRUMENT_COLUMNS`; the dense block holds the extra
+    controls from their ``aux`` columns, the endogenous columns (each
+    stratum's on its own rows, zero elsewhere) and y.  A homogeneous or
+    parametric design is the one stratum of every row, and its rows and
+    :class:`GroupBasis` are the window's own; the
     conditional design's groups are (stratum, cell, side), the window's
     rows stable-sorted by stratum.  The dummies and the strata keep the
     levels of the full sample.  The conditioning column, the transform

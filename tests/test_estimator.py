@@ -801,6 +801,25 @@ def test_cluster_by_running_refuses_a_column_named_running_that_splits_otherwise
     assert by_age.cov is not None
 
 
+@pytest.mark.parametrize("object_column", ["running", "other"])
+def test_cluster_by_running_beside_an_object_column_holding_none_is_an_input_error(
+    object_column,
+):
+    # sorting None among text raised a TypeError in place of the InputError
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race", "educ"),
+    )
+    ds = load_table(SAMPLE_CSV, schema)
+    mixed = np.array([None if i % 3 == 0 else str(i % 40) for i in range(ds.n)], dtype=object)
+    groups = (np.arange(ds.n) % 40).astype(float)
+    # ahead of age, the running variable's own column, so the search for it meets the column
+    aux = {"other": mixed, **ds.aux, "running": mixed if object_column == "running" else groups}
+    cfg = EstimationConfig(bandwidth=10.0, cluster_by="running")
+    with pytest.raises(InputError, match="reads two ways.* name its column, 'age',"):
+        estimate(replace(ds, aux=aux), ModelSpec(), cfg)
+
+
 def test_cluster_by_running_fits_as_before_when_the_running_column_is_named_running(tmp_path):
     header, *rows = SAMPLE_CSV.read_text(encoding="utf-8").splitlines()
     renamed = tmp_path / "renamed.csv"
