@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import SIDES, Dataset, EstimationConfig, KernelWindow, ModelSpec, TableSchema
-from .data_model import _window_of, kernel_window, load_table, validate_dataset
+from .data_model import _once, _window_of, kernel_window, load_table, validate_dataset
 from .discontinuities import cell_table, ratio_late, relevance
 from .errors import EstimationError, InputError
 from .kernels import KernelKind
@@ -72,7 +72,8 @@ DATA_OPTIONS = {
     "r": (_text, "conditioning column for the conditional model"),
     "wtilde": (_names, "comma-separated transform columns for the parametric model"),
     "controls": (_names, "comma-separated extra exogenous control columns"),
-    "cluster": (_text, "cluster column name, or 'running' to cluster by z"),
+    "cluster": (_text, "cluster column name, or 'running' to cluster by the running variable "
+                "(default: each row its own cluster)"),
     "kernel": (lambda v: KernelKind.from_name(_text(v)), "uniform | triangular | epanechnikov"),
     "bandwidth": (float, "bandwidth in running-variable units"),
     "model": (lambda v: _text(v).lower(), "homogeneous | conditional | parametric"),
@@ -319,8 +320,10 @@ def write_series(path: str, ds, cfg, window: KernelWindow | None = None) -> None
 def estimate_cmd(cfg: dict) -> int:
     from .estimator import estimate  # here, so that diagnose never imports the estimator
 
-    ds, est_cfg, echo = _load(cfg)
     spec = ModelSpec(cfg.get("model", "homogeneous"), cfg.get("r"), cfg.get("wtilde", ()))
+    if spec.kind == "conditional":  # before the table is read; build_design checks the controls
+        _once(covariates=cfg.get("w", ()), r_column=(spec.r_column,))
+    ds, est_cfg, echo = _load(cfg)
     echo.update(model=spec.kind, cluster=cfg.get("cluster"))
     win = kernel_window(ds, est_cfg)  # the kernel is evaluated once per command
     ct = min_eig = None

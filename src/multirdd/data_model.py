@@ -47,7 +47,7 @@ __all__ = [
     "validate_dataset",
 ]
 
-MAX_CELL_LEVELS = 64  # per covariate column; more levels must be coarsened first
+MAX_CELL_LEVELS = 64  # per covariate, conditioning or treatment column; coarsen a longer one
 DEFAULT_RCOND_THRESHOLD = 1e-10
 _KEY_PRIME = np.uint64(0x100000001B3)  # the 64-bit FNV prime
 SIDES = ("left", "right")  # side s of cell l is window group 2 * l + s (KernelWindow)
@@ -139,11 +139,12 @@ class Dataset:
     parametric transform columns, cluster columns and the extra controls
     named by ``extra_control_names`` there, each by :func:`_column`; ``y``,
     ``z``, ``cluster`` and the extra controls are checked so at
-    construction, the others when a fit names them.  Discrete labels of
-    covariates and of R come from the same :func:`_levels`.  ``aux`` is
-    read-only and its arrays are write-locked.  ``cells`` codes each
-    row's cell as an index into ``cell_labels``; the first label is the
-    reference cell.
+    construction, the others when a fit names them.  Covariates and R are
+    coded by the same :func:`encode_cells`.  ``aux`` is read-only and its
+    arrays are write-locked.  ``cells`` codes each row's cell as an index
+    into ``cell_labels``; the first label is the reference cell.
+    ``running_column`` names the column :func:`load_table` read z from;
+    None for a dataset built otherwise.
     """
 
     y: np.ndarray
@@ -154,6 +155,7 @@ class Dataset:
     cluster: np.ndarray | None = None
     extra_control_names: tuple[str, ...] = ()
     aux: Mapping[str, np.ndarray] = field(default_factory=dict)
+    running_column: str | None = None
 
     def __post_init__(self):
         y = _locked(np.asarray(self.y, dtype=float))
@@ -211,11 +213,17 @@ class Dataset:
         return max(self.q - 1, 0)
 
 
-def _once(field: str, names: Sequence[str]) -> None:
-    """Refuse a column named twice in ``field``: a :class:`SchemaError` naming both."""
-    twice = next((name for i, name in enumerate(names) if name in names[:i]), None)
-    if twice is not None:
-        raise SchemaError(f"{field} names column {twice!r} more than once")
+def _once(**fields: Sequence[str]) -> None:
+    """Refuse a column named twice, in one of ``fields`` or in two: a :class:`SchemaError`
+    naming the column and the field, or both fields."""
+    seen: dict[str, str] = {}
+    for field, names in fields.items():
+        for name in names:
+            if seen.get(name) == field:
+                raise SchemaError(f"{field} names column {name!r} more than once")
+            if name in seen:
+                raise SchemaError(f"{seen[name]} and {field} both name column {name!r}")
+            seen[name] = field
 
 
 @dataclass(frozen=True)
@@ -250,8 +258,8 @@ class TableSchema:
         sep = self.delimiter  # numpy's reader splits fields at one character, never at these
         if not isinstance(sep, str) or len(sep) != 1 or sep in '"\r\n':
             raise SchemaError(f"delimiter must be one character, not a quote or newline: {sep!r}")
-        for name in ("covariates", "extra_controls", "treatment_indicators"):
-            _once(name, getattr(self, name))
+        _once(covariates=self.covariates, extra_controls=self.extra_controls,
+              treatment_indicators=self.treatment_indicators)
 
 
 @dataclass(frozen=True)
@@ -279,7 +287,7 @@ class ModelSpec:
         if self.kind == "parametric" and not self.wtilde_columns:
             raise InputError("parametric model requires at least one wtilde column")
         object.__setattr__(self, "wtilde_columns", tuple(self.wtilde_columns))
-        _once("wtilde_columns", self.wtilde_columns)
+        _once(wtilde_columns=self.wtilde_columns)
 
 
 def conditioning(sizes, what: str | None = None, n: int | None = None) -> float:
@@ -302,7 +310,8 @@ class EstimationConfig:
 
     ``cluster_by`` is a column of ``Dataset.aux``, the string
     ``"running"`` (cluster by the values of the running variable), or
-    None (each observation its own cluster).
+    None: the dataset's own ``cluster`` ids (``TableSchema.cluster``), and
+    without them each observation its own cluster (:func:`_clusters`).
 
     The cutoff belongs to :class:`TableSchema`, which recenters the
     running variable at load; the ``cutoff`` keyword here is accepted for
@@ -326,6 +335,24 @@ class EstimationConfig:
             object.__setattr__(self, "kernel", KernelKind.from_name(self.kernel))
         if not 0 < self.bandwidth < math.inf:
             raise InputError(f"bandwidth must be a positive finite number, got {self.bandwidth}")
+
+
+def _clusters(ds: Dataset, cluster_by: str | None) -> np.ndarray | None:
+    """Each row's cluster id under ``cluster_by``, the one reading of a cluster name: None is
+    ``ds.cluster``, and ``"running"`` is z, unless ``aux`` has a column ``running`` that is not
+    ``ds.running_column``; then the name reads two ways and is an :class:`InputError`."""
+    if cluster_by is None:
+        return ds.cluster
+    if cluster_by != "running":
+        return _column(ds.aux, cluster_by, "cluster")
+    if "running" not in ds.aux or ds.running_column == "running":
+        return ds.z
+    own = f"name its column, {ds.running_column!r}" if ds.running_column else "name its column"
+    raise InputError(
+        "cluster 'running' reads two ways: the running variable, or the table's column "
+        "'running', which is not the running column; to cluster by the running variable, "
+        f"{own}, and to cluster by that column, rename it"
+    )
 
 
 class GroupBasis:
@@ -458,9 +485,11 @@ def encode_treatment(t: np.ndarray, levels: Sequence[float]) -> np.ndarray:
     the baseline and produces no column.
     """
     levels = [float(v) for v in levels]
-    if len(levels) < 2:
-        raise InputError(f"need at least two treatment levels, got {levels}")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
+    if not 2 <= len(levels) <= MAX_CELL_LEVELS:
+        raise InputError(f"need 2 to {MAX_CELL_LEVELS} treatment levels, got {len(levels)}")
+    if not all(map(math.isfinite, levels)):
+        raise InputError(f"treatment levels must be finite numbers, got {levels}")
+    if not all(a < b for a, b in zip(levels, levels[1:])):
         raise InputError(f"treatment levels must be strictly increasing, got {levels}")
     t = np.asarray(t, dtype=float)
     unknown = np.flatnonzero(~np.isin(t, levels))
@@ -479,16 +508,19 @@ class CellEncoding:
     labels: tuple[str, ...]
 
 
-def encode_cells(columns: Sequence[np.ndarray], names: Sequence[str] = ()) -> CellEncoding:
-    """Map discrete covariate combinations to cell indices.
+def encode_cells(
+    columns: Sequence[np.ndarray], names: Sequence[str] = (), role: str = "covariate"
+) -> CellEncoding:
+    """Map discrete covariate combinations to cell indices: the one coder of a discrete column.
 
     Cells are indexed by the lexicographic order of their label, the
     values joined by ``|``; the smallest label, code 0, is the reference
-    cell.  Two combinations joined to one label, as ("x|y", "z") and
-    ("x", "y|z") are, are an :class:`InputError` naming it and the columns:
-    every error names a column by ``names``, or by its position.  The
-    encoding depends only on the multiset of values, so shuffling rows
-    permutes the cell index column identically.
+    cell.  A column of more than ``MAX_CELL_LEVELS`` levels, and two
+    combinations joined to one label, as ("x|y", "z") and ("x", "y|z")
+    are, are an :class:`InputError`: every error names the columns' ``role``
+    and a column by ``names``, or by its position.  The encoding depends
+    only on the multiset of values, so shuffling rows permutes the cell
+    index column identically.
     """
     columns = [np.asarray(c) for c in columns]
     if not columns:
@@ -497,11 +529,11 @@ def encode_cells(columns: Sequence[np.ndarray], names: Sequence[str] = ()) -> Ce
     codes, column_labels = [], []
     for k, col in enumerate(columns):
         if len(col) != n:
-            raise InputError(f"covariate column {names[k]!r} has length {len(col)}, expected {n}")
+            raise InputError(f"{role} column {names[k]!r} has length {len(col)}, expected {n}")
         col_codes, col_labels = _levels(col)
         if len(col_labels) > MAX_CELL_LEVELS:
             raise InputError(
-                f"covariate column {names[k]!r} has {len(col_labels)} levels "
+                f"{role} column {names[k]!r} has {len(col_labels)} levels "
                 f"(> {MAX_CELL_LEVELS}); coarsen it before encoding"
             )
         codes.append(col_codes)
@@ -520,7 +552,7 @@ def encode_cells(columns: Sequence[np.ndarray], names: Sequence[str] = ()) -> Ce
     if len(labels) < size:  # a "|" inside the values of two covariates
         shared = str(labels[np.bincount(rank).argmax()])
         raise InputError(
-            f"two value combinations of the covariate columns {names} share the cell label "
+            f"two value combinations of the {role} columns {names} share the cell label "
             f"{shared!r}: a '|' in their values joins them"
         )
     return CellEncoding(rank[combo], tuple(labels.tolist()))
@@ -687,7 +719,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     columns read a second time (:func:`_read_columns`).
     ``Dataset.aux`` is the one parsed copy of the file: a column is
     numeric iff every value parses, and every model column is read from
-    it.  Cell labels come from ``_levels``, so a numeric covariate is
+    it.  Cell labels come from :func:`encode_cells`, so a numeric covariate is
     labelled by its value ("4.0" and "04" are both "4").  The running
     variable is recentered by ``schema.cutoff`` so the threshold sits at
     zero.  Each column the schema names is looked up by :func:`_column`
@@ -756,6 +788,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
         cluster=cluster,
         extra_control_names=tuple(schema.extra_controls),
         aux=aux,
+        running_column=schema.running,
     )
 
 

@@ -60,7 +60,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .data_model import SIDES, Dataset, EstimationConfig, GroupBasis, KernelWindow, ModelSpec
-from .data_model import _column, _levels, _lock_fields, _too_few, _window_of, conditioning
+from .data_model import _clusters, _column, _lock_fields, _once, _too_few, _window_of
+from .data_model import conditioning, encode_cells
 from .errors import CellUnusableError, EstimationError, InputError, SingularDesignError
 from .errors import UnderIdentifiedError
 
@@ -375,43 +376,6 @@ def _unusable(ds, tags, basis) -> list[str]:
     return [f"rank deficient on its own: {', '.join(strata)}"] * bool(strata) + notes
 
 
-def _splits_like_z(col: np.ndarray, z: np.ndarray) -> bool:
-    """Whether ``col`` is numeric, as the running variable is, and its ids split the rows
-    into the same clusters as ``z``'s; a column of text or objects is never sorted here."""
-    if col.ndim != 1 or col.dtype.kind not in "biuf":
-        return False
-    (ca, la), (cz, lz) = _levels(col), _levels(z)
-    return len(la) == len(lz) == len(np.unique(ca * len(lz) + cz))
-
-
-def _running_clusters(ds) -> np.ndarray:
-    """z, the cluster ids of ``cluster_by="running"``, unless a table column named
-    ``running`` splits the rows otherwise: then the name reads two ways and is refused."""
-    col = ds.aux.get("running")
-    if col is None or _splits_like_z(col, ds.z):  # none, or the running variable's own
-        return ds.z
-    own = next((f"name its column, {name!r}" for name, c in ds.aux.items()
-                if _splits_like_z(c, ds.z)), "name its column")
-    raise InputError(
-        "cluster 'running' reads two ways: the running variable, or the table's column "
-        "'running', which splits the rows into other clusters; to cluster by the running "
-        f"variable, {own}, and to cluster by that column, rename it"
-    )
-
-
-def _strata(ds, spec, rows) -> tuple[list[str], np.ndarray]:
-    """The conditional design's stratum tags in label order, and each of ``rows``' stratum.
-
-    The strata are the levels of the conditioning column in the full sample.
-    """
-    # a missing value would be a stratum of its own
-    codes, strata = _levels(_column(ds.aux, spec.r_column, "conditioning"))
-    order = sorted(range(len(strata)), key=strata.__getitem__)  # strata in label order
-    rank = np.empty(len(strata), dtype=np.intp)
-    rank[order] = np.arange(len(strata))
-    return [f"{spec.r_column}={strata[j]}" for j in order], rank[codes[rows]]
-
-
 def build_design(
     ds: Dataset, spec: ModelSpec, cfg: EstimationConfig, window: KernelWindow | None = None
 ) -> DesignMatrices:
@@ -425,11 +389,11 @@ def build_design(
     controls from their ``aux`` columns, the endogenous columns (each
     stratum's on its own rows, zero elsewhere) and y.  A homogeneous or
     parametric design is the one stratum of every row, and its rows and
-    :class:`GroupBasis` are the window's own; the
-    conditional design's groups are (stratum, cell, side), the window's
-    rows stable-sorted by stratum.  The dummies and the strata keep the
-    levels of the full sample.  The conditioning column, the transform
-    columns and ``cfg.cluster_by`` are looked up by
+    :class:`GroupBasis` are the window's own; the conditional design's
+    groups are (stratum, cell, side), the window's rows stable-sorted by
+    stratum.  The dummies and the strata keep the levels of the full
+    sample; :func:`data_model.encode_cells` codes both.  The conditioning
+    column, the transform columns and ``cfg.cluster_by`` are looked up by
     :func:`data_model._column`, which checks every row of the table, inside
     the window or not, so a missing value is an input error naming the
     role, the column and the data row.  Raises when the endogenous block
@@ -442,7 +406,10 @@ def build_design(
     rows, w, basis, q2 = win.rows, win.weights, win.basis, 2 * ds.q
     tags, conditional = [""], spec.kind == "conditional"
     if conditional:  # the window's (cell, side) order, stable-sorted by stratum
-        tags, stratum = _strata(ds, spec, rows)
+        _once(extra_controls=ds.extra_control_names, r_column=(spec.r_column,))
+        r = _column(ds.aux, spec.r_column, "conditioning")  # a missing value is no stratum
+        strata = encode_cells([r], (spec.r_column,), "conditioning")  # as covariates are coded
+        tags, stratum = [f"{spec.r_column}={s}" for s in strata.labels], strata.cells[rows]
         groups = (stratum * q2 + basis.groups).astype(np.min_scalar_type(len(tags) * q2))
         order = np.argsort(groups, kind="stable")  # a radix sort on codes this small
         rows, w, stratum = rows[order], w[order], stratum[order]
@@ -451,11 +418,7 @@ def build_design(
             a.setflags(write=False)
         basis = GroupBasis(groups, z, len(tags) * q2)
 
-    cluster = ds.cluster
-    if cfg.cluster_by == "running":
-        cluster = _running_clusters(ds)
-    elif cfg.cluster_by is not None:
-        cluster = _column(ds.aux, cfg.cluster_by, "cluster")
+    cluster = _clusters(ds, cfg.cluster_by)
     if cluster is not None:
         cluster = cluster[rows]
 

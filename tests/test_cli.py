@@ -992,3 +992,43 @@ def test_an_undeclared_treatment_value_names_the_value_column_and_row(capsys):
         "error: treatment column 'coverage': treatment value 2 in row 6 "
         "is not among declared levels [0.0, 1.0]\n"
     )
+
+
+def with_flags(args, **flags):
+    """``args`` with each flag's value set, or the flag appended; a value of None drops it."""
+    args = list(args)
+    for key, value in flags.items():
+        flag = f"--{key.replace('_', '-')}"
+        if flag in args:
+            i = args.index(flag)
+            del args[i : i + 2]
+        if value is not None:
+            args += [flag, value]
+    return args
+
+
+@pytest.mark.parametrize("flags, says", [
+    (dict(w="race,region", controls="region"),
+     "covariates and extra_controls both name column 'region'"),
+    (dict(w="race", model="conditional", r="region", controls="region"),
+     "extra_controls and r_column both name column 'region'"),
+    (dict(w="race,educ", model="conditional", r="educ"),
+     "covariates and r_column both name column 'educ'"),
+    (dict(w="race", model="conditional", r="r65"),
+     "conditioning column 'r65' has 65 levels (> 64); coarsen it before encoding"),
+])
+def test_a_column_named_in_two_roles_or_too_many_strata_is_one_error_line(
+    capsys, tmp_path, flags, says
+):
+    # each fit exited 2 with a rank-deficient or singular design, and --r age with a traceback
+    data = with_columns(tmp_path, r65=lambda i: f"level{i % 65}")
+    code, out, err = run_cli(capsys, with_flags(ESTIMATE_ARGS, data=data, **flags))
+    assert (code, out, err) == (1, "", f"error: {says}\n")
+
+
+def test_a_running_variable_as_the_treatment_is_refused_before_any_fit(capsys, monkeypatch):
+    # its 3,984 levels once ran a relevance check of 3,983 margins for minutes
+    monkeypatch.setattr("multirdd.cli.kernel_window", lambda *a: pytest.fail("window built"))
+    code, out, err = run_cli(capsys, with_flags(ESTIMATE_ARGS, treatment="age", controls=None))
+    assert (code, out, err) == (1, "", "error: treatment column 'age': need 2 to 64 treatment "
+                                       "levels, got 3984\n")

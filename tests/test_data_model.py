@@ -246,6 +246,32 @@ def test_a_column_named_twice_in_one_field_is_a_schema_error(field, names):
             TableSchema(outcome="y", running="z", **treatment, **{field: names})
 
 
+@pytest.mark.parametrize(
+    "fields, says",
+    [
+        (dict(treatment="t", covariates=("race", "region"), extra_controls=("region",)),
+         "covariates and extra_controls both name column 'region'"),
+        (dict(extra_controls=("x2",), treatment_indicators=("x1", "x2")),
+         "extra_controls and treatment_indicators both name column 'x2'"),
+        (dict(covariates=("x1",), treatment_indicators=("x1", "x2")),
+         "covariates and treatment_indicators both name column 'x1'"),
+    ],
+)
+def test_a_column_named_in_two_schema_fields_is_a_schema_error(fields, says):
+    # such a column was accepted, and the fit failed late as collinear without a name
+    with pytest.raises(SchemaError, match=f"^{says}$"):
+        TableSchema(outcome="y", running="z", **fields)
+
+
+def test_one_naming_rule_spans_the_fields_it_is_given():
+    # the CLI's check of --w and --r before the table is read
+    with pytest.raises(SchemaError, match="^covariates and r_column both name column 'educ'$"):
+        data_model._once(covariates=("race", "educ"), r_column=("educ",))
+    with pytest.raises(SchemaError, match="^covariates names column 'race' more than once$"):
+        data_model._once(covariates=("race", "race"), r_column=("race",))
+    data_model._once(covariates=("race", "educ"), r_column=("region",))
+
+
 @pytest.mark.parametrize("delimiter", ["", "ab", '"', "\n", "\r", None])
 def test_schema_delimiter_is_one_character_that_splits_fields(delimiter):
     with pytest.raises(SchemaError, match=f"delimiter .*: {re.escape(repr(delimiter))}$"):
@@ -393,6 +419,20 @@ def test_encode_treatment_out_of_range():
         encode_treatment(np.array([0.0, 3.0]), (0, 1, 2))
     with pytest.raises(InputError, match="strictly increasing"):
         encode_treatment(np.array([0.0, 1.0]), (0, 0, 1))
+    # NaN compares False both ways, and inf passes any order check: both fitted until singular
+    for levels in ((math.nan, 0, 1, 2), (0, 1, 2, math.inf)):
+        with pytest.raises(InputError, match=r"^treatment levels must be finite numbers, got \["):
+            encode_treatment(np.array([0.0, 1.0]), levels)
+
+
+def test_encode_treatment_refuses_more_levels_than_a_cell_column():
+    levels = range(data_model.MAX_CELL_LEVELS + 1)
+    with pytest.raises(InputError, match="^need 2 to 64 treatment levels, got 65$"):
+        encode_treatment(np.array([0.0, 1.0]), levels)
+    assert encode_treatment(np.array([0.0, 63.0]), levels[:-1]).shape == (2, 63)
+    # the running variable as the treatment: its 3,984 levels are refused before they are coded
+    with pytest.raises(InputError, match="^treatment column 'age': need 2 to 64 treatment levels"):
+        load_table(SAMPLE_CSV, TableSchema(outcome="delayed_care", running="age", treatment="age"))
 
 
 def test_encode_treatment_degenerate_all_ones():

@@ -312,15 +312,15 @@ def test_discontinuities_factors_only_the_relevance_matrix():
     assert linalg_calls(source) == [("_separation", "eigh")]
 
 
-def window_calls(source: str) -> list:
-    """The top-level definition of each call to ``window`` or ``<module>.window`` in ``source``."""
+def callers_of(source: str, callee: str) -> list:
+    """The top-level definition of each call to ``callee`` or ``<module>.callee`` in ``source``."""
     found = []
     for top in ast.parse(source).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "window":
+                if name == callee:
                     found.append(getattr(top, "name", None))
     return found
 
@@ -329,14 +329,26 @@ def test_only_the_window_groups_and_the_design_evaluate_the_kernel_window():
     # one function weighs the window, and cell_table, build_design and the series read its value
     caught = "rows, w = window(k, h, z)\ndef f():\n    def g():\n"
     caught += "        return kernels.window(k, h, z)\nclass C:\n    r = window(k, h, z)\n"
-    assert window_calls(caught) == [None, "f", "C"]
-    assert window_calls("def f():\n    window\n    windows(z)\n    np.window_size(a)\n") == []
-    found = [
+    assert callers_of(caught, "window") == [None, "f", "C"]
+    no_call = "def f():\n    window\n    windows(z)\n    np.window_size(a)\n"
+    assert callers_of(no_call, "window") == []
+    assert src_callers_of("window") == ["data_model.kernel_window"]
+
+
+def src_callers_of(callee: str) -> list:
+    """``module.definition`` of each top-level definition in ``src`` that calls ``callee``."""
+    return [
         f"{path.stem}.{top}"
         for path in sorted((SRC / "multirdd").glob("*.py"))
-        for top in window_calls(path.read_text(encoding="utf-8"))
+        for top in callers_of(path.read_text(encoding="utf-8"), callee)
     ]
-    assert found == ["data_model.kernel_window"]
+
+
+def test_only_encode_cells_codes_a_discrete_column():
+    # the covariates and the conditioning column are coded, labelled and capped by one coder;
+    # no other function works out levels, or a column's role, from its values
+    assert callers_of("def f():\n    codes, labels = _levels(col)\n", "_levels") == ["f"]
+    assert src_callers_of("_levels") == ["data_model.encode_cells"]
 
 
 def column_checks(source: str) -> list:

@@ -831,13 +831,46 @@ def test_cluster_by_running_fits_as_before_when_the_running_column_is_named_runn
             covariates=("race", "educ"),
         )
         datasets.append(load_table(path, schema))
-    # a column "running" of the running variable in other units splits the rows alike too
-    by_age = datasets[0]
-    datasets.append(replace(by_age, aux={**by_age.aux, "running": by_age.aux["age"] * 12}))
-    want = estimate(by_age, ModelSpec(), cfg)
-    for ds in datasets[1:]:
-        fit = estimate(ds, ModelSpec(), cfg)
-        assert np.array_equal(fit.beta, want.beta) and np.array_equal(fit.cov, want.cov)
+    by_age, by_running = datasets
+    assert (by_age.running_column, by_running.running_column) == ("age", "running")
+    want, fit = (estimate(ds, ModelSpec(), cfg) for ds in datasets)
+    assert np.array_equal(fit.beta, want.beta) and np.array_equal(fit.cov, want.cov)
+    # a column "running" beside the running column is read by its name, not by its values:
+    # the running variable in other units, which splits the rows alike, reads two ways too
+    months = replace(by_age, aux={**by_age.aux, "running": by_age.aux["age"] * 12})
+    with pytest.raises(InputError, match="reads two ways.* name its column, 'age',"):
+        estimate(months, ModelSpec(), cfg)
+
+
+def test_cluster_by_running_reads_the_running_column_by_name():
+    # a dataset built without load_table records no running column
+    ds = random_dataset(np.random.default_rng(31), n=60, d=1, m=1)
+    assert ds.running_column is None
+    cfg = EstimationConfig(bandwidth=1.0, cluster_by="running")
+    dm = build_design(ds, ModelSpec(), cfg)
+    assert np.array_equal(dm.cluster, ds.z[kernel_window(ds, cfg).rows])
+    with pytest.raises(InputError, match="reads two ways.*; to cluster by the running variable, "
+                                         "name its column, and"):
+        build_design(replace(ds, aux={"running": ds.z}), ModelSpec(), cfg)
+    named = replace(ds, aux={"running": ds.z}, running_column="running")
+    assert np.array_equal(build_design(named, ModelSpec(), cfg).cluster, dm.cluster)
+
+
+@pytest.mark.parametrize("r_column, says", [
+    ("region", "^extra_controls and r_column both name column 'region'$"),
+    ("r65", "^conditioning column 'r65' has 65 levels \\(> 64\\); coarsen it before encoding$"),
+])
+def test_a_conditioning_column_is_coded_as_cells_and_named_once(r_column, says):
+    # the first fit was collinear without a name; the second coded 65 strata unchecked
+    schema = TableSchema(
+        outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
+        covariates=("race",), extra_controls=("region",),
+    )
+    ds = load_table(SAMPLE_CSV, schema)
+    ds = replace(ds, aux={**ds.aux, "r65": np.array([f"v{i % 65}" for i in range(ds.n)])})
+    spec = ModelSpec(kind="conditional", r_column=r_column)
+    with pytest.raises(InputError, match=says):
+        build_design(ds, spec, EstimationConfig(bandwidth=10.0))
 
 
 def test_estimate_pipeline_populates_everything():
