@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import SIDES, Dataset, EstimationConfig, KernelWindow, ModelSpec, TableSchema
-from .data_model import _once, _window_of, kernel_window, load_table, validate_dataset
+from .data_model import _window_of, kernel_window, load_table, validate_dataset
 from .discontinuities import cell_table, ratio_late, relevance
 from .errors import EstimationError, InputError
 from .kernels import KernelKind
@@ -235,10 +235,10 @@ def _fit_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _diagnostics_doc(ds, cfg, win, ct=None) -> tuple[dict, bool]:
+def _diagnostics_doc(ds, cfg, win, ct=None, tw=None) -> tuple[dict, bool]:
     if ct is None:
         ct = cell_table(ds, cfg, win)
-    tw = relevance(ct)
+    tw = relevance(ct) if tw is None else tw
     ratios = {}
     for l, label in enumerate(ct.labels):
         ratios[label] = {f"x{j}": ratio_late(ct, l, j).to_dict() for j in range(1, ct.d + 1)}
@@ -321,28 +321,26 @@ def estimate_cmd(cfg: dict) -> int:
     from .estimator import estimate  # here, so that diagnose never imports the estimator
 
     spec = ModelSpec(cfg.get("model", "homogeneous"), cfg.get("r"), cfg.get("wtilde", ()))
-    if spec.kind == "conditional":  # before the table is read; build_design checks the controls
-        _once(covariates=cfg.get("w", ()), r_column=(spec.r_column,))
     ds, est_cfg, echo = _load(cfg)
     echo.update(model=spec.kind, cluster=cfg.get("cluster"))
     win = kernel_window(ds, est_cfg)  # the kernel is evaluated once per command
-    ct = min_eig = None
+    ct = tw = None
     if spec.kind == "homogeneous":
         try:
             ct = cell_table(ds, est_cfg, win)
-            min_eig = float(relevance(ct).min_eigenvalue)
+            tw = relevance(ct)
         except EstimationError:
             pass
     try:
         fit = estimate(ds, spec, est_cfg, win)
     except EstimationError as err:
         try:
-            diagnostics = _diagnostics_doc(ds, est_cfg, win, ct)[0]
+            diagnostics = _diagnostics_doc(ds, est_cfg, win, ct, tw)[0]
             return _failed(err, cfg, echo, diagnostics=diagnostics)
         except EstimationError as diag_err:
             return _failed(err, cfg, echo, diagnostics_error=str(diag_err))
     doc = fit.to_dict()
-    doc["first_stage"]["joint_min_eigenvalue"] = min_eig
+    doc["first_stage"]["joint_min_eigenvalue"] = None if tw is None else tw.min_eigenvalue
     doc["config"] = echo
     payload = _fit_text(doc) if cfg.get("format") == "text" else _render_json(doc)
     _write(payload, cfg.get("out"))

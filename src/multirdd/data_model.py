@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError, ParseError, SchemaError, SingularDesignError
+from .errors import CellUnusableError, InputError, ParseError, SchemaError, SingularDesignError
 from .kernels import KernelKind, window
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
     "GroupBasis",
     "KernelWindow",
     "kernel_window",
+    "group_rows",
+    "unusable_groups",
     "CellEncoding",
     "ValidationReport",
     "load_table",
@@ -143,8 +145,8 @@ class Dataset:
     coded by the same :func:`encode_cells`.  ``aux`` is read-only and its
     arrays are write-locked.  ``cells`` codes each row's cell as an index
     into ``cell_labels``; the first label is the reference cell.
-    ``running_column`` names the column :func:`load_table` read z from;
-    None for a dataset built otherwise.
+    ``running_column`` names the column :func:`load_table` read z from and
+    ``covariate_names`` those it coded the cells from; None and () otherwise.
     """
 
     y: np.ndarray
@@ -156,6 +158,7 @@ class Dataset:
     extra_control_names: tuple[str, ...] = ()
     aux: Mapping[str, np.ndarray] = field(default_factory=dict)
     running_column: str | None = None
+    covariate_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         y = _locked(np.asarray(self.y, dtype=float))
@@ -170,7 +173,8 @@ class Dataset:
             object.__setattr__(self, "cluster", _locked(np.asarray(self.cluster)))
         aux = MappingProxyType({name: _locked(col) for name, col in self.aux.items()})
         object.__setattr__(self, "aux", aux)
-        object.__setattr__(self, "extra_control_names", tuple(self.extra_control_names))
+        for names in ("extra_control_names", "covariate_names"):
+            object.__setattr__(self, names, tuple(getattr(self, names)))
 
         n = len(y)
         for name, col in (("z", z), ("cells", cells)):
@@ -259,7 +263,8 @@ class TableSchema:
         if not isinstance(sep, str) or len(sep) != 1 or sep in '"\r\n':
             raise SchemaError(f"delimiter must be one character, not a quote or newline: {sep!r}")
         _once(covariates=self.covariates, extra_controls=self.extra_controls,
-              treatment_indicators=self.treatment_indicators)
+              treatment_indicators=self.treatment_indicators, outcome=(self.outcome,),
+              treatment=(self.treatment,) if has_single else ())
 
 
 @dataclass(frozen=True)
@@ -455,12 +460,30 @@ def kernel_window(ds: Dataset, cfg: EstimationConfig) -> KernelWindow:
     """
     rows, w = window(cfg.kernel, cfg.bandwidth, ds.z)
     z = ds.z[rows]
-    groups = (2 * ds.cells[rows] + (z >= 0)).astype(np.min_scalar_type(2 * ds.q))
-    order = np.argsort(groups, kind="stable")  # keeps each group's rows ascending; a radix sort
-    rows, w, groups, z = rows[order], w[order], groups[order], z[order]
-    for a in (rows, w, groups, z):  # made here and locked, so the window keeps them without a copy
+    basis, rows, w = group_rows(2 * ds.cells[rows] + (z >= 0), 2 * ds.q, z, rows, w)
+    return KernelWindow(ds, cfg.kernel, cfg.bandwidth, rows, w, basis)
+
+
+def group_rows(groups: np.ndarray, n: int, z: np.ndarray, *carried: np.ndarray) -> tuple:
+    """The one sort of rows into groups: the :class:`GroupBasis` of rows in ``groups`` of [0, ``n``)
+    at ``z``, stable-sorted by group (a radix sort, on the smallest type that holds n), then each
+    of ``carried`` in its order.  Every array made here is locked, so its reader keeps it as is."""
+    groups = groups.astype(np.min_scalar_type(n))
+    order = np.argsort(groups, kind="stable")
+    groups, z, *carried = (a[order] for a in (groups, z, *carried))
+    for a in (groups, z, *carried):
         a.setflags(write=False)
-    return KernelWindow(ds, cfg.kernel, cfg.bandwidth, rows, w, GroupBasis(groups, z, 2 * ds.q))
+    return (GroupBasis(groups, z, n), *carried)
+
+
+def unusable_groups(basis: GroupBasis, labels: Sequence[str]) -> dict[int, str]:
+    """Why each group g of ``basis`` without two distinct z cannot be fitted: the text of the
+    :class:`CellUnusableError` of side g % 2 of cell ``labels[g // 2 % len(labels)]``."""
+    counts, usable = basis.extent
+    why = "needs at least 2 distinct running-variable values with positive weight, found {}"
+    return {g: str(CellUnusableError(labels[g // 2 % len(labels)], SIDES[g % 2],
+                                     why.format(min(counts[g], 1))))
+            for g in np.flatnonzero(~usable).tolist()}
 
 
 def _window_of(ds: Dataset, cfg: EstimationConfig, win: KernelWindow | None) -> KernelWindow:
@@ -470,12 +493,6 @@ def _window_of(ds: Dataset, cfg: EstimationConfig, win: KernelWindow | None) -> 
     if win.dataset is not ds or (win.kernel, win.bandwidth) != (cfg.kernel, cfg.bandwidth):
         raise InputError("the kernel window was built for another dataset, kernel or bandwidth")
     return win
-
-
-def _too_few(count: int) -> str:
-    """Why a (cell, side) with ``count`` rows but not two distinct z cannot be fitted."""
-    found = min(count, 1)
-    return f"needs at least 2 distinct running-variable values with positive weight, found {found}"
 
 
 def encode_treatment(t: np.ndarray, levels: Sequence[float]) -> np.ndarray:
@@ -540,8 +557,8 @@ def encode_cells(
         column_labels.append(col_labels)
     # one integer per row for its combination of codes, renumbered after each
     # column to the combinations present, so no count outgrows cells x levels
-    combo, size = np.zeros(n, dtype=np.intp), 1
-    for col_codes, labs in zip(codes, column_labels):
+    combo, size = codes[0], len(column_labels[0])  # one column's codes are already dense
+    for col_codes, labs in zip(codes[1:], column_labels[1:]):
         combo = combo * len(labs) + col_codes
         seen = np.cumsum(np.bincount(combo, minlength=size * len(labs)) > 0)
         combo, size = seen[combo] - 1, int(seen.max(initial=0))
@@ -789,6 +806,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
         extra_control_names=tuple(schema.extra_controls),
         aux=aux,
         running_column=schema.running,
+        covariate_names=schema.covariates,
     )
 
 

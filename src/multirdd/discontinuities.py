@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_model import DEFAULT_RCOND_THRESHOLD, SIDES, Dataset, EstimationConfig, GroupBasis
-from .data_model import KernelWindow, _lock_fields, _too_few, _window_of, conditioning
-from .errors import CellUnusableError, EstimationError, RelevanceError
+from .data_model import DEFAULT_RCOND_THRESHOLD, Dataset, EstimationConfig, GroupBasis
+from .data_model import KernelWindow, _lock_fields, _window_of, conditioning, unusable_groups
+from .errors import EstimationError, RelevanceError
 
 __all__ = [
     "DroppedCell",
@@ -143,11 +143,10 @@ def cell_table(ds: Dataset, cfg: EstimationConfig, window: KernelWindow | None =
         )
     counts, spread = (a.reshape(ds.q, 2) for a in basis.extent)
     mass = basis.total(w).reshape(ds.q, 2).sum(axis=1)
-    usable = spread.all(axis=1)
+    usable, reasons = spread.all(axis=1), unusable_groups(basis, ds.cell_labels)
     dropped = []
     for l in np.flatnonzero(~usable):
-        side = 0 if spread[l, 1] else 1  # the right side is checked first
-        reason = str(CellUnusableError(ds.cell_labels[l], SIDES[side], _too_few(counts[l, side])))
+        reason = reasons.get(2 * l + 1) or reasons[2 * l]  # the right side is checked first
         share = float(mass[l] / total_mass)
         dropped.append(DroppedCell(ds.cell_labels[l], reason, share, *counts[l].tolist()))
     if not usable.any():

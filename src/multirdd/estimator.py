@@ -22,7 +22,7 @@ two tables, :data:`_CONTROL_COLUMNS` and :data:`_INSTRUMENT_COLUMNS`,
 declare T's columns and their labels.  The rows are in group order, and
 B is their :class:`data_model.GroupBasis`, which owns every per-group
 sum and moment: the kernel window's own, or, in the conditional design,
-that of the window's rows stable-sorted by stratum.  :func:`build_design`
+the window's rows regrouped by :func:`data_model.group_rows`.  :func:`build_design`
 keeps it, a small dense block D = [extra controls | X | y] (X per
 stratum in the conditional design), and the 0/1 matrix M that writes
 A = [C | Z | X | y] = [B | D] M;
@@ -34,12 +34,12 @@ where a scaled pivot is too small for the normal equations, the R of
 [B | D] from per-group closed forms and one Householder QR of D with
 each group's line (:meth:`GroupBasis.line`, the fit ``cell_table`` reads)
 partialled out, then a QR of that small R times M.  A (cell, side)
-group without two distinct z makes two columns exactly dependent; the
-basis's extent names it before anything is factored.  Every stage reads
-that one R, gated on its first read by R_EE's diagonal over R's column
-norms.  The second stage, y on
-[X_hat | C], is least squares on K = [R_EX | R_EC], the regressors in the
-rows of E; K = Q_K R_K is factored once and gated the same way, and
+group without two distinct z makes two columns exactly dependent, and
+:func:`data_model.unusable_groups` names it before anything is factored,
+in the words ``cell_table`` drops the cell with.  Every stage reads that
+one R, gated on its first read by R_EE's diagonal over R's column norms.
+The second stage, y on [X_hat | C], is least squares on K = [R_EX | R_EC],
+the regressors in the rows of E; K = Q_K R_K is factored once and gated the same way, and
 (beta, eta) = R_K^-1 Q_K' R_Ey.  The first-stage residual sums of
 squares are column norms of R below the rows of E and of C.  The
 covariance and the J test share one pass that forms the residual u from
@@ -59,10 +59,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .data_model import SIDES, Dataset, EstimationConfig, GroupBasis, KernelWindow, ModelSpec
-from .data_model import _clusters, _column, _lock_fields, _once, _too_few, _window_of
-from .data_model import conditioning, encode_cells
-from .errors import CellUnusableError, EstimationError, InputError, SingularDesignError
+from .data_model import Dataset, EstimationConfig, GroupBasis, KernelWindow, ModelSpec
+from .data_model import _clusters, _column, _lock_fields, _once, _window_of
+from .data_model import conditioning, encode_cells, group_rows, unusable_groups
+from .errors import EstimationError, InputError, SingularDesignError
 from .errors import UnderIdentifiedError
 
 __all__ = [
@@ -352,23 +352,11 @@ def _stratum_columns(cell_labels: tuple[str, ...]) -> tuple[tuple[str, ...], int
 
 
 def _unusable(ds, tags, basis) -> list[str]:
-    """A note for each (stratum,) cell and side without two distinct z; empty when none.
-
-    Such a group's constant and z columns are exactly dependent, so the
-    design is rank deficient before anything is factored.  Each group's
-    count and spread are the ``extent`` of ``basis``.
-    """
-    counts, usable = basis.extent
-    if usable.all():
-        return []
+    """A note for each (stratum,) cell and side without two distinct z, empty when none: its
+    :func:`data_model.unusable_groups` reason, and its stratum.  Such a group's constant and z
+    columns are exactly dependent, so the design is rank deficient before anything is factored."""
     q2, notes, strata = 2 * ds.q, [], {}
-    for g in np.flatnonzero(~usable).tolist():
-        label, side = ds.cell_labels[g % q2 // 2], SIDES[g % 2]
-        if counts[g]:
-            note = str(CellUnusableError(label, side, _too_few(int(counts[g]))))
-        else:
-            note = f"cell {label!r} has no observations on the {side} side of the cutoff"
-            note += " within the bandwidth"
+    for g, note in unusable_groups(basis, ds.cell_labels).items():
         if tags[0]:  # the conditional design names the stratum too
             strata[f"stratum {tags[g // q2]}"] = None
             note += f" (stratum {tags[g // q2]})"
@@ -390,9 +378,9 @@ def build_design(
     stratum's on its own rows, zero elsewhere) and y.  A homogeneous or
     parametric design is the one stratum of every row, and its rows and
     :class:`GroupBasis` are the window's own; the conditional design's
-    groups are (stratum, cell, side), the window's rows stable-sorted by
-    stratum.  The dummies and the strata keep the levels of the full
-    sample; :func:`data_model.encode_cells` codes both.  The conditioning
+    groups are (stratum, cell, side), the window's rows regrouped by
+    :func:`data_model.group_rows`.  The dummies and the strata keep the
+    full sample's levels; :func:`data_model.encode_cells` codes both.  The conditioning
     column, the transform columns and ``cfg.cluster_by`` are looked up by
     :func:`data_model._column`, which checks every row of the table, inside
     the window or not, so a missing value is an input error naming the
@@ -406,17 +394,14 @@ def build_design(
     rows, w, basis, q2 = win.rows, win.weights, win.basis, 2 * ds.q
     tags, conditional = [""], spec.kind == "conditional"
     if conditional:  # the window's (cell, side) order, stable-sorted by stratum
-        _once(extra_controls=ds.extra_control_names, r_column=(spec.r_column,))
+        _once(covariates=ds.covariate_names, extra_controls=ds.extra_control_names,
+              r_column=(spec.r_column,))
         r = _column(ds.aux, spec.r_column, "conditioning")  # a missing value is no stratum
         strata = encode_cells([r], (spec.r_column,), "conditioning")  # as covariates are coded
-        tags, stratum = [f"{spec.r_column}={s}" for s in strata.labels], strata.cells[rows]
-        groups = (stratum * q2 + basis.groups).astype(np.min_scalar_type(len(tags) * q2))
-        order = np.argsort(groups, kind="stable")  # a radix sort on codes this small
-        rows, w, stratum = rows[order], w[order], stratum[order]
-        groups, z = groups[order], basis.z[order]
-        for a in (groups, z):  # made here and locked, so the basis keeps them without a copy
-            a.setflags(write=False)
-        basis = GroupBasis(groups, z, len(tags) * q2)
+        tags = [f"{spec.r_column}={s}" for s in strata.labels]
+        groups = strata.cells[rows] * q2 + basis.groups
+        basis, rows, w = group_rows(groups, len(tags) * q2, basis.z, rows, w)
+        stratum = basis.groups // q2
 
     cluster = _clusters(ds, cfg.cluster_by)
     if cluster is not None:

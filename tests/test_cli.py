@@ -1016,14 +1016,30 @@ def with_flags(args, **flags):
      "covariates and r_column both name column 'educ'"),
     (dict(w="race", model="conditional", r="r65"),
      "conditioning column 'r65' has 65 levels (> 64); coarsen it before encoding"),
+    (dict(controls="delayed_care"), "extra_controls and outcome both name column 'delayed_care'"),
+    (dict(controls="coverage"), "extra_controls and treatment both name column 'coverage'"),
 ])
 def test_a_column_named_in_two_roles_or_too_many_strata_is_one_error_line(
     capsys, tmp_path, flags, says
 ):
-    # each fit exited 2 with a rank-deficient or singular design, and --r age with a traceback
+    # each fit exited 2 with a rank-deficient or singular design, and --r age with a traceback;
+    # the outcome as a control exited 0 with beta = 0 and SE 0
     data = with_columns(tmp_path, r65=lambda i: f"level{i % 65}")
     code, out, err = run_cli(capsys, with_flags(ESTIMATE_ARGS, data=data, **flags))
     assert (code, out, err) == (1, "", f"error: {says}\n")
+
+
+@pytest.mark.parametrize("flags", [dict(cluster="region"), dict(w=None)])
+def test_a_failed_estimate_checks_relevance_once(capsys, monkeypatch, flags):
+    # J's moment covariance is singular with 4 clusters, and one cell under-identifies two margins;
+    # the failure report reads the relevance check the command already made
+    import multirdd.cli as cli
+
+    calls, relevance = [], cli.relevance
+    monkeypatch.setattr(cli, "relevance", lambda ct: calls.append(ct) or relevance(ct))
+    code, out, _ = run_cli(capsys, with_flags(ESTIMATE_ARGS, **flags))
+    assert code == 2 and "relevance" in json.loads(out)["diagnostics"]
+    assert len(calls) == 1
 
 
 def test_a_running_variable_as_the_treatment_is_refused_before_any_fit(capsys, monkeypatch):

@@ -255,16 +255,22 @@ def test_a_column_named_twice_in_one_field_is_a_schema_error(field, names):
          "extra_controls and treatment_indicators both name column 'x2'"),
         (dict(covariates=("x1",), treatment_indicators=("x1", "x2")),
          "covariates and treatment_indicators both name column 'x1'"),
+        (dict(treatment="t", extra_controls=("y",)), "extra_controls and outcome both name column 'y'"),
+        (dict(treatment="t", covariates=("t",)), "covariates and treatment both name column 't'"),
+        (dict(treatment_indicators=("x1", "y")),
+         "treatment_indicators and outcome both name column 'y'"),
+        (dict(treatment="y"), "outcome and treatment both name column 'y'"),
     ],
 )
 def test_a_column_named_in_two_schema_fields_is_a_schema_error(fields, says):
-    # such a column was accepted, and the fit failed late as collinear without a name
+    # such a column was accepted, and the fit failed late as collinear without a name,
+    # or, with the outcome as a control, reported beta = 0 with SE 0
     with pytest.raises(SchemaError, match=f"^{says}$"):
         TableSchema(outcome="y", running="z", **fields)
 
 
 def test_one_naming_rule_spans_the_fields_it_is_given():
-    # the CLI's check of --w and --r before the table is read
+    # build_design's check of the covariates, the extra controls and r_column
     with pytest.raises(SchemaError, match="^covariates and r_column both name column 'educ'$"):
         data_model._once(covariates=("race", "educ"), r_column=("educ",))
     with pytest.raises(SchemaError, match="^covariates names column 'race' more than once$"):

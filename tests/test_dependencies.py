@@ -395,8 +395,9 @@ def calls_named(source: str, names: tuple) -> list:
 
 
 def test_only_data_model_groups_the_window_rows():
-    # data_model.GroupBasis sorts the window rows by (cell, side) group once and sums every
-    # group one way; cell_table, the fit and the series bins read it and group nothing again
+    # data_model.group_rows sorts rows into groups, the window's (cell, side) and the conditional
+    # design's (stratum, cell, side), and GroupBasis sums every group one way; cell_table, the
+    # fit and the series bins read it and group nothing again
     caught = "np.add.reduceat(v, s)\nnp.minimum.at(lo, g, z)\nbincount(g)\nx.argsort()\n"
     assert calls_named(caught, ("reduceat", "at")) == [1, 2]
     assert calls_named(caught, ("bincount",)) == [3] and calls_named(caught, ("argsort",)) == [4]
@@ -408,7 +409,24 @@ def test_only_data_model_groups_the_window_rows():
         if stem != "data_model"
     }
     found["discontinuities: bincount"] = calls_named(source["discontinuities"], ("bincount",))
-    found["cli: argsort"] = calls_named(source["cli"], ("argsort",))
+    found.update(
+        (f"{stem}: argsort", calls_named(text, ("argsort",)))
+        for stem, text in source.items()
+        if stem != "data_model"
+    )
+    assert not any(found.values()), found
+
+
+def test_only_data_model_says_why_a_group_cannot_be_fitted():
+    # data_model.unusable_groups words each unusable (cell, side) once; cell_table's dropped
+    # cells and the rank gate's notes read its text
+    assert calls_named("raise CellUnusableError(l, s)\nerrors.CellUnusableError()\n",
+                       ("CellUnusableError",)) == [1, 2]
+    found = {
+        path.stem: calls_named(path.read_text(encoding="utf-8"), ("CellUnusableError",))
+        for path in sorted((SRC / "multirdd").glob("*.py"))
+        if path.stem != "data_model"
+    }
     assert not any(found.values()), found
 
 

@@ -184,8 +184,11 @@ def test_design_rank_deficient_cell_within_bandwidth():
     one_side = Dataset(y=ds.y, z=z, x=ds.x, cells=ds.cells, cell_labels=ds.cell_labels)
     with pytest.raises(SingularDesignError, match="rank deficient") as err:
         build_design(one_side, ModelSpec(), EstimationConfig(bandwidth=1.0))
-    assert "cell 'cell001' has no observations on the left side" in str(err.value)
-    assert "cell000" not in str(err.value) and "right side" not in str(err.value)
+    assert str(err.value) == (
+        "exogenous block is rank deficient after weighting (8 columns) (rcond 0.000e+00 < 1.0e-10)"
+        "; cell 'cell001' unusable on the left side of the cutoff: needs at least 2 distinct "
+        "running-variable values with positive weight, found 0"
+    )
 
 
 @contextmanager
@@ -255,9 +258,10 @@ RANK_ERRORS = {
     "ctl2 = ctl + 1e-12 noise": COLLINEAR,
     "ctl2 = ctl": COLLINEAR,
     "cell001 empty inside the window": (
-        r"0\.000e\+00 < 1\.0e-10\); cell 'cell001' has no observations on the left side of the "
-        r"cutoff within the bandwidth; cell 'cell001' has no observations on the right side "
-        r"of the cutoff within the bandwidth"
+        r"0\.000e\+00 < 1\.0e-10\); cell 'cell001' unusable on the left side of the cutoff: "
+        r"needs at least 2 distinct running-variable values with positive weight, found 0; "
+        r"cell 'cell001' unusable on the right side of the cutoff: needs at least 2 distinct "
+        r"running-variable values with positive weight, found 0"
     ),
 }
 
@@ -859,12 +863,14 @@ def test_cluster_by_running_reads_the_running_column_by_name():
 @pytest.mark.parametrize("r_column, says", [
     ("region", "^extra_controls and r_column both name column 'region'$"),
     ("r65", "^conditioning column 'r65' has 65 levels \\(> 64\\); coarsen it before encoding$"),
+    ("educ", "^covariates and r_column both name column 'educ'$"),
 ])
 def test_a_conditioning_column_is_coded_as_cells_and_named_once(r_column, says):
-    # the first fit was collinear without a name; the second coded 65 strata unchecked
+    # the first fit was collinear without a name, the second coded 65 strata unchecked, and
+    # the third failed late as rank deficient: the loaded dataset records its covariates' names
     schema = TableSchema(
         outcome="delayed_care", running="age", cutoff=65.0, treatment="coverage",
-        covariates=("race",), extra_controls=("region",),
+        covariates=("race", "educ"), extra_controls=("region",),
     )
     ds = load_table(SAMPLE_CSV, schema)
     ds = replace(ds, aux={**ds.aux, "r65": np.array([f"v{i % 65}" for i in range(ds.n)])})
