@@ -265,6 +265,9 @@ class TableSchema:
         _once(covariates=self.covariates, extra_controls=self.extra_controls,
               treatment_indicators=self.treatment_indicators, outcome=(self.outcome,),
               treatment=(self.treatment,) if has_single else ())
+        # the running column may also code the cells, and a treatment of it fails its level cap
+        _once(running=(self.running,), outcome=(self.outcome,), extra_controls=self.extra_controls,
+              treatment_indicators=self.treatment_indicators)
 
 
 @dataclass(frozen=True)
@@ -649,18 +652,19 @@ def _field_widths(path: Path, delimiter: str, m: int) -> np.ndarray | None:
     return np.array([(ends[1:, k] - starts[k] - 1).max(initial=0) for k in range(m)])
 
 
-def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.ndarray]]:
-    """The header, and each column parsed once by numpy's C text reader.
+def _read_columns(path: Path, delimiter: str) -> dict[str, np.ndarray]:
+    """Each column by its header name, parsed once by numpy's C text reader.
 
-    Row 1 sniffs which columns are numeric.  One read takes them all, each
-    text column sized to its widest field by :func:`_field_widths`, so it
-    also checks every row's field count.  Columns are re-read only if it
-    fails.  The scan runs only if row 1 holds text.  The text is read
-    again, unsized, from a file the scan cannot split (a quote, a lone
-    carriage return, an empty line, a row of another field count), from
-    one whose row 1 is all numbers but a later row is not, and from one
-    where a text value fills its sized field, which would mean the scan
-    was wrong.
+    A header that names a column twice is a :class:`SchemaError` before
+    any row is read: a name reads one column.  Row 1 sniffs which columns
+    are numeric.  One read takes them all, each text column sized to its
+    widest field by :func:`_field_widths`, so it also checks every row's
+    field count.  Columns are re-read only if it fails.  The scan runs
+    only if row 1 holds text.  The text is read again, unsized, from a
+    file the scan cannot split (a quote, a lone carriage return, an empty
+    line, a row of another field count), from one whose row 1 is all
+    numbers but a later row is not, and from one where a text value fills
+    its sized field, which would mean the scan was wrong.
     """
     with path.open(encoding="utf-8") as fh:
         line = fh.readline()
@@ -669,6 +673,9 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
     options = dict(delimiter=delimiter, comments=None, quotechar='"', encoding="utf-8", ndmin=1)
     # max_rows bounds the row block numpy allocates for a str read: 50,000 rows by default
     header = [h.strip() for h in np.loadtxt([line], dtype=str, max_rows=1, **options).tolist()]
+    for k, name in enumerate(header):  # aux holds one column a name
+        if name in header[:k]:
+            raise SchemaError(f"column {name!r} appears more than once in the header")
     read = partial(np.loadtxt, path, skiprows=1, **options)
 
     def typed(numeric: list[bool]) -> np.ndarray:
@@ -721,7 +728,7 @@ def _read_columns(path: Path, delimiter: str) -> tuple[list[str], dict[str, np.n
         col = table[f"c{k}"].copy() if numeric[k] else np.char.strip(columns[k])
         col.setflags(write=False)
         aux[name] = col
-    return header, aux
+    return aux
 
 
 def load_table(path: str | Path, schema: TableSchema) -> Dataset:
@@ -733,35 +740,33 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     file is parsed in one sized read; one holding a quote, a lone
     carriage return, an empty line or a row of the wrong field count, or
     whose row 1 is all numbers but a later row is not, has its text
-    columns read a second time (:func:`_read_columns`).
-    ``Dataset.aux`` is the one parsed copy of the file: a column is
+    columns read a second time (:func:`_read_columns`).  A header that
+    names a column twice is a :class:`SchemaError`, named by the schema or
+    not.  ``Dataset.aux`` is the one parsed copy of the file: a column is
     numeric iff every value parses, and every model column is read from
-    it.  Cell labels come from :func:`encode_cells`, so a numeric covariate is
-    labelled by its value ("4.0" and "04" are both "4").  The running
-    variable is recentered by ``schema.cutoff`` so the threshold sits at
-    zero.  Each column the schema names is looked up by :func:`_column`
-    and checked on every row: the outcome, running variable, treatment,
-    indicators and extra controls must be finite numbers, and a
-    covariate or the cluster column must hold a value (finite if
-    numeric), so a missing value is a hard error naming the role, the
-    column and the row; silently dropping rows would change the estimand.
+    it.  Cell labels come from :func:`encode_cells`, so a numeric
+    covariate is labelled by its value ("4.0" and "04" are both "4").
+    The running variable is recentered by ``schema.cutoff`` so the
+    threshold sits at zero.  Each column the schema names is looked up by
+    :func:`_column` (the extra controls by :class:`Dataset`) and checked
+    on every row: the outcome, running variable, treatment, indicators and
+    extra controls must be finite numbers, and a covariate or the cluster
+    column must hold a value (finite if numeric), so a missing value is a
+    hard error naming the role, the column and the row; silently dropping
+    rows would change the estimand.
     """
     path = Path(path)
     try:
-        header, aux = _read_columns(path, schema.delimiter)
+        aux = _read_columns(path, schema.delimiter)
     except OSError as err:
         raise InputError(f"data file {path} not found or unreadable: {err.strerror}") from None
 
-    def require(name: str, role: str, numeric=True) -> np.ndarray:
-        if header.count(name) > 1:
-            raise SchemaError(f"{role} column {name!r} appears more than once in the header")
-        return _column(aux, name, role, numeric)
-
-    y = require(schema.outcome, "outcome")
-    z = require(schema.running, "running") - float(schema.cutoff)
+    require = partial(_column, aux)
+    y = require(schema.outcome, "outcome", numeric=True)
+    z = require(schema.running, "running", numeric=True) - float(schema.cutoff)
 
     if schema.treatment is not None:
-        t = require(schema.treatment, "treatment")
+        t = require(schema.treatment, "treatment", numeric=True)
         levels = schema.treatment_levels
         if levels is None:
             # return_counts keeps np.unique off its masked-array check, which
@@ -773,7 +778,7 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
             raise InputError(f"treatment column {schema.treatment!r}: {err}") from None
     else:
         names = schema.treatment_indicators
-        x = np.column_stack([require(ind, "treatment indicator") for ind in names])
+        x = np.column_stack([require(ind, "treatment indicator", numeric=True) for ind in names])
         if not np.isin(x, (0.0, 1.0)).all():
             raise InputError("treatment indicator columns must contain only 0/1 values")
         bad = np.where((np.diff(x, axis=1) > 0).any(axis=1))[0]
@@ -783,16 +788,14 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
             )
 
     # a missing value in a covariate would label a cell of its own
-    cov_cols = [require(name, "covariate", numeric=False) for name in schema.covariates]
+    cov_cols = [require(name, "covariate") for name in schema.covariates]
     enc = (
         encode_cells(cov_cols, schema.covariates)
         if cov_cols
         else CellEncoding(np.zeros(len(y), dtype=int), ("all",))
     )
 
-    cluster = None if schema.cluster is None else require(schema.cluster, "cluster", numeric=False)
-    for name in schema.extra_controls:  # Dataset checks them too, but not for a doubled header
-        require(name, "extra control")
+    cluster = None if schema.cluster is None else require(schema.cluster, "cluster")
 
     for made in (z, x, enc.cells):  # made here and locked, so Dataset keeps them as they are
         made.setflags(write=False)

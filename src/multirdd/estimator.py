@@ -26,7 +26,9 @@ the window's rows regrouped by :func:`data_model.group_rows`.  :func:`build_desi
 keeps it, a small dense block D = [extra controls | X | y] (X per
 stratum in the conditional design), and the 0/1 matrix M that writes
 A = [C | Z | X | y] = [B | D] M;
-:class:`DesignMatrices` holds them.  The Gram matrix of the weighted A is
+:class:`DesignMatrices` holds them.  A hand-built design has no B, holds
+A itself as D and takes the identity as M, so every stage reads one
+shape.  The Gram matrix of the weighted A is
 M'[B'WB, B'WD; D'WB, D'WD]M, whose group blocks are the basis's group
 sums of w, wz, wz^2, w*v and wz*v, and D'WD is one small product.  R,
 without Q, is taken of it once by :func:`_r_of`: a Cholesky of A'A, or,
@@ -60,7 +62,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .data_model import Dataset, EstimationConfig, GroupBasis, KernelWindow, ModelSpec
-from .data_model import _clusters, _column, _lock_fields, _once, _window_of
+from .data_model import _clusters, _column, _lock_fields, _locked, _once, _window_of
 from .data_model import conditioning, encode_cells, group_rows, unusable_groups
 from .errors import EstimationError, InputError, SingularDesignError
 from .errors import UnderIdentifiedError
@@ -182,20 +184,17 @@ def _partialled_r(omega, cols, basis) -> np.ndarray:
     return r
 
 
-def _r_of(omega, cols, basis=None, layout=None) -> np.ndarray:
+def _r_of(omega, cols, basis, layout) -> np.ndarray:
     """R, without Q, of diag(sqrt(omega)) [B | D] M, where D = cols' and M = ``layout``.
 
     From the Gram matrix M'[B | D]'W[B | D]M (:func:`_group_gram`) when
     :func:`_cholesky_r` accepts it; else from the rows by
-    :func:`_partialled_r`, then one QR of that R times M.  None for M is
-    the identity, and no basis no B.
+    :func:`_partialled_r`, then one QR of that R times M.  A basis of None
+    is no B.
     """
-    h = _group_gram(omega, cols, basis)
-    r = _cholesky_r(h if layout is None else layout.T @ h @ layout)
+    r = _cholesky_r(layout.T @ _group_gram(omega, cols, basis) @ layout)
     if r is None:
-        r = _partialled_r(omega, cols, basis)
-        if layout is not None:
-            r = np.linalg.qr(r @ layout, mode="r")
+        r = np.linalg.qr(_partialled_r(omega, cols, basis) @ layout, mode="r")
     return r
 
 
@@ -208,8 +207,9 @@ class DesignMatrices:
     ``basis``, the :class:`GroupBasis` B, whose row i, e_g (x) (1, z_i),
     fills rows 2g and 2g + 1 of ``layout``, M, (2G + c) x (number of
     labels + 1).  The label tuples split A's columns.  A hand-built design
-    leaves ``basis`` and ``layout`` None: no B, and ``dense`` is A itself,
-    unweighted.  :func:`build_design` passes only the rows inside the
+    leaves ``basis`` and ``layout`` None: no B, ``dense`` is A itself,
+    unweighted, and M is set to the identity, so its width is checked like
+    any other.  :func:`build_design` passes only the rows inside the
     kernel window; a design with no rows, or with a weight that is not
     > 0, is rejected.  Every array is write-locked.
     """
@@ -227,8 +227,9 @@ class DesignMatrices:
         _lock_fields(self, "dense", "weights", "cluster", "layout")
         n, width = len(self.weights), self.n_exogenous + self.k_endogenous + 1
         c = self.dense.shape[1] if self.dense.ndim == 2 else -1
-        layout = (c, width) if self.layout is None else np.shape(self.layout)
-        rows = n if self.basis is None else len(self.basis.z)
+        if self.layout is None:  # hand-built: D is A itself
+            object.__setattr__(self, "layout", _locked(np.eye(max(c, 0))))
+        layout, rows = self.layout.shape, n if self.basis is None else len(self.basis.z)
         if self.dense.shape != (n, c) or rows != n or layout != (2 * self.n_groups + c, width):
             raise InputError(
                 f"dense block of shape {self.dense.shape}, layout of shape {layout} and {rows} "
@@ -273,8 +274,7 @@ class DesignMatrices:
 
         A vector gives one value per row of A; a matrix, one row per column of it.
         """
-        mixed = coef if self.layout is None else self.layout @ coef
-        m = 2 * self.n_groups
+        mixed, m = self.layout @ coef, 2 * self.n_groups
         out = mixed[m:].T @ self.dense.T
         if mixed[:m].any():  # each row's group's constant and slope
             a0, a1 = (np.take(mixed[j:m:2].T, self.basis.groups, axis=-1) for j in (0, 1))
@@ -310,14 +310,6 @@ class DesignMatrices:
         q_k, r_k = np.linalg.qr(np.column_stack([r[:k, k:-1], r[:k, :p]]))
         conditioning(_scaled_pivots(r_k, d + p), "second-stage design is numerically singular")
         return q_k, np.linalg.inv(r_k)
-
-    @cached_property
-    def cluster_codes(self) -> np.ndarray | None:
-        """Validated :attr:`cluster` as integer codes 0..G-1; None for one row per cluster."""
-        if self.cluster is None:
-            return None
-        ids = _column({"cluster": np.asarray(self.cluster)}, "cluster", "cluster")
-        return np.unique(ids, return_inverse=True)[1]
 
 
 # One stratum's [C | Z], a column per entry in order: its label head, whether it has one
@@ -573,7 +565,8 @@ def _moments(fit, dm) -> tuple[np.ndarray, int, np.ndarray, float]:
     formed from the design's structure (:meth:`DesignMatrices.columns`).
     E = [B | D_E] M_E for the dense columns D_E that enter E.  Clustered,
     [B | D_E]'s cluster sums are per-(cluster, group) sums of w*u and
-    w*z*u and per-cluster sums of w*u*v, and S, G x k, is them times M_E.
+    w*z*u and per-cluster sums of w*u*v, and S, G x k, is them times M_E,
+    for the cluster ids checked by :func:`data_model._column` and coded here.
     Unclustered, R_S is :func:`_r_of` [B | D_E] M_E under the weights
     (w*u)^2, as R is of A under w, and S is not written.
     :func:`cluster_covariance` and :func:`j_test` share this pass: it is
@@ -585,18 +578,18 @@ def _moments(fit, dm) -> tuple[np.ndarray, int, np.ndarray, float]:
     p, k, n_groups = dm.n_controls, dm.n_exogenous, dm.n_groups
     u = dm.columns(np.concatenate([-fit.eta, np.zeros(k - p), -fit.beta, [1.0]]))
     wu = dm.weights * u
-    m, c = 2 * n_groups, dm.dense.shape[1]
-    layout = np.eye(c) if dm.layout is None else dm.layout
-    keep = np.concatenate([np.ones(m, dtype=bool), layout[m:, :k].any(axis=1)])
-    cols, loads = dm.dense.T[keep[m:]], layout[keep, :k]  # [B | D_E] and M_E
+    m, basis = 2 * n_groups, dm.basis
+    keep = np.concatenate([np.ones(m, dtype=bool), dm.layout[m:, :k].any(axis=1)])
+    cols, loads = dm.dense.T[keep[m:]], dm.layout[keep, :k]  # [B | D_E] and M_E
 
-    codes, basis = dm.cluster_codes, dm.basis
-    if codes is None:
+    if dm.cluster is None:
         n_clusters = dm.n
         sums = basis.total(np.vstack([wu, wu * basis.z])).ravel(order="F") if basis else []
         g = np.concatenate([sums, cols @ wu]) @ loads
-        r_s = _r_of(wu * wu, cols, basis, None if basis is None else loads)
+        r_s = _r_of(wu * wu, cols, basis, loads)
     else:  # S: each cluster's sums of the moment rows, by group and by dense column
+        ids = _column({"cluster": dm.cluster}, "cluster", "cluster")
+        codes = np.unique(ids, return_inverse=True)[1]
         n_clusters = int(codes.max()) + 1
         s = np.empty((n_clusters, m + len(cols)))
         for j, v in enumerate(cols):
@@ -608,7 +601,7 @@ def _moments(fit, dm) -> tuple[np.ndarray, int, np.ndarray, float]:
                     key, weights=v, minlength=n_clusters * n_groups
                 ).reshape(n_clusters, n_groups)
         s = s @ loads
-        g, r_s = s.sum(axis=0), _r_of(np.ones(n_clusters), s.T)
+        g, r_s = s.sum(axis=0), _r_of(np.ones(n_clusters), s.T, None, np.eye(k))
     out = g, n_clusters, r_s, math.sqrt(wu @ u)
     dm.__dict__["_moments"] = (fit, out)
     return out

@@ -27,7 +27,7 @@ def design_columns(dm):
     Row i of the group basis B holds 1 and z_i in the two columns of its
     group, and zeros elsewhere.
     """
-    if dm.layout is None:
+    if dm.basis is None:
         return np.asarray(dm.dense, dtype=float)
     basis = np.zeros((dm.n, 2 * dm.n_groups))
     for i, (g, zi) in enumerate(zip(dm.basis.groups.tolist(), dm.basis.z.tolist())):

@@ -1018,6 +1018,10 @@ def with_flags(args, **flags):
      "conditioning column 'r65' has 65 levels (> 64); coarsen it before encoding"),
     (dict(controls="delayed_care"), "extra_controls and outcome both name column 'delayed_care'"),
     (dict(controls="coverage"), "extra_controls and treatment both name column 'coverage'"),
+    (dict(outcome="age"), "running and outcome both name column 'age'"),
+    (dict(controls="age"), "running and extra_controls both name column 'age'"),
+    (dict(treatment=None, treatment_indicators="coverage,age"),
+     "running and treatment_indicators both name column 'age'"),
 ])
 def test_a_column_named_in_two_roles_or_too_many_strata_is_one_error_line(
     capsys, tmp_path, flags, says
@@ -1027,6 +1031,19 @@ def test_a_column_named_in_two_roles_or_too_many_strata_is_one_error_line(
     data = with_columns(tmp_path, r65=lambda i: f"level{i % 65}")
     code, out, err = run_cli(capsys, with_flags(ESTIMATE_ARGS, data=data, **flags))
     assert (code, out, err) == (1, "", f"error: {says}\n")
+
+
+@pytest.mark.parametrize("flags", [
+    dict(cluster="grp"), dict(w="race", model="conditional", r="grp"),
+])
+def test_a_header_naming_a_column_twice_is_one_error_line(capsys, tmp_path, flags):
+    # the cluster and the conditioning column are chosen after the load: each read the last grp
+    header, *rows = (SAMPLE_DIR / "insurance_style.csv").read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "twice.csv"
+    rows = [f"{row},{i % 3},{i % 40}" for i, row in enumerate(rows)]
+    path.write_text("\n".join([f"{header},grp,grp", *rows]) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, with_flags(ESTIMATE_ARGS, data=str(path), **flags))
+    assert (code, out, err) == (1, "", "error: column 'grp' appears more than once in the header\n")
 
 
 @pytest.mark.parametrize("flags", [dict(cluster="region"), dict(w=None)])

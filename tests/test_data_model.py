@@ -188,6 +188,10 @@ def test_duplicate_header_referenced_by_schema(tmp_path):
     path.write_text("y,z,t,y\n1,0.5,0,2\n2,-0.5,1,3\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="more than once"):
         load_table(path, TableSchema(outcome="y", running="z", treatment="t"))
+    # a doubled column the schema does not name loaded, and a later cluster or R read its last copy
+    path.write_text("y,z,t,g,g\n1,0.5,0,1,2\n2,-0.5,1,3,4\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="^column 'g' appears more than once in the header$"):
+        load_table(path, TableSchema(outcome="y", running="z", treatment="t"))
 
 
 def test_load_deterministic(six_row_csv):
@@ -260,6 +264,10 @@ def test_a_column_named_twice_in_one_field_is_a_schema_error(field, names):
         (dict(treatment_indicators=("x1", "y")),
          "treatment_indicators and outcome both name column 'y'"),
         (dict(treatment="y"), "outcome and treatment both name column 'y'"),
+        (dict(treatment="t", extra_controls=("z",)),
+         "running and extra_controls both name column 'z'"),
+        (dict(treatment_indicators=("x1", "z")),
+         "running and treatment_indicators both name column 'z'"),
     ],
 )
 def test_a_column_named_in_two_schema_fields_is_a_schema_error(fields, says):
@@ -267,6 +275,12 @@ def test_a_column_named_in_two_schema_fields_is_a_schema_error(fields, says):
     # or, with the outcome as a control, reported beta = 0 with SE 0
     with pytest.raises(SchemaError, match=f"^{says}$"):
         TableSchema(outcome="y", running="z", **fields)
+
+
+def test_the_running_column_is_not_the_outcome():
+    # on the sample, --outcome age --running age fitted and exited 0 with beta ~ 1e-14
+    with pytest.raises(SchemaError, match="^running and outcome both name column 'z'$"):
+        TableSchema(outcome="z", running="z", treatment="t")
 
 
 def test_one_naming_rule_spans_the_fields_it_is_given():

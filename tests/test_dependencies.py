@@ -479,3 +479,40 @@ def test_only_merge_config_converts_an_option():
     assert found == [("f", "_text"), ("C", "_count")]
     source = (SRC / "multirdd" / "cli.py").read_text(encoding="utf-8")
     assert converter_calls(source, names) == []
+
+
+def scopes_of(source: str, hit) -> list:
+    """``Class.method`` or ``function`` around each node of ``source`` that ``hit`` accepts;
+    None at module level."""
+    found = []
+
+    def visit(node, scope):
+        if hit(node):
+            found.append(scope)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def compares_layout_with_none(node) -> bool:
+    """A comparison of a name or attribute ``layout`` with None."""
+    sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+    named = any(getattr(side, "id", getattr(side, "attr", None)) == "layout" for side in sides)
+    return named and any(isinstance(side, ast.Constant) and side.value is None for side in sides)
+
+
+def test_every_design_has_one_shape():
+    # a hand-built design takes the identity layout at construction, so no later stage asks
+    # which shape it reads; the cluster ids are coded once a fit, by the pass that reads them
+    caught = "class D:\n    def f(self):\n        if self.layout is None:\n            pass\n"
+    caught += "def g(layout):\n    return None != layout\nx = layout == None\n"
+    assert scopes_of(caught, compares_layout_with_none) == ["D.f", "g", None]
+    clean = "if basis is None:\n    layout = None\nlayout is not b\n"
+    assert scopes_of(clean, compares_layout_with_none) == []
+    source = (SRC / "multirdd" / "estimator.py").read_text(encoding="utf-8")
+    assert scopes_of(source, compares_layout_with_none) == ["DesignMatrices.__post_init__"]
+    assert callers_of(source, "unique") == ["_moments"]

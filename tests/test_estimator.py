@@ -109,6 +109,15 @@ def test_design_columns_must_match_labels():
     for dense in (dm.dense[:, 1:], dm.dense[:-1], dm.dense[:, 0]):
         with pytest.raises(InputError, match="one column per label and y"):
             replace(dm, dense=dense)
+    # a hand-built design is A under the identity layout, so its width is checked the same way;
+    # a block one control too wide or too narrow was accepted and fitted under shifted labels
+    y, endogenous, instruments, controls = design_blocks(dm)
+    labels = dict(endogenous_labels=dm.endogenous_labels, instrument_labels=dm.instrument_labels,
+                  control_labels=dm.control_labels)
+    assert design_from_blocks(y, endogenous, instruments, controls, dm.weights, **labels).n == dm.n
+    for wrong in (np.column_stack([controls, controls[:, -1] ** 2]), controls[:, 1:]):
+        with pytest.raises(InputError, match="one column per label and y"):
+            design_from_blocks(y, endogenous, instruments, wrong, dm.weights, **labels)
     groups, z = dm.basis.groups, dm.basis.z
     with pytest.raises(InputError, match="sorted"):
         GroupBasis(groups[::-1], z, dm.n_groups)
