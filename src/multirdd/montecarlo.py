@@ -13,7 +13,12 @@ any evaluation order produces identical results, and any replication can
 be replayed from (seed, rep) alone.  A replication draws every row of its
 sample but builds only the rows inside its bandwidth, the support of
 every kernel; the fit reads no other row, and the study still reports
-the drawn sample size as its ``n``.
+the drawn sample size as its ``n``.  Each row's cell comes from a
+uniform of its own, drawn with the rest of the row, and only the kept
+rows look theirs up, by ``Generator.choice``'s rule: the first cell
+whose cumulative share, scaled to end at 1, exceeds the uniform.  The
+stream no longer goes through ``Generator.choice``, but every cell and
+value is the one it gave.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,15 +53,20 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _nonnegative_int(name: str, value) -> int:
+    """``value`` as an int >= 0, numpy's included, a bool not; else an InputError naming it."""
+    if not _is_int(value) or value < 0:
+        raise InputError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _as_field(f, value):
     """``value`` as DgpSpec field ``f``'s type: an int >= 0, a finite float or tuples of them.
 
     A value that does not convert is an :class:`InputError` naming the field.
     """
     if f.type == "int":
-        if not _is_int(value) or value < 0:
-            raise InputError(f"{f.name} must be a nonnegative integer, got {value!r}")
-        return int(value)
+        return _nonnegative_int(f.name, value)
     ndim = f.type.count("tuple")
     try:
         a = np.asarray(value)
@@ -216,19 +226,34 @@ def population_targets(dgp: DgpSpec) -> PopulationTargets:
 
 
 def _rng_for(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(entropy=int(seed))
-    return np.random.Generator(np.random.Philox(seed=ss))
+    """A Philox generator for ``seed``: a SeedSequence as it is, else ``DgpSpec.seed``'s rule."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(entropy=_nonnegative_int("seed", seed))
+    return np.random.Generator(np.random.Philox(seed=seed))
+
+
+def _cells_of(probs, u: np.ndarray) -> np.ndarray:
+    """The cells ``Generator.choice(len(probs), p=probs)`` picks for its uniforms ``u``.
+
+    Its rule: the cumulative shares, scaled to end at 1, searched from the right.
+    """
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
 
 
 def generate(dgp: DgpSpec, n: int, seed, *, bandwidth: float | None = None) -> Dataset:
     """Draw a sample of size n; byte-identical for identical (dgp, n, seed).
 
-    Given a ``bandwidth`` h, every row is still drawn, but only the rows
-    with |z / h| <= 1, every kernel's support, are built: the full
-    sample's rows that a fit at h reads, byte for byte and in their order.
+    ``seed`` is a SeedSequence or a nonnegative integer.  The stream
+    gives n cell uniforms, then z, the latent uniforms and the noise; it
+    no longer goes through ``Generator.choice``, but a row's cell is the
+    one that picks for its uniform: the first whose cumulative share,
+    scaled to end at 1, exceeds it (:func:`_cells_of`).  Given a
+    ``bandwidth`` h, every row is still drawn, but only the rows with
+    |z / h| <= 1, every kernel's support, are built and get a cell: the
+    full sample's rows that a fit at h reads, byte for byte and in their
+    order.
     """
     if not _is_int(n):
         raise InputError(f"n must be an integer, got {n!r}")
@@ -241,16 +266,17 @@ def generate(dgp: DgpSpec, n: int, seed, *, bandwidth: float | None = None) -> D
     base = np.asarray(dgp.base_levels)
     jumps = np.asarray(dgp.jumps)
 
-    cells = rng.choice(q, size=n, p=np.asarray(dgp.cell_probs))
+    u = rng.random(n)
     lo, hi = dgp.z_range
     z = rng.uniform(lo, hi, size=n)
-    latent = rng.uniform(0.0, 1.0, size=n)
+    latent = rng.random(n)
     noise = rng.standard_normal(n) if dgp.noise_sd > 0 else None
     if bandwidth is not None:
         with np.errstate(over="ignore"):  # an infinite |z / h| is outside the support
             keep = np.flatnonzero(in_support(z / bandwidth))
-        cells, z, latent = cells.take(keep), z.take(keep), latent.take(keep)
+        u, z, latent = u.take(keep), z.take(keep), latent.take(keep)
         noise = None if noise is None else noise.take(keep)
+    cells = _cells_of(dgp.cell_probs, u)
     right = z >= 0
     # one table row per (side, cell): base + jumps * False left of the cutoff, * True right of it
     table = np.concatenate([base + jumps * False, base + jumps * True])
@@ -370,7 +396,7 @@ def run_study(
         )
     if cfg is None:
         cfg = default_config(dgp)
-    seed = dgp.seed if seed is None else replace(dgp, seed=seed).seed  # DgpSpec.seed's rule
+    seed = dgp.seed if seed is None else _nonnegative_int("seed", seed)
 
     fits, failures = [], []
     for rep in range(reps):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multirdd.data_model import Dataset, EstimationConfig, ModelSpec, validate_dataset
@@ -14,6 +14,7 @@ from multirdd.estimator import estimate
 from multirdd.kernels import KernelKind
 from multirdd.montecarlo import (
     DgpSpec,
+    _cells_of,
     default_config,
     generate,
     load_dgp_spec,
@@ -220,6 +221,8 @@ def test_generate_deterministic():
 # SHA-256 of generate(layout, 2000, 20260)'s y, z, x and cells, pinned when the
 # draw's lookups were vectorized and re-taken over these four arrays from the same
 # draws when the dataset stopped storing cell dummies; the draws must not change.
+# They held when the cell lookup became the package's own in place of
+# Generator.choice, which drew the same uniforms and picked the same cells.
 GENERATE_SHA256 = {
     "COVERAGE": "7b61985ab4cedd71582ec89ceaa5e1125577d1f56fe18cb5cc8179ba44994598",
     "JSIZE": "190923a2b88fce50553f70998a3d1fdf701f9ce40399adc86827bf4effef96a4",
@@ -237,6 +240,86 @@ def test_generate_draws_are_pinned(layout):
         assert a.dtype.itemsize == 8 and a.flags.c_contiguous
         digest.update(a.tobytes())
     assert digest.hexdigest() == GENERATE_SHA256[layout]
+
+
+def draw_sha256(ds: Dataset) -> str:
+    digest = hashlib.sha256()
+    for a in (ds.y, ds.z, ds.x, ds.cells):
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+# SHA-256 of generate(layout, n, 20260, bandwidth=default_config(layout).bandwidth)'s
+# y, z, x and cells at the benchmark's sample sizes, taken while Generator.choice
+# still drew the cells for all n rows; the kept rows must not change.
+WINDOWED_SHA256 = {
+    ("COVERAGE", 5000): "14b5108fb972ea8d56b08f769d9bedbafc6ea54d3e8653986f1dec75afe9ddd7",
+    ("JSIZE", 5000): "031a3dbbc16c9582b1e1d09638f20a8621d898822b50296c6512d55bbea7dabb",
+    ("JPOWER", 20000): "ab5bc659c512a187511bfe50a0cbf056a084a2bda8549e89eb6a4bd4b482534a",
+}
+
+
+@pytest.mark.parametrize("layout, n", sorted(WINDOWED_SHA256))
+def test_windowed_draws_are_pinned_at_the_benchmark_sizes(layout, n):
+    import test_acceptance
+
+    dgp = getattr(test_acceptance, f"{layout}_DGP")
+    ds = generate(dgp, n, 20260, bandwidth=default_config(dgp).bandwidth)
+    assert draw_sha256(ds) == WINDOWED_SHA256[layout, n]
+
+
+def plain(state):
+    """A bit generator's state with its arrays as lists, so two states compare with ==."""
+    if isinstance(state, dict):
+        return {k: plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+    off=st.floats(-9e-10, 9e-10),
+    n=st.integers(1, 3000),
+)
+def test_the_cell_lookup_is_generator_choice(seed, weights, off, n):
+    probs = np.asarray(weights) / sum(weights)
+    probs[0] += off  # a sum DgpSpec accepts but that is not exactly 1
+    assume(probs.sum() != 1.0 and abs(probs.sum() - 1.0) <= 1e-9)
+    q = len(probs)
+    dgp = DgpSpec(
+        cell_probs=probs,
+        base_levels=[[0.5]] * q,
+        jumps=[[0.0]] * q,
+        betas=[[0.0]] * q,
+        intercepts=[0.0] * q,
+    )
+    theirs, ours = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    expected = theirs.choice(q, size=n, p=np.asarray(dgp.cell_probs))
+    cells = _cells_of(dgp.cell_probs, ours.random(n))
+    assert cells.dtype == expected.dtype
+    assert np.array_equal(cells, expected)
+    assert plain(ours.bit_generator.state) == plain(theirs.bit_generator.state)
+
+
+@pytest.mark.parametrize("seed", [7.9, "7", True, -5, None], ids=repr)
+def test_generate_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    message = re.escape(f"seed must be a nonnegative integer, got {seed!r}")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        generate(homogeneous_dgp(), 500, seed)
+
+
+# SHA-256 of generate(COVERAGE, 500, 7)'s y, z, x and cells, taken before seeds were checked
+SEED_7_SHA256 = "208a02538a4603b1f6ab69743e9b48d6c59a10d1e8e7b32e028819a8eddbe6e5"
+
+
+@pytest.mark.parametrize(
+    "seed", [7, np.int64(7), np.random.SeedSequence(entropy=7)], ids=["int", "int64", "seq"]
+)
+def test_generate_draws_seed_7_as_before_however_it_is_given(seed):
+    import test_acceptance
+
+    assert draw_sha256(generate(test_acceptance.COVERAGE_DGP, 500, seed)) == SEED_7_SHA256
 
 
 def random_dgp(seed: int, q: int, d: int, noise: bool) -> DgpSpec:
