@@ -324,21 +324,23 @@ def estimate_cmd(cfg: dict) -> int:
     ds, est_cfg, echo = _load(cfg)
     echo.update(model=spec.kind, cluster=cfg.get("cluster"))
     win = kernel_window(ds, est_cfg)  # the kernel is evaluated once per command
-    ct = tw = None
+    ct = tw = diag_err = None
     if spec.kind == "homogeneous":
         try:
             ct = cell_table(ds, est_cfg, win)
             tw = relevance(ct)
-        except EstimationError:
-            pass
+        except EstimationError as err:
+            diag_err = err  # the diagnostics of a failed fit would raise it again
     try:
         fit = estimate(ds, spec, est_cfg, win)
     except EstimationError as err:
-        try:
-            diagnostics = _diagnostics_doc(ds, est_cfg, win, ct, tw)[0]
-            return _failed(err, cfg, echo, diagnostics=diagnostics)
-        except EstimationError as diag_err:
-            return _failed(err, cfg, echo, diagnostics_error=str(diag_err))
+        if diag_err is None:
+            try:
+                diagnostics = _diagnostics_doc(ds, est_cfg, win, ct, tw)[0]
+                return _failed(err, cfg, echo, diagnostics=diagnostics)
+            except EstimationError as later:
+                diag_err = later
+        return _failed(err, cfg, echo, diagnostics_error=str(diag_err))
     doc = fit.to_dict()
     doc["first_stage"]["joint_min_eigenvalue"] = None if tw is None else tw.min_eigenvalue
     doc["config"] = echo

@@ -11,8 +11,8 @@ are safe to share across threads.
 
 Treatment is encoded as ordered crossing indicators: with levels
 t_0 < t_1 < ... < t_d, column j holds 1 when the observed treatment is
-at least t_{j+1}.  Rows are therefore non-increasing left to right; a
-violation means the input indicators were not cumulative.
+at least t_{j+1}.  Rows are therefore non-increasing left to right, and
+:class:`Dataset` refuses an x whose rows are not, or that holds another value.
 """
 
 from __future__ import annotations
@@ -144,7 +144,10 @@ class Dataset:
     construction, the others when a fit names them.  Covariates and R are
     coded by the same :func:`encode_cells`.  ``aux`` is read-only and its
     arrays are write-locked.  ``cells`` codes each row's cell as an index
-    into ``cell_labels``; the first label is the reference cell.
+    into ``cell_labels``; the first label is the reference cell.  ``x``
+    is checked here, however it was made: an entry other than 0 or 1, NaN
+    too, is an :class:`InputError`, and so are rows that increase from one
+    margin to the next, the first ten named, counted from 1.
     ``running_column`` names the column :func:`load_table` read z from and
     ``covariate_names`` those it coded the cells from; None and () otherwise.
     """
@@ -182,6 +185,13 @@ class Dataset:
                 raise InputError(f"column {name!r} has length {len(col)}, expected {n}")
         if x.shape[0] != n:
             raise InputError(f"treatment matrix has {x.shape[0]} rows, expected {n}")
+        if not np.isin(x, (0.0, 1.0)).all():
+            raise InputError("treatment indicator columns must contain only 0/1 values")
+        bad = np.flatnonzero((x[:, 1:] > x[:, :-1]).any(axis=1))
+        if bad.size:
+            raise InputError(
+                f"treatment indicators are not cumulative in rows {(bad + 1).tolist()[:10]}"
+            )
         if self.cluster is not None and len(self.cluster) != n:
             raise InputError("cluster column length mismatch")
         # the dataset's own columns are named by their fields
@@ -753,7 +763,8 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     extra controls must be finite numbers, and a covariate or the cluster
     column must hold a value (finite if numeric), so a missing value is a
     hard error naming the role, the column and the row; silently dropping
-    rows would change the estimand.
+    rows would change the estimand.  Indicator columns are stacked as
+    given, and :class:`Dataset` refuses them unless they are cumulative 0/1.
     """
     path = Path(path)
     try:
@@ -779,13 +790,6 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
     else:
         names = schema.treatment_indicators
         x = np.column_stack([require(ind, "treatment indicator", numeric=True) for ind in names])
-        if not np.isin(x, (0.0, 1.0)).all():
-            raise InputError("treatment indicator columns must contain only 0/1 values")
-        bad = np.where((np.diff(x, axis=1) > 0).any(axis=1))[0]
-        if bad.size:
-            raise InputError(
-                f"treatment indicators are not cumulative in rows {(bad + 1).tolist()[:10]}"
-            )
 
     # a missing value in a covariate would label a cell of its own
     cov_cols = [require(name, "covariate") for name in schema.covariates]
@@ -817,24 +821,14 @@ def load_table(path: str | Path, schema: TableSchema) -> Dataset:
 class ValidationReport:
     """Dataset-wide checks, for reporting; window rows per cell and side are ``cell_table``'s."""
 
-    monotonicity_violations: tuple[int, ...]
     constant_columns: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.monotonicity_violations
-
     def to_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return asdict(self)
 
 
 def validate_dataset(ds: Dataset) -> ValidationReport:
-    """Report the rows whose indicators are not cumulative, and the constant columns."""
-    viol = np.where((np.diff(ds.x, axis=1) > 1e-12).any(axis=1))[0]
+    """Report the constant columns: y, z, each indicator and each extra control."""
     named = [("y", ds.y), ("z", ds.z)] + [(f"x{j + 1}", col) for j, col in enumerate(ds.x.T)]
     named += [(name, ds.aux[name]) for name in ds.extra_control_names]
-    constant = [name for name, col in named if ds.n and np.ptp(col) == 0]
-    return ValidationReport(
-        monotonicity_violations=tuple(int(i) for i in viol),
-        constant_columns=tuple(constant),
-    )
+    return ValidationReport(tuple(name for name, col in named if ds.n and np.ptp(col) == 0))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -754,7 +755,7 @@ def test_diagnose_report_schema(capsys, tmp_path):
     assert run_cli(capsys, argv)[0] == 0
     doc = json.loads(out.read_text())
     assert set(doc) == {"cell_table", "config", "ratio_late", "relevance", "validation"}
-    assert set(doc["validation"]) == {"constant_columns", "monotonicity_violations", "ok"}
+    assert doc["validation"] == {"constant_columns": []}
     assert set(doc["relevance"]) == {
         "eigenvalues", "m_hat", "min_eigenvalue", "omega", "passed", "rank", "rcond"
     }
@@ -1065,3 +1066,101 @@ def test_a_running_variable_as_the_treatment_is_refused_before_any_fit(capsys, m
     code, out, err = run_cli(capsys, with_flags(ESTIMATE_ARGS, treatment="age", controls=None))
     assert (code, out, err) == (1, "", "error: treatment column 'age': need 2 to 64 treatment "
                                        "levels, got 3984\n")
+
+
+def test_a_failed_estimate_builds_the_cell_table_once(capsys, monkeypatch):
+    # no cell has two-sided support at h = 0.05, so the command's own cell table fails first;
+    # the failure report carries that error and builds no second table
+    import multirdd.cli as cli
+
+    calls, cell_table = [], cli.cell_table
+    monkeypatch.setattr(cli, "cell_table", lambda *a: calls.append(a) or cell_table(*a))
+    code, out, _ = run_cli(capsys, with_flags(ESTIMATE_ARGS, controls=None, cluster=None,
+                                              kernel=None, bandwidth="0.05"))
+    assert code == 2 and len(calls) == 1
+    doc = json.loads(out)
+    assert doc["diagnostics_error"] == (
+        "no usable cells: every cell lacks two-sided support within the bandwidth"
+    )
+    assert "diagnostics" not in doc
+
+
+@pytest.mark.parametrize("cells, says", [
+    (("1", "0.5"), "treatment indicator columns must contain only 0/1 values"),
+    (("0", "1"), "treatment indicators are not cumulative in rows [2]"),
+])
+def test_bad_indicator_columns_are_one_input_error_line(capsys, tmp_path, cells, says):
+    path = tmp_path / "indicators.csv"
+    rows = ["y,z,x1,x2", "1,-1,1,0", f"2,1,{','.join(cells)}", "3,-2,0,0", "4,2,1,1"]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["estimate", "--data", str(path), "--outcome", "y", "--running", "z",
+            "--treatment-indicators", "x1,x2", "--bandwidth", "5"]
+    assert run_cli(capsys, argv) == (1, "", f"error: {says}\n")
+
+
+@pytest.mark.parametrize("text, says", [
+    ("{not json", "is not valid JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+])
+def test_a_config_file_that_is_not_a_json_object_is_refused(capsys, tmp_path, text, says):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["estimate", "--config", str(path)])
+    assert (code, out) == (1, "") and err.startswith(f"error: config file {path} {says}")
+
+
+def test_a_missing_data_option_is_refused(capsys):
+    code, out, err = run_cli(capsys, with_flags(ESTIMATE_ARGS, data=None))
+    assert (code, out, err) == (1, "", "error: missing required option --data\n")
+
+
+def test_simulate_on_an_unidentified_spec_exits_2(capsys, tmp_path):
+    spec = tmp_path / "one_cell.json"
+    spec.write_text(json.dumps({
+        "cell_probs": [1.0], "base_levels": [[0.5, 0.2]], "jumps": [[0.3, 0.1]],
+        "betas": [[0.5, -0.3]], "intercepts": [0.0],
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["simulate", "--data", str(spec), "--n", "500", "--reps", "2"])
+    assert (code, out) == (2, "")
+    assert err == ("estimation failed: DGP is not identified (relevance matrix is singular); "
+                   "targets are only defined cell-wise\n")
+
+
+def test_a_just_identified_fit_says_so_in_text(capsys, tmp_path):
+    # two cells, two margins: no over-identifying restriction to test
+    code, out, _ = run_cli(capsys, with_flags(ESTIMATE_ARGS, w="race", format="text"))
+    assert code == 0
+    assert "[just identified; no over-identification test]" in out.splitlines()
+    spec = tmp_path / "two_cells.json"
+    spec.write_text(json.dumps({
+        "cell_probs": [0.5, 0.5], "base_levels": [[0.4, 0.1], [0.5, 0.1]],
+        "jumps": [[0.4, 0.1], [0.2, 0.3]], "betas": [[0.5, -0.3], [0.5, -0.3]],
+        "intercepts": [0.0, 0.2],
+    }), encoding="utf-8")
+    argv = ["simulate", "--data", str(spec), "--n", "1500", "--reps", "3", "--format", "text"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "J test not applicable (just identified)"
+
+
+def readme_commands() -> list:
+    """The argument lists of README.md's ``multirdd`` shell examples, one per command."""
+    readme = (SAMPLE_DIR.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    commands = [shlex.split(block.replace("\\\n", " ")) for block in blocks]
+    return [argv[1:] for argv in commands if argv and argv[0] == "multirdd"]
+
+
+def test_the_readme_shell_examples_run(capsys, monkeypatch, tmp_path):
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["estimate", "diagnose", "simulate"]
+    monkeypatch.chdir(SAMPLE_DIR.parent)  # the examples name their files from the checkout's root
+    for argv in commands:
+        out = tmp_path / f"{argv[0]}.out"
+        flags = {"out": str(out)}
+        if "--series" in argv:
+            flags["series"] = str(tmp_path / "series.csv")
+        code, _, err = run_cli(capsys, with_flags(argv, **flags))
+        assert code == 0, (argv, err)
+        assert out.read_text(encoding="utf-8").strip(), argv
+    assert (tmp_path / "series.csv").read_text(encoding="utf-8").strip()

@@ -2,7 +2,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +480,11 @@ def test_encode_cells_race_education():
     assert sorted(enc.cells) == list(range(6))
 
 
+def test_encode_cells_refuses_columns_of_unequal_length():
+    with pytest.raises(InputError, match="^covariate column 'educ' has length 2, expected 3$"):
+        encode_cells([np.array(["a", "b", "a"]), np.array(["x", "y"])], ("race", "educ"))
+
+
 def test_encode_cells_single_value():
     enc = encode_cells([np.array(["a", "a", "a"])])
     assert enc.labels == ("a",)
@@ -554,14 +559,35 @@ def make_dataset(x_rows, z=None):
 
 def test_validate_clean_dataset():
     ds = make_dataset([[1, 0], [1, 1], [0, 0], [1, 1]])
-    report = validate_dataset(ds)
-    assert report.monotonicity_violations == ()
+    assert validate_dataset(ds).to_dict() == {"constant_columns": ("y",)}  # y is all zeros
 
 
-def test_validate_flags_violation_row():
-    ds = make_dataset([[1, 0], [0, 1], [1, 1], [0, 0]])
-    report = validate_dataset(ds)
-    assert report.monotonicity_violations == (1,)
+def test_dataset_refuses_a_non_cumulative_row():
+    says = r"^treatment indicators are not cumulative in rows \[2\]$"
+    with pytest.raises(InputError, match=says):
+        make_dataset([[1, 0], [0, 1], [1, 1], [0, 0]])
+
+
+def test_dataset_names_the_first_ten_non_cumulative_rows():
+    rows = [[1, 1, 0]] * 3 + [[0, 1, 1]] * 12
+    with pytest.raises(InputError, match=r"in rows \[4, 5, 6, 7, 8, 9, 10, 11, 12, 13\]$"):
+        make_dataset(rows)
+
+
+@pytest.mark.parametrize("value", [2.0, -1.0, 0.5, np.nan, np.inf])
+def test_dataset_refuses_an_indicator_that_is_not_0_or_1(value):
+    says = "^treatment indicator columns must contain only 0/1 values$"
+    with pytest.raises(InputError, match=says):
+        make_dataset([[1, 0], [value, 0], [0, 0]])
+
+
+def test_replacing_x_is_checked_like_a_new_dataset():
+    ds = make_dataset([[1, 0], [1, 1], [0, 0]])
+    assert replace(ds, x=np.array([[0, 0], [1, 0], [1, 1]])).d == 2
+    with pytest.raises(InputError, match=r"not cumulative in rows \[3\]"):
+        replace(ds, x=np.array([[1, 0], [1, 1], [0, 1]]))
+    with pytest.raises(InputError, match="only 0/1 values"):
+        replace(ds, x=ds.x * 2)
 
 
 def test_validate_reports_constant_columns():

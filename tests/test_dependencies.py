@@ -516,3 +516,28 @@ def test_every_design_has_one_shape():
     source = (SRC / "multirdd" / "estimator.py").read_text(encoding="utf-8")
     assert scopes_of(source, compares_layout_with_none) == ["DesignMatrices.__post_init__"]
     assert callers_of(source, "unique") == ["_moments"]
+
+
+INDICATOR_REFUSALS = ("must contain only 0/1 values", "are not cumulative in rows")
+
+
+def says_an_indicator_refusal(node) -> bool:
+    """A text constant, or a text part of an f-string, holding a refusal of the indicators."""
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and any(
+        text in node.value for text in INDICATOR_REFUSALS
+    )
+
+
+def test_only_the_dataset_refuses_an_indicator_matrix():
+    # Dataset.__post_init__ checks x however it was made: stacked from indicator columns,
+    # encoded from a treatment column, drawn by generate, or built by hand
+    caught = 'def f():\n    raise E("x must contain only 0/1 values")\nclass D:\n'
+    caught += '    def g(self):\n        return f"x{k} are not cumulative in rows {rows}"\n'
+    assert scopes_of(caught, says_an_indicator_refusal) == ["f", "D.g"]
+    assert scopes_of('"0/1 values"\nf"cumulative in {rows}"\n', says_an_indicator_refusal) == []
+    found = [
+        f"{path.stem}.{scope}"
+        for path in sorted((SRC / "multirdd").glob("*.py"))
+        for scope in scopes_of(path.read_text(encoding="utf-8"), says_an_indicator_refusal)
+    ]
+    assert found == ["data_model.Dataset.__post_init__"] * 2

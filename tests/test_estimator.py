@@ -1,5 +1,5 @@
 import re
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -411,6 +411,24 @@ def test_singular_first_stage_reports_rcond():
     )
     with pytest.raises(SingularDesignError, match="rcond"):
         weighted_2sls(dm)
+
+
+def test_a_hand_built_design_with_fewer_instruments_than_margins_is_under_identified():
+    n = 30
+    z = np.linspace(-1, 1, n)
+    dm = design_from_blocks(
+        np.random.default_rng(0).normal(size=n),
+        np.column_stack([z >= 0, z >= 0.5]).astype(float),
+        (z >= 0).astype(float)[:, None],
+        np.column_stack([np.ones(n), z]),
+        np.ones(n),
+        endogenous_labels=("x1", "x2"),
+        instrument_labels=("d",),
+        control_labels=("const", "z"),
+    )
+    with pytest.raises(UnderIdentifiedError, match=r"^under-identified: 1 instruments < 2 "
+                       "endogenous columns$"):
+        dm.second_stage
 
 
 def _second_stage_design(case):
@@ -939,6 +957,18 @@ def relabel_cells(ds, order):
     )
 
 
+def in_x_units(ds, cfg, x_units):
+    """A patch under which ``estimate`` fits the design of ``ds`` with its treatment columns
+    scaled by ``x_units``: a Dataset holds 0/1 indicators only, so x takes other units in a
+    design alone.  The design is built here, so the fit factors its rows once as before."""
+    dm = build_design(ds, ModelSpec(), cfg)
+    scale = np.ones(dm.dense.shape[1])
+    e = len(ds.extra_control_names)  # the dense block is [extra controls | X | y]
+    scale[e : e + ds.d] = x_units
+    scaled = replace(dm, dense=dm.dense * scale)
+    return mock.patch("multirdd.estimator.build_design", lambda *args: scaled)
+
+
 def assert_rel_close(got, want):
     got, want = np.atleast_1d(got), np.atleast_1d(want)
     assert np.abs(got - want).max() <= 1e-8 * max(np.abs(want).max(), 1e-300), (got, want)
@@ -983,14 +1013,15 @@ def test_fit_invariant_to_row_order_cell_labels_and_outcome_units(
     extra = {"ctl": ds.aux["ctl"] * 10.0**extra_exp}
     x_units = np.ones(d)
     x_units[0] = 10.0**x_exp
-    units = replace(ds, y=a * (ds.y + b), z=ds.z * 10.0**z_exp, x=ds.x * x_units, aux=extra)
+    units = replace(ds, y=a * (ds.y + b), z=ds.z * 10.0**z_exp, aux=extra)
+    units_cfg = EstimationConfig(bandwidth=CFG.bandwidth * 10.0**z_exp)
     variants = (
-        (subset_dataset(ds, rng.permutation(ds.n)), CFG, 1.0, 1.0),
-        (relabel_cells(ds, rng.permutation(ds.q)), CFG, 1.0, 1.0),
-        (units, EstimationConfig(bandwidth=CFG.bandwidth * 10.0**z_exp), a, x_units),
+        (subset_dataset(ds, rng.permutation(ds.n)), CFG, 1.0, 1.0, nullcontext()),
+        (relabel_cells(ds, rng.permutation(ds.q)), CFG, 1.0, 1.0, nullcontext()),
+        (units, units_cfg, a, x_units, in_x_units(units, units_cfg, x_units)),
     )
-    for other, cfg, scale, per_x in variants:
-        with recorded("cholesky", "qr") as calls:
+    for other, cfg, scale, per_x, x_in_units in variants:
+        with x_in_units, recorded("cholesky", "qr") as calls:
             fit = estimate(other, ModelSpec(), cfg)
         # one Cholesky of A'A and one of the moment sums' S'S in every unit,
         # and no qr of the rows

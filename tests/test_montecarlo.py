@@ -175,6 +175,25 @@ def test_dgp_validation_errors():
         )
 
 
+@pytest.mark.parametrize("change, says", [
+    (dict(jumps=((0.1,), (0.1,), (0.1,))), "^cell_probs, base_levels, jumps, and betas must agree "
+     r"on q and d; got probs \(3,\), base \(3, 2\), jumps \(3, 1\), betas \(3, 2\)$"),
+    (dict(intercepts=(0.0, 0.1)), r"^intercepts must have one entry per cell, got \(2,\)$"),
+    (dict(noise_sd=-0.5), "^noise_sd must be nonnegative, got -0.5$"),
+])
+def test_dgp_spec_refuses_a_wrong_shape_or_a_negative_noise(change, says):
+    with pytest.raises(InputError, match=says):
+        DgpSpec(**{**homogeneous_dgp().to_dict(), **change})
+
+
+def test_load_dgp_spec_refuses_a_json_array(tmp_path):
+    path = tmp_path / "dgp.json"
+    path.write_text(json.dumps([homogeneous_dgp().to_dict()]), encoding="utf-8")
+    says = f"^DGP spec {re.escape(str(path))} must hold a JSON object$"
+    with pytest.raises(InputError, match=says):
+        load_dgp_spec(path)
+
+
 FLOAT_FIELDS = (
     "cell_probs", "base_levels", "jumps", "betas", "intercepts", "slope_left", "slope_right",
     "curvature_left", "curvature_right", "noise_sd", "z_range",
@@ -430,6 +449,13 @@ def test_generate_rejects_bad_n():
         generate(homogeneous_dgp(), 0, 1)
 
 
+@pytest.mark.parametrize("bandwidth", [0.0, -0.1, np.inf, np.nan])
+def test_generate_refuses_a_bandwidth_that_is_not_positive_and_finite(bandwidth):
+    says = f"^bandwidth must be a positive finite number, got {bandwidth}$"
+    with pytest.raises(InputError, match=says):
+        generate(homogeneous_dgp(), 500, 1, bandwidth=bandwidth)
+
+
 @pytest.mark.parametrize("n", [2500.0, np.float64(2500), True, "2500"], ids=repr)
 def test_generate_and_run_study_refuse_a_sample_size_that_is_not_an_integer(n):
     message = re.escape(f"n must be an integer, got {n!r}")
@@ -497,6 +523,14 @@ def test_run_study_checks_its_seed_as_the_spec_does(seed):
 def test_run_study_lets_a_bad_sample_size_escape():
     with pytest.raises(InputError, match="sample size must be positive, got 0"):
         run_study(homogeneous_dgp(), n=0, reps=2)
+
+
+def test_run_study_fails_when_every_replication_fails():
+    # no cell has two distinct z on both sides of the cutoff at h = 0.002
+    with pytest.raises(EstimationError, match="^all 3 replications failed: exogenous block is "
+                       r"rank deficient after weighting \(12 columns\)") as failed:
+        run_study(homogeneous_dgp(), n=2000, reps=3, cfg=EstimationConfig(0.002), seed=1)
+    assert isinstance(failed.value.__cause__, SingularDesignError)
 
 
 def test_run_study_unidentified_dgp_rejected():
